@@ -14,7 +14,9 @@
 //!   facts survive joins (an `if/else` both of whose arms inherit a check
 //!   keeps it — unlike the JIT's old per-basic-block peephole, which
 //!   dropped every fact at every label), and are hoisted across loop
-//!   iterations via a widening/narrowing fixpoint at each loop header,
+//!   iterations via a widening/narrowing fixpoint at each loop header
+//!   (inner loops warm-start from their previous header, so the cost
+//!   stays polynomial in nest depth rather than multiplying per level),
 //! * summarizes functions **interprocedurally**, bottom-up over the call
 //!   graph: caller argument intervals narrow an internal callee's
 //!   parameters, and a callee's constant return interval (`ret_iv`)
@@ -251,6 +253,9 @@ pub struct FuncPlan {
     hoists: Vec<HoistPlan>,
     /// Access-footprint summary.
     pub summary: FuncSummary,
+    /// Abstract instruction steps the analysis took: its cost, not part
+    /// of the plan.
+    steps: u64,
 }
 
 impl FuncPlan {
@@ -283,6 +288,14 @@ impl FuncPlan {
     #[inline]
     pub fn hoists(&self) -> &[HoistPlan] {
         &self.hoists
+    }
+
+    /// Abstract instruction steps the analysis of this function took over
+    /// both phases: a deterministic work count (every probe and pass, not
+    /// just the recording one). Not part of the plan.
+    #[inline]
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 }
 
@@ -328,6 +341,12 @@ impl ModulePlan {
             .iter()
             .map(|f| u64::from(f.summary.elided_hoisted))
             .sum()
+    }
+
+    /// Abstract instruction steps the whole analysis took, summed over
+    /// functions (see [`FuncPlan::steps`]).
+    pub fn steps(&self) -> u64 {
+        self.funcs.iter().map(FuncPlan::steps).sum()
     }
 }
 
@@ -380,6 +399,7 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
 
     // Phase 1: return-interval summaries, callees first.
     let mut ret_ivs: Vec<Option<(u64, u64)>> = vec![None; nd];
+    let mut phase1_steps = vec![0u64; nd];
     if cfg.interprocedural && nd > 0 {
         let mut color = vec![0u8; nd]; // 0 unvisited, 1 on stack, 2 done
         let mut order = Vec::with_capacity(nd);
@@ -404,7 +424,11 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
                 }
             }
         }
-        for di in order {
+        // Only an i32 result has a return interval to summarize.
+        for di in order
+            .into_iter()
+            .filter(|&di| meta.funcs[di].result == Some(ValType::I32))
+        {
             let plan = Analyzer::new(
                 module,
                 &meta.funcs[di],
@@ -416,6 +440,7 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
             )
             .run(&module.functions[di].body);
             ret_ivs[di] = plan.summary.ret_iv;
+            phase1_steps[di] = plan.steps;
         }
     }
 
@@ -522,7 +547,12 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
     ModulePlan {
         funcs: plans
             .into_iter()
-            .map(|p| p.expect("all analyzed"))
+            .zip(phase1_steps)
+            .map(|(p, s1)| {
+                let mut p = p.expect("all analyzed");
+                p.steps += s1;
+                p
+            })
             .collect(),
         mem_min_bytes,
         mem_max_bytes,
@@ -1218,6 +1248,11 @@ struct Analyzer<'m> {
     loop_stack: Vec<LoopCtx>,
     hoists: Vec<HoistPlan>,
     clamp_ok: Vec<u32>,
+    /// Per-loop `(entry, stabilized header)` of the last probe-mode
+    /// fixpoint, keyed by `loop_pc`: warm starts for inner loops.
+    loop_cache: BTreeMap<u32, (State, State)>,
+    /// Abstract `step` calls so far.
+    steps: u64,
 }
 
 impl<'m> Analyzer<'m> {
@@ -1253,6 +1288,8 @@ impl<'m> Analyzer<'m> {
             loop_stack: Vec::new(),
             hoists: Vec::new(),
             clamp_ok: Vec::new(),
+            loop_cache: BTreeMap::new(),
+            steps: 0,
         }
     }
 
@@ -1367,6 +1404,7 @@ impl<'m> Analyzer<'m> {
                 clamp_ok: self.clamp_ok,
                 hoists: self.hoists,
                 summary: self.summary,
+                steps: self.steps,
             },
             self.call_args,
         )
@@ -1484,63 +1522,30 @@ impl<'m> Analyzer<'m> {
         let entry = st.clone();
         let saved_rec = self.recording;
 
-        // Widening fixpoint over the header state. Probes run without
-        // recording and with forward exits sandboxed (outer merges would
-        // double-count); widening jumps `hi` to the next program constant
-        // (threshold widening) so `i < N` loop bounds are found exactly,
-        // and a short narrowing phase recovers the `[0, N-1]` header after
-        // an overshoot.
-        let mut header = entry.clone();
-        let mut last_cand: Option<State>;
-        let max_iters = self.thresholds.len() + 8;
-        let mut it = 0usize;
-        loop {
-            if it >= max_iters {
-                header = self.conservative_header(&entry, inner);
-                last_cand = None;
-                break;
+        // Probes sandbox forward exits, so a loop's header depends only on
+        // its entry: a probe-mode visit reuses the last header outright
+        // when the entry repeats, and warm-starts the ascent from it when
+        // the entry has only grown (Bourdoncle's recursive strategy — an
+        // inner head keeps its value across outer iterations). Recording
+        // passes start cold: a recorded header's ascent starts at its
+        // entry, as without the cache. Either way `fixpoint`'s exit test
+        // accepts only a verified post-fixpoint containing `entry`, so
+        // where the ascent starts never affects soundness.
+        let cached = if saved_rec {
+            None
+        } else {
+            self.loop_cache.get(&loop_pc)
+        };
+        let header = match cached {
+            Some((ce, ch)) if *ce == entry => ch.clone(),
+            Some((ce, ch)) if state_contains(&entry, ce) => {
+                let start = join_state(&entry, ch);
+                self.fixpoint(inner, &entry, start, eh, frames)
             }
-            match self.probe(inner, &header, eh, frames) {
-                None => {
-                    // Body never reaches the back-edge: one trip from entry.
-                    header = entry.clone();
-                    last_cand = None;
-                    break;
-                }
-                Some(be) => {
-                    let cand = join_state(&entry, &be);
-                    if state_contains(&header, &cand) {
-                        last_cand = Some(cand);
-                        break;
-                    }
-                    let up = join_state(&header, &cand);
-                    header = if it >= 2 {
-                        self.widen(&header, &up)
-                    } else {
-                        up
-                    };
-                }
-            }
-            it += 1;
-        }
-        // Narrowing: each candidate is accepted only after verifying it is
-        // itself a post-fixpoint, so the result stays sound even though
-        // refinement is not exactly monotone.
-        for _ in 0..2 {
-            let Some(cand) = last_cand.take() else { break };
-            if cand == header {
-                break;
-            }
-            let next = match self.probe(inner, &cand, eh, frames) {
-                None => entry.clone(),
-                Some(be) => join_state(&entry, &be),
-            };
-            if state_contains(&cand, &next) {
-                header = cand;
-                last_cand = Some(next);
-            } else {
-                break;
-            }
+            _ => self.fixpoint(inner, &entry, entry.clone(), eh, frames),
+        };
+        if !saved_rec {
+            self.loop_cache.insert(loop_pc, (entry, header.clone()));
         }
         self.recording = saved_rec;
 
@@ -1600,6 +1605,76 @@ impl<'m> Analyzer<'m> {
             }
         }
         block_exit(st, None, eh, keep);
+    }
+
+    /// The loop header: a widening fixpoint over probes of `inner`,
+    /// ascending from `start` (`entry`, or a cached header joined with it).
+    /// Probes run without recording and with forward exits sandboxed
+    /// (outer merges would double-count); widening jumps `hi` to the next
+    /// program constant (threshold widening) so `i < N` loop bounds are
+    /// found exactly, and a short narrowing phase recovers the `[0, N-1]`
+    /// header after an overshoot.
+    fn fixpoint(
+        &mut self,
+        inner: &[Node],
+        entry: &State,
+        start: State,
+        eh: usize,
+        frames: &mut Vec<Frame>,
+    ) -> State {
+        let mut header = start;
+        let mut last_cand: Option<State>;
+        let max_iters = self.thresholds.len() + 8;
+        let mut it = 0usize;
+        loop {
+            if it >= max_iters {
+                header = self.conservative_header(entry, inner);
+                last_cand = None;
+                break;
+            }
+            match self.probe(inner, &header, eh, frames) {
+                None => {
+                    // Body never reaches the back-edge: one trip from entry.
+                    header = entry.clone();
+                    last_cand = None;
+                    break;
+                }
+                Some(be) => {
+                    let cand = join_state(entry, &be);
+                    if state_contains(&header, &cand) {
+                        last_cand = Some(cand);
+                        break;
+                    }
+                    let up = join_state(&header, &cand);
+                    header = if it >= 2 {
+                        self.widen(&header, &up)
+                    } else {
+                        up
+                    };
+                }
+            }
+            it += 1;
+        }
+        // Narrowing: each candidate is accepted only after verifying it is
+        // itself a post-fixpoint, so the result stays sound even though
+        // refinement is not exactly monotone.
+        for _ in 0..2 {
+            let Some(cand) = last_cand.take() else { break };
+            if cand == header {
+                break;
+            }
+            let next = match self.probe(inner, &cand, eh, frames) {
+                None => entry.clone(),
+                Some(be) => join_state(entry, &be),
+            };
+            if state_contains(&cand, &next) {
+                header = cand;
+                last_cand = Some(next);
+            } else {
+                break;
+            }
+        }
+        header
     }
 
     /// A preheader guard covering one `Emit` access with symbolic address
@@ -1822,6 +1897,7 @@ impl<'m> Analyzer<'m> {
     #[allow(clippy::too_many_lines)]
     fn step(&mut self, pc: usize, st: &mut State, frames: &mut [Frame], floor: usize) {
         use Instr::*;
+        self.steps += 1;
         let instr = &self.body[pc];
         match instr {
             Unreachable => st.live = false,

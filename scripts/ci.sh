@@ -17,8 +17,8 @@
 #   8. mid-tier smoke: a three-kernel baseline-vs-mid comparison; the mid
 #      tier must compile, agree, and report register-home work
 #   9. guard-optimization smoke: a three-kernel fusion-off-vs-on
-#      comparison; checksums must be bit-identical and the trap-strategy
-#      geomean speedup at least 1.03x
+#      comparison; checksums must be bit-identical and the pass must fuse
+#      guards (the trap-strategy geomean speedup is printed, not gated)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

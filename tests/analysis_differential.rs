@@ -9,21 +9,37 @@
 //! `u32::MAX` whose effective address overflows 32 bits (statically
 //! provable OOB with the analysis on; a dynamic widened-arithmetic check
 //! with it off).
+//!
+//! The seeded generators cover straight-line access mixes and counted
+//! loop nests of depth 5–7 whose bounds come from constants and from a
+//! parameter, with accesses a few bytes from the end of memory: the
+//! shape where a loop header that is warm-started from an earlier outer
+//! iteration, rather than recomputed, would first show a soundness slip.
 
 use lb_core::exec::{Engine, Linker};
 use lb_core::{BoundsStrategy, MemoryConfig, Trap};
 use lb_interp::InterpEngine;
 use lb_jit::{JitEngine, JitProfile};
 use lb_wasm::module::{Export, ExportKind, Function};
-use lb_wasm::{FuncType, Instr, Limits, MemArg, MemoryType, Module, ValType, Value};
+use lb_wasm::{BlockType, FuncType, Instr, Limits, MemArg, MemoryType, Module, ValType, Value};
 
 const PAGE: u32 = 65536;
 
 /// Build a one-memory module exporting `go(addr: i32) -> i32`.
 fn module_with(pages: u32, locals: Vec<ValType>, body: Vec<Instr>) -> Module {
+    module_with_params(pages, 1, locals, body)
+}
+
+/// Build a one-memory module exporting `go(i32 × n_params) -> i32`.
+fn module_with_params(
+    pages: u32,
+    n_params: usize,
+    locals: Vec<ValType>,
+    body: Vec<Instr>,
+) -> Module {
     let mut m = Module::new();
     m.types.push(FuncType {
-        params: vec![ValType::I32],
+        params: vec![ValType::I32; n_params],
         results: vec![ValType::I32],
     });
     m.memory = Some(MemoryType {
@@ -57,6 +73,13 @@ fn outcome_repr(r: &Result<Option<Value>, Trap>) -> String {
 /// Run `go(arg)` on all four engine configurations and assert agreement;
 /// returns the shared outcome string.
 fn agreed_outcome(module: &Module, pages: u32, arg: i32, ctx: &str) -> String {
+    agreed_outcomes(module, pages, &[vec![Value::I32(arg)]], ctx).remove(0)
+}
+
+/// Run `go(args)` for every argument list on all four engine
+/// configurations (each module loaded once per configuration, a fresh
+/// instance per call) and assert agreement; returns the shared outcomes.
+fn agreed_outcomes(module: &Module, pages: u32, arg_sets: &[Vec<Value>], ctx: &str) -> Vec<String> {
     let engines: [(&str, Box<dyn Engine>); 4] = [
         ("interp+analysis", Box::new(InterpEngine::new())),
         ("interp", Box::new(InterpEngine::new().with_analysis(false))),
@@ -66,20 +89,29 @@ fn agreed_outcome(module: &Module, pages: u32, arg: i32, ctx: &str) -> String {
             Box::new(JitEngine::new(JitProfile::wavm().with_analysis(false))),
         ),
     ];
-    let mut agreed: Option<(String, String)> = None;
+    let mut agreed: Option<(String, Vec<String>)> = None;
     for (name, engine) in engines {
         let loaded = engine.load(module).expect("module loads");
         let config = MemoryConfig::new(BoundsStrategy::Trap, pages, pages).with_reserve(1 << 22);
-        let mut inst = loaded
-            .instantiate(&config, &Linker::new())
-            .expect("instantiate");
-        let got = outcome_repr(&inst.invoke("go", &[Value::I32(arg)]));
+        let got: Vec<String> = arg_sets
+            .iter()
+            .map(|args| {
+                let mut inst = loaded
+                    .instantiate(&config, &Linker::new())
+                    .expect("instantiate");
+                outcome_repr(&inst.invoke("go", args))
+            })
+            .collect();
         match &agreed {
             None => agreed = Some((name.to_string(), got)),
-            Some((first, want)) => assert_eq!(
-                want, &got,
-                "{ctx}: arg {arg}: `{first}` and `{name}` disagree"
-            ),
+            Some((first, want)) => {
+                for ((args, w), g) in arg_sets.iter().zip(want).zip(&got) {
+                    assert_eq!(
+                        w, g,
+                        "{ctx}: args {args:?}: `{first}` and `{name}` disagree"
+                    );
+                }
+            }
         }
     }
     agreed.unwrap().1
@@ -290,4 +322,169 @@ fn random_modules_agree_with_analysis_on_and_off() {
             agreed_outcome(&m, 1, arg, &format!("case {case} seed {seed:#x}"));
         }
     }
+}
+
+/// Push the `n` parameter unchanged, or a small value derived from it,
+/// as a loop bound: the analysis sees ⊤ or a narrow interval, never a
+/// constant.
+fn push_param_bound(rng: &mut Rng, body: &mut Vec<Instr>) {
+    body.push(Instr::LocalGet(0));
+    if rng.gen_range(0..2) == 0 {
+        body.push(Instr::I32Const(1));
+        body.push(Instr::I32And);
+        body.push(Instr::I32Const(1));
+        body.push(Instr::I32Add);
+    }
+}
+
+/// Push an access address a few bytes from the end of the page, built
+/// from the enclosing loop counters and the `addr` parameter so that the
+/// last iterations of a nest may straddle the edge.
+fn push_edge_addr(rng: &mut Rng, body: &mut Vec<Instr>, counters: &[u32]) {
+    let edge = PAGE as i64 - rng.gen_range(0..24) as i64;
+    match rng.gen_range(0..4) {
+        0 => {
+            // `(i << s) + base`, base set so the largest counter values
+            // land within a few bytes of the end (or just past it).
+            let i = counters[rng.gen_range(0..counters.len() as u64) as usize];
+            let shift = rng.gen_range(0..3) as i32;
+            body.push(Instr::LocalGet(i));
+            body.push(Instr::I32Const(shift));
+            body.push(Instr::I32Shl);
+            body.push(Instr::I32Const((edge - (3 << shift)) as i32));
+            body.push(Instr::I32Add);
+        }
+        1 => {
+            // Sum of two counters on top of a near-edge base.
+            let a = counters[rng.gen_range(0..counters.len() as u64) as usize];
+            let b = counters[rng.gen_range(0..counters.len() as u64) as usize];
+            body.push(Instr::LocalGet(a));
+            body.push(Instr::LocalGet(b));
+            body.push(Instr::I32Add);
+            body.push(Instr::I32Const((edge - 6) as i32));
+            body.push(Instr::I32Add);
+        }
+        2 => {
+            // The `addr` parameter plus a counter.
+            let i = counters[rng.gen_range(0..counters.len() as u64) as usize];
+            body.push(Instr::LocalGet(1));
+            body.push(Instr::LocalGet(i));
+            body.push(Instr::I32Add);
+        }
+        _ => body.push(Instr::I32Const(edge as i32)),
+    }
+}
+
+/// One load (folded into `acc`) or store at a near-edge address.
+fn push_edge_access(rng: &mut Rng, body: &mut Vec<Instr>, counters: &[u32], acc: u32) {
+    let ma = MemArg::offset(rng.gen_range(0..4) as u32);
+    push_edge_addr(rng, body, counters);
+    if rng.gen_range(0..3) == 0 {
+        body.push(Instr::LocalGet(acc));
+        body.push(match rng.gen_range(0..3) {
+            0 => Instr::I32Store8(ma),
+            1 => Instr::I32Store16(ma),
+            _ => Instr::I32Store(ma),
+        });
+    } else {
+        body.push(match rng.gen_range(0..3) {
+            0 => Instr::I32Load8U(ma),
+            1 => Instr::I32Load16U(ma),
+            _ => Instr::I32Load(ma),
+        });
+        body.push(Instr::LocalGet(acc));
+        body.push(Instr::I32Add);
+        body.push(Instr::LocalSet(acc));
+    }
+}
+
+/// Random counted loop nest of depth 5–7 exporting `go(n, addr) -> i32`.
+/// Level `k` counts local `3 + k` from 0 to a bound that is a small
+/// constant or derived from `n`, in either the do-while shape or the
+/// guarded `block { br_if; loop { … } }` shape; accesses near the end of
+/// memory sit in the innermost body and between levels.
+fn random_nest_module(seed: u64) -> Module {
+    let mut rng = Rng(seed);
+    let depth = rng.gen_range(5..8) as u32;
+    let acc = 2u32;
+    let counter = |k: u32| 3 + k;
+    let mut body = vec![Instr::I32Const(1), Instr::LocalSet(acc)];
+    let mut closers: Vec<Vec<Instr>> = Vec::new();
+    for k in 0..depth {
+        let i = counter(k);
+        let mut bound = Vec::new();
+        if rng.gen_range(0..3) == 0 {
+            push_param_bound(&mut rng, &mut bound);
+        } else {
+            bound.push(Instr::I32Const(rng.gen_range(1..4) as i32));
+        }
+        let guarded = rng.gen_range(0..2) == 0;
+        body.extend([Instr::I32Const(0), Instr::LocalSet(i)]);
+        if guarded {
+            body.extend([Instr::Block(BlockType::Empty), Instr::LocalGet(i)]);
+            body.extend(bound.iter().cloned());
+            body.extend([Instr::I32GeU, Instr::BrIf(0)]);
+        }
+        body.push(Instr::Loop(BlockType::Empty));
+        if k > 0 && rng.gen_range(0..3) == 0 {
+            let live: Vec<u32> = (0..k).map(counter).collect();
+            push_edge_access(&mut rng, &mut body, &live, acc);
+        }
+        let mut close = vec![
+            Instr::LocalGet(i),
+            Instr::I32Const(1),
+            Instr::I32Add,
+            Instr::LocalTee(i),
+        ];
+        close.extend(bound);
+        close.extend([Instr::I32LtU, Instr::BrIf(0), Instr::End]);
+        if guarded {
+            close.push(Instr::End);
+        }
+        closers.push(close);
+    }
+    let all: Vec<u32> = (0..depth).map(counter).collect();
+    for _ in 0..rng.gen_range(1..4) {
+        push_edge_access(&mut rng, &mut body, &all, acc);
+    }
+    for close in closers.into_iter().rev() {
+        body.extend(close);
+    }
+    body.extend([Instr::LocalGet(acc), Instr::End]);
+    module_with_params(1, 2, vec![ValType::I32; 1 + depth as usize], body)
+}
+
+/// Seeded deep loop nests: with loop bounds from constants and from `n`,
+/// and accesses straddling the end of memory on the last iterations, all
+/// four configurations agree on every result and every trap.
+#[test]
+fn random_deep_nests_agree_with_analysis_on_and_off() {
+    let mut meta = Rng(0xDEE9_7E57);
+    let mut traps = 0;
+    let mut oks = 0;
+    let arg_sets: Vec<Vec<Value>> = [0i32, 1, 3]
+        .iter()
+        .flat_map(|&n| {
+            [0i32, PAGE as i32 - 40, PAGE as i32 - 6]
+                .map(|addr| vec![Value::I32(n), Value::I32(addr)])
+        })
+        .collect();
+    for case in 0..32 {
+        let seed = meta.next_u64();
+        let m = random_nest_module(seed);
+        for got in agreed_outcomes(
+            &m,
+            1,
+            &arg_sets,
+            &format!("nest case {case} seed {seed:#x}"),
+        ) {
+            if got.starts_with("trap:") {
+                traps += 1;
+            } else {
+                oks += 1;
+            }
+        }
+    }
+    // The generator must exercise both sides of the edge.
+    assert!(traps > 0 && oks > 0, "traps {traps}, oks {oks}");
 }

@@ -3,10 +3,27 @@
 //! `lb-analysis` versions with a hoisted preheader guard. PolyBench's
 //! kernels are all fully statically elided, so these are the only
 //! modules that exercise `CheckKind::ElideHoisted` end to end.
+//!
+//! Also the lock that serializes tests using process-wide state.
 #![allow(dead_code)]
 
 use lb_wasm::module::{Export, ExportKind, Function};
 use lb_wasm::{BlockType, FuncType, Instr, Limits, MemArg, MemoryType, Module, ValType};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests of one binary that use process-wide state, which
+/// the test harness's parallel threads would otherwise share: an
+/// `lb_prof` session (one per process, with a process-wide sampling
+/// rate), and deltas of the process-wide telemetry counters, which any
+/// concurrent compile moves. Such a test, and every test in its binary
+/// that would disturb it, holds the guard for the whole test. A test
+/// that panics while holding it stops its session as it unwinds
+/// (`Session`'s `Drop`) and every holder reads counters as deltas, so
+/// poisoning is ignored.
+pub fn process_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `a` base: stores land at `(i << 2) + A_BASE`.
 pub const A_BASE: u32 = 64;

@@ -115,6 +115,7 @@ fn with_peek(mut m: Module) -> Module {
 /// edge, under trap and clamp.
 #[test]
 fn guardopt_boundary_agrees() {
+    let _serial = common::process_lock();
     let rmw = rmw_module();
     let redefine = redefine_module();
     for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
@@ -162,6 +163,7 @@ fn guardopt_boundary_agrees() {
 /// after).
 #[test]
 fn guardopt_pre_trap_stores_visible_identically() {
+    let _serial = common::process_lock();
     let m = with_peek(redefine_module());
     let t = LAST_IN - 63; // first store lands, second (t+64) is oob
     let mut first: Option<(&str, Vec<String>)> = None;
@@ -197,6 +199,7 @@ fn guardopt_pre_trap_stores_visible_identically() {
 /// behaviorally across all engines.
 #[test]
 fn guardopt_grow_kills_facts_and_refreshes_limits() {
+    let _serial = common::process_lock();
     let m = grow_between_module();
 
     // Structural: the pass must not elide across the grow. Sites sit at
@@ -262,6 +265,7 @@ fn guardopt_grow_kills_facts_and_refreshes_limits() {
 /// modules with fusion on — and stay still with it off.
 #[test]
 fn guardopt_counters_move() {
+    let _serial = common::process_lock();
     let gvn = lb_telemetry::counter("jit.checks.gvn_elided");
     let fused = lb_telemetry::counter("jit.checks.fused");
     let run = |on: bool| {

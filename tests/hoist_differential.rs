@@ -65,6 +65,7 @@ fn agreed(module: &Module, strategy: BoundsStrategy, n: i32, ctx: &str) -> Strin
 /// tests below exercise nothing.
 #[test]
 fn dynamic_bound_loop_is_hoisted() {
+    let _serial = common::process_lock();
     let m = dynamic_bound_module();
     let meta = lb_wasm::validate(&m).unwrap();
     let plan = lb_analysis::analyze_module(&m, &meta);
@@ -87,6 +88,7 @@ fn dynamic_bound_loop_is_hoisted() {
 /// Fast/slow selection at the exact guard boundary, under trap and clamp.
 #[test]
 fn versioned_loop_boundary_agrees() {
+    let _serial = common::process_lock();
     let m = dynamic_bound_module();
     for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
         // In-bounds `n` (the largest takes the fast copy; the guard is
@@ -124,6 +126,7 @@ fn versioned_loop_boundary_agrees() {
 /// and none after — must be visible, identically on every engine.
 #[test]
 fn pre_trap_stores_visible_identically() {
+    let _serial = common::process_lock();
     let mut m = dynamic_bound_module();
     // peek(j) = a[j]
     m.functions.push(Function {
@@ -183,6 +186,7 @@ fn pre_trap_stores_visible_identically() {
 /// analysis propagates (that loop needs no guard at all).
 #[test]
 fn multi_function_versioned_boundary_agrees() {
+    let _serial = common::process_lock();
     let m = multi_function_module();
     let meta = lb_wasm::validate(&m).unwrap();
 
@@ -224,6 +228,7 @@ fn multi_function_versioned_boundary_agrees() {
 /// zero with hoisting disabled.
 #[test]
 fn hoisted_counter_reports_fast_sites() {
+    let _serial = common::process_lock();
     let m = dynamic_bound_module();
     let hoisted = lb_telemetry::counter("jit.checks.hoisted");
     let run = |profile: JitProfile| {

@@ -50,6 +50,7 @@ fn profile_run(analysis: bool) -> lb_prof::ProfReport {
 
 #[test]
 fn guard_attribution_tracks_check_elision() {
+    let _serial = common::process_lock();
     let with_checks = profile_run(false);
     let elided = profile_run(true);
 
@@ -123,6 +124,7 @@ fn profile_hoist_run(hoisting: bool) -> lb_prof::ProfReport {
 /// drop when the loop is versioned behind a preheader guard.
 #[test]
 fn guard_self_time_drops_with_hoisting() {
+    let _serial = common::process_lock();
     let checked = profile_hoist_run(false);
     let hoisted = profile_hoist_run(true);
 

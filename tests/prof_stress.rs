@@ -10,6 +10,8 @@
 //! dropped, or counted incomplete — nothing silently lost) and that the
 //! timer is fully disarmed afterwards so later tests are unaffected.
 
+mod common;
+
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig};
 use lb_harness::{run_benchmark_checked, EngineSel, RunOutcome, RunSpec};
 use lb_polybench::{by_name, common::Dataset};
@@ -29,6 +31,7 @@ fn spec(strategy: BoundsStrategy) -> RunSpec {
 
 #[test]
 fn profiler_coexists_with_fault_service_and_chaos() {
+    let _serial = common::process_lock();
     lb_prof::set_sampling(4000);
     let bench = by_name("gemm", Dataset::Small).expect("gemm");
 
