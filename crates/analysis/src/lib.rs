@@ -81,9 +81,6 @@ use lb_wasm::{Module, ValType};
 use std::collections::BTreeMap;
 
 const U32_MAX: u64 = u32::MAX as u64;
-/// Stride assigned to the constant 0 (divisible by any power of two we
-/// track; capped so `min` works as gcd on the pow2 lattice).
-const STRIDE_CAP: u64 = 1 << 32;
 
 // ─────────────────────────────────── public API ──────────────────────────
 
@@ -561,6 +558,9 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
 
 // ─────────────────────────────── abstract domain ─────────────────────────
 
+/// A closed interval of u32 values.
+type Part = (u32, u32);
+
 /// Symbolic provenance. When `exact`, `value == (local << shift) + addend`
 /// holds over the integers (no wrap anywhere in the chain). When inexact,
 /// only the congruence `value ≡ (local << shift) + addend (mod 2^32)`
@@ -568,11 +568,13 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
 /// synthesis — the guard recomputes the bound in 64-bit where the wrapped
 /// runtime value can only be *smaller* — but not for dominating-check
 /// facts, which compare checked extents of the runtime (wrapped) value.
+/// Either way `addend` fits a u32: an exact addend is a non-negative part
+/// of a u32 value, an inexact one is reduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Sym {
     local: u32,
+    addend: u32,
     shift: u8,
-    addend: u64,
     exact: bool,
 }
 
@@ -625,34 +627,58 @@ impl CmpOp {
     }
 }
 
-/// A comparison a boolean value came from, for branch refinement. The
-/// operand intervals are snapshots from compare time (sound: the local
-/// side is invalidated on reassignment, the interval side is only ever
-/// *read*).
+/// One side of a [`Pred`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// A local, read at refinement time (invalidated on reassignment).
+    Local(u32),
+    /// Any other value: its interval snapshot from compare time.
+    Iv(u32, u32),
+}
+
+impl Operand {
+    fn local(self) -> Option<u32> {
+        match self {
+            Operand::Local(l) => Some(l),
+            Operand::Iv(..) => None,
+        }
+    }
+
+    /// The operand's interval in `state`.
+    fn bounds(self, state: &State) -> (u64, u64) {
+        match self {
+            Operand::Local(l) => state.locals[l as usize].bounds(),
+            Operand::Iv(lo, hi) => (u64::from(lo), u64::from(hi)),
+        }
+    }
+}
+
+/// A comparison a boolean value came from, for branch refinement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Pred {
     op: CmpOp,
-    l_local: Option<u32>,
-    l_iv: (u64, u64),
-    r_local: Option<u32>,
-    r_iv: (u64, u64),
+    l: Operand,
+    r: Operand,
 }
 
 impl Pred {
     fn mentions(&self, l: u32) -> bool {
-        self.l_local == Some(l) || self.r_local == Some(l)
+        self.l == Operand::Local(l) || self.r == Operand::Local(l)
     }
 }
 
 /// Abstract i32 value: unsigned interval + power-of-two stride +
 /// provenance + predicate origin. Non-i32 values ride along as ⊤ (their
-/// intervals are never consulted for addresses).
+/// intervals are never consulted for addresses). Every component is a
+/// u32 quantity, stored as one: states are vectors of these, copied on
+/// every branch and joined at every merge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct AbsVal {
-    lo: u64,
-    hi: u64,
-    /// Power of two dividing every possible value.
-    stride: u64,
+    lo: u32,
+    hi: u32,
+    /// log2 of the power of two dividing every possible value (32 for
+    /// the constant 0, so `min` works as gcd on the pow2 lattice).
+    stride_log2: u8,
     /// Wrapped-interval refinement: when present, the value lies in one of
     /// the two disjoint, ordered sub-intervals (`lo`/`hi` is their hull).
     /// Produced by `add`/`sub` with a constant when the interval wraps
@@ -661,52 +687,58 @@ struct AbsVal {
     /// intersects the parts against the constraint region set — this is
     /// how a descending loop's `i >= 0` back-edge guard recovers the
     /// bounded part. Every other operation uses the hull and drops it.
-    split: Option<((u64, u64), (u64, u64))>,
+    split: Option<(Part, Part)>,
     sym: Option<Sym>,
     pred: Option<Pred>,
 }
 
+const _: () = assert!(std::mem::size_of::<AbsVal>() <= 72);
+
+/// Stride exponent of the constant 0 (divisible by any power of two we
+/// track).
+const STRIDE_LOG2_CAP: u8 = 32;
+
+/// `x` as a u32; every interval end and addend the domain computes in
+/// u64 arithmetic is a u32 by construction.
+fn narrow(x: u64) -> u32 {
+    debug_assert!(x <= U32_MAX, "{x:#x} is not a u32");
+    x as u32
+}
+
 impl AbsVal {
     fn top() -> AbsVal {
-        AbsVal {
-            lo: 0,
-            hi: U32_MAX,
-            stride: 1,
-            split: None,
-            sym: None,
-            pred: None,
-        }
+        AbsVal::iv(0, U32_MAX)
     }
 
     fn cst(v: u32) -> AbsVal {
-        let v = u64::from(v);
         AbsVal {
-            lo: v,
-            hi: v,
-            stride: if v == 0 {
-                STRIDE_CAP
+            stride_log2: if v == 0 {
+                STRIDE_LOG2_CAP
             } else {
-                1 << v.trailing_zeros()
+                v.trailing_zeros() as u8
             },
-            split: None,
-            sym: None,
-            pred: None,
+            ..AbsVal::iv(u64::from(v), u64::from(v))
         }
     }
 
     fn iv(lo: u64, hi: u64) -> AbsVal {
         AbsVal {
-            lo,
-            hi,
-            stride: 1,
+            lo: narrow(lo),
+            hi: narrow(hi),
+            stride_log2: 0,
             split: None,
             sym: None,
             pred: None,
         }
     }
 
+    /// `(lo, hi)` widened for overflow-free arithmetic.
+    fn bounds(&self) -> (u64, u64) {
+        (u64::from(self.lo), u64::from(self.hi))
+    }
+
     fn as_const(&self) -> Option<u64> {
-        (self.lo == self.hi).then_some(self.lo)
+        (self.lo == self.hi).then_some(u64::from(self.lo))
     }
 
     /// Trivial provenance `value == local` (shift 0, addend 0). Exactness
@@ -724,26 +756,80 @@ impl AbsVal {
         }
     }
 
+    /// As a predicate operand.
+    fn operand(&self) -> Operand {
+        match self.as_local() {
+            Some(l) => Operand::Local(l),
+            None => Operand::Iv(self.lo, self.hi),
+        }
+    }
+
     /// The value's parts: the split pair, or the whole interval.
-    fn parts(&self) -> Vec<(u64, u64)> {
+    fn parts(&self) -> Intervals<2> {
+        let wide = |(lo, hi): Part| (u64::from(lo), u64::from(hi));
         match self.split {
-            Some((a, b)) => vec![a, b],
-            None => vec![(self.lo, self.hi)],
+            Some((a, b)) => Intervals::of(&[wide(a), wide(b)]),
+            None => Intervals::of(&[self.bounds()]),
         }
     }
 }
 
-fn join_val(a: &AbsVal, b: &AbsVal) -> AbsVal {
-    AbsVal {
-        lo: a.lo.min(b.lo),
-        hi: a.hi.max(b.hi),
-        stride: a.stride.min(b.stride),
-        // Equal part sets stay (the union is the same set); anything else
-        // falls back to the (joined) hull.
-        split: if a.split == b.split { a.split } else { None },
-        sym: if a.sym == b.sym { a.sym } else { None },
-        pred: if a.pred == b.pred { a.pred } else { None },
+/// Up to `N` ordered, disjoint intervals held inline (branch refinement
+/// never needs more than four).
+#[derive(Clone, Copy)]
+struct Intervals<const N: usize> {
+    buf: [(u64, u64); N],
+    len: usize,
+}
+
+impl<const N: usize> Intervals<N> {
+    fn of(items: &[(u64, u64)]) -> Intervals<N> {
+        let mut out = Intervals {
+            buf: [(0, 0); N],
+            len: 0,
+        };
+        for &iv in items {
+            out.push(iv);
+        }
+        out
     }
+
+    fn push(&mut self, iv: (u64, u64)) {
+        self.buf[self.len] = iv;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[(u64, u64)] {
+        &self.buf[..self.len]
+    }
+}
+
+/// `a ← a ⊔ b`.
+fn join_val(a: &mut AbsVal, b: &AbsVal) {
+    a.lo = a.lo.min(b.lo);
+    a.hi = a.hi.max(b.hi);
+    a.stride_log2 = a.stride_log2.min(b.stride_log2);
+    // Equal part sets stay (the union is the same set); anything else
+    // falls back to the (joined) hull.
+    if a.split != b.split {
+        a.split = None;
+    }
+    if a.sym != b.sym {
+        a.sym = None;
+    }
+    if a.pred != b.pred {
+        a.pred = None;
+    }
+}
+
+/// `b ⊑ a`: joining `b` into `a` would leave `a` unchanged.
+fn val_covers(a: &AbsVal, b: &AbsVal) -> bool {
+    a.lo <= b.lo
+        && b.hi <= a.hi
+        && a.stride_log2 <= b.stride_log2
+        && (a.split.is_none() || a.split == b.split)
+        && (a.sym.is_none() || a.sym == b.sym)
+        && (a.pred.is_none() || a.pred == b.pred)
 }
 
 // Interval arithmetic (wasm i32 semantics). Add/sub with a constant model
@@ -751,22 +837,20 @@ fn join_val(a: &AbsVal, b: &AbsVal) -> AbsVal {
 // wrapping one becomes a two-part split (hull ⊤); everything else that
 // might wrap goes to ⊤.
 
-/// Interval of `x + c (mod 2^32)` for `x ∈ [lo, hi]`, as
-/// `(lo, hi, split)`.
-fn wrap_add_iv(lo: u64, hi: u64, c: u64) -> (u64, u64, Option<((u64, u64), (u64, u64))>) {
+/// `x + c (mod 2^32)` for `x ∈ [lo, hi]`.
+fn wrap_add_iv(lo: u64, hi: u64, c: u64) -> AbsVal {
     debug_assert!(c <= U32_MAX && hi <= U32_MAX);
     if hi + c <= U32_MAX {
-        (lo + c, hi + c, None) // no wrap
+        AbsVal::iv(lo + c, hi + c) // no wrap
     } else if lo + c > U32_MAX {
-        (lo + c - (1 << 32), hi + c - (1 << 32), None) // all wrap
+        AbsVal::iv(lo + c - (1 << 32), hi + c - (1 << 32)) // all wrap
     } else {
         // Partial wrap: the high (non-wrapping) part and the low (wrapped)
         // part. Hull is ⊤-wide but the split keeps both ends tight.
-        (
-            0,
-            U32_MAX,
-            Some(((0, hi + c - (1 << 32)), (lo + c, U32_MAX))),
-        )
+        AbsVal {
+            split: Some(((0, narrow(hi + c - (1 << 32))), (narrow(lo + c), u32::MAX))),
+            ..AbsVal::top()
+        }
     }
 }
 
@@ -774,6 +858,7 @@ fn abs_add(a: &AbsVal, b: &AbsVal) -> AbsVal {
     if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
         return AbsVal::cst((x as u32).wrapping_add(y as u32));
     }
+    let stride_log2 = a.stride_log2.min(b.stride_log2);
     // Canonicalize to value + const when one side is constant.
     let (v, c) = match (b.as_const(), a.as_const()) {
         (Some(c), _) => (a, Some(c)),
@@ -781,41 +866,36 @@ fn abs_add(a: &AbsVal, b: &AbsVal) -> AbsVal {
         _ => (a, None),
     };
     let Some(c) = c else {
-        if a.hi + b.hi > U32_MAX {
+        let ((alo, ahi), (blo, bhi)) = (a.bounds(), b.bounds());
+        if ahi + bhi > U32_MAX {
             return AbsVal::top();
         }
         return AbsVal {
-            lo: a.lo + b.lo,
-            hi: a.hi + b.hi,
-            stride: a.stride.min(b.stride),
-            split: None,
-            sym: None,
-            pred: None,
+            stride_log2,
+            ..AbsVal::iv(alo + blo, ahi + bhi)
         };
     };
-    let (lo, hi, split) = wrap_add_iv(v.lo, v.hi, c);
-    let wraps = v.hi + c > U32_MAX;
+    let (vlo, vhi) = v.bounds();
+    let wraps = vhi + c > U32_MAX;
     let sym = v.sym.map(|s| {
+        let addend = u64::from(s.addend) + c;
         if wraps || !s.exact {
             Sym {
-                addend: (s.addend + c) & U32_MAX,
+                addend: (addend & U32_MAX) as u32,
                 exact: false,
                 ..s
             }
         } else {
             Sym {
-                addend: s.addend + c,
+                addend: narrow(addend),
                 ..s
             }
         }
     });
     AbsVal {
-        lo,
-        hi,
-        stride: a.stride.min(b.stride),
-        split,
+        stride_log2,
         sym,
-        pred: None,
+        ..wrap_add_iv(vlo, vhi, c)
     }
 }
 
@@ -823,42 +903,36 @@ fn abs_sub(a: &AbsVal, b: &AbsVal) -> AbsVal {
     if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
         return AbsVal::cst((x as u32).wrapping_sub(y as u32));
     }
+    let stride_log2 = a.stride_log2.min(b.stride_log2);
+    let ((alo, ahi), (blo, bhi)) = (a.bounds(), b.bounds());
     if let Some(c) = b.as_const() {
         // a - c == a + (2^32 - c) mod 2^32.
-        let (lo, hi, split) = wrap_add_iv(a.lo, a.hi, ((1u64 << 32) - c) & U32_MAX);
         let sym = a.sym.map(|s| {
-            if a.lo >= c && s.exact && s.addend >= c {
+            if alo >= c && s.exact && u64::from(s.addend) >= c {
                 Sym {
-                    addend: s.addend - c,
+                    addend: narrow(u64::from(s.addend) - c),
                     ..s
                 }
             } else {
                 Sym {
-                    addend: s.addend.wrapping_sub(c) & U32_MAX,
+                    addend: s.addend.wrapping_sub(c as u32),
                     exact: false,
                     ..s
                 }
             }
         });
         return AbsVal {
-            lo,
-            hi,
-            stride: a.stride.min(b.stride),
-            split,
+            stride_log2,
             sym,
-            pred: None,
+            ..wrap_add_iv(alo, ahi, ((1u64 << 32) - c) & U32_MAX)
         };
     }
-    if a.lo < b.hi {
+    if alo < bhi {
         return AbsVal::top();
     }
     AbsVal {
-        lo: a.lo - b.hi,
-        hi: a.hi - b.lo,
-        stride: a.stride.min(b.stride),
-        split: None,
-        sym: None,
-        pred: None,
+        stride_log2,
+        ..AbsVal::iv(alo - bhi, ahi - blo)
     }
 }
 
@@ -866,17 +940,14 @@ fn abs_mul(a: &AbsVal, b: &AbsVal) -> AbsVal {
     if let (Some(x), Some(y)) = (a.as_const(), b.as_const()) {
         return AbsVal::cst((x as u32).wrapping_mul(y as u32));
     }
+    let ((alo, ahi), (blo, bhi)) = (a.bounds(), b.bounds());
     // (2^32-1)^2 < 2^64, so the product fits u64.
-    if a.hi * b.hi > U32_MAX {
+    if ahi * bhi > U32_MAX {
         return AbsVal::top();
     }
     AbsVal {
-        lo: a.lo * b.lo,
-        hi: a.hi * b.hi,
-        stride: (a.stride.saturating_mul(b.stride)).min(STRIDE_CAP),
-        split: None,
-        sym: None,
-        pred: None,
+        stride_log2: (a.stride_log2 + b.stride_log2).min(STRIDE_LOG2_CAP),
+        ..AbsVal::iv(alo * blo, ahi * bhi)
     }
 }
 
@@ -887,30 +958,17 @@ fn abs_and(a: &AbsVal, b: &AbsVal) -> AbsVal {
     // Masking can only clear bits: result <= min(hi_a, mask) and keeps the
     // mask's low-zero-bit stride (the `addr & 0x3FF8`-style idiom).
     let (val, mask) = match (a.as_const(), b.as_const()) {
-        (_, Some(m)) => (a, m),
-        (Some(m), _) => (b, m),
-        _ => {
-            return AbsVal {
-                lo: 0,
-                hi: a.hi.min(b.hi),
-                stride: 1,
-                split: None,
-                sym: None,
-                pred: None,
-            }
-        }
+        (_, Some(m)) => (a, m as u32),
+        (Some(m), _) => (b, m as u32),
+        _ => return AbsVal::iv(0, u64::from(a.hi.min(b.hi))),
     };
     AbsVal {
-        lo: 0,
-        hi: val.hi.min(mask),
-        stride: if mask == 0 {
-            STRIDE_CAP
+        stride_log2: if mask == 0 {
+            STRIDE_LOG2_CAP
         } else {
-            1 << mask.trailing_zeros()
+            mask.trailing_zeros() as u8
         },
-        split: None,
-        sym: None,
-        pred: None,
+        ..AbsVal::iv(0, u64::from(val.hi.min(mask)))
     }
 }
 
@@ -922,30 +980,29 @@ fn abs_shl(a: &AbsVal, b: &AbsVal) -> AbsVal {
     if let Some(x) = a.as_const() {
         return AbsVal::cst((x as u32) << k);
     }
+    let (alo, ahi) = a.bounds();
     let sym = a.sym.and_then(|s| {
         (u32::from(s.shift) + u32::from(k) <= 31).then(|| Sym {
             local: s.local,
             shift: s.shift + k,
-            addend: (s.addend << k) & U32_MAX,
+            addend: s.addend << k,
             // Shifting multiplies both sides of the congruence by 2^k, so
             // it survives mod 2^32 — but a possible wrap loses exactness.
-            exact: s.exact && a.hi << k <= U32_MAX,
+            exact: s.exact && ahi << k <= U32_MAX,
         })
     });
-    if a.hi << k > U32_MAX {
+    if ahi << k > U32_MAX {
         // The shift may wrap: hull goes to ⊤, but the (inexact)
         // congruence provenance survives for hoisted-guard synthesis.
-        let mut t = AbsVal::top();
-        t.sym = sym;
-        return t;
+        return AbsVal {
+            sym,
+            ..AbsVal::top()
+        };
     }
     AbsVal {
-        lo: a.lo << k,
-        hi: a.hi << k,
-        stride: (a.stride << k).min(STRIDE_CAP),
-        split: None,
+        stride_log2: (a.stride_log2 + k).min(STRIDE_LOG2_CAP),
         sym,
-        pred: None,
+        ..AbsVal::iv(alo << k, ahi << k)
     }
 }
 
@@ -958,39 +1015,88 @@ fn abs_shr_u(a: &AbsVal, b: &AbsVal) -> AbsVal {
         return AbsVal::cst((x as u32) >> k);
     }
     AbsVal {
-        lo: a.lo >> k,
-        hi: a.hi >> k,
-        stride: (a.stride >> k).max(1),
-        split: None,
-        sym: None,
-        pred: None,
+        stride_log2: a.stride_log2.saturating_sub(k as u8),
+        ..AbsVal::iv(u64::from(a.lo >> k), u64::from(a.hi >> k))
     }
 }
 
 // ───────────────────────────────── machine state ─────────────────────────
 
+/// A dominating-check fact: the *current* value of `local`, shifted by
+/// `shift`, was checked to extent `need` (`(local << shift) + need <=
+/// mem_size`), and `is_static` says whether that proof was static
+/// (in-bounds against the declared minimum, so it also licenses elision
+/// under `clamp`) rather than established by a runtime check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fact {
+    local: u32,
+    shift: u8,
+    is_static: bool,
+    need: u64,
+}
+
+impl Fact {
+    fn key(&self) -> (u32, u8) {
+        (self.local, self.shift)
+    }
+}
+
+/// A relational fact between locals: `a <u b` when `strict`, else `a ≤u
+/// b` (unsigned, over the current values).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rel {
+    a: u32,
+    b: u32,
+    strict: bool,
+}
+
+impl Rel {
+    fn key(&self) -> (u32, u32) {
+        (self.a, self.b)
+    }
+}
+
 /// The abstract machine state at one program point.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The fact sets are short vectors sorted by key (a state carries about
+/// one fact on average), so copies are flat memcpys and joins are linear
+/// merges. Key order is part of the semantics: [`Analyzer::guard_for`]
+/// takes the *first* matching relation.
+#[derive(Debug, PartialEq, Default)]
 struct State {
     locals: Vec<AbsVal>,
     stack: Vec<AbsVal>,
-    /// Dominating-check facts: `(local, shift)` → largest proven
-    /// `addend + extent` plus whether that proof was *static* (in-bounds
-    /// against the declared minimum, so it also licenses elision under
-    /// `clamp`) rather than established by a runtime check. "The *current*
-    /// value of this local, shifted, was checked to that extent" — a
-    /// per-path truth preserved by intersection at joins and killed on
-    /// reassignment.
-    checked: BTreeMap<(u32, u8), (u64, bool)>,
-    /// Relational facts between locals: `(a, b) → strict` means
-    /// `a <u b` when strict, else `a ≤u b` (unsigned, over the current
-    /// values). Established by branch refinement on unsigned (or
-    /// provably-nonnegative signed) compares and by exact local-to-local
-    /// copies; intersected at joins; killed when either side is
-    /// reassigned. These power `a - b` narrowing and supply the
-    /// loop-invariant bound for hoisted-guard synthesis.
-    rel: BTreeMap<(u32, u32), bool>,
+    /// Dominating-check facts, sorted by `(local, shift)`: per-path truths
+    /// preserved by intersection at joins and killed on reassignment.
+    checked: Vec<Fact>,
+    /// Relational facts, sorted by `(a, b)`. Established by branch
+    /// refinement on unsigned (or provably-nonnegative signed) compares
+    /// and by exact local-to-local copies; intersected at joins; killed
+    /// when either side is reassigned. These power `a - b` narrowing and
+    /// supply the loop-invariant bound for hoisted-guard synthesis.
+    rel: Vec<Rel>,
     live: bool,
+}
+
+impl Clone for State {
+    fn clone(&self) -> State {
+        State {
+            locals: self.locals.clone(),
+            stack: self.stack.clone(),
+            checked: self.checked.clone(),
+            rel: self.rel.clone(),
+            live: self.live,
+        }
+    }
+
+    /// Field-wise, so every buffer is reused.
+    fn clone_from(&mut self, src: &State) {
+        self.locals.clone_from(&src.locals);
+        self.stack.clone_from(&src.stack);
+        self.checked.clone_from(&src.checked);
+        self.rel.clone_from(&src.rel);
+        self.live = src.live;
+    }
 }
 
 impl State {
@@ -998,8 +1104,8 @@ impl State {
     /// (called when `l` is reassigned, and by the conservative loop
     /// fallback).
     fn strip_local(&mut self, l: u32) {
-        self.checked.retain(|&(cl, _), _| cl != l);
-        self.rel.retain(|&(x, y), _| x != l && y != l);
+        self.checked.retain(|f| f.local != l);
+        self.rel.retain(|r| r.a != l && r.b != l);
         for v in self.locals.iter_mut().chain(self.stack.iter_mut()) {
             if v.sym.is_some_and(|s| s.local == l) {
                 v.sym = None;
@@ -1010,26 +1116,69 @@ impl State {
         }
     }
 
+    fn fact(&self, key: (u32, u8)) -> Option<&Fact> {
+        self.checked
+            .binary_search_by_key(&key, Fact::key)
+            .ok()
+            .map(|i| &self.checked[i])
+    }
+
+    /// Record a dominating-check fact, keeping the largest extent and
+    /// upgrading to static when an equal extent is statically proven.
+    fn record_fact(&mut self, local: u32, shift: u8, need: u64, is_static: bool) {
+        match self
+            .checked
+            .binary_search_by_key(&(local, shift), Fact::key)
+        {
+            Ok(i) => {
+                let e = &mut self.checked[i];
+                if need > e.need {
+                    (e.need, e.is_static) = (need, is_static);
+                } else if need == e.need {
+                    e.is_static |= is_static;
+                }
+            }
+            Err(i) => self.checked.insert(
+                i,
+                Fact {
+                    local,
+                    shift,
+                    is_static,
+                    need,
+                },
+            ),
+        }
+    }
+
+    fn relation(&self, a: u32, b: u32) -> Option<bool> {
+        self.rel
+            .binary_search_by_key(&(a, b), Rel::key)
+            .ok()
+            .map(|i| self.rel[i].strict)
+    }
+
     /// Record `a <u b` (strict) or `a ≤u b`; strictness only upgrades.
     fn add_rel(&mut self, a: u32, b: u32, strict: bool) {
         if a == b {
             return;
         }
-        let e = self.rel.entry((a, b)).or_insert(strict);
-        *e |= strict;
+        match self.rel.binary_search_by_key(&(a, b), Rel::key) {
+            Ok(i) => self.rel[i].strict |= strict,
+            Err(i) => self.rel.insert(i, Rel { a, b, strict }),
+        }
     }
 
     /// Is `a <u b` (`Some(true)`) or `a ≤u b` (`Some(false)`) known,
     /// directly or through one intermediate local?
     fn rel_lt(&self, a: u32, b: u32) -> Option<bool> {
-        if let Some(&s) = self.rel.get(&(a, b)) {
+        if let Some(s) = self.relation(a, b) {
             return Some(s);
         }
         let mut best: Option<bool> = None;
-        for (&(x, m), &s1) in self.rel.range((a, 0)..=(a, u32::MAX)) {
-            debug_assert_eq!(x, a);
-            if let Some(&s2) = self.rel.get(&(m, b)) {
-                let s = s1 || s2;
+        let from = self.rel.partition_point(|r| r.a < a);
+        for r in self.rel[from..].iter().take_while(|r| r.a == a) {
+            if let Some(s2) = self.relation(r.b, b) {
+                let s = r.strict || s2;
                 if s || best.is_none() {
                     best = Some(s);
                 }
@@ -1042,72 +1191,96 @@ impl State {
     }
 }
 
-fn join_state(a: &State, b: &State) -> State {
-    if !a.live {
-        return b.clone();
-    }
-    if !b.live {
-        return a.clone();
-    }
-    debug_assert_eq!(a.stack.len(), b.stack.len(), "join at equal heights");
-    let locals = a
-        .locals
-        .iter()
-        .zip(&b.locals)
-        .map(|(x, y)| join_val(x, y))
-        .collect();
-    let stack = a
-        .stack
-        .iter()
-        .zip(&b.stack)
-        .map(|(x, y)| join_val(x, y))
-        .collect();
-    let checked = a
-        .checked
-        .iter()
-        .filter_map(|(k, &(va, sa))| {
-            b.checked
-                .get(k)
-                .map(|&(vb, sb)| (*k, (va.min(vb), sa && sb)))
-        })
-        .collect();
-    let rel = a
-        .rel
-        .iter()
-        .filter_map(|(k, &sa)| b.rel.get(k).map(|&sb| (*k, sa && sb)))
-        .collect();
-    State {
-        locals,
-        stack,
-        checked,
-        rel,
-        live: true,
-    }
+/// Keep the entries of `a` whose key also appears in `b` (both sorted by
+/// key), folding each partner into the kept entry with `merge`.
+fn intersect_sorted<T, K: Ord>(
+    a: &mut Vec<T>,
+    b: &[T],
+    key: impl Fn(&T) -> K,
+    merge: impl Fn(&mut T, &T),
+) {
+    let mut j = 0;
+    a.retain_mut(|x| {
+        let k = key(x);
+        while j < b.len() && key(&b[j]) < k {
+            j += 1;
+        }
+        let hit = j < b.len() && key(&b[j]) == k;
+        if hit {
+            merge(x, &b[j]);
+            j += 1;
+        }
+        hit
+    });
 }
 
-/// `b ⊑ a` — does `a` already cover `b`?
+/// Does every entry of `a` have a same-key partner in `b` (both sorted by
+/// key) that `ok` accepts?
+fn subset_sorted<T, K: Ord>(
+    a: &[T],
+    b: &[T],
+    key: impl Fn(&T) -> K,
+    ok: impl Fn(&T, &T) -> bool,
+) -> bool {
+    let mut j = 0;
+    a.iter().all(|x| {
+        let k = key(x);
+        while j < b.len() && key(&b[j]) < k {
+            j += 1;
+        }
+        j < b.len() && key(&b[j]) == k && ok(x, &b[j])
+    })
+}
+
+/// `a ← a ⊔ b`, in place. `visit` sees every joined value with its
+/// pre-join bounds (the widening hook).
+fn join_with(a: &mut State, b: &State, mut visit: impl FnMut(&mut AbsVal, Part)) {
+    if !a.live {
+        a.clone_from(b);
+        return;
+    }
+    if !b.live {
+        return;
+    }
+    debug_assert_eq!(a.stack.len(), b.stack.len(), "join at equal heights");
+    for (xs, ys) in [(&mut a.locals, &b.locals), (&mut a.stack, &b.stack)] {
+        xs.truncate(ys.len());
+        for (x, y) in xs.iter_mut().zip(ys) {
+            let old = (x.lo, x.hi);
+            join_val(x, y);
+            visit(x, old);
+        }
+    }
+    intersect_sorted(&mut a.checked, &b.checked, Fact::key, |x, y| {
+        x.need = x.need.min(y.need);
+        x.is_static &= y.is_static;
+    });
+    intersect_sorted(&mut a.rel, &b.rel, Rel::key, |x, y| x.strict &= y.strict);
+}
+
+/// `a ← a ⊔ b`, in place.
+fn join_into(a: &mut State, b: &State) {
+    join_with(a, b, |_, _| {});
+}
+
+/// `b ⊑ a` — does `a` already cover `b`? Exactly "`a ⊔ b == a`", tested
+/// field by field without building the join.
 fn state_contains(a: &State, b: &State) -> bool {
     if !b.live {
         return true;
     }
-    join_state(a, b) == *a
-}
-
-/// Record a dominating-check fact, keeping the largest extent and
-/// upgrading to static when an equal extent is statically proven.
-fn record_fact(st: &mut State, key: (u32, u8), need: u64, is_static: bool) {
-    match st.checked.get_mut(&key) {
-        Some(e) => {
-            if need > e.0 {
-                *e = (need, is_static);
-            } else if need == e.0 {
-                e.1 |= is_static;
-            }
-        }
-        None => {
-            st.checked.insert(key, (need, is_static));
-        }
-    }
+    a.live
+        && a.locals.len() <= b.locals.len()
+        && a.stack.len() <= b.stack.len()
+        && a.locals
+            .iter()
+            .zip(&b.locals)
+            .all(|(x, y)| val_covers(x, y))
+        && a.stack.iter().zip(&b.stack).all(|(x, y)| val_covers(x, y))
+        && subset_sorted(&a.checked, &b.checked, Fact::key, |x, y| {
+            x.need <= y.need && (!x.is_static || y.is_static)
+        })
+        && subset_sorted(&a.rel, &b.rel, Rel::key, |x, y| !x.strict || y.strict)
 }
 
 // ─────────────────────────────── structured tree ─────────────────────────
@@ -1190,13 +1363,6 @@ struct Frame {
     backedge: Option<State>,
 }
 
-fn merge_into(slot: &mut Option<State>, s: State) {
-    match slot {
-        Some(m) => *m = join_state(m, &s),
-        None => *slot = Some(s),
-    }
-}
-
 // ──────────────────────────────────── analyzer ───────────────────────────
 
 /// Per-loop hoist-candidate collection, pushed for the recording pass of
@@ -1220,7 +1386,7 @@ struct Analyzer<'m> {
     mem_min: u64,
     mem_max: u64,
     /// Widening thresholds harvested from the function's i32 constants.
-    thresholds: Vec<u64>,
+    thresholds: Vec<u32>,
     kinds: Vec<CheckKind>,
     summary: FuncSummary,
     /// Bounded end-of-access EAs, for the footprint summary.
@@ -1251,6 +1417,9 @@ struct Analyzer<'m> {
     /// Per-loop `(entry, stabilized header)` of the last probe-mode
     /// fixpoint, keyed by `loop_pc`: warm starts for inner loops.
     loop_cache: BTreeMap<u32, (State, State)>,
+    /// Retired states whose buffers [`Analyzer::copy_of`] reuses, so
+    /// branches, `if` arms and loop probes copy without allocating.
+    spare: Vec<State>,
     /// Abstract `step` calls so far.
     steps: u64,
 }
@@ -1289,6 +1458,7 @@ impl<'m> Analyzer<'m> {
             hoists: Vec::new(),
             clamp_ok: Vec::new(),
             loop_cache: BTreeMap::new(),
+            spare: Vec::new(),
             steps: 0,
         }
     }
@@ -1305,9 +1475,9 @@ impl<'m> Analyzer<'m> {
         self.kinds = vec![CheckKind::Emit; body.len()];
         for i in body {
             if let Instr::I32Const(c) = i {
-                let c = u64::from(*c as u32);
+                let c = *c as u32;
                 self.thresholds.push(c);
-                self.thresholds.push((c + 1).min(U32_MAX));
+                self.thresholds.push(c.saturating_add(1));
             }
         }
         self.thresholds.sort_unstable();
@@ -1342,10 +1512,8 @@ impl<'m> Analyzer<'m> {
             .collect();
         let mut st = State {
             locals,
-            stack: Vec::new(),
-            checked: BTreeMap::new(),
-            rel: BTreeMap::new(),
             live: true,
+            ..State::default()
         };
 
         let mut pos = 0usize;
@@ -1364,9 +1532,10 @@ impl<'m> Analyzer<'m> {
         if self.fmeta.result == Some(ValType::I32) {
             let mut rj: Option<(u64, u64)> = None;
             let mut add = |v: &AbsVal| {
+                let (vlo, vhi) = v.bounds();
                 rj = Some(match rj {
-                    Some((lo, hi)) => (lo.min(v.lo), hi.max(v.hi)),
-                    None => (v.lo, v.hi),
+                    Some((lo, hi)) => (lo.min(vlo), hi.max(vhi)),
+                    None => (vlo, vhi),
                 });
             };
             if st.live {
@@ -1410,6 +1579,24 @@ impl<'m> Analyzer<'m> {
         )
     }
 
+    // ── state buffers ──────────────────────────────────────────────
+
+    /// A copy of `s`, in a retired state's buffers when one is spare.
+    fn copy_of(&mut self, s: &State) -> State {
+        match self.spare.pop() {
+            Some(mut t) => {
+                t.clone_from(s);
+                t
+            }
+            None => s.clone(),
+        }
+    }
+
+    /// Hand a state's buffers back for reuse.
+    fn retire(&mut self, s: State) {
+        self.spare.push(s);
+    }
+
     // ── structured execution ───────────────────────────────────────
 
     fn exec_seq(&mut self, nodes: &[Node], st: &mut State, frames: &mut Vec<Frame>, floor: usize) {
@@ -1431,7 +1618,7 @@ impl<'m> Analyzer<'m> {
                     });
                     self.exec_seq(inner, st, frames, floor);
                     let fr = frames.pop().expect("block frame");
-                    block_exit(st, fr.merged, eh, keep);
+                    self.block_exit(st, fr.merged, eh, keep);
                 }
                 Node::Loop(bt, inner, loop_pc, end_pc) => {
                     self.exec_loop(*bt, inner, *loop_pc, *end_pc, st, frames, floor)
@@ -1455,19 +1642,19 @@ impl<'m> Analyzer<'m> {
         let cond = st.stack.pop().expect("validated if condition");
         let eh = st.stack.len();
         let keep = bt.arity();
-        let mut then_s = st.clone();
-        let mut else_s = std::mem::replace(st, then_s.clone());
+        // `st` itself becomes the else arm.
+        let mut then_s = self.copy_of(st);
         // Interval gating: a constant condition kills the untaken arm
         // entirely (this is how a hoisted loop pre-guard manifests).
         if cond.hi == 0 {
             then_s.live = false;
         }
         if cond.lo > 0 {
-            else_s.live = false;
+            st.live = false;
         }
         if let Some(p) = cond.pred {
             refine(&mut then_s, &p, true);
-            refine(&mut else_s, &p, false);
+            refine(st, &p, false);
         }
         frames.push(Frame {
             is_loop: false,
@@ -1479,26 +1666,42 @@ impl<'m> Analyzer<'m> {
         if then_s.live {
             self.exec_seq(then_b, &mut then_s, frames, floor);
         }
-        if else_s.live {
-            self.exec_seq(else_b, &mut else_s, frames, floor);
+        if st.live {
+            self.exec_seq(else_b, st, frames, floor);
         }
         let fr = frames.pop().expect("if frame");
-        let mut acc: Option<State> = None;
-        for s in [then_s, else_s] {
-            if s.live {
-                merge_into(&mut acc, s);
+        // then ⊔ else (⊔ is commutative on live states), then the
+        // branches that left the arms early.
+        if then_s.live {
+            if st.live {
+                join_into(st, &then_s);
+            } else {
+                std::mem::swap(st, &mut then_s);
             }
         }
-        if let Some(m) = fr.merged {
-            merge_into(&mut acc, m);
-        }
-        match acc {
-            Some(out) => *st = out,
-            None => {
-                st.live = false;
+        self.retire(then_s);
+        self.block_exit(st, fr.merged, eh, keep);
+    }
+
+    /// Leave a block-like construct: join the branches merged into its
+    /// frame with the fall-through state, or, when nothing reaches the
+    /// end, leave a dead state of the construct's result height.
+    fn block_exit(&mut self, st: &mut State, merged: Option<State>, eh: usize, keep: usize) {
+        match merged {
+            Some(mut m) => {
+                if st.live {
+                    debug_assert_eq!(st.stack.len(), eh + keep, "validated block arity");
+                    join_into(st, &m);
+                } else {
+                    std::mem::swap(st, &mut m);
+                }
+                self.retire(m);
+            }
+            None if !st.live => {
                 st.stack.truncate(eh);
                 st.stack.extend(std::iter::repeat_n(AbsVal::top(), keep));
             }
+            None => debug_assert_eq!(st.stack.len(), eh + keep, "validated block arity"),
         }
     }
 
@@ -1516,10 +1719,12 @@ impl<'m> Analyzer<'m> {
         let eh = st.stack.len();
         let keep = bt.arity();
         if !st.live {
-            block_exit(st, None, eh, keep);
+            self.block_exit(st, None, eh, keep);
             return;
         }
-        let entry = st.clone();
+        // The recording pass below restarts from the header, so the
+        // entry state moves out of `st`.
+        let entry = std::mem::take(st);
         let saved_rec = self.recording;
 
         // Probes sandbox forward exits, so a loop's header depends only on
@@ -1530,22 +1735,38 @@ impl<'m> Analyzer<'m> {
         // passes start cold: a recorded header's ascent starts at its
         // entry, as without the cache. Either way `fixpoint`'s exit test
         // accepts only a verified post-fixpoint containing `entry`, so
-        // where the ascent starts never affects soundness.
+        // where the ascent starts never affects soundness. The cached pair
+        // is taken out while this loop runs (its inner loops have their
+        // own slots) and put back with its buffers reused.
         let cached = if saved_rec {
             None
         } else {
-            self.loop_cache.get(&loop_pc)
+            self.loop_cache.get_mut(&loop_pc).map(std::mem::take)
         };
-        let header = match cached {
-            Some((ce, ch)) if *ce == entry => ch.clone(),
+        let header = match &cached {
+            Some((ce, ch)) if *ce == entry => self.copy_of(ch),
             Some((ce, ch)) if state_contains(&entry, ce) => {
-                let start = join_state(&entry, ch);
+                let mut start = self.copy_of(&entry);
+                join_into(&mut start, ch);
                 self.fixpoint(inner, &entry, start, eh, frames)
             }
-            _ => self.fixpoint(inner, &entry, entry.clone(), eh, frames),
+            _ => {
+                let start = self.copy_of(&entry);
+                self.fixpoint(inner, &entry, start, eh, frames)
+            }
         };
-        if !saved_rec {
-            self.loop_cache.insert(loop_pc, (entry, header.clone()));
+        if saved_rec {
+            self.retire(entry);
+        } else {
+            let mut ch = match cached {
+                Some((ce, ch)) => {
+                    self.retire(ce);
+                    ch
+                }
+                None => self.spare.pop().unwrap_or_default(),
+            };
+            ch.clone_from(&header);
+            self.loop_cache.insert(loop_pc, (entry, ch));
         }
         self.recording = saved_rec;
 
@@ -1579,7 +1800,9 @@ impl<'m> Analyzer<'m> {
             });
         }
         self.exec_seq(inner, st, frames, floor);
-        frames.pop();
+        if let Some(be) = frames.pop().expect("loop frame").backedge {
+            self.retire(be);
+        }
         if hoisting {
             let ctx = self.loop_stack.pop().expect("loop ctx");
             if ctx.ok && !ctx.pcs.is_empty() {
@@ -1604,7 +1827,7 @@ impl<'m> Analyzer<'m> {
                 });
             }
         }
-        block_exit(st, None, eh, keep);
+        self.block_exit(st, None, eh, keep);
     }
 
     /// The loop header: a widening fixpoint over probes of `inner`,
@@ -1613,7 +1836,7 @@ impl<'m> Analyzer<'m> {
     /// (outer merges would double-count); widening jumps `hi` to the next
     /// program constant (threshold widening) so `i < N` loop bounds are
     /// found exactly, and a short narrowing phase recovers the `[0, N-1]`
-    /// header after an overshoot.
+    /// header after an overshoot. Every state operation here is in place.
     fn fixpoint(
         &mut self,
         inner: &[Node],
@@ -1622,35 +1845,37 @@ impl<'m> Analyzer<'m> {
         eh: usize,
         frames: &mut Vec<Frame>,
     ) -> State {
+        debug_assert!(entry.live && start.live);
         let mut header = start;
-        let mut last_cand: Option<State>;
+        let mut last_cand: Option<State> = None;
         let max_iters = self.thresholds.len() + 8;
         let mut it = 0usize;
         loop {
             if it >= max_iters {
-                header = self.conservative_header(entry, inner);
-                last_cand = None;
+                let fallback = self.conservative_header(entry, inner);
+                self.retire(std::mem::replace(&mut header, fallback));
                 break;
             }
             match self.probe(inner, &header, eh, frames) {
                 None => {
                     // Body never reaches the back-edge: one trip from entry.
-                    header = entry.clone();
-                    last_cand = None;
+                    header.clone_from(entry);
                     break;
                 }
-                Some(be) => {
-                    let cand = join_state(entry, &be);
+                Some(mut cand) => {
+                    // cand = entry ⊔ back-edge (both live, so the join
+                    // commutes and can land in the back-edge's buffers).
+                    join_into(&mut cand, entry);
                     if state_contains(&header, &cand) {
                         last_cand = Some(cand);
                         break;
                     }
-                    let up = join_state(&header, &cand);
-                    header = if it >= 2 {
-                        self.widen(&header, &up)
+                    if it >= 2 {
+                        self.widen_into(&mut header, &cand);
                     } else {
-                        up
-                    };
+                        join_into(&mut header, &cand);
+                    }
+                    self.retire(cand);
                 }
             }
             it += 1;
@@ -1661,18 +1886,27 @@ impl<'m> Analyzer<'m> {
         for _ in 0..2 {
             let Some(cand) = last_cand.take() else { break };
             if cand == header {
+                self.retire(cand);
                 break;
             }
             let next = match self.probe(inner, &cand, eh, frames) {
-                None => entry.clone(),
-                Some(be) => join_state(entry, &be),
+                None => self.copy_of(entry),
+                Some(mut be) => {
+                    join_into(&mut be, entry);
+                    be
+                }
             };
             if state_contains(&cand, &next) {
-                header = cand;
+                self.retire(std::mem::replace(&mut header, cand));
                 last_cand = Some(next);
             } else {
+                self.retire(cand);
+                self.retire(next);
                 break;
             }
+        }
+        if let Some(c) = last_cand {
+            self.retire(c);
         }
         header
     }
@@ -1680,9 +1914,10 @@ impl<'m> Analyzer<'m> {
     /// A preheader guard covering one `Emit` access with symbolic address
     /// `(sym.local << sym.shift) + sym.addend` and the given extent, if
     /// the loop admits one: the index local itself when loop-invariant,
-    /// else a direct relational bound `index <u/≤u n` on an invariant `n`.
+    /// else the first (in key order) relational bound `index <u/≤u n` on
+    /// an invariant `n`.
     fn guard_for(sym: &Sym, extent: u64, st: &State, written: &[u32]) -> Option<GuardExpr> {
-        let needed = sym.addend + extent;
+        let needed = u64::from(sym.addend) + extent;
         if needed > 0x7FFF_FFFF {
             return None;
         }
@@ -1694,17 +1929,15 @@ impl<'m> Analyzer<'m> {
                 addend: needed,
             });
         }
-        for (&(a, n), &strict) in st.rel.iter() {
-            if a == sym.local && !written.contains(&n) {
-                return Some(GuardExpr {
-                    bound_local: n,
-                    strict,
-                    shift: sym.shift,
-                    addend: needed,
-                });
-            }
-        }
-        None
+        st.rel
+            .iter()
+            .find(|r| r.a == sym.local && !written.contains(&r.b))
+            .map(|r| GuardExpr {
+                bound_local: r.b,
+                strict: r.strict,
+                shift: sym.shift,
+                addend: needed,
+            })
     }
 
     /// One non-recording pass over a loop body from `header`; returns the
@@ -1717,7 +1950,7 @@ impl<'m> Analyzer<'m> {
         eh: usize,
         frames: &mut Vec<Frame>,
     ) -> Option<State> {
-        let mut s = header.clone();
+        let mut s = self.copy_of(header);
         frames.push(Frame {
             is_loop: true,
             entry_height: eh,
@@ -1728,6 +1961,7 @@ impl<'m> Analyzer<'m> {
         let inner_floor = frames.len() - 1;
         self.recording = false;
         self.exec_seq(inner, &mut s, frames, inner_floor);
+        self.retire(s);
         frames.pop().expect("loop frame").backedge
     }
 
@@ -1735,8 +1969,8 @@ impl<'m> Analyzer<'m> {
     /// every local the loop writes at ⊤ and all facts dropped. Sound: the
     /// body cannot produce values outside ⊤ for written locals, cannot
     /// touch the others, and re-establishes facts itself.
-    fn conservative_header(&self, entry: &State, inner: &[Node]) -> State {
-        let mut h = entry.clone();
+    fn conservative_header(&mut self, entry: &State, inner: &[Node]) -> State {
+        let mut h = self.copy_of(entry);
         let mut written = Vec::new();
         collect_written_locals(inner, self.body, &mut written);
         for l in written {
@@ -1747,58 +1981,50 @@ impl<'m> Analyzer<'m> {
         h
     }
 
-    fn widen(&self, old: &State, up: &State) -> State {
-        let mut w = up.clone();
-        for (wv, ov) in w
-            .locals
-            .iter_mut()
-            .chain(w.stack.iter_mut())
-            .zip(old.locals.iter().chain(old.stack.iter()))
-        {
-            if wv.lo < ov.lo {
-                wv.lo = self
-                    .thresholds
-                    .iter()
-                    .rev()
-                    .find(|&&t| t <= wv.lo)
-                    .copied()
-                    .unwrap_or(0);
+    /// `header ← widen(header, header ⊔ cand)`: every bound the join
+    /// moves jumps to the next program constant past it (or to the end of
+    /// the range).
+    fn widen_into(&self, header: &mut State, cand: &State) {
+        let th = &self.thresholds;
+        join_with(header, cand, |v, (old_lo, old_hi)| {
+            if v.lo < old_lo {
+                let i = th.partition_point(|&t| t <= v.lo);
+                v.lo = if i > 0 { th[i - 1] } else { 0 };
             }
-            if wv.hi > ov.hi {
-                wv.hi = self
-                    .thresholds
-                    .iter()
-                    .find(|&&t| t >= wv.hi)
-                    .copied()
-                    .unwrap_or(U32_MAX);
+            if v.hi > old_hi {
+                let i = th.partition_point(|&t| t < v.hi);
+                v.hi = th.get(i).copied().unwrap_or(u32::MAX);
             }
-        }
-        w
+        });
     }
 
     // ── branching ──────────────────────────────────────────────────
 
-    fn do_branch(&mut self, s: &State, frames: &mut [Frame], floor: usize, depth: usize) {
-        if !s.live {
+    /// Send `t` along a branch `depth` frames up: cut its stack to the
+    /// target's entry height plus arity (a loop's is 0) and merge it into
+    /// the target's join. Targets below `floor` lie outside the probed
+    /// loop, so the path just ends.
+    fn branch(&mut self, mut t: State, frames: &mut [Frame], floor: usize, depth: usize) {
+        let idx = frames.len() - 1 - depth;
+        if !t.live || idx < floor {
+            self.retire(t);
             return;
         }
-        let idx = frames.len() - 1 - depth;
         let fr = &mut frames[idx];
-        let mut t = s.clone();
-        if fr.is_loop {
-            t.stack.truncate(fr.entry_height);
-            if idx >= floor {
-                merge_into(&mut fr.backedge, t);
-            }
+        let keep = if fr.is_loop { 0 } else { fr.keep };
+        let top = t.stack.len() - keep;
+        t.stack.drain(fr.entry_height..top);
+        let slot = if fr.is_loop {
+            &mut fr.backedge
         } else {
-            let kept: Vec<AbsVal> = (0..fr.keep)
-                .map(|_| t.stack.pop().expect("validated branch"))
-                .collect();
-            t.stack.truncate(fr.entry_height);
-            t.stack.extend(kept.into_iter().rev());
-            if idx >= floor {
-                merge_into(&mut fr.merged, t);
+            &mut fr.merged
+        };
+        match slot {
+            Some(m) => {
+                join_into(m, &t);
+                self.retire(t);
             }
+            None => *slot = Some(t),
         }
     }
 
@@ -1806,8 +2032,9 @@ impl<'m> Analyzer<'m> {
 
     fn decide(&mut self, pc: usize, addr: &AbsVal, offset: u32, size: u32, st: &mut State) {
         let extent = u64::from(offset) + u64::from(size);
-        let end_min = addr.lo + extent;
-        let end_max = addr.hi + extent;
+        let (addr_lo, addr_hi) = addr.bounds();
+        let end_min = addr_lo + extent;
+        let end_max = addr_hi + extent;
         // Dominating-check facts need *exact* provenance: they compare
         // checked extents of the runtime value, which a mod-2^32
         // congruence cannot order. Inexact provenance still feeds
@@ -1820,15 +2047,14 @@ impl<'m> Analyzer<'m> {
         } else if end_min > self.mem_max {
             CheckKind::StaticOob
         } else if let Some(sym) = exact_sym {
-            let key = (sym.local, sym.shift);
-            let need = sym.addend + extent;
-            match st.checked.get(&key) {
-                Some(&(have, st_have)) if have >= need => {
-                    dom_static = st_have;
+            let need = u64::from(sym.addend) + extent;
+            match st.fact((sym.local, sym.shift)) {
+                Some(f) if f.need >= need => {
+                    dom_static = f.is_static;
                     CheckKind::ElideDominated
                 }
                 _ => {
-                    record_fact(st, key, need, false);
+                    st.record_fact(sym.local, sym.shift, need, false);
                     CheckKind::Emit
                 }
             }
@@ -1839,7 +2065,7 @@ impl<'m> Analyzer<'m> {
             // A statically proven bound is also a dominating fact — a
             // *static* one, consumable under clamp too.
             if let Some(sym) = exact_sym {
-                record_fact(st, (sym.local, sym.shift), sym.addend + extent, true);
+                st.record_fact(sym.local, sym.shift, u64::from(sym.addend) + extent, true);
             }
         }
         if kind == CheckKind::StaticOob {
@@ -1864,10 +2090,10 @@ impl<'m> Analyzer<'m> {
                     && !self.param_written[sym.local as usize]
                 {
                     let e = self.footprint.entry((sym.local, sym.shift)).or_insert(0);
-                    *e = (*e).max(sym.addend + extent);
+                    *e = (*e).max(u64::from(sym.addend) + extent);
                 }
             }
-            if addr.hi == U32_MAX {
+            if addr.hi == u32::MAX {
                 self.any_unbounded = true;
             } else {
                 self.any_bounded = true;
@@ -1905,18 +2131,17 @@ impl<'m> Analyzer<'m> {
             Block(_) | Loop(_) | If(_) | Else | End => {
                 unreachable!("structured ops handled by the tree walk")
             }
-            Br(d) => {
-                self.do_branch(st, frames, floor, *d as usize);
-                st.live = false;
-            }
+            // An unconditional branch moves the state out: what is left
+            // behind is dead, and no dead state's contents are ever read.
+            Br(d) => self.branch(std::mem::take(st), frames, floor, *d as usize),
             BrIf(d) => {
                 let cond = st.stack.pop().expect("validated br_if");
                 if cond.hi != 0 {
-                    let mut taken = st.clone();
+                    let mut taken = self.copy_of(st);
                     if let Some(p) = cond.pred {
                         refine(&mut taken, &p, true);
                     }
-                    self.do_branch(&taken, frames, floor, *d as usize);
+                    self.branch(taken, frames, floor, *d as usize);
                 }
                 if cond.lo > 0 {
                     st.live = false;
@@ -1926,28 +2151,24 @@ impl<'m> Analyzer<'m> {
             }
             BrTable(t) => {
                 let _sel = st.stack.pop();
-                for d in t.targets.iter().chain(std::iter::once(&t.default)) {
-                    let s = st.clone();
-                    self.do_branch(&s, frames, floor, *d as usize);
+                for &d in &t.targets {
+                    let s = self.copy_of(st);
+                    self.branch(s, frames, floor, d as usize);
                 }
-                st.live = false;
+                self.branch(std::mem::take(st), frames, floor, t.default as usize);
             }
             Return => {
-                self.do_branch(st, frames, floor, frames.len() - 1);
-                st.live = false;
+                let depth = frames.len() - 1;
+                self.branch(std::mem::take(st), frames, floor, depth);
             }
             Call(fi) => {
                 let ty = self.module.func_type(*fi).expect("validated call");
-                let n = ty.params.len();
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let v = st.stack.pop().expect("validated call args");
-                    args.push((v.lo, v.hi));
-                }
-                args.reverse();
+                let base = st.stack.len() - ty.params.len();
                 if self.recording {
+                    let args = st.stack[base..].iter().map(AbsVal::bounds).collect();
                     self.call_args.push((*fi, args));
                 }
+                st.stack.truncate(base);
                 if let Some(rt) = ty.result() {
                     // Imports and non-i32 results stay ⊤; defined callees
                     // narrow to their Phase-A return interval.
@@ -1981,8 +2202,7 @@ impl<'m> Analyzer<'m> {
             Select => {
                 let _c = st.stack.pop();
                 let b = st.stack.pop().expect("validated select");
-                let a = st.stack.pop().expect("validated select");
-                st.stack.push(join_val(&a, &b));
+                join_val(st.stack.last_mut().expect("validated select"), &b);
             }
 
             LocalGet(l) => {
@@ -2061,11 +2281,11 @@ impl<'m> Analyzer<'m> {
                 // Interval subtraction gave up, but a relational fact
                 // `b <u a` proves `a - b` cannot wrap: it lies in
                 // [strict, a.hi - b.lo].
-                if r.lo == 0 && r.hi == U32_MAX {
+                if r.lo == 0 && r.hi == u32::MAX {
                     if let (Some(la), Some(lb)) = (a.as_local(), b.as_local()) {
                         if b.lo <= a.hi {
                             if let Some(strict) = st.rel_lt(lb, la) {
-                                r = AbsVal::iv(u64::from(strict), a.hi - b.lo);
+                                r = AbsVal::iv(u64::from(strict), u64::from(a.hi - b.lo));
                             }
                         }
                     }
@@ -2082,7 +2302,7 @@ impl<'m> Analyzer<'m> {
                     _ => return AbsVal::top(),
                 }
                 // Exact fold for constants (rare but free).
-                let (x, y) = (a.lo as u32, b.lo as u32);
+                let (x, y) = (a.lo, b.lo);
                 AbsVal::cst(if matches!(instr, I32Or) { x | y } else { x ^ y })
             }),
 
@@ -2191,29 +2411,14 @@ impl<'m> Analyzer<'m> {
             st.stack.push(AbsVal::cst(u32::from(r)));
             return;
         }
-        let mut v = AbsVal::iv(0, 1);
-        v.pred = Some(Pred {
-            op,
-            l_local: a.as_local(),
-            l_iv: (a.lo, a.hi),
-            r_local: b.as_local(),
-            r_iv: (b.lo, b.hi),
+        st.stack.push(AbsVal {
+            pred: Some(Pred {
+                op,
+                l: a.operand(),
+                r: b.operand(),
+            }),
+            ..AbsVal::iv(0, 1)
         });
-        st.stack.push(v);
-    }
-}
-
-fn block_exit(st: &mut State, merged: Option<State>, eh: usize, keep: usize) {
-    if st.live {
-        debug_assert_eq!(st.stack.len(), eh + keep, "validated block arity");
-        if let Some(m) = merged {
-            *st = join_state(st, &m);
-        }
-    } else if let Some(m) = merged {
-        *st = m;
-    } else {
-        st.stack.truncate(eh);
-        st.stack.extend(std::iter::repeat_n(AbsVal::top(), keep));
     }
 }
 
@@ -2233,19 +2438,15 @@ fn refine(state: &mut State, pred: &Pred, truth: bool) {
         return;
     }
     let op = if truth { pred.op } else { pred.op.inverse() };
-    let l_iv = pred
-        .l_local
-        .map_or(pred.l_iv, |l| iv_of(&state.locals[l as usize]));
-    let r_iv = pred
-        .r_local
-        .map_or(pred.r_iv, |l| iv_of(&state.locals[l as usize]));
-    if let Some(l) = pred.l_local {
+    let l_iv = pred.l.bounds(state);
+    let r_iv = pred.r.bounds(state);
+    if let Some(l) = pred.l.local() {
         apply_constraint(state, l, op, r_iv);
     }
     if !state.live {
         return;
     }
-    if let Some(r) = pred.r_local {
+    if let Some(r) = pred.r.local() {
         apply_constraint(state, r, op.mirror(), l_iv);
     }
     if !state.live {
@@ -2255,12 +2456,8 @@ fn refine(state: &mut State, pred: &Pred, truth: bool) {
     // constant feasibility: native unsigned ops pass through; signed ops
     // convert when both (post-refinement) operands are non-negative.
     const NONNEG: u64 = 0x7FFF_FFFF;
-    let l_now = pred
-        .l_local
-        .map_or(pred.l_iv, |l| iv_of(&state.locals[l as usize]));
-    let r_now = pred
-        .r_local
-        .map_or(pred.r_iv, |l| iv_of(&state.locals[l as usize]));
+    let l_now = pred.l.bounds(state);
+    let r_now = pred.r.bounds(state);
     let uop = match op {
         CmpOp::LtU | CmpOp::LeU | CmpOp::GtU | CmpOp::GeU | CmpOp::Eq | CmpOp::Ne => Some(op),
         CmpOp::LtS | CmpOp::LeS | CmpOp::GtS | CmpOp::GeS
@@ -2277,8 +2474,8 @@ fn refine(state: &mut State, pred: &Pred, truth: bool) {
         _ => None,
     };
     let Some(uop) = uop else { return };
-    if let (Some(l), Some(r)) = (pred.l_local, pred.r_local) {
-        match uop {
+    match (pred.l, pred.r) {
+        (Operand::Local(l), Operand::Local(r)) => match uop {
             CmpOp::LtU => state.add_rel(l, r, true),
             CmpOp::LeU => state.add_rel(l, r, false),
             CmpOp::GtU => state.add_rel(r, l, true),
@@ -2288,57 +2485,55 @@ fn refine(state: &mut State, pred: &Pred, truth: bool) {
                 state.add_rel(r, l, false);
             }
             _ => {}
+        },
+        // Constant-vs-constant infeasibility (e.g. a folded `0 != 0` guard).
+        (Operand::Iv(..), Operand::Iv(..)) => {
+            let feasible = match uop {
+                CmpOp::LtU => l_iv.0 < r_iv.1,
+                CmpOp::LeU => l_iv.0 <= r_iv.1,
+                CmpOp::GtU => l_iv.1 > r_iv.0,
+                CmpOp::GeU => l_iv.1 >= r_iv.0,
+                CmpOp::Eq => l_iv.0 <= r_iv.1 && r_iv.0 <= l_iv.1,
+                CmpOp::Ne => !(l_iv.0 == l_iv.1 && r_iv.0 == r_iv.1 && l_iv.0 == r_iv.0),
+                _ => true,
+            };
+            if !feasible {
+                state.live = false;
+            }
         }
+        _ => {}
     }
-    // Constant-vs-constant infeasibility (e.g. a folded `0 != 0` guard).
-    if pred.l_local.is_none() && pred.r_local.is_none() {
-        let feasible = match uop {
-            CmpOp::LtU => l_iv.0 < r_iv.1,
-            CmpOp::LeU => l_iv.0 <= r_iv.1,
-            CmpOp::GtU => l_iv.1 > r_iv.0,
-            CmpOp::GeU => l_iv.1 >= r_iv.0,
-            CmpOp::Eq => l_iv.0 <= r_iv.1 && r_iv.0 <= l_iv.1,
-            CmpOp::Ne => !(l_iv.0 == l_iv.1 && r_iv.0 == r_iv.1 && l_iv.0 == r_iv.0),
-            _ => true,
-        };
-        if !feasible {
-            state.live = false;
-        }
-    }
-}
-
-fn iv_of(v: &AbsVal) -> (u64, u64) {
-    (v.lo, v.hi)
 }
 
 /// The allowed unsigned regions (at most 2, ordered, disjoint) for a
 /// value satisfying `value op other`. `None` means no information; an
-/// empty vector means the constraint is infeasible.
-fn constraint_regions(op: CmpOp, other: (u64, u64)) -> Option<Vec<(u64, u64)>> {
+/// empty set means the constraint is infeasible.
+fn constraint_regions(op: CmpOp, other: (u64, u64)) -> Option<Intervals<2>> {
     const NONNEG: u64 = 0x7FFF_FFFF;
     const NEG_LO: u64 = 0x8000_0000;
+    let of = Intervals::of;
     Some(match op {
         CmpOp::LtU => {
             if other.1 == 0 {
-                vec![]
+                of(&[])
             } else {
-                vec![(0, other.1 - 1)]
+                of(&[(0, other.1 - 1)])
             }
         }
-        CmpOp::LeU => vec![(0, other.1)],
+        CmpOp::LeU => of(&[(0, other.1)]),
         CmpOp::GtU => {
             if other.0 == U32_MAX {
-                vec![]
+                of(&[])
             } else {
-                vec![(other.0 + 1, U32_MAX)]
+                of(&[(other.0 + 1, U32_MAX)])
             }
         }
-        CmpOp::GeU => vec![(other.0, U32_MAX)],
-        CmpOp::Eq => vec![(other.0, other.1)],
+        CmpOp::GeU => of(&[(other.0, U32_MAX)]),
+        CmpOp::Eq => of(&[(other.0, other.1)]),
         CmpOp::Ne => {
             if other.0 == other.1 {
                 let c = other.0;
-                let mut v = Vec::new();
+                let mut v = of(&[]);
                 if c > 0 {
                     v.push((0, c - 1));
                 }
@@ -2354,22 +2549,22 @@ fn constraint_regions(op: CmpOp, other: (u64, u64)) -> Option<Vec<(u64, u64)>> {
         // `<s`/`<=s` admit the negative (high unsigned) half, `>s`/`>=s`
         // confine the value to the non-negative half.
         CmpOp::LtS if other.1 <= NONNEG => {
-            let mut v = Vec::new();
+            let mut v = of(&[]);
             if other.1 > 0 {
                 v.push((0, other.1 - 1));
             }
             v.push((NEG_LO, U32_MAX));
             v
         }
-        CmpOp::LeS if other.1 <= NONNEG => vec![(0, other.1), (NEG_LO, U32_MAX)],
+        CmpOp::LeS if other.1 <= NONNEG => of(&[(0, other.1), (NEG_LO, U32_MAX)]),
         CmpOp::GtS if other.1 <= NONNEG => {
             if other.0 == NONNEG {
-                vec![]
+                of(&[])
             } else {
-                vec![(other.0 + 1, NONNEG)]
+                of(&[(other.0 + 1, NONNEG)])
             }
         }
-        CmpOp::GeS if other.1 <= NONNEG => vec![(other.0, NONNEG)],
+        CmpOp::GeS if other.1 <= NONNEG => of(&[(other.0, NONNEG)]),
         _ => return None,
     })
 }
@@ -2378,15 +2573,14 @@ fn apply_constraint(state: &mut State, l: u32, op: CmpOp, other: (u64, u64)) {
     let Some(regions) = constraint_regions(op, other) else {
         return;
     };
-    if regions.is_empty() {
+    if regions.len == 0 {
         state.live = false;
         return;
     }
     let v = &mut state.locals[l as usize];
-    let parts = v.parts();
-    let mut pieces: Vec<(u64, u64)> = Vec::new();
-    for &(plo, phi) in &parts {
-        for &(rlo, rhi) in &regions {
+    let mut pieces = Intervals::<4>::of(&[]);
+    for &(plo, phi) in v.parts().as_slice() {
+        for &(rlo, rhi) in regions.as_slice() {
             let lo = plo.max(rlo);
             let hi = phi.min(rhi);
             if lo <= hi {
@@ -2394,18 +2588,22 @@ fn apply_constraint(state: &mut State, l: u32, op: CmpOp, other: (u64, u64)) {
             }
         }
     }
-    if pieces.is_empty() {
+    let pieces = pieces.as_slice();
+    let (Some(first), Some(last)) = (pieces.first(), pieces.last()) else {
         state.live = false;
         return;
-    }
-    v.lo = pieces[0].0;
-    v.hi = pieces[pieces.len() - 1].1;
-    v.split = if pieces.len() == 1 {
-        None
-    } else {
+    };
+    v.lo = narrow(first.0);
+    v.hi = narrow(last.1);
+    v.split = match pieces {
+        [_] => None,
         // 3+ pieces collapse to (first, hull of the rest): a sound
         // superset that keeps the leading gap.
-        Some((pieces[0], (pieces[1].0, pieces[pieces.len() - 1].1)))
+        [_, second, ..] => Some((
+            (narrow(first.0), narrow(first.1)),
+            (narrow(second.0), narrow(last.1)),
+        )),
+        [] => unreachable!("non-empty"),
     };
 }
 
@@ -3146,6 +3344,190 @@ mod tests {
         assert!(
             !plan.clamp_elidable(pc),
             "a dynamic dominating check must not lift the clamp"
+        );
+    }
+
+    // ── lattice oracle ─────────────────────────────────────────────
+
+    /// The functional join (a new state per call), written for clarity
+    /// rather than speed: `join_into` must equal it, and `state_contains`
+    /// must agree with `reference_join(a, b) == a`.
+    fn reference_join(a: &State, b: &State) -> State {
+        if !a.live {
+            return b.clone();
+        }
+        if !b.live {
+            return a.clone();
+        }
+        let jv = |x: &AbsVal, y: &AbsVal| AbsVal {
+            lo: x.lo.min(y.lo),
+            hi: x.hi.max(y.hi),
+            stride_log2: x.stride_log2.min(y.stride_log2),
+            split: if x.split == y.split { x.split } else { None },
+            sym: if x.sym == y.sym { x.sym } else { None },
+            pred: if x.pred == y.pred { x.pred } else { None },
+        };
+        State {
+            locals: a
+                .locals
+                .iter()
+                .zip(&b.locals)
+                .map(|(x, y)| jv(x, y))
+                .collect(),
+            stack: a
+                .stack
+                .iter()
+                .zip(&b.stack)
+                .map(|(x, y)| jv(x, y))
+                .collect(),
+            checked: a
+                .checked
+                .iter()
+                .filter_map(|f| {
+                    b.fact(f.key()).map(|g| Fact {
+                        need: f.need.min(g.need),
+                        is_static: f.is_static && g.is_static,
+                        ..*f
+                    })
+                })
+                .collect(),
+            rel: a
+                .rel
+                .iter()
+                .filter_map(|r| {
+                    b.relation(r.a, r.b).map(|s| Rel {
+                        strict: r.strict && s,
+                        ..*r
+                    })
+                })
+                .collect(),
+            live: true,
+        }
+    }
+
+    /// SplitMix64: a seeded, dependency-free generator.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+
+        fn chance(&mut self, percent: u64) -> bool {
+            self.below(100) < percent
+        }
+    }
+
+    /// A value drawn from small pools, so that two independent draws are
+    /// often equal or ordered (otherwise ⊑ would almost never hold).
+    fn rand_val(rng: &mut SplitMix64) -> AbsVal {
+        const ENDS: [u32; 6] = [0, 1, 8, 100, u32::MAX - 1, u32::MAX];
+        let (x, y) = (rng.pick(&ENDS), rng.pick(&ENDS));
+        let split = ((0, 3), (u32::MAX, u32::MAX));
+        let sym = |local, addend, shift, exact| Sym {
+            local,
+            addend,
+            shift,
+            exact,
+        };
+        let ops = [CmpOp::LtU, CmpOp::GeS];
+        let operands = [Operand::Local(0), Operand::Local(1), Operand::Iv(0, 8)];
+        AbsVal {
+            lo: x.min(y),
+            hi: x.max(y),
+            stride_log2: rng.pick(&[0, 2, 3, STRIDE_LOG2_CAP]),
+            split: rng.chance(20).then_some(split),
+            sym: rng
+                .chance(40)
+                .then(|| rng.pick(&[sym(0, 0, 0, true), sym(1, 8, 2, true), sym(1, 8, 2, false)])),
+            pred: rng.chance(30).then(|| Pred {
+                op: rng.pick(&ops),
+                l: rng.pick(&operands),
+                r: rng.pick(&operands),
+            }),
+        }
+    }
+
+    /// A state with `n_locals` locals and `height` stack slots; facts are
+    /// drawn in key order, so the vectors stay sorted.
+    fn rand_state(rng: &mut SplitMix64, n_locals: usize, height: usize) -> State {
+        let mut checked = Vec::new();
+        for (local, shift) in [(0, 0), (0, 2), (1, 3), (2, 0)] {
+            if rng.chance(40) {
+                checked.push(Fact {
+                    local,
+                    shift,
+                    is_static: rng.chance(50),
+                    need: rng.pick(&[4, 8, 12]),
+                });
+            }
+        }
+        let mut rel = Vec::new();
+        for (a, b) in [(0, 1), (0, 2), (1, 0), (2, 1)] {
+            if rng.chance(40) {
+                rel.push(Rel {
+                    a,
+                    b,
+                    strict: rng.chance(50),
+                });
+            }
+        }
+        State {
+            locals: (0..n_locals).map(|_| rand_val(rng)).collect(),
+            stack: (0..height).map(|_| rand_val(rng)).collect(),
+            checked,
+            rel,
+            live: !rng.chance(10),
+        }
+    }
+
+    #[test]
+    fn in_place_join_and_containment_match_the_reference_join() {
+        let mut rng = SplitMix64(0x1eaf_5a2d_b0d5);
+        let (mut covered, mut not_covered) = (0, 0);
+        for _ in 0..20_000 {
+            let n_locals = rng.below(5) as usize;
+            let height = rng.below(3) as usize;
+            let mut a = rand_state(&mut rng, n_locals, height);
+            let b = rand_state(&mut rng, n_locals, height);
+            // Half the pairs are pre-joined, so containment often holds.
+            if rng.chance(50) {
+                a = reference_join(&a, &b);
+            }
+            let reference = reference_join(&a, &b);
+
+            let contains = state_contains(&a, &b);
+            assert_eq!(contains, !b.live || reference == a, "⊑ on\n{a:?}\n{b:?}");
+            if contains {
+                covered += 1;
+            } else {
+                not_covered += 1;
+            }
+
+            // Into a fresh copy and into reused, differently-shaped buffers.
+            let mut joined = a.clone();
+            join_into(&mut joined, &b);
+            assert_eq!(joined, reference, "⊔ on\n{a:?}\n{b:?}");
+            let mut reused = rand_state(&mut rng, 4, 2);
+            reused.clone_from(&a);
+            join_into(&mut reused, &b);
+            assert_eq!(reused, reference);
+        }
+        assert!(
+            covered > 2_000 && not_covered > 2_000,
+            "{covered} / {not_covered}"
         );
     }
 }

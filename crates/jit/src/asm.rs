@@ -760,7 +760,10 @@ mod tests {
     fn disasm(code: &[u8]) -> String {
         use std::io::Write;
         use std::process::Command;
-        let path = std::env::temp_dir().join(format!("lbjit-asm-{}.bin", std::process::id()));
+        // One file per call: the tests of this module run in parallel.
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("lbjit-asm-{}-{seq}.bin", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(code).unwrap();
         drop(f);

@@ -301,7 +301,12 @@ impl Engine for JitEngine {
                 interprocedural: true,
                 hoist: self.profile.hoisting,
             };
-            Arc::new(lb_analysis::analyze_module_with(module, &meta, &cfg))
+            let _span = lb_telemetry::span!("analysis.module", module.functions.len());
+            let t0 = lb_telemetry::clock::now_ns();
+            let plan = lb_analysis::analyze_module_with(module, &meta, &cfg);
+            lb_telemetry::histogram("analysis.module_ns")
+                .record(lb_telemetry::clock::now_ns().saturating_sub(t0));
+            Arc::new(plan)
         });
         let extents = crate::dataflow::module_extents(module);
         Ok(Arc::new(JitModule {

@@ -51,6 +51,13 @@ fn jit_run_records_compile_spans() {
         .histogram("jit.compile_ns")
         .expect("compile-time histogram");
     assert_eq!(h.count, r.telemetry.counter("jit.compile.count"));
+    // The profile runs the static analysis once, at load.
+    let analysis = r
+        .telemetry
+        .histogram("analysis.module_ns")
+        .expect("analysis-time histogram");
+    assert!(analysis.count >= 1, "analysis.module_ns is empty");
+    assert!(!r.telemetry.spans_named("analysis.module").is_empty());
     // One reservation per isolate iteration.
     assert!(r.telemetry.counter("mem.mmap") >= 3);
 }
