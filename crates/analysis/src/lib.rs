@@ -105,30 +105,6 @@ pub enum CheckKind {
     /// version (the interpreter, unversioned tiers) must treat this as
     /// `Emit`.
     ElideHoisted,
-    /// Covered by a dominating guard discovered by the mid tier's IR
-    /// dataflow pass (`lb-jit`'s `dataflow` module), not by this crate's
-    /// wasm-level analysis. Unlike [`CheckKind::ElideDominated`], the
-    /// verifier does *not* trust this decision: it accepts the elision
-    /// only when its own abstract interpretation independently re-derives
-    /// the dominating machine fact at the access. Trap-only; consumers
-    /// other than the guard-optimizing mid tier treat it as `Emit`.
-    ElideDominatedIr,
-}
-
-/// One per-guard decision from the mid tier's IR dataflow pass. Keyed by
-/// wasm pc; produced by `lb-jit`'s `dataflow` module and consumed by both
-/// codegen (to rewrite the guard) and lb-verify (to classify the site —
-/// never trusted for soundness, only for site-kind accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardOpt {
-    /// Drop the guard: an equal-or-stronger guard on the same address
-    /// value number dominates it ([`CheckKind::ElideDominatedIr`]).
-    GvnElide,
-    /// Fuse the guard into a single compare-against-limit + branch-to-trap
-    /// adjacent to the access. The payload is the per-module limit-table
-    /// slot holding `mem_size - (extent - 1)` (saturating) for this
-    /// guard's extent.
-    Fuse(u8),
 }
 
 /// One synthesized loop-preheader guard. The guard passes iff
@@ -2080,7 +2056,6 @@ impl<'m> Analyzer<'m> {
                 CheckKind::ElideDominated => self.summary.elided_dominated += 1,
                 CheckKind::StaticOob => self.summary.static_oob += 1,
                 CheckKind::ElideHoisted => unreachable!("assigned only at loop finalize"),
-                CheckKind::ElideDominatedIr => unreachable!("assigned only by lb-jit dataflow"),
             }
             if kind == CheckKind::ElideDominated && dom_static {
                 self.clamp_ok.push(pc as u32);

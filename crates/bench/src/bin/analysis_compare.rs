@@ -4,8 +4,8 @@
 //! WebAssembly overhead; `lb-analysis` recovers part of it by proving
 //! checks redundant at compile time. This tool quantifies that on the
 //! paper's own workloads: for each kernel it compiles twice with the WAVM
-//! profile — once consuming the analysis plan, once falling back to the
-//! legacy peephole — and reports kernel time plus the fraction of checks
+//! profile — once consuming the analysis plan, once with the analysis
+//! off (every check emitted) — and reports kernel time plus the fraction of checks
 //! statically elided (from the `jit.checks.*` telemetry counters).
 //!
 //! Usage: `analysis_compare [bench ...]` (defaults to a representative

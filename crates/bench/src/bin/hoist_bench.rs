@@ -6,8 +6,8 @@
 //! 1. The four PolyBench kernels whose triangular / data-dependent index
 //!    shapes previously kept per-access checks emitted (deriche, durbin,
 //!    ludcmp, nussinov): WAVM profile with the analysis plan vs the
-//!    legacy peephole. With the plan these kernels are now fully
-//!    check-free (`checks_emitted == 0`).
+//!    analysis off (every check emitted). With the plan these kernels
+//!    are now fully check-free (`checks_emitted == 0`).
 //! 2. A synthetic store loop whose bound is a function parameter — static
 //!    analysis can never prove it, so the loop runs check-free only via
 //!    the versioned fast body behind a hoisted preheader guard
@@ -219,7 +219,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"description\": \"bounds-check elision and guard hoisting: \
-         wavm profile, trap strategy; time_off is the legacy peephole (static \
+         wavm profile, trap strategy; time_off is the analysis off (static \
          rows) or hoisting disabled (hoisted row)\",\n  \"iters\": {ITERS},\n  \
          \"results\": [\n{rows}  ]\n}}\n"
     );

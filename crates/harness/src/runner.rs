@@ -82,29 +82,14 @@ impl EngineSel {
 
     /// Build the engine (None for the native baseline).
     pub fn engine(self) -> Option<Arc<dyn Engine>> {
-        let mid = midtier_selected();
         match self {
             EngineSel::Native => None,
             EngineSel::Interp => Some(Arc::new(InterpEngine::new())),
-            EngineSel::Wavm => Some(Arc::new(JitEngine::new(
-                JitProfile::wavm().with_midtier(mid),
-            ))),
-            EngineSel::Wasmtime => Some(Arc::new(JitEngine::new(
-                JitProfile::wasmtime().with_midtier(mid),
-            ))),
-            EngineSel::V8 => Some(Arc::new(JitEngine::new(JitProfile::v8().with_midtier(mid)))),
+            EngineSel::Wavm => Some(Arc::new(JitEngine::new(JitProfile::wavm()))),
+            EngineSel::Wasmtime => Some(Arc::new(JitEngine::new(JitProfile::wasmtime()))),
+            EngineSel::V8 => Some(Arc::new(JitEngine::new(JitProfile::v8()))),
         }
     }
-}
-
-/// The `LB_TIER` knob, read once per process: `LB_TIER=mid` routes every
-/// JIT profile's optimizing tier to `OptLevel::Mid` (linear-scan register
-/// homes + redundant-access elimination) instead of `Full`; anything else
-/// keeps the default. The choice is recorded per run in the JSONL `tier`
-/// column.
-pub fn midtier_selected() -> bool {
-    static TIER: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *TIER.get_or_init(|| matches!(std::env::var("LB_TIER").as_deref(), Ok("mid")))
 }
 
 /// One measurement configuration.
@@ -448,17 +433,6 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
         ("strategy", spec.strategy.name().to_string()),
         ("strategy_effective", raw.effective.name().to_string()),
         ("threads", spec.threads.to_string()),
-        // Which optimizing JIT tier the run used (`LB_TIER`): "mid" for
-        // the linear-scan mid tier, "baseline" for the default `Full`.
-        (
-            "tier",
-            if midtier_selected() {
-                "mid"
-            } else {
-                "baseline"
-            }
-            .to_string(),
-        ),
         ("outcome", "completed".to_string()),
         // Static bounds-check decisions for this run (compile-time
         // counters from lb-analysis via the JIT), for the paper-style
@@ -477,13 +451,8 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
             "checks_hoisted",
             telemetry.counter("jit.checks.hoisted").to_string(),
         ),
-        // The mid tier's IR dataflow pass: sites elided because a
-        // dominating guard already covers them, and sites whose guard
-        // was fused into a single compare-against-limit.
-        (
-            "checks_gvn_elided",
-            telemetry.counter("jit.checks.gvn_elided").to_string(),
-        ),
+        // Sites whose trap check was fused into a single
+        // compare-against-limit (`Full` tier).
         (
             "checks_fused",
             telemetry.counter("jit.checks.fused").to_string(),
@@ -519,22 +488,6 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
         (
             "uffd.prefetch_streak",
             telemetry.counter("uffd.prefetch_streak").to_string(),
-        ),
-        // Mid-tier register-allocation work over the run (all zero when
-        // the mid tier never compiled anything).
-        (
-            "jit.midtier.spills",
-            telemetry.counter("jit.midtier.spills").to_string(),
-        ),
-        (
-            "jit.midtier.reloads_elided",
-            telemetry.counter("jit.midtier.reloads_elided").to_string(),
-        ),
-        (
-            "jit.midtier.dead_stores_elided",
-            telemetry
-                .counter("jit.midtier.dead_stores_elided")
-                .to_string(),
         ),
     ];
     row.extend(meta.into_iter().map(|(k, v)| (k as &str, v)));

@@ -297,14 +297,6 @@ impl Asm {
         self.mem_operand(s.low(), m);
     }
 
-    /// `mov qword [m], imm32` (sign-extended 64-bit immediate store).
-    pub fn mov_mi(&mut self, m: Mem, v: i32) {
-        self.rex_mem(true, false, m, false);
-        self.b(0xC7);
-        self.mem_operand(0, m);
-        self.i32_(v);
-    }
-
     /// `mov [m], s8` (8-bit store of the low byte).
     pub fn mov_mr8(&mut self, m: Mem, s: Reg) {
         // REX needed to address sil/dil/spl/bpl and r8b+.
@@ -805,8 +797,6 @@ mod tests {
             },
         );
         a.cmp_ri(W::W64, Reg::R13, 100);
-        a.mov_mi(Mem::base(Reg::RBP, -24), 7);
-        a.mov_mi(Mem::base(Reg::RBP, -32), -1);
         a.push(Reg::RBP);
         a.pop(Reg::R15);
         a.ret();
@@ -818,11 +808,6 @@ mod tests {
         assert!(d.contains("imul   rdx,r10"), "{d}");
         assert!(d.contains("lea    r11,[r14+rax*8+0x40]"), "{d}");
         assert!(d.contains("cmp    r13,0x64"), "{d}");
-        assert!(d.contains("mov    QWORD PTR [rbp-0x18],0x7"), "{d}");
-        assert!(
-            d.contains("mov    QWORD PTR [rbp-0x20],0xffffffffffffffff"),
-            "{d}"
-        );
         assert!(d.contains("push   rbp"), "{d}");
         assert!(d.contains("pop    r15"), "{d}");
         assert!(d.contains("ret"), "{d}");

@@ -15,8 +15,10 @@
 //!
 //! Bounds-checking strategies lower exactly as the paper describes (§3.1):
 //! *none/mprotect/uffd* emit the raw access against the 8 GiB reservation;
-//! *trap* emits `lea`+`cmp`+`ja` to a `ud2` stub; *clamp* emits
-//! `lea`+`cmp`+`cmova` against the memory end.
+//! *trap* emits `lea`+`cmp`+`ja` to a `ud2` stub (at `Full` with
+//! [`CompileParams::guardopt`], one `cmp` against the module limit table
+//! plus `jae`); *clamp* emits `lea`+`cmp`+`cmova` against the memory end.
+//! Which accesses get a check at all is the `lb-analysis` plan's call.
 
 use crate::asm::Xmm;
 use crate::asm::{Asm, Cc, Label, Mem, Reg, W};
@@ -33,15 +35,12 @@ pub enum OptLevel {
     /// Baseline tier (V8 before tier-up): the abstract stack is flushed
     /// after every instruction — values never stay in registers.
     None,
-    /// Register abstract stack (the Wasmtime-profile default).
+    /// Register abstract stack with constant folding (the
+    /// Wasmtime-profile default).
     Basic,
-    /// Mid-tier: `Basic` plus IR-driven linear-scan register homes for
-    /// hot locals (`crate::regalloc`), dead-store elimination, and the
-    /// `Full` redundancy passes. Register assignment comes from liveness
-    /// over the three-address IR rather than a first-locals heuristic.
-    Mid,
-    /// `Basic` plus constant folding and redundant-bounds-check
-    /// elimination (the WAVM/LLVM-profile stand-in).
+    /// `Basic` plus callee-saved register pinning of the first integer
+    /// locals and, under trap with [`CompileParams::guardopt`], fused
+    /// guards (the WAVM/LLVM-profile stand-in).
     Full,
 }
 
@@ -60,14 +59,14 @@ pub struct CompileParams<'a> {
     pub safepoints: bool,
     /// Address of function-pointer table entry 0.
     pub funcptrs_base: usize,
-    /// Module-level bounds-check plan from `lb-analysis`. `None` falls
-    /// back to the legacy per-basic-block peephole (kept for differential
-    /// testing).
+    /// Module-level bounds-check plan from `lb-analysis`, the sole owner
+    /// of every elide/hoist/dead decision. `None` emits every check.
     pub plans: Option<&'a lb_analysis::ModulePlan>,
-    /// Run the IR dataflow guard optimizations (`crate::dataflow`):
-    /// dominance-based redundant-guard elimination and guard/access
-    /// fusion. Consulted at the mid tier under the trap strategy only;
-    /// supersedes the legacy peephole there.
+    /// Emit a trap check whose extent has a slot in `limit_extents` as
+    /// one fused compare against the module limit table instead of the
+    /// `lea`/`cmp`/`ja` triple. Consulted at `Full` under trap only; it
+    /// changes the shape of an emitted check, never whether one is
+    /// emitted.
     pub guardopt: bool,
     /// The module's fused-guard extent table
     /// ([`crate::dataflow::module_extents`]); the runtime programs the
@@ -82,7 +81,6 @@ struct CheckCounters {
     hoisted: lb_telemetry::Counter,
     emitted: lb_telemetry::Counter,
     static_oob: lb_telemetry::Counter,
-    gvn_elided: lb_telemetry::Counter,
     fused: lb_telemetry::Counter,
 }
 
@@ -93,28 +91,7 @@ fn check_counters() -> &'static CheckCounters {
         hoisted: lb_telemetry::counter("jit.checks.hoisted"),
         emitted: lb_telemetry::counter("jit.checks.emitted"),
         static_oob: lb_telemetry::counter("jit.checks.static_oob"),
-        gvn_elided: lb_telemetry::counter("jit.checks.gvn_elided"),
         fused: lb_telemetry::counter("jit.checks.fused"),
-    })
-}
-
-/// Telemetry counters for the mid-tier's redundant-access elimination,
-/// incremented at compile time (per site lowered, not per execution).
-struct MidtierCounters {
-    /// Caller-saved home save/reload pairs emitted around call-like sites.
-    spills: lb_telemetry::Counter,
-    /// `local.get`s satisfied from a register home (no slot reload).
-    reloads_elided: lb_telemetry::Counter,
-    /// Dead `local.set`s dropped entirely.
-    dead_stores_elided: lb_telemetry::Counter,
-}
-
-fn midtier_counters() -> &'static MidtierCounters {
-    static C: std::sync::OnceLock<MidtierCounters> = std::sync::OnceLock::new();
-    C.get_or_init(|| MidtierCounters {
-        spills: lb_telemetry::counter("jit.midtier.spills"),
-        reloads_elided: lb_telemetry::counter("jit.midtier.reloads_elided"),
-        dead_stores_elided: lb_telemetry::counter("jit.midtier.dead_stores_elided"),
     })
 }
 
@@ -151,8 +128,8 @@ enum AVal {
     P(Reg),
 }
 
-/// Callee-saved registers available for local pinning (WAVM profile) and
-/// mid-tier register homes (in allocation-priority order).
+/// Callee-saved registers available for local pinning (WAVM profile), in
+/// assignment order.
 pub const PIN_REGS: [Reg; 3] = [Reg::RBX, Reg::R12, Reg::R13];
 
 struct Gen<'a> {
@@ -184,29 +161,10 @@ struct Gen<'a> {
     end_label_used: bool,
     dead: bool,
     depth: i32,
-    /// Redundant-bounds-check elimination (`Full`, trap strategy):
-    /// (local, shift, max checked addend+extent) — see `track_origin`.
-    checked: HashMap<(u32, u8), u64>,
-    /// Provenance of register values for check elimination.
-    origin: HashMap<u8, (u32, u8, u64)>,
-    /// Locals pinned to callee-saved registers (`Full` opt only) or to
-    /// mid-tier register homes (`Mid`, callee- and caller-saved).
+    /// Locals pinned to callee-saved registers (`Full` opt only).
     pinned: HashMap<u32, Reg>,
     /// Number of pinned (saved) registers, in PIN_REGS order.
     n_pinned: usize,
-    /// Mid-tier allocation plan (register homes, dead stores). `Mid` only.
-    midplan: Option<crate::regalloc::MidPlan>,
-    /// IR dataflow guard decisions by wasm pc (`Mid` + trap + guardopt
-    /// only; empty otherwise). When non-empty the legacy peephole is
-    /// superseded.
-    guardopt: HashMap<u32, lb_analysis::GuardOpt>,
-    /// Whether the guard-optimization pass ran for this function (even if
-    /// it produced no decisions — still disables the legacy peephole so
-    /// on/off runs differ only by the dataflow pass itself).
-    guardopt_on: bool,
-    /// Caller-saved registers withheld from the allocation pools because
-    /// they serve as mid-tier homes.
-    reserved: Vec<Reg>,
     /// `(code_offset, wasm_pc)` per lowered instruction — the
     /// wasm-offset side table the profiler resolves samples through.
     pc_map: Vec<(u32, u32)>,
@@ -217,18 +175,6 @@ fn full_pools() -> (Vec<Reg>, Vec<Xmm>) {
         INT_POOL.to_vec(),
         (0..F_POOL_N).map(Xmm).collect::<Vec<_>>(),
     )
-}
-
-/// The imm32 whose sign-extended 64-bit image equals the value's slot
-/// representation (slots hold 64 bits, i32/f32 zero-extended), if any.
-fn const_as_imm32(v: Value) -> Option<i32> {
-    match v {
-        Value::I32(i) if i >= 0 => Some(i),
-        Value::I64(i) => i32::try_from(i).ok(),
-        Value::F32(f) if f.to_bits() <= i32::MAX as u32 => Some(f.to_bits() as i32),
-        Value::F64(f) => i32::try_from(f.to_bits() as i64).ok(),
-        _ => None,
-    }
 }
 
 /// Compile one defined function to machine code (self-contained except for
@@ -250,21 +196,7 @@ pub fn compile_function_mapped(
     let func = &p.module.functions[defined_idx];
     let fmeta = &p.metas[defined_idx];
     let plan = p.plans.and_then(|mp| mp.funcs.get(defined_idx));
-    let midplan = (p.opt == OptLevel::Mid)
-        .then(|| crate::regalloc::allocate(p.module, fmeta, &func.body, plan));
-    let guardopt_on = p.guardopt && p.opt == OptLevel::Mid && p.strategy == BoundsStrategy::Trap;
-    let guardopt: HashMap<u32, lb_analysis::GuardOpt> = if guardopt_on {
-        crate::dataflow::decide(p.module, fmeta, &func.body, plan, p.limit_extents)
-            .into_iter()
-            .collect()
-    } else {
-        HashMap::new()
-    };
-    let reserved: Vec<Reg> = midplan.as_ref().map_or(Vec::new(), |mp| {
-        mp.caller_saved().iter().map(|&(_, r)| r).collect()
-    });
-    let (mut free_i, free_f) = full_pools();
-    free_i.retain(|r| !reserved.contains(r));
+    let (free_i, free_f) = full_pools();
     let mut a = Asm::new();
     let end_label = a.label();
     let mut g = Gen {
@@ -288,23 +220,11 @@ pub fn compile_function_mapped(
         end_label_used: false,
         dead: false,
         depth: 0,
-        checked: HashMap::new(),
-        origin: HashMap::new(),
         pinned: HashMap::new(),
         n_pinned: 0,
-        midplan,
-        guardopt,
-        guardopt_on,
-        reserved,
         pc_map: Vec::with_capacity(func.body.len()),
     };
-    if let Some(mp) = &g.midplan {
-        // Mid-tier: homes come from linear-scan allocation over the IR —
-        // liveness-weighted, not first-come — plus up to two caller-saved
-        // homes the `Full` heuristic cannot use.
-        g.pinned = mp.homes().iter().copied().collect();
-        g.n_pinned = mp.n_pinned;
-    } else if p.opt == OptLevel::Full {
+    if p.opt == OptLevel::Full {
         // Pin the first few integer locals (loop counters, bases) in
         // callee-saved registers — the optimizing-AOT register allocation
         // that separates the WAVM profile from the baseline tiers.
@@ -404,7 +324,6 @@ impl<'a> Gen<'a> {
     fn release_i(&mut self, r: Reg) {
         debug_assert!(!self.free_i.contains(&r));
         self.free_i.push(r);
-        self.origin.remove(&r.0);
     }
 
     fn release_f(&mut self, x: Xmm) {
@@ -435,15 +354,6 @@ impl<'a> Gen<'a> {
                 self.release_f(x);
             }
             AVal::C(v) => {
-                if self.p.opt == OptLevel::Mid {
-                    if let Some(imm) = const_as_imm32(v) {
-                        // Single store, no scratch round-trip: the slot's
-                        // 64-bit image equals the sign-extended imm32.
-                        self.a.mov_mi(m, imm);
-                        self.stack[idx] = AVal::Slot;
-                        return;
-                    }
-                }
                 match v {
                     Value::I32(i) => self.a.mov_ri32(SCRATCH, i),
                     Value::F32(f) => self.a.mov_ri32(SCRATCH, f.to_bits() as i32),
@@ -468,7 +378,6 @@ impl<'a> Gen<'a> {
         }
         // Note: registers popped by the current lowering may still be held;
         // only *stack entries* are guaranteed spilled here.
-        self.origin.clear();
     }
 
     /// Before overwriting a pinned local, snapshot any stack entries that
@@ -722,12 +631,8 @@ impl<'a> Gen<'a> {
             .cmp_rm(W::W64, Reg::RSP, Mem::base(Reg::R15, ctx_off::STACK_LIMIT));
         let so = self.trap_label(TrapKind::StackOverflow);
         self.a.jcc(Cc::B, so);
-        // Park incoming arguments in their local slots. The mid-tier
-        // always parks to the slot first and loads register homes
-        // afterwards: its caller-saved homes (r8/r9) double as the 5th
-        // and 6th integer argument registers, so a direct move could
-        // clobber an argument not yet parked.
-        let mid = self.p.opt == OptLevel::Mid;
+        // Park incoming arguments in their local slots (or pinned
+        // registers).
         let n_params = self.fmeta.n_params as usize;
         let mut ii = 0usize;
         let mut fi = 0usize;
@@ -736,22 +641,14 @@ impl<'a> Gen<'a> {
             match self.local_types[i] {
                 ValType::I32 | ValType::I64 => {
                     match self.pinned.get(&(i as u32)) {
-                        Some(&pr) if !mid => self.a.mov_rr(W::W64, pr, INT_ARGS[ii]),
-                        _ => self.a.mov_mr(W::W64, m, INT_ARGS[ii]),
+                        Some(&pr) => self.a.mov_rr(W::W64, pr, INT_ARGS[ii]),
+                        None => self.a.mov_mr(W::W64, m, INT_ARGS[ii]),
                     }
                     ii += 1;
                 }
                 ValType::F32 | ValType::F64 => {
                     self.a.fstore(true, m, Xmm(fi as u8));
                     fi += 1;
-                }
-            }
-        }
-        if mid {
-            for i in 0..n_params {
-                if let Some(&pr) = self.pinned.get(&(i as u32)) {
-                    let m = self.local_mem(i as u32);
-                    self.a.mov_rm(W::W64, pr, m);
                 }
             }
         }
@@ -804,12 +701,7 @@ impl<'a> Gen<'a> {
     fn reset_stack_to(&mut self, height: usize) {
         self.stack.clear();
         self.stack.resize(height, AVal::Slot);
-        let (mut fi, ff) = full_pools();
-        fi.retain(|r| !self.reserved.contains(r));
-        self.free_i = fi;
-        self.free_f = ff;
-        self.origin.clear();
-        self.checked.clear();
+        (self.free_i, self.free_f) = full_pools();
     }
 
     /// Shuffle kept values into the destination's canonical layout, then
@@ -848,63 +740,25 @@ impl<'a> Gen<'a> {
         self.a.mov_rm(W::W32, SCRATCH, Mem::base(SCRATCH, 0));
         self.a.test_rr(W::W32, SCRATCH, SCRATCH);
         self.a.jcc(Cc::E, skip);
-        // Save/reload stays inside the taken region: the untaken fast
-        // path must not touch the homes.
-        self.save_caller_homes();
         self.a.mov_rr(W::W64, Reg::RDI, Reg::R15);
         self.a
             .mov_ri64(SCRATCH, runtime::lb_jit_pause as *const () as usize as i64);
         self.a.call_r(SCRATCH);
-        self.reload_caller_homes();
         self.a.bind(skip);
     }
 
     // ── helper-call plumbing ───────────────────────────────────────
 
-    /// Caller-saved mid-tier homes do not survive a call: snapshot each
-    /// into its local's canonical frame slot. Pairs with
-    /// [`Gen::reload_caller_homes`] after the call instruction.
-    fn save_caller_homes(&mut self) {
-        let saves: Vec<(u32, Reg)> = self
-            .midplan
-            .as_ref()
-            .map_or(Vec::new(), |mp| mp.caller_saved());
-        if saves.is_empty() {
-            return;
-        }
-        for &(l, r) in &saves {
-            let m = self.local_mem(l);
-            self.a.mov_mr(W::W64, m, r);
-        }
-        midtier_counters().spills.add(saves.len() as u64);
-    }
-
-    /// Restore caller-saved homes from their canonical slots after a
-    /// call. Touches neither `rax` nor `xmm0`, so it is safe to emit
-    /// before the call result is claimed.
-    fn reload_caller_homes(&mut self) {
-        let saves: Vec<(u32, Reg)> = self
-            .midplan
-            .as_ref()
-            .map_or(Vec::new(), |mp| mp.caller_saved());
-        for &(l, r) in &saves {
-            let m = self.local_mem(l);
-            self.a.mov_rm(W::W64, r, m);
-        }
-    }
-
     /// Call an `extern "C"` helper taking one f32/f64 argument (in xmm0)
     /// and returning an integer (rax). Used for trapping truncations.
     fn helper_f_to_i(&mut self, addr: usize) {
         self.spill_all();
-        self.save_caller_homes();
         let top = self.stack.len() - 1;
         let m = self.slot_mem(top);
         self.a.fload(true, Xmm(0), m);
         self.stack.pop();
         self.a.mov_ri64(SCRATCH, addr as i64);
         self.a.call_r(SCRATCH);
-        self.reload_caller_homes();
         self.claim_i(Reg::RAX);
         self.push_i(Reg::RAX);
     }
@@ -912,14 +766,12 @@ impl<'a> Gen<'a> {
     /// Call a helper taking one u64 (rdi) returning float (xmm0).
     fn helper_i_to_f(&mut self, addr: usize) {
         self.spill_all();
-        self.save_caller_homes();
         let top = self.stack.len() - 1;
         let m = self.slot_mem(top);
         self.a.mov_rm(W::W64, Reg::RDI, m);
         self.stack.pop();
         self.a.mov_ri64(SCRATCH, addr as i64);
         self.a.call_r(SCRATCH);
-        self.reload_caller_homes();
         let x = Xmm(0);
         let pos = self.free_f.iter().position(|v| *v == x).expect("xmm0 free");
         self.free_f.remove(pos);
@@ -929,7 +781,6 @@ impl<'a> Gen<'a> {
     /// Call a helper taking two floats (xmm0, xmm1) returning float.
     fn helper_ff_to_f(&mut self, addr: usize) {
         self.spill_all();
-        self.save_caller_homes();
         let n = self.stack.len();
         let (m0, m1) = (self.slot_mem(n - 2), self.slot_mem(n - 1));
         self.a.fload(true, Xmm(0), m0);
@@ -938,7 +789,6 @@ impl<'a> Gen<'a> {
         self.stack.pop();
         self.a.mov_ri64(SCRATCH, addr as i64);
         self.a.call_r(SCRATCH);
-        self.reload_caller_homes();
         let x = Xmm(0);
         let pos = self.free_f.iter().position(|v| *v == x).expect("xmm0 free");
         self.free_f.remove(pos);
@@ -947,12 +797,15 @@ impl<'a> Gen<'a> {
 
     // ── memory access ──────────────────────────────────────────────
 
-    /// Record provenance for check elimination: value in `r` is
-    /// `local << shift` plus a non-negative addend.
-    fn track_local_origin(&mut self, r: Reg, l: u32) {
-        if matches!(self.p.opt, OptLevel::Full | OptLevel::Mid) {
-            self.origin.insert(r.0, (l, 0, 0));
+    /// The limit-table slot an emitted trap check of `extent` bytes fuses
+    /// into, when fusion is on (`Full` with `guardopt`) and the module's
+    /// extent table has a slot for it.
+    fn fuse_slot(&self, extent: u64) -> Option<u8> {
+        if !(self.p.guardopt && self.p.opt == OptLevel::Full) {
+            return None;
         }
+        let slot = self.p.limit_extents.iter().position(|&e| e == extent)?;
+        Some(slot as u8)
     }
 
     /// Emit the bounds check + compute the access operand for a load/store
@@ -961,7 +814,6 @@ impl<'a> Gen<'a> {
     /// the access.
     fn mem_operand(&mut self, addr: Reg, offset: u32, size: u32) -> Mem {
         use lb_analysis::CheckKind;
-        let origin = self.origin.get(&addr.0).copied();
         // The analysis plan is consulted at the optimizing tiers only:
         // `OptLevel::None` models a baseline compiler that emits every
         // check (and is the differential-testing reference).
@@ -981,84 +833,31 @@ impl<'a> Gen<'a> {
                     Hoisted,
                     Check,
                     Dead,
-                    /// IR dataflow proved a dominating guard covers this
-                    /// access: emit nothing.
-                    Gvn,
-                    /// Fuse the guard with the access: one compare against
-                    /// the module limit table, no flag-setup `lea`.
-                    Fuse(u8),
                 }
-                // IR dataflow decisions (mid tier, guardopt on) take
-                // precedence; they exist only for sites the plan marked
-                // `Emit` (or plan-less sites) outside versioned ranges.
-                let dec = self.guardopt.get(&(self.cur_pc as u32)).copied();
-                let act = match (dec, plan_kind) {
-                    (Some(lb_analysis::GuardOpt::GvnElide), _) => Act::Gvn,
-                    (Some(lb_analysis::GuardOpt::Fuse(slot)), _) => Act::Fuse(slot),
+                let act = match plan_kind {
                     // Both elisions are sound under trap: in-bounds is
                     // proven against the declared minimum memory, and a
                     // dominating check has already trapped any OOB path.
-                    (_, Some(CheckKind::ElideInBounds | CheckKind::ElideDominated)) => Act::Skip,
+                    Some(CheckKind::ElideInBounds | CheckKind::ElideDominated) => Act::Skip,
                     // Fast-copy sites are covered by the preheader guard;
                     // the slow copy — and a loop body reached only through
                     // dead-code revival, where no guard ran — re-emits the
                     // full check.
-                    (_, Some(CheckKind::ElideHoisted)) => {
+                    Some(CheckKind::ElideHoisted) => {
                         if self.in_fast_copy() {
                             Act::Hoisted
                         } else {
                             Act::Check
                         }
                     }
-                    (_, Some(CheckKind::StaticOob)) => Act::Dead,
-                    // The plan never carries `ElideDominatedIr` (it is the
-                    // dataflow pass's kind); treat it as `Emit` if seen.
-                    (_, Some(CheckKind::Emit | CheckKind::ElideDominatedIr)) => Act::Check,
-                    (_, None) => {
-                        // Legacy per-basic-block peephole (Full): if an
-                        // earlier check on the same (local, shift) origin
-                        // covered at least this addend+extent, the access
-                        // cannot newly go out of bounds. Kept as the
-                        // fallback mode for differential testing; the IR
-                        // dataflow pass supersedes it when active.
-                        let mut skip = false;
-                        if !self.guardopt_on && matches!(self.p.opt, OptLevel::Full | OptLevel::Mid)
-                        {
-                            if let Some((l, sh, add)) = origin {
-                                let key = (l, sh);
-                                let need = add + extent;
-                                match self.checked.get(&key) {
-                                    Some(&have) if have >= need => skip = true,
-                                    _ => {
-                                        self.checked.insert(key, need);
-                                    }
-                                }
-                            }
-                        }
-                        if skip {
-                            Act::Skip
-                        } else {
-                            Act::Check
-                        }
-                    }
+                    Some(CheckKind::StaticOob) => Act::Dead,
+                    // Without a plan every check is emitted.
+                    Some(CheckKind::Emit) | None => Act::Check,
                 };
                 let c = check_counters();
                 match act {
                     Act::Skip => c.elided.inc(),
                     Act::Hoisted => c.hoisted.inc(),
-                    Act::Gvn => c.gvn_elided.inc(),
-                    Act::Fuse(slot) => {
-                        // Fused guard: `addr < mem_limits[slot]` iff
-                        // `addr + extent <= mem_size` (the limit saturates
-                        // to 0 when the memory is smaller than the extent,
-                        // making the check always-trap). One compare, one
-                        // branch, no scratch `lea`.
-                        c.fused.inc();
-                        let m = Mem::base(Reg::R15, ctx_off::MEM_LIMITS + 8 * i32::from(slot));
-                        self.a.cmp_rm(W::W64, addr, m);
-                        let t = self.trap_label(TrapKind::OutOfBounds);
-                        self.a.jcc(Cc::Ae, t);
-                    }
                     Act::Dead => {
                         // Provably out of bounds: trap unconditionally.
                         // The access code that follows is unreachable but
@@ -1067,22 +866,38 @@ impl<'a> Gen<'a> {
                         let t = self.trap_label(TrapKind::OutOfBounds);
                         self.a.jmp(t);
                     }
-                    Act::Check => {
-                        c.emitted.inc();
-                        match i32::try_from(extent) {
-                            Ok(ext) => self.a.lea(W::W64, SCRATCH, Mem::base(addr, ext)),
-                            Err(_) => {
-                                // offset near u32::MAX: extent exceeds an
-                                // i32 displacement (max < 2^33, fits i64).
-                                self.a.mov_ri64(SCRATCH, extent as i64);
-                                self.a.add_rr(W::W64, SCRATCH, addr);
-                            }
+                    Act::Check => match self.fuse_slot(extent) {
+                        Some(slot) => {
+                            // Fused guard: `addr < mem_limits[slot]` iff
+                            // `addr + extent <= mem_size` (the limit
+                            // saturates to 0 when the memory is smaller
+                            // than the extent, making the check
+                            // always-trap). One compare, one branch, no
+                            // scratch `lea`.
+                            c.fused.inc();
+                            let m = Mem::base(Reg::R15, ctx_off::MEM_LIMITS + 8 * i32::from(slot));
+                            self.a.cmp_rm(W::W64, addr, m);
+                            let t = self.trap_label(TrapKind::OutOfBounds);
+                            self.a.jcc(Cc::Ae, t);
                         }
-                        self.a
-                            .cmp_rm(W::W64, SCRATCH, Mem::base(Reg::R15, ctx_off::MEM_SIZE));
-                        let t = self.trap_label(TrapKind::OutOfBounds);
-                        self.a.jcc(Cc::A, t);
-                    }
+                        None => {
+                            c.emitted.inc();
+                            match i32::try_from(extent) {
+                                Ok(ext) => self.a.lea(W::W64, SCRATCH, Mem::base(addr, ext)),
+                                Err(_) => {
+                                    // offset near u32::MAX: extent exceeds
+                                    // an i32 displacement (max < 2^33,
+                                    // fits i64).
+                                    self.a.mov_ri64(SCRATCH, extent as i64);
+                                    self.a.add_rr(W::W64, SCRATCH, addr);
+                                }
+                            }
+                            self.a
+                                .cmp_rm(W::W64, SCRATCH, Mem::base(Reg::R15, ctx_off::MEM_SIZE));
+                            let t = self.trap_label(TrapKind::OutOfBounds);
+                            self.a.jcc(Cc::A, t);
+                        }
+                    },
                 }
                 self.access_mem(addr, offset)
             }
@@ -1191,7 +1006,6 @@ impl<'a> Gen<'a> {
             (I64, 8, _) => self.a.mov_rm(W::W64, d, m),
             other => unreachable!("load shape {other:?}"),
         }
-        self.origin.remove(&d.0);
         self.push_i(d);
     }
 
@@ -1266,8 +1080,6 @@ impl<'a> Gen<'a> {
         let ty = self.p.module.func_type(fi).expect("validated call").clone();
         let ni = self.p.module.num_imported_funcs();
         self.spill_all();
-        self.checked.clear();
-        self.save_caller_homes();
         let n = ty.params.len();
         let base_slot = self.stack.len() - n;
         if fi < ni {
@@ -1282,7 +1094,6 @@ impl<'a> Gen<'a> {
             self.a
                 .mov_ri64(SCRATCH, runtime::lb_jit_host as *const () as usize as i64);
             self.a.call_r(SCRATCH);
-            self.reload_caller_homes();
             self.stack.truncate(base_slot);
             if ty.result().is_some() {
                 // Result was written into the arg0 slot (== new top).
@@ -1294,7 +1105,6 @@ impl<'a> Gen<'a> {
             self.a
                 .mov_ri64(SCRATCH, (self.p.funcptrs_base + fi as usize * 8) as i64);
             self.a.call_m(Mem::base(SCRATCH, 0));
-            self.reload_caller_homes();
             self.push_call_result(ty.result());
         }
     }
@@ -1303,8 +1113,6 @@ impl<'a> Gen<'a> {
         let ty = self.p.module.types[type_idx as usize].clone();
         self.pop_to_fixed(Reg::R10);
         self.spill_all();
-        self.checked.clear();
-        self.save_caller_homes();
         // Bounds-check the table index.
         self.a
             .cmp_rm(W::W64, Reg::R10, Mem::base(Reg::R15, ctx_off::TABLE_LEN));
@@ -1341,7 +1149,6 @@ impl<'a> Gen<'a> {
             },
         );
         self.a.call_r(Reg::R10);
-        self.reload_caller_homes();
         self.release_i(Reg::R10);
         self.push_call_result(ty.result());
     }
@@ -1369,7 +1176,6 @@ impl<'a> Gen<'a> {
         let a = self.pop_i_ex(&[b]);
         f(&mut self.a, a, b);
         self.done_read(b, bo);
-        self.origin.remove(&a.0);
         self.push_i(a);
     }
 
@@ -1418,7 +1224,6 @@ impl<'a> Gen<'a> {
         let a = self.pop_i_ex(&[Reg::RCX]);
         f(&mut self.a, w, a);
         self.release_i(Reg::RCX);
-        self.origin.remove(&a.0);
         self.push_i(a);
     }
 
@@ -1534,7 +1339,6 @@ impl<'a> Gen<'a> {
                     self.reset_stack_to(h);
                     self.dead = false;
                 }
-                self.checked.clear();
                 if self.p.safepoints && self.loop_headers.contains(&(pc as u32)) {
                     self.emit_safepoint();
                 }
@@ -1576,7 +1380,6 @@ impl<'a> Gen<'a> {
                     let dest = self.fmeta.ctrl[pc];
                     let l = self.jump_label(dest);
                     self.a.jcc(Cc::E, l);
-                    self.checked.clear();
                 }
                 Else => {
                     self.spill_all();
@@ -1598,7 +1401,6 @@ impl<'a> Gen<'a> {
                         self.finish_function();
                         return true;
                     }
-                    self.checked.clear();
                 }
                 Br(_) => {
                     self.spill_all();
@@ -1625,7 +1427,6 @@ impl<'a> Gen<'a> {
                         let l = self.jump_label(dest.dest_pc);
                         self.a.jcc(Cc::Ne, l);
                     }
-                    self.checked.clear();
                 }
                 BrTable(t) => {
                     let sel = self.pop_i();
@@ -1677,7 +1478,6 @@ impl<'a> Gen<'a> {
                     self.a.cmov(W::W64, Cc::E, a, b);
                     self.done_read(c, co);
                     self.done_read(b, bo);
-                    self.origin.remove(&a.0);
                     self.push_i(a);
                 }
 
@@ -1686,16 +1486,12 @@ impl<'a> Gen<'a> {
                     if let Some(&pr) = self.pinned.get(l) {
                         // Zero-cost: push an alias of the pinned register.
                         self.stack.push(AVal::P(pr));
-                        if self.p.opt == OptLevel::Mid {
-                            midtier_counters().reloads_elided.inc();
-                        }
                     } else {
                         let m = self.local_mem(*l);
                         match ty {
                             ValType::I32 | ValType::I64 => {
                                 let r = self.alloc_i();
                                 self.a.mov_rm(W::W64, r, m);
-                                self.track_local_origin(r, *l);
                                 self.push_i(r);
                             }
                             ValType::F32 | ValType::F64 => {
@@ -1709,20 +1505,7 @@ impl<'a> Gen<'a> {
                 LocalSet(l) | LocalTee(l) => {
                     let tee = matches!(instr, LocalTee(_));
                     let ty = self.local_types[*l as usize];
-                    let dead_store = !tee
-                        && self
-                            .midplan
-                            .as_ref()
-                            .is_some_and(|mp| mp.is_dead_store(pc as u32));
-                    if dead_store {
-                        // Liveness proved no path reads this local again:
-                        // drop the value instead of storing it. A homed
-                        // local keeps its old value in the register, so
-                        // stack aliases of it stay valid untouched.
-                        let v = self.stack.pop().expect("validated stack");
-                        self.free_val(v);
-                        midtier_counters().dead_stores_elided.inc();
-                    } else if let Some(&pr) = self.pinned.get(l) {
+                    if let Some(&pr) = self.pinned.get(l) {
                         // Snapshot any live aliases of the old value first.
                         self.materialize_pinned_aliases(pr);
                         let r = self.pop_i();
@@ -1738,7 +1521,6 @@ impl<'a> Gen<'a> {
                                 let r = self.pop_i();
                                 self.a.mov_mr(W::W64, m, r);
                                 if tee {
-                                    self.track_local_origin(r, *l);
                                     self.push_i(r);
                                 } else {
                                     self.release_i(r);
@@ -1754,11 +1536,6 @@ impl<'a> Gen<'a> {
                                 }
                             }
                         }
-                    }
-                    // Any cached check against this local is now stale.
-                    if matches!(self.p.opt, OptLevel::Full | OptLevel::Mid) {
-                        self.checked.retain(|(cl, _), _| cl != l);
-                        self.origin.retain(|_, (ol, _, _)| ol != l);
                     }
                 }
                 GlobalGet(gi) => {
@@ -1808,8 +1585,6 @@ impl<'a> Gen<'a> {
                 }
                 MemoryGrow => {
                     self.spill_all();
-                    self.checked.clear();
-                    self.save_caller_homes();
                     let top = self.stack.len() - 1;
                     let tm = self.slot_mem(top);
                     self.a.mov_rm(W::W32, Reg::RSI, tm);
@@ -1818,7 +1593,6 @@ impl<'a> Gen<'a> {
                     self.a
                         .mov_ri64(SCRATCH, runtime::lb_jit_grow as *const () as usize as i64);
                     self.a.call_r(SCRATCH);
-                    self.reload_caller_homes();
                     self.claim_i(Reg::RAX);
                     // Sign-extended i32 result: clear upper bits.
                     self.a.mov_rr(W::W32, Reg::RAX, Reg::RAX);
@@ -2190,7 +1964,6 @@ impl<'a> Gen<'a> {
         } else {
             self.spill_all();
         }
-        self.checked.clear();
         let entry_h = self.stack.len();
 
         let slow = self.a.label();

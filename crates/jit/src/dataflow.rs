@@ -1,52 +1,13 @@
-//! IR dataflow framework: CFG + dominators over [`crate::ir`] blocks,
-//! value numbering of address expressions, and a forward available-
-//! guard-facts analysis driving two verified transformations at the mid
-//! tier (trap strategy only):
+//! The per-module fused-guard extent table.
 //!
-//! * **Dominance-based redundant guard elimination** — a `Guard` whose
-//!   address value number is already covered by an equal-or-stronger
-//!   guard whose generating block dominates it is dropped
-//!   ([`CheckKind::ElideDominatedIr`], counter `jit.checks.gvn_elided`).
-//! * **Guard/access fusion** — a `Guard` immediately dominating its sole
-//!   access (the lowering invariant: every guard is adjacent to the one
-//!   access it protects) is fused into a single
-//!   `cmp addr, [r15 + MEM_LIMITS + 8*slot]; jae trap` pair against a
-//!   per-module limit table (counter `jit.checks.fused`), replacing the
-//!   three-instruction `lea`+`cmp`+`ja` flag-setup sequence.
-//!
-//! Everything here is a **pure function of `(module, meta, body, plan)`**
-//! — no strategy, no environment — so the translation validator's caller
-//! (`crate::verifier`) re-derives the identical decisions and the exact
-//! limit table when checking mid-tier output, and `lb-verify` itself
-//! never has to trust the compiler's claims.
-//!
-//! ## Soundness rules
-//!
-//! Value numbers are deliberately conservative: identity flows only
-//! through virtual-register reuse and locals (`local.get`/`local.set`
-//! propagation with memoized join numbers at merges). Arithmetic is
-//! *not* folded — 32-bit machine ops produce fresh symbols in the
-//! verifier's abstract interpreter, so an elision justified by folded IR
-//! arithmetic could never be independently re-proven. A `local.set`
-//! redefinition kills the local's number (the kill a mutation test can
-//! remove); call-like ops kill every fact (covers `memory.grow` growing
-//! memory mid-function and all helper clobbers); facts are widened to
-//! empty at back-edge targets (loop headers), so no fact ever flows
-//! around a cycle.
-//!
-//! Guards inside a loop the plan versions ([`FuncPlan::hoist_at`]) are
-//! skipped entirely — codegen emits those bodies twice (fast + slow
-//! copy) while the IR has each guard once, so a single per-pc decision
-//! would be ambiguous there.
+//! At `OptLevel::Full` under the trap strategy, codegen may emit a
+//! residual bounds check as one `cmp addr, [r15 + MEM_LIMITS + 8*slot];
+//! jae trap` pair instead of the `lea`/`cmp`/`ja` triple. Slot `i` of the
+//! runtime limit table holds `mem_size - (extent_i - 1)` (saturating), so
+//! the compare passes iff `addr + extent_i <= mem_size`. This module picks
+//! the extents.
 
-use crate::ir::{self, IrFunc, IrOp, VReg};
-use lb_analysis::{CheckKind, FuncPlan, GuardOpt};
-use lb_wasm::validate::FuncMeta;
-use lb_wasm::{Instr, Module};
-use std::collections::HashMap;
-
-/// Marker for unreachable blocks in the immediate-dominator array.
-pub const NO_IDOM: usize = usize::MAX;
+use lb_wasm::Module;
 
 /// Select the per-module fused-guard extent table: the (at most
 /// [`crate::runtime::N_LIMIT_SLOTS`]) distinct `offset + bytes` extents
@@ -69,578 +30,4 @@ pub fn module_extents(module: &Module) -> Vec<u64> {
     v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     v.truncate(crate::runtime::N_LIMIT_SLOTS);
     v.into_iter().map(|(e, _)| e).collect()
-}
-
-/// Control-flow graph over the IR: basic blocks are half-open ranges of
-/// instruction indices; edges follow the same label rules codegen uses
-/// (`If` falls through on true, `Else` jumps to the `if`'s end label,
-/// `br_table` has no fall-through).
-#[derive(Debug)]
-pub struct Cfg {
-    /// Per-block `[start, end)` instruction index range.
-    pub ranges: Vec<(usize, usize)>,
-    /// Successor block indices.
-    pub succs: Vec<Vec<usize>>,
-    /// Predecessor block indices.
-    pub preds: Vec<Vec<usize>>,
-}
-
-impl Cfg {
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Whether the CFG has no blocks (empty function body).
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-}
-
-/// First IR instruction index lowering wasm `pc`, if any. Instructions
-/// are emitted in nondecreasing pc order, so this is a partition point.
-fn first_at_pc(ir: &IrFunc, pc: u32) -> Option<usize> {
-    let i = ir.insts.partition_point(|inst| inst.pc < pc);
-    (i < ir.insts.len() && ir.insts[i].pc == pc).then_some(i)
-}
-
-/// The `Else` marker's jump destination: the owning `if`'s end label
-/// (`meta.ctrl` of the `else` pc), exactly as codegen emits it.
-fn else_dest(meta: &FuncMeta, pc: u32) -> u32 {
-    meta.ctrl[pc as usize]
-}
-
-/// Build the CFG for a lowered function.
-pub fn build_cfg(ir: &IrFunc, meta: &FuncMeta) -> Cfg {
-    if ir.insts.is_empty() {
-        return Cfg {
-            ranges: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
-        };
-    }
-    // Leaders: entry, every branch target, every post-branch instruction.
-    let mut leaders = vec![0usize];
-    let add_dest = |dest: u32, leaders: &mut Vec<usize>| {
-        if dest < meta.body_len {
-            if let Some(i) = first_at_pc(ir, dest) {
-                leaders.push(i);
-            }
-        }
-    };
-    for (i, inst) in ir.insts.iter().enumerate() {
-        let mut ends_block = true;
-        match &inst.op {
-            IrOp::Br { dest } => add_dest(*dest, &mut leaders),
-            IrOp::BrIf { dest, .. } | IrOp::If { dest, .. } => add_dest(*dest, &mut leaders),
-            IrOp::BrTable { dests, .. } => {
-                for &d in dests {
-                    add_dest(d, &mut leaders);
-                }
-            }
-            IrOp::Else => add_dest(else_dest(meta, inst.pc), &mut leaders),
-            IrOp::Return | IrOp::Unreachable => {}
-            _ => ends_block = false,
-        }
-        if ends_block && i + 1 < ir.insts.len() {
-            leaders.push(i + 1);
-        }
-    }
-    leaders.sort_unstable();
-    leaders.dedup();
-
-    let n = leaders.len();
-    let mut ranges = Vec::with_capacity(n);
-    for (b, &start) in leaders.iter().enumerate() {
-        let end = leaders.get(b + 1).copied().unwrap_or(ir.insts.len());
-        ranges.push((start, end));
-    }
-    // Block index containing IR instruction `i`.
-    let block_of = |i: usize| leaders.partition_point(|&l| l <= i) - 1;
-    let block_at_pc = |pc: u32| -> Option<usize> {
-        if pc >= meta.body_len {
-            return None;
-        }
-        first_at_pc(ir, pc).map(block_of)
-    };
-
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (b, &(_, end)) in ranges.iter().enumerate() {
-        let last = &ir.insts[end - 1];
-        let fall = (end < ir.insts.len()).then(|| block_of(end));
-        let mut out: Vec<usize> = Vec::new();
-        match &last.op {
-            IrOp::Br { dest } => out.extend(block_at_pc(*dest)),
-            IrOp::Else => out.extend(block_at_pc(else_dest(meta, last.pc))),
-            IrOp::BrIf { dest, .. } | IrOp::If { dest, .. } => {
-                out.extend(fall);
-                out.extend(block_at_pc(*dest));
-            }
-            IrOp::BrTable { dests, .. } => {
-                for &d in dests {
-                    out.extend(block_at_pc(d));
-                }
-            }
-            IrOp::Return | IrOp::Unreachable => {}
-            _ => out.extend(fall),
-        }
-        out.sort_unstable();
-        out.dedup();
-        succs[b] = out;
-    }
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (b, ss) in succs.iter().enumerate() {
-        for &s in ss {
-            preds[s].push(b);
-        }
-    }
-    Cfg {
-        ranges,
-        succs,
-        preds,
-    }
-}
-
-/// Reverse postorder of the blocks reachable from block 0.
-pub fn reverse_postorder(succs: &[Vec<usize>]) -> Vec<usize> {
-    let n = succs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut post = Vec::with_capacity(n);
-    let mut seen = vec![false; n];
-    // Iterative DFS with an explicit edge cursor per frame.
-    let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
-    seen[0] = true;
-    while let Some(&mut (b, ref mut cur)) = stack.last_mut() {
-        if *cur < succs[b].len() {
-            let s = succs[b][*cur];
-            *cur += 1;
-            if !seen[s] {
-                seen[s] = true;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(b);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    post
-}
-
-/// Immediate dominators (Cooper–Harvey–Kennedy iterative algorithm).
-/// Works on arbitrary graphs, including irreducible ones; block 0 is the
-/// entry and its own idom. Unreachable blocks get [`NO_IDOM`].
-pub fn dominators(succs: &[Vec<usize>]) -> Vec<usize> {
-    let n = succs.len();
-    let mut idom = vec![NO_IDOM; n];
-    if n == 0 {
-        return idom;
-    }
-    let rpo = reverse_postorder(succs);
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (b, ss) in succs.iter().enumerate() {
-        if rpo_index[b] == usize::MAX {
-            continue; // edges from unreachable blocks don't count
-        }
-        for &s in ss {
-            preds[s].push(b);
-        }
-    }
-    idom[0] = 0;
-    let intersect = |idom: &[usize], rpo_index: &[usize], mut a: usize, mut b: usize| {
-        while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a];
-            }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b];
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new = NO_IDOM;
-            for &p in &preds[b] {
-                if idom[p] == NO_IDOM {
-                    continue;
-                }
-                new = if new == NO_IDOM {
-                    p
-                } else {
-                    intersect(&idom, &rpo_index, new, p)
-                };
-            }
-            if new != NO_IDOM && idom[b] != new {
-                idom[b] = new;
-                changed = true;
-            }
-        }
-    }
-    idom
-}
-
-/// Whether block `a` dominates block `b` under `idom` (reflexive).
-pub fn dominates(idom: &[usize], a: usize, b: usize) -> bool {
-    if idom.get(b).copied().unwrap_or(NO_IDOM) == NO_IDOM {
-        return false;
-    }
-    let mut x = b;
-    loop {
-        if x == a {
-            return true;
-        }
-        let up = idom[x];
-        if up == x || up == NO_IDOM {
-            return false;
-        }
-        x = up;
-    }
-}
-
-// ── value numbering + available guard facts ─────────────────────────────
-
-/// Interned value-number keys. Identity flows only through vreg reuse
-/// and locals; every other def is opaque (unique per vreg).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum VnKey {
-    /// A local's value on function entry.
-    Param(u32),
-    /// The (unique) value a vreg was defined with.
-    Vreg(u32),
-    /// Merge of disagreeing local values at a join, memoized per
-    /// `(block, local)` so the fixpoint converges.
-    Join(u32, u32),
-}
-
-type Vn = VnKey;
-
-/// One available guard fact: every path to here passed an emitted guard
-/// proving `value(vn) + covered <= mem_size`, generated in `gen_block`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fact {
-    covered: u64,
-    gen_block: usize,
-}
-
-/// Per-block-entry dataflow state.
-#[derive(Debug, Clone, PartialEq)]
-struct State {
-    /// Value number currently held by each local.
-    locals: Vec<Vn>,
-    /// Available guard facts, keyed by value number.
-    facts: std::collections::BTreeMap<Vn, Fact>,
-}
-
-impl State {
-    fn entry(n_locals: u32) -> State {
-        State {
-            locals: (0..n_locals).map(VnKey::Param).collect(),
-            facts: std::collections::BTreeMap::new(),
-        }
-    }
-}
-
-/// Must-facts join: locals agree or get the memoized join number; facts
-/// survive only when present in every predecessor (covered = min), and
-/// only when all copies share one generating block — a fact that merged
-/// from distinct guards no longer has a single dominating generator we
-/// can point the verifier at, so it is dropped.
-fn join(states: &[&State], block: u32) -> State {
-    let first = states[0];
-    let mut out = State {
-        locals: first.locals.clone(),
-        facts: first.facts.clone(),
-    };
-    for s in &states[1..] {
-        for (l, vn) in out.locals.iter_mut().enumerate() {
-            if s.locals[l] != *vn {
-                *vn = VnKey::Join(block, l as u32);
-            }
-        }
-        out.facts.retain(|k, f| match s.facts.get(k) {
-            Some(other) if other.gen_block == f.gen_block => {
-                f.covered = f.covered.min(other.covered);
-                true
-            }
-            _ => false,
-        });
-    }
-    out
-}
-
-/// Wasm pc ranges codegen duplicates (versioned loops); guards inside
-/// are neither producers nor consumers of facts.
-fn hoist_ranges(plan: Option<&FuncPlan>) -> Vec<(u32, u32)> {
-    plan.map_or(Vec::new(), |p| {
-        p.hoists().iter().map(|h| (h.loop_pc, h.end_pc)).collect()
-    })
-}
-
-fn in_ranges(ranges: &[(u32, u32)], pc: u32) -> bool {
-    ranges.iter().any(|&(lo, hi)| pc >= lo && pc <= hi)
-}
-
-/// Compute the guard-optimization decisions for one function: which
-/// `Emit` guards the mid tier may drop (`GvnElide`) and which it may
-/// fuse against the module limit table (`Fuse(slot)`). Keyed by wasm pc,
-/// sorted; at most one decision per pc (the lowering emits one guard per
-/// access site, and versioned ranges are excluded).
-///
-/// Pure function of its arguments — callers on both sides of the
-/// trust boundary (codegen and the verifier glue) recompute it
-/// identically. `extents` must be [`module_extents`] of the same module.
-pub fn decide(
-    module: &Module,
-    meta: &FuncMeta,
-    body: &[Instr],
-    plan: Option<&FuncPlan>,
-    extents: &[u64],
-) -> Vec<(u32, GuardOpt)> {
-    let irf = ir::lower(module, meta, body, plan);
-    decide_ir(&irf, meta, plan, extents)
-}
-
-/// [`decide`] over an already-lowered function (shared with tests).
-pub fn decide_ir(
-    irf: &IrFunc,
-    meta: &FuncMeta,
-    plan: Option<&FuncPlan>,
-    extents: &[u64],
-) -> Vec<(u32, GuardOpt)> {
-    let cfg = build_cfg(irf, meta);
-    if cfg.is_empty() {
-        return Vec::new();
-    }
-    let idom = dominators(&cfg.succs);
-    let rpo = reverse_postorder(&cfg.succs);
-    let mut rpo_index = vec![usize::MAX; cfg.len()];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    // Back-edge targets (loop headers, plus anything irreducible-shaped):
-    // facts are widened to empty there, so none flows around a cycle.
-    let mut widen = vec![false; cfg.len()];
-    for (b, ss) in cfg.succs.iter().enumerate() {
-        if rpo_index[b] == usize::MAX {
-            continue;
-        }
-        for &s in ss {
-            if rpo_index[s] <= rpo_index[b] {
-                widen[s] = true;
-            }
-        }
-    }
-    let ranges = hoist_ranges(plan);
-
-    // Fixpoint over block-entry states. The VN universe is finite
-    // (params, vregs, memoized joins) and facts only shrink at joins, so
-    // this converges; the visit cap is a safety net for pathological
-    // shapes — exceeding it widens the block to the empty-fact state.
-    const VISIT_CAP: usize = 64;
-    let mut entry: Vec<Option<State>> = vec![None; cfg.len()];
-    entry[0] = Some(State::entry(irf.n_locals));
-    let mut vreg_vn: HashMap<u32, Vn> = HashMap::new();
-    let mut visits = vec![0usize; cfg.len()];
-    // Popping from the back: seed in reverse RPO so the first sweep runs
-    // in RPO order.
-    let mut work: Vec<usize> = rpo.iter().rev().copied().collect();
-    let mut decisions: std::collections::BTreeMap<u32, GuardOpt> = Default::default();
-
-    // Transfer one block from its entry state; when `record` is set,
-    // final decisions are written.
-    let transfer = |b: usize,
-                    st: &State,
-                    vreg_vn: &mut HashMap<u32, Vn>,
-                    decisions: &mut std::collections::BTreeMap<u32, GuardOpt>,
-                    record: bool|
-     -> State {
-        let mut st = st.clone();
-        let vn_of = |vreg_vn: &HashMap<u32, Vn>, v: VReg| -> Vn {
-            vreg_vn.get(&v.0).copied().unwrap_or(VnKey::Vreg(v.0))
-        };
-        let (start, end) = cfg.ranges[b];
-        for inst in &irf.insts[start..end] {
-            match &inst.op {
-                IrOp::GetLocal { dst, local } => {
-                    vreg_vn.insert(dst.0, st.locals[*local as usize]);
-                }
-                IrOp::SetLocal { src, local, .. } => {
-                    // Redefinition: the local's old value number dies here
-                    // (the IR-level kill site the mutation suite corrupts).
-                    st.locals[*local as usize] = vn_of(vreg_vn, *src);
-                }
-                IrOp::Call { ret, .. } => {
-                    // Call-like ops (incl. `memory.grow` and helper
-                    // lowerings) clobber the caller-saved file and may
-                    // grow memory: kill every fact.
-                    st.facts.clear();
-                    if let Some(r) = ret {
-                        vreg_vn.insert(r.0, VnKey::Vreg(r.0));
-                    }
-                }
-                IrOp::Guard {
-                    addr,
-                    kind,
-                    offset,
-                    bytes,
-                } => {
-                    if *kind != CheckKind::Emit || in_ranges(&ranges, inst.pc) {
-                        continue;
-                    }
-                    let extent = u64::from(*offset) + u64::from(*bytes);
-                    let vn = vn_of(vreg_vn, *addr);
-                    let covered = st.facts.get(&vn).copied();
-                    match covered {
-                        Some(f) if f.covered >= extent && dominates(&idom, f.gen_block, b) => {
-                            if record {
-                                decisions.insert(inst.pc, GuardOpt::GvnElide);
-                            }
-                        }
-                        _ => {
-                            if record {
-                                if let Some(slot) = extents.iter().position(|&e| e == extent) {
-                                    decisions.insert(inst.pc, GuardOpt::Fuse(slot as u8));
-                                }
-                            }
-                            // The emitted (plain or fused) guard proves
-                            // `addr + extent <= mem_size` on fall-through.
-                            if covered.map_or(true, |f| f.covered < extent) {
-                                st.facts.insert(
-                                    vn,
-                                    Fact {
-                                        covered: extent,
-                                        gen_block: b,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        st
-    };
-
-    while let Some(b) = work.pop() {
-        let Some(st) = entry[b].clone() else { continue };
-        let out = transfer(b, &st, &mut vreg_vn, &mut decisions, false);
-        for &s in &cfg.succs[b] {
-            let mut incoming = out.clone();
-            if widen[s] {
-                incoming.facts.clear();
-            }
-            let merged = match &entry[s] {
-                None => incoming,
-                Some(prev) => join(&[prev, &incoming], s as u32),
-            };
-            if entry[s].as_ref() != Some(&merged) {
-                visits[s] += 1;
-                if visits[s] > VISIT_CAP {
-                    // Widen: empty facts, memoized joins everywhere.
-                    let mut widened = merged;
-                    widened.facts.clear();
-                    for (l, vn) in widened.locals.iter_mut().enumerate() {
-                        *vn = VnKey::Join(s as u32, l as u32);
-                    }
-                    if entry[s].as_ref() != Some(&widened) {
-                        entry[s] = Some(widened);
-                        work.push(s);
-                    }
-                } else {
-                    entry[s] = Some(merged);
-                    work.push(s);
-                }
-            }
-        }
-    }
-
-    // Final pass in RPO with converged states: vreg numbers defined in a
-    // dominating block are recomputed before their uses are reached.
-    vreg_vn.clear();
-    for &b in &rpo {
-        if let Some(st) = entry[b].clone() {
-            transfer(b, &st, &mut vreg_vn, &mut decisions, true);
-        }
-    }
-    decisions.into_iter().collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // ── dominators on raw successor lists ───────────────────────────
-
-    #[test]
-    fn dominators_linear_chain() {
-        let succs = vec![vec![1], vec![2], vec![]];
-        let idom = dominators(&succs);
-        assert_eq!(idom, vec![0, 0, 1]);
-        assert!(dominates(&idom, 0, 2));
-        assert!(dominates(&idom, 1, 2));
-        assert!(!dominates(&idom, 2, 1));
-        assert!(dominates(&idom, 2, 2));
-    }
-
-    #[test]
-    fn dominators_diamond() {
-        // 0 → {1,2} → 3
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![]];
-        let idom = dominators(&succs);
-        assert_eq!(idom[3], 0, "join's idom is the fork, not either arm");
-        assert!(!dominates(&idom, 1, 3));
-        assert!(!dominates(&idom, 2, 3));
-        assert!(dominates(&idom, 0, 3));
-    }
-
-    #[test]
-    fn dominators_loop_back_edge() {
-        // 0 → 1 → 2 → 1 (back edge), 2 → 3
-        let succs = vec![vec![1], vec![2], vec![1, 3], vec![]];
-        let idom = dominators(&succs);
-        assert_eq!(idom, vec![0, 0, 1, 2]);
-        assert!(dominates(&idom, 1, 3), "loop header dominates the exit");
-    }
-
-    #[test]
-    fn dominators_irreducible() {
-        // Classic irreducible shape: 0 → {1, 2}, 1 ↔ 2, 2 → 3. Neither
-        // loop entry dominates the other; both are idom'd by the fork.
-        let succs = vec![vec![1, 2], vec![2], vec![1, 3], vec![]];
-        let idom = dominators(&succs);
-        assert_eq!(idom[1], 0);
-        assert_eq!(idom[2], 0);
-        assert_eq!(idom[3], 2);
-        assert!(!dominates(&idom, 1, 2));
-        assert!(!dominates(&idom, 2, 1));
-    }
-
-    #[test]
-    fn dominators_unreachable_block() {
-        // Block 2 has no in-edges from the entry component.
-        let succs = vec![vec![1], vec![], vec![1]];
-        let idom = dominators(&succs);
-        assert_eq!(idom[2], NO_IDOM);
-        assert!(!dominates(&idom, 0, 2));
-        // The unreachable predecessor must not perturb block 1's idom.
-        assert_eq!(idom[1], 0);
-    }
-
-    #[test]
-    fn dominators_nested_loops() {
-        // 0 → 1 → 2 → 3 → 2, 3 → 1, 3 → 4
-        let succs = vec![vec![1], vec![2], vec![3], vec![1, 2, 4], vec![]];
-        let idom = dominators(&succs);
-        assert_eq!(idom, vec![0, 0, 1, 2, 3]);
-    }
 }

@@ -26,7 +26,6 @@ fn code_bytes_counter(opt: OptLevel) -> &'static str {
     match opt {
         OptLevel::None => "jit.code_bytes.none",
         OptLevel::Basic => "jit.code_bytes.basic",
-        OptLevel::Mid => "jit.code_bytes.mid",
         OptLevel::Full => "jit.code_bytes.full",
     }
 }
@@ -36,7 +35,6 @@ fn tier_label(opt: OptLevel) -> &'static str {
     match opt {
         OptLevel::None => "baseline",
         OptLevel::Basic => "basic",
-        OptLevel::Mid => "mid",
         OptLevel::Full => "full",
     }
 }
@@ -87,21 +85,15 @@ pub struct JitProfile {
     /// Let the analysis synthesize loop-preheader guards and version the
     /// covered loops (no effect with `analysis` off).
     pub hoisting: bool,
-    /// Run the IR dataflow guard optimizations (`crate::dataflow`) at the
-    /// mid tier under the trap strategy: dominance-based redundant-guard
-    /// elimination and guard/access fusion. No effect at other tiers or
-    /// strategies. The `LB_GUARDOPT=0` environment knob force-disables it
-    /// process-wide.
+    /// Emit `Full`-tier trap checks as fused compares against the
+    /// module limit table ([`crate::codegen::CompileParams::guardopt`]).
+    /// No effect at other tiers or strategies.
     pub guardopt: bool,
-    /// Target tier of the background recompile when `tiered` (the
-    /// `LB_TIER` knob swaps this between `Full` and `Mid`).
-    pub tier_target: OptLevel,
 }
 
 impl JitProfile {
     /// Toggle the static bounds-check analysis (on by default; turning it
-    /// off restores the legacy per-basic-block peephole, for differential
-    /// testing).
+    /// off emits every check, for differential testing).
     pub fn with_analysis(mut self, on: bool) -> JitProfile {
         self.analysis = on;
         self
@@ -115,26 +107,11 @@ impl JitProfile {
         self
     }
 
-    /// Toggle the mid tier's IR dataflow guard optimizations (GVN-based
-    /// elision + guard/access fusion; on by default — turning it off
-    /// restores the exact pre-dataflow emission, for differential testing
-    /// and A/B benchmarks).
+    /// Toggle guard fusion at `Full` (on by default; turning it off
+    /// emits every trap check as `lea`/`cmp`/`ja`, for differential
+    /// testing and A/B benchmarks).
     pub fn with_guardopt(mut self, on: bool) -> JitProfile {
         self.guardopt = on;
-        self
-    }
-
-    /// Use the mid-tier (`OptLevel::Mid`: IR-driven linear-scan register
-    /// homes plus redundant-access elimination) as this profile's
-    /// optimizing tier — the load-time tier for AOT profiles, the
-    /// background tier-up target for tiered ones. The `LB_TIER=mid`
-    /// environment knob routes here.
-    pub fn with_midtier(mut self, on: bool) -> JitProfile {
-        if self.tiered {
-            self.tier_target = if on { OptLevel::Mid } else { OptLevel::Full };
-        } else if on {
-            self.opt = OptLevel::Mid;
-        }
         self
     }
 
@@ -149,7 +126,6 @@ impl JitProfile {
             analysis: true,
             hoisting: true,
             guardopt: true,
-            tier_target: OptLevel::Full,
         }
     }
 
@@ -165,7 +141,6 @@ impl JitProfile {
             analysis: true,
             hoisting: true,
             guardopt: true,
-            tier_target: OptLevel::Full,
         }
     }
 
@@ -181,7 +156,6 @@ impl JitProfile {
             analysis: true,
             hoisting: true,
             guardopt: true,
-            tier_target: OptLevel::Full,
         }
     }
 }
@@ -261,13 +235,6 @@ pub struct JitModule {
     code: Mutex<HashMap<BoundsStrategy, Arc<StrategyCode>>>,
 }
 
-/// Process-wide guard-optimization kill switch: `LB_GUARDOPT=0` (or
-/// `off`) disables the dataflow pass regardless of profile knobs.
-fn guardopt_env() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| !matches!(std::env::var("LB_GUARDOPT").as_deref(), Ok("0") | Ok("off")))
-}
-
 impl std::fmt::Debug for JitModule {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JitModule")
@@ -338,7 +305,6 @@ impl JitModule {
         opt: OptLevel,
         funcptrs: &FuncPtrs,
     ) -> (Vec<u8>, Vec<usize>, Vec<usize>, Vec<lb_prof::FuncRange>) {
-        let guardopt = self.profile.guardopt && guardopt_env();
         let params = CompileParams {
             module: &self.module,
             metas: &self.meta.funcs,
@@ -347,7 +313,7 @@ impl JitModule {
             safepoints: self.profile.safepoints,
             funcptrs_base: funcptrs.base_addr(),
             plans: self.plan.as_deref(),
-            guardopt,
+            guardopt: self.profile.guardopt,
             limit_extents: &self.extents,
         };
         let ni = self.module.num_imported_funcs() as usize;
@@ -369,7 +335,6 @@ impl JitModule {
                     self.plan.as_deref(),
                     strategy,
                     opt,
-                    guardopt,
                     di,
                     &code,
                 );
@@ -456,9 +421,9 @@ impl JitModule {
         let module = self.module.clone();
         let metas = self.meta.clone();
         let safepoints = self.profile.safepoints;
-        let target = self.profile.tier_target;
+        let target = OptLevel::Full;
         let plan = self.plan.clone();
-        let guardopt = self.profile.guardopt && guardopt_env();
+        let guardopt = self.profile.guardopt;
         let extents = self.extents.clone();
         std::thread::Builder::new()
             .name("lb-tierup".into())
@@ -493,7 +458,6 @@ impl JitModule {
                             plan.as_deref(),
                             strategy,
                             target,
-                            guardopt,
                             di,
                             &code,
                         );

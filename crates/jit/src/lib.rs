@@ -14,8 +14,6 @@ pub mod codebuf;
 pub mod codegen;
 pub mod dataflow;
 pub mod engine;
-pub mod ir;
-pub mod regalloc;
 pub mod runtime;
 pub mod verifier;
 

@@ -42,8 +42,9 @@ pub mod ctx_off {
     pub const LIMIT_EXTENTS: i32 = 64 + 8 * super::N_LIMIT_SLOTS as i32;
 }
 
-/// Number of fused-guard limit slots in [`VmCtx`]. The dataflow pass
-/// selects at most this many distinct guard extents per module.
+/// Number of fused-guard limit slots in [`VmCtx`]:
+/// [`crate::dataflow::module_extents`] selects at most this many distinct
+/// guard extents per module.
 pub const N_LIMIT_SLOTS: usize = 8;
 
 /// The per-instance context block. JIT code keeps its address in `r15`

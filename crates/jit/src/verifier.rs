@@ -10,12 +10,9 @@
 //! * `verify.sites_checked` — linear-memory sites examined
 //! * `verify.proven_guarded` — proven by a check at the site, the guard
 //!   region, or a static bound
-//! * `verify.proven_elided` — proven by a re-checked elision (plan entry
-//!   or peephole)
+//! * `verify.proven_elided` — proven by a re-checked plan elision
 //! * `verify.proven_hoisted` — fast-loop-body sites proven by a matched
 //!   loop-preheader guard (mirrors `jit.checks.hoisted`)
-//! * `verify.proven_gvn` — IR-dataflow elisions re-proven from a dominating
-//!   machine-level fact (mirrors `jit.checks.gvn_elided`)
 //! * `verify.proven_fused` — fused compare-and-trap guards proven exact
 //!   against the per-extent limit table (mirrors `jit.checks.fused`)
 //! * `verify.findings` — everything that did not prove
@@ -53,7 +50,6 @@ struct VerifyCounters {
     guarded: lb_telemetry::Counter,
     elided: lb_telemetry::Counter,
     hoisted: lb_telemetry::Counter,
-    gvn: lb_telemetry::Counter,
     fused: lb_telemetry::Counter,
     findings: lb_telemetry::Counter,
 }
@@ -65,7 +61,6 @@ fn counters() -> &'static VerifyCounters {
         guarded: lb_telemetry::counter("verify.proven_guarded"),
         elided: lb_telemetry::counter("verify.proven_elided"),
         hoisted: lb_telemetry::counter("verify.proven_hoisted"),
-        gvn: lb_telemetry::counter("verify.proven_gvn"),
         fused: lb_telemetry::counter("verify.proven_fused"),
         findings: lb_telemetry::counter("verify.findings"),
     })
@@ -82,7 +77,6 @@ pub fn verify_emitted(
     plan: Option<&lb_analysis::ModulePlan>,
     strategy: BoundsStrategy,
     opt: OptLevel,
-    guardopt: bool,
     defined_idx: usize,
     code: &[u8],
 ) -> FuncReport {
@@ -100,38 +94,11 @@ pub fn verify_emitted(
     } else {
         plan.map(|p| &p.funcs[defined_idx])
     };
-    // Re-derive the mid tier's register homes independently: `allocate` is
-    // a pure function of the same inputs codegen consumed, so the verifier
-    // recomputes rather than trusts the allocation it is checking.
-    let homes = (opt == OptLevel::Mid).then(|| {
-        crate::regalloc::allocate(
-            module,
-            &meta.funcs[defined_idx],
-            &module.functions[defined_idx].body,
-            func_plan,
-        )
-        .homes()
-        .iter()
-        .map(|&(l, r)| (l, r.0))
-        .collect()
-    });
-    // Re-run the guard-optimization pass on the wasm, not the machine code:
-    // the decisions tell the verifier which *site kinds* to expect, while
-    // each elision/fusion must still be re-proven from emitted instructions.
-    let (limit_extents, guardopt_decisions) =
-        if guardopt && opt == OptLevel::Mid && strategy == BoundsStrategy::Trap {
-            let extents = crate::dataflow::module_extents(module);
-            let decisions = crate::dataflow::decide(
-                module,
-                &meta.funcs[defined_idx],
-                &module.functions[defined_idx].body,
-                func_plan,
-                &extents,
-            );
-            (Some(extents), Some(decisions))
-        } else {
-            (None, None)
-        };
+    // The extent table is a pure function of the module: recompute it
+    // rather than trust the one codegen was handed. Any emitted check may
+    // take the fused form, so the table is always supplied under trap.
+    let limit_extents =
+        (strategy == BoundsStrategy::Trap).then(|| crate::dataflow::module_extents(module));
     let report = verify_function(&FuncInput {
         func_index: defined_idx,
         code,
@@ -141,16 +108,13 @@ pub fn verify_emitted(
         plan: func_plan,
         mem_min_bytes,
         reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-        homes,
         limit_extents,
-        guardopt: guardopt_decisions,
     });
     let c = counters();
     c.sites.add(report.sites_checked);
     c.guarded.add(report.proven_guarded);
     c.elided.add(report.proven_elided);
     c.hoisted.add(report.proven_hoisted);
-    c.gvn.add(report.proven_gvn);
     c.fused.add(report.proven_fused);
     c.findings.add(report.findings.len() as u64);
     if !report.findings.is_empty() {

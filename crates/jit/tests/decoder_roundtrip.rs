@@ -144,16 +144,6 @@ fn moves_roundtrip() {
             a.cmp_rm(W::W64, Reg::R8, m);
         }
     });
-    check("mov_mi over mem cases and imm boundaries", |a| {
-        for m in mem_cases() {
-            a.mov_mi(m, 0);
-            a.mov_mi(m, -1);
-        }
-        let m = Mem::base(Reg::RBP, -24);
-        for v in [1, 127, -128, 128, -129, i32::MAX, i32::MIN] {
-            a.mov_mi(m, v);
-        }
-    });
     check("narrow stores incl. forced-REX byte regs", |a| {
         let m = Mem::base(Reg::R14, 3);
         for s in ALL_REGS {

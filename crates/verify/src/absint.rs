@@ -106,9 +106,12 @@ enum FactKey {
 
 /// `key + covered <= mem_size` (for `Consts`: `covered <= mem_size`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fact {
-    covered: u64,
-    fresh: bool,
+pub(crate) struct Fact {
+    pub(crate) covered: u64,
+    /// Set by the guard just executed; cleared by the next access.
+    pub(crate) fresh: bool,
+    /// Set when the last guard proving it was a fused limit-table compare.
+    pub(crate) fused: bool,
 }
 
 /// Flags state, tracking only the comparisons the guard idioms use.
@@ -200,11 +203,11 @@ pub(crate) enum IdxObs {
     Sym {
         clean: bool,
         add: u64,
-        /// `(covered, fresh)` when a fact `sym + covered <= mem_size` holds.
-        fact: Option<(u64, bool)>,
+        /// The fact `sym + covered <= mem_size`, when one holds.
+        fact: Option<Fact>,
     },
     /// Constant index.
-    Const { v: u64, fact: Option<(u64, bool)> },
+    Const { v: u64, fact: Option<Fact> },
     /// Clamped to `mem_size - margin`.
     Clamped { margin: u64 },
     /// A `mem_size - k` snapshot (bounded by the 4-GiB memory limit).
@@ -251,8 +254,8 @@ pub(crate) struct MachineAnalysis {
 /// `true` for i32 (arrives zero-extended per the ABI assumption).
 /// `limit_extents` is the verifier's own recomputation of the module's
 /// fused-guard extent table (`dataflow::module_extents` is a pure function
-/// of the module); empty when the guard-optimizing configuration is off,
-/// which makes every limit-table compare an unknown flag state.
+/// of the module); empty outside the trap strategy, which makes every
+/// limit-table compare an unknown flag state.
 pub(crate) fn analyze(
     func: usize,
     code: &[u8],
@@ -811,6 +814,7 @@ impl Absint {
                     Fact {
                         covered: af.covered.min(bf.covered),
                         fresh: af.fresh && bf.fresh,
+                        fused: af.fused && bf.fused,
                     },
                 );
             }
@@ -911,20 +915,17 @@ impl Absint {
             let idx = match m.index {
                 None => IdxObs::Const {
                     v: 0,
-                    fact: st.facts.get(&FactKey::Consts).map(|f| (f.covered, f.fresh)),
+                    fact: st.facts.get(&FactKey::Consts).copied(),
                 },
                 Some((r, _)) => match st.regs[r.0 as usize] {
                     AbsVal::Sym { id, clean, add } => IdxObs::Sym {
                         clean,
                         add,
-                        fact: st
-                            .facts
-                            .get(&FactKey::Sym(id))
-                            .map(|f| (f.covered, f.fresh)),
+                        fact: st.facts.get(&FactKey::Sym(id)).copied(),
                     },
                     AbsVal::Const(v) => IdxObs::Const {
                         v,
-                        fact: st.facts.get(&FactKey::Consts).map(|f| (f.covered, f.fresh)),
+                        fact: st.facts.get(&FactKey::Consts).copied(),
                     },
                     AbsVal::Clamped { margin, .. } => IdxObs::Clamped { margin },
                     AbsVal::MemSizeMinus { .. } => IdxObs::MemSizeMinus,
@@ -1066,24 +1067,6 @@ impl Absint {
                         W::W32 => self.low32(st, off, s, sv),
                     };
                     st.slots.insert(disp, v);
-                }
-                MemClass::Ctx(_) => {
-                    if self.recording {
-                        self.findings.push(Finding {
-                            func: self.func,
-                            offset: off,
-                            kind: FindingKind::WritesVmCtx,
-                        });
-                    }
-                }
-                MemClass::Other => {}
-            },
-            MovMi { m, v } => match Self::mem_class(st, m) {
-                MemClass::Linear => {
-                    self.record_access(st, off, MachineOp::Store64, m);
-                }
-                MemClass::Slot(disp) => {
-                    st.slots.insert(disp, AbsVal::Const(v as i64 as u64));
                 }
                 MemClass::Ctx(_) => {
                     if self.recording {
@@ -1412,12 +1395,20 @@ fn add_fact(st: &mut State, lhs: AbsVal) {
         AbsVal::Const(c) => (FactKey::Consts, c),
         _ => return,
     };
+    refresh_fact(st, key, covered, false);
+}
+
+/// Strengthen `key`'s fact to at least `covered` and mark it fresh, as
+/// proven by a classic (`fused == false`) or fused guard.
+fn refresh_fact(st: &mut State, key: FactKey, covered: u64, fused: bool) {
     let e = st.facts.entry(key).or_insert(Fact {
         covered: 0,
         fresh: true,
+        fused,
     });
     e.covered = e.covered.max(covered);
     e.fresh = true;
+    e.fused = fused;
 }
 
 /// Record the fused-guard fact on the fall-through edge of `jae oob`:
@@ -1433,12 +1424,7 @@ fn add_limit_fact(st: &mut State, lhs: AbsVal, extent: u64) {
         AbsVal::Const(c) => (FactKey::Consts, c.saturating_add(extent)),
         _ => return,
     };
-    let e = st.facts.entry(key).or_insert(Fact {
-        covered: 0,
-        fresh: true,
-    });
-    e.covered = e.covered.max(covered);
-    e.fresh = true;
+    refresh_fact(st, key, covered, true);
 }
 
 fn add_vals(a: AbsVal, b: AbsVal, fresh: impl FnOnce() -> AbsVal) -> AbsVal {
@@ -1490,7 +1476,6 @@ fn linear_operand(inst: &Inst) -> Option<(MachineOp, Mem)> {
         MovsxdM { m, .. } => (MachineOp::Load32S64, m),
         MovMr { w: W::W32, m, .. } => (MachineOp::Store32, m),
         MovMr { w: W::W64, m, .. } => (MachineOp::Store64, m),
-        MovMi { m, .. } => (MachineOp::Store64, m),
         MovMr8 { m, .. } => (MachineOp::Store8, m),
         MovMr16 { m, .. } => (MachineOp::Store16, m),
         Fload { double, m, .. } => (

@@ -90,7 +90,6 @@ fn mem_of(inst: &Inst) -> Option<Mem> {
         | Inst::Movsx8 { m, .. }
         | Inst::Movsx16 { m, .. }
         | Inst::MovsxdM { m, .. }
-        | Inst::MovMi { m, .. }
         | Inst::CmpRm { m, .. }
         | Inst::CallM { m }
         | Inst::Fload { m, .. }
@@ -186,9 +185,9 @@ pub fn classify_function(
     // Pass 2c: hoisted preheader guards (`emit_hoist_guard`), anchored on
     // their unique `cmp r11, 0x7FFF_FFFF` range pre-check followed by
     // `ja`. Walk backward over the bound load — a 32-bit `mov r11, reg`
-    // when the bound local lives in a register home (pinned at `Full`,
-    // linear-scan-allocated at `Mid`, including the caller-saved homes
-    // r8/r9) or a 32-bit `mov r11, [rbp+disp]` from its spill slot — plus
+    // when the bound local lives in a register (pinned at `Full`, or any
+    // other register a compiler might home it in) or a 32-bit
+    // `mov r11, [rbp+disp]` from its spill slot — plus
     // the optional `sub r11, 1`, and forward over the optional
     // `shl`/`add r11` up to the final size compare pass 2a already
     // marked. The whole sequence is bounds-check time.
@@ -491,8 +490,8 @@ mod tests {
 
     #[test]
     fn hoisted_guard_with_register_homed_bound_is_guard() {
-        // The mid tier's preheader guard reads the bound from its home
-        // register (here r8, a caller-saved linear-scan home):
+        // A preheader guard reading the bound from a register other than
+        // the `Full` pins (here r8):
         // mov r11d, r8d; sub r11, 1; cmp r11, 7FFFFFFF; ja; shl r11, 2;
         // add r11, 8; cmp r11, [r15+8]; ja; then the fast body's access.
         let code = bytes(&[

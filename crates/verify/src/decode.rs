@@ -337,7 +337,7 @@ pub fn decode_one(bytes: &[u8], offset: usize) -> Result<(Inst, usize), DecodeEr
                     d: Reg(d),
                     v: c.i32_()?,
                 },
-                Rm::Mem(m) => Inst::MovMi { m, v: c.i32_()? },
+                Rm::Mem(_) => return c.err("C7 with a memory operand is not emitted"),
             }
         }
         0xE9 if sse_prefix == 0 => Inst::Jmp { rel: c.i32_()? },

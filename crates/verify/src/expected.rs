@@ -14,11 +14,11 @@
 //! twice, with `ElideHoisted` kinds in the fast copy (carrying the guards
 //! that must dominate them) downgraded to `Emit` in the slow copy.
 
-use lb_analysis::{CheckKind, FuncPlan, GuardExpr, GuardOpt, HoistPlan};
+use lb_analysis::{CheckKind, FuncPlan, GuardExpr, HoistPlan};
 use lb_core::BoundsStrategy;
 use lb_wasm::instr::MemAccess;
 use lb_wasm::{FuncMeta, Instr};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// One linear-memory access the JIT is expected to have emitted.
 #[derive(Debug, Clone)]
@@ -34,11 +34,6 @@ pub struct ExpectedSite {
     /// For `ElideHoisted` (fast loop-body) sites: the preheader guards
     /// whose machine facts must dominate the access.
     pub hoist: Option<Vec<GuardExpr>>,
-    /// `Some(slot)` when the guard-optimizing mid tier fused this site's
-    /// check into a single limit-table compare. The site still carries an
-    /// at-site check obligation; the proof arrives through the fused
-    /// compare's fact instead of the classic guard's.
-    pub fused: Option<u8>,
 }
 
 /// The per-site check decision the code generator acted on: the plan kind
@@ -106,7 +101,6 @@ fn walk_hoisted_copy(
                         acc,
                         kind,
                         hoist,
-                        fused: None,
                     });
                 }
             }
@@ -119,49 +113,6 @@ fn walk_hoisted_copy(
 /// site it lowers, in emission order. `plan` must be the plan codegen
 /// consulted (`None` when the baseline tier emits every check).
 pub fn expected_sites(
-    body: &[Instr],
-    meta: &FuncMeta,
-    strategy: BoundsStrategy,
-    plan: Option<&FuncPlan>,
-) -> Vec<ExpectedSite> {
-    expected_sites_guardopt(body, meta, strategy, plan, None)
-}
-
-/// [`expected_sites`] plus the guard-optimizing mid tier's per-site
-/// decisions (`dataflow::decide`, recomputed by the caller from the wasm —
-/// never read back from codegen). Decisions rewrite `Emit` sites only:
-/// `GvnElide` becomes [`CheckKind::ElideDominatedIr`] (whose machine fact
-/// the verifier must re-derive), `Fuse` marks the site fused. Sites inside
-/// hoisted ranges never carry decisions — the pass skips them.
-pub fn expected_sites_guardopt(
-    body: &[Instr],
-    meta: &FuncMeta,
-    strategy: BoundsStrategy,
-    plan: Option<&FuncPlan>,
-    guardopt: Option<&[(u32, GuardOpt)]>,
-) -> Vec<ExpectedSite> {
-    let mut out = expected_sites_inner(body, meta, strategy, plan);
-    if strategy != BoundsStrategy::Trap {
-        return out;
-    }
-    let Some(decisions) = guardopt else {
-        return out;
-    };
-    let by_pc: HashMap<u32, GuardOpt> = decisions.iter().copied().collect();
-    for site in &mut out {
-        if site.kind != CheckKind::Emit || site.hoist.is_some() {
-            continue;
-        }
-        match by_pc.get(&(site.pc as u32)) {
-            Some(GuardOpt::GvnElide) => site.kind = CheckKind::ElideDominatedIr,
-            Some(GuardOpt::Fuse(slot)) => site.fused = Some(*slot),
-            None => {}
-        }
-    }
-    out
-}
-
-fn expected_sites_inner(
     body: &[Instr],
     meta: &FuncMeta,
     strategy: BoundsStrategy,
@@ -254,7 +205,6 @@ fn expected_sites_inner(
                         acc,
                         kind,
                         hoist: None,
-                        fused: None,
                     });
                 }
             }

@@ -197,11 +197,6 @@ pub enum Inst {
         d: Reg,
         v: i32,
     },
-    /// `mov qword [m], imm32` sign-extended (`REX.W C7 /0` mem form).
-    MovMi {
-        m: Mem,
-        v: i32,
-    },
     /// `movabs r64, imm64`.
     MovAbs {
         d: Reg,
@@ -541,12 +536,6 @@ pub fn encode(inst: &Inst, out: &mut Vec<u8>) {
             e.rex(true, false, false, d.hi(), false);
             e.b(0xC7);
             e.modrm(3, 0, d.low());
-            e.i32_(v);
-        }
-        Inst::MovMi { m, v } => {
-            e.rex_mem(true, false, m, false);
-            e.b(0xC7);
-            e.mem_operand(0, m);
             e.i32_(v);
         }
         Inst::MovAbs { d, v } => {

@@ -11,8 +11,11 @@
 //! strategy are documented in `DESIGN.md` §6. In brief, for every
 //! `r14`-based operand the verifier requires one of:
 //!
-//! * a **dominating guard** (`lea`/`cmp [r15+MEM_SIZE]`/`ja`) whose proven
-//!   extent covers the access — the Trap strategy;
+//! * a **dominating guard** whose proven extent covers the access — the
+//!   Trap strategy. Either form is accepted at any check site: the classic
+//!   `lea`/`cmp [r15+MEM_SIZE]`/`ja`, or the fused `cmp [r15+MEM_LIMITS+
+//!   8*slot]`/`jae`, proven exact against the extent table the caller
+//!   recomputed;
 //! * a **clamp** (`cmp`/`cmova` against `mem_size - size`) feeding the
 //!   index — the Clamp strategy;
 //! * **reservation cover**: the worst-case effective address of a 32-bit
@@ -20,7 +23,7 @@
 //!   the None / Mprotect / Uffd strategies;
 //! * a **re-checked elision**: the site is covered by an `lb-analysis`
 //!   plan entry whose static proof the verifier re-derives, or by an
-//!   earlier (stale) guard fact from the JIT's peephole.
+//!   earlier (stale) guard fact.
 
 mod absint;
 pub mod classify;
@@ -30,10 +33,10 @@ pub mod isa;
 pub mod report;
 
 pub use classify::{class_at, classify_function, ClassifiedInst, InstClass};
-pub use expected::{expected_sites, expected_sites_guardopt, ExpectedSite};
+pub use expected::{expected_sites, ExpectedSite};
 pub use report::{Finding, FindingKind, FuncReport};
 
-use absint::{BoundSrc, IdxObs, MachineOp, SiteObs};
+use absint::{BoundSrc, Fact, IdxObs, MachineOp, SiteObs};
 use expected::ExpectedSite as Site;
 use lb_analysis::{CheckKind, FuncPlan};
 use lb_core::BoundsStrategy;
@@ -62,23 +65,11 @@ pub struct FuncInput<'a> {
     /// Bytes of virtual-address reservation per linear memory (headroom
     /// for the guard-region strategies).
     pub reserve_bytes: u64,
-    /// Mid-tier register homes as `(local index, machine register number)`
-    /// pairs, recomputed by the caller from the same inputs codegen used
-    /// (`lb-jit`'s `regalloc::allocate` is a pure function of them).
-    /// `None` for every other tier.
-    pub homes: Option<Vec<(u32, u8)>>,
     /// The module's fused-guard extent table, recomputed by the caller
     /// (`lb-jit`'s `dataflow::module_extents` is a pure function of the
-    /// module). `None` outside the guard-optimizing mid tier, which makes
-    /// every limit-table compare an unknown flag state.
+    /// module). `None` makes every limit-table compare an unknown flag
+    /// state, so a fused guard proves nothing.
     pub limit_extents: Option<Vec<u64>>,
-    /// The guard-optimizing mid tier's per-site decisions as
-    /// `(wasm pc, decision)` pairs, recomputed by the caller from the wasm
-    /// (`lb-jit`'s `dataflow::decide` is a pure function of its inputs).
-    /// Decisions shape *expectations* only — every elision and fusion is
-    /// still re-proven from the emitted instructions. `None` for every
-    /// other configuration.
-    pub guardopt: Option<Vec<(u32, lb_analysis::GuardOpt)>>,
 }
 
 /// Verify one compiled function against its wasm body.
@@ -114,13 +105,7 @@ pub fn verify_function(input: &FuncInput<'_>) -> FuncReport {
         return report;
     }
 
-    let expected = expected::expected_sites_guardopt(
-        input.body,
-        input.meta,
-        input.strategy,
-        input.plan,
-        input.guardopt.as_deref(),
-    );
+    let expected = expected::expected_sites(input.body, input.meta, input.strategy, input.plan);
     report.sites_checked = expected.len() as u64;
     if expected.len() != ma.sites.len() {
         report.findings.push(Finding {
@@ -293,76 +278,6 @@ fn classify(input: &FuncInput<'_>, site: &Site, obs: &SiteObs, report: &mut Func
         }
         CheckKind::Emit => classify_emit(input, site, obs, disp, bytes, report),
         CheckKind::ElideHoisted => classify_hoisted(input, site, obs, report),
-        CheckKind::ElideDominatedIr => classify_gvn(input, site, obs, disp, bytes, report),
-    }
-}
-
-/// Prove an IR-dataflow elision. Unlike [`CheckKind::ElideDominated`]
-/// (whose dominator can be a machine-invisible static proof), the IR
-/// pass's dominating guard always executed a compare, so its machine fact
-/// must still be observable here — fresh or stale. The decision itself is
-/// never trusted: a forged `GvnElide` with no real dominating guard lands
-/// in this arm and fails to prove.
-fn classify_gvn(
-    input: &FuncInput<'_>,
-    site: &Site,
-    obs: &SiteObs,
-    disp: u64,
-    bytes: u64,
-    report: &mut FuncReport,
-) {
-    if !obs.reachable {
-        // Unreachable code cannot fault.
-        report.proven_gvn += 1;
-        return;
-    }
-    let Some(idx) = &obs.idx else {
-        report.proven_gvn += 1;
-        return;
-    };
-    let (need, fact) = match idx {
-        IdxObs::Sym { add, fact, .. } => (add + disp + bytes, fact),
-        IdxObs::Const { v, fact } => (v + disp + bytes, fact),
-        IdxObs::Clamped { .. } | IdxObs::MemSizeMinus => {
-            finding(
-                report,
-                input,
-                obs.off,
-                FindingKind::BadElisionProof {
-                    detail: format!(
-                        "IR-elided site has a clamp-shaped index at wasm pc {}",
-                        site.pc
-                    ),
-                },
-            );
-            return;
-        }
-    };
-    match fact {
-        Some((covered, _)) if *covered >= need => report.proven_gvn += 1,
-        Some((covered, _)) => finding(
-            report,
-            input,
-            obs.off,
-            FindingKind::UnguardedAccess {
-                detail: format!(
-                    "IR-elided site: dominating fact covers {covered} bytes, \
-                     access needs {need} at wasm pc {}",
-                    site.pc
-                ),
-            },
-        ),
-        None => finding(
-            report,
-            input,
-            obs.off,
-            FindingKind::UnguardedAccess {
-                detail: format!(
-                    "IR-elided site has no dominating machine fact at wasm pc {}",
-                    site.pc
-                ),
-            },
-        ),
     }
 }
 
@@ -374,26 +289,10 @@ fn classify_gvn(
 /// accepted — ambiguity only ever maps the bound to a *different local's*
 /// slot, which the matched guard shape still proves was compared against
 /// `mem_size` whole.
-fn bound_srcs_for_local(meta: &FuncMeta, l: u32, homes: Option<&[(u32, u8)]>) -> Vec<BoundSrc> {
+fn bound_srcs_for_local(meta: &FuncMeta, l: u32) -> Vec<BoundSrc> {
     // PIN_REGS in codegen: rbx, r12, r13 — assigned to the first three
     // integer locals in index order at OptLevel::Full.
     const PIN_REGS: [u8; 3] = [3, 12, 13];
-    if let Some(homes) = homes {
-        // Mid tier: homes are hotness-ordered, not index-ordered, so the
-        // Full heuristic below does not apply. The frame reserves one
-        // callee-saved save slot per PIN_REGS home (caller-saved homes
-        // r8/r9 need no save area), shifting local slots down exactly as
-        // the Full layout does.
-        let n_pinned = homes
-            .iter()
-            .filter(|&&(_, r)| PIN_REGS.contains(&r))
-            .count() as i32;
-        let mut srcs = vec![BoundSrc::Slot(-8 * (n_pinned + 1 + l as i32))];
-        if let Some(&(_, r)) = homes.iter().find(|&&(hl, _)| hl == l) {
-            srcs.push(BoundSrc::Reg(r));
-        }
-        return srcs;
-    }
     let mut srcs = vec![BoundSrc::Slot(-8 * (1 + l as i32))];
     let mut k = 0usize;
     for (i, ty) in meta.local_types.iter().enumerate() {
@@ -441,7 +340,7 @@ fn classify_hoisted(input: &FuncInput<'_>, site: &Site, obs: &SiteObs, report: &
         return;
     };
     let covered = hoist.iter().all(|g| {
-        let srcs = bound_srcs_for_local(input.meta, g.bound_local, input.homes.as_deref());
+        let srcs = bound_srcs_for_local(input.meta, g.bound_local);
         obs.hfacts.iter().any(|f| {
             srcs.contains(&f.src)
                 && f.strict == g.strict
@@ -463,6 +362,17 @@ fn classify_hoisted(input: &FuncInput<'_>, site: &Site, obs: &SiteObs, report: &
                 ),
             },
         );
+    }
+}
+
+/// Credit a site whose index a guard fact covers: a fresh fact comes from
+/// the check emitted at this site (classic or fused), a stale one from a
+/// covering check that ran earlier.
+fn count_guard(f: &Fact, report: &mut FuncReport) {
+    match (f.fresh, f.fused) {
+        (true, true) => report.proven_fused += 1,
+        (true, false) => report.proven_guarded += 1,
+        (false, _) => report.proven_elided += 1,
     }
 }
 
@@ -528,29 +438,15 @@ fn classify_emit(
                     );
                 }
                 IdxObs::Sym { add, fact, .. } => match fact {
-                    Some((covered, fresh)) if *covered >= add + disp + bytes => {
-                        if *fresh {
-                            // Guarded at this site (the check codegen just
-                            // emitted). A fused site's fresh fact comes
-                            // from the limit-table compare and counts
-                            // separately.
-                            if site.fused.is_some() {
-                                report.proven_fused += 1;
-                            } else {
-                                report.proven_guarded += 1;
-                            }
-                        } else {
-                            // Covered by an earlier check — the peephole.
-                            report.proven_elided += 1;
-                        }
-                    }
-                    Some((covered, _)) => finding(
+                    Some(f) if f.covered >= add + disp + bytes => count_guard(f, report),
+                    Some(f) => finding(
                         report,
                         input,
                         obs.off,
                         FindingKind::UnguardedAccess {
                             detail: format!(
-                                "guard covers {covered} bytes, access needs {} at wasm pc {}",
+                                "guard covers {} bytes, access needs {} at wasm pc {}",
+                                f.covered,
                                 add + disp + bytes,
                                 site.pc
                             ),
@@ -570,17 +466,7 @@ fn classify_emit(
                     // static bound against the declared minimum.
                     let need = v + disp + bytes;
                     match fact {
-                        Some((covered, fresh)) if *covered >= need => {
-                            if *fresh {
-                                if site.fused.is_some() {
-                                    report.proven_fused += 1;
-                                } else {
-                                    report.proven_guarded += 1;
-                                }
-                            } else {
-                                report.proven_elided += 1;
-                            }
-                        }
+                        Some(f) if f.covered >= need => count_guard(f, report),
                         _ if need <= input.mem_min_bytes => report.proven_guarded += 1,
                         _ => finding(
                             report,

@@ -126,16 +126,13 @@ pub struct FuncReport {
     /// Sites proven safe by a guard executed at the site (or by the guard
     /// region / a static bound).
     pub proven_guarded: u64,
-    /// Sites proven safe by an *earlier* check (plan elision or the
-    /// peephole), with the proof re-checked.
+    /// Sites proven safe by an *earlier* check (a plan elision, or a
+    /// covering guard that ran before the site), with the proof
+    /// re-checked.
     pub proven_elided: u64,
     /// Fast-loop-body sites proven safe by a loop-preheader guard whose
     /// machine fact dominates the access (mirrors `jit.checks.hoisted`).
     pub proven_hoisted: u64,
-    /// Sites the IR dataflow pass elided, each re-proven from a dominating
-    /// machine-level guard fact — never from the pass's own claim (mirrors
-    /// `jit.checks.gvn_elided`).
-    pub proven_gvn: u64,
     /// Fused compare-and-trap sites proven exact against the limit-table
     /// extent the verifier recomputed (mirrors `jit.checks.fused`).
     pub proven_fused: u64,
@@ -150,7 +147,6 @@ impl FuncReport {
         self.proven_guarded += other.proven_guarded;
         self.proven_elided += other.proven_elided;
         self.proven_hoisted += other.proven_hoisted;
-        self.proven_gvn += other.proven_gvn;
         self.proven_fused += other.proven_fused;
         self.findings.extend(other.findings);
     }

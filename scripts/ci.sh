@@ -14,11 +14,6 @@
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   8. mid-tier smoke: a three-kernel baseline-vs-mid comparison; the mid
-#      tier must compile, agree, and report register-home work
-#   9. guard-optimization smoke: a three-kernel fusion-off-vs-on
-#      comparison; checksums must be bit-identical and the pass must fuse
-#      guards (the trap-strategy geomean speedup is printed, not gated)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +32,5 @@ run cargo run --release -p lb-bench --bin analysis_report -- \
 run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
   cargo run --release -p lb-bench --bin prof_report -- --smoke
 run cargo run --release -p lb-bench --bin serve_bench -- --smoke true
-run cargo run --release -p lb-bench --bin midtier_bench -- --smoke
-run cargo run --release -p lb-bench --bin guardopt_bench -- --smoke
 
 echo "==> ci.sh: all gates passed"

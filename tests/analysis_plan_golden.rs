@@ -63,7 +63,6 @@ fn kind_tag(k: CheckKind) -> &'static str {
         CheckKind::ElideDominated => "D",
         CheckKind::StaticOob => "O",
         CheckKind::ElideHoisted => "H",
-        CheckKind::ElideDominatedIr => "R",
     }
 }
 

@@ -141,9 +141,8 @@ fn one_func_module(
 }
 
 /// `go(t, x) -> i32`: a read-modify-write on `a[t]` followed by a
-/// re-read — three same-address, same-extent accesses through local 0.
-/// The IR dataflow pass checks the first and elides the other two
-/// (`GvnElide`): the canonical redundant-guard shape.
+/// re-read — three same-address, same-extent accesses through local 0:
+/// the canonical redundant-guard shape.
 pub fn rmw_module() -> Module {
     one_func_module(
         vec![ValType::I32, ValType::I32],
@@ -165,8 +164,7 @@ pub fn rmw_module() -> Module {
 
 /// `go(t, x) -> i32`: store at `a[t]`, *redefine* `t` (`local.set`),
 /// store at the new `a[t]`. The redefinition kills the first guard's
-/// fact, so the second store must keep its own check — the kill-site
-/// shape the dataflow pass must honour.
+/// fact, so the second store must keep its own check.
 pub fn redefine_module() -> Module {
     one_func_module(
         vec![ValType::I32, ValType::I32],
@@ -190,9 +188,8 @@ pub fn redefine_module() -> Module {
 }
 
 /// `go(t, x) -> i32`: store at `a[t]`, `memory.grow`, store at `a[t]`
-/// again, read it back. The grow (an `IrOp::Call` in the IR) kills every
-/// guard fact, so the second store re-checks; the final read is then
-/// elided against the *second* store's guard.
+/// again, read it back. The accesses after the grow must be checked
+/// against the grown memory size.
 pub fn grow_between_module() -> Module {
     one_func_module(
         vec![ValType::I32, ValType::I32],

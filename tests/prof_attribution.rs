@@ -97,9 +97,16 @@ fn guard_attribution_tracks_check_elision() {
     );
 }
 
-/// Run the dynamic-bound store loop for ~half a second with the profiler
+/// Run the dynamic-bound store loop for ~1.5 s with the profiler
 /// attached. Its loop bound is a parameter, so *static* elision can never
 /// remove the per-store guard — only the hoisted preheader guard can.
+///
+/// The sampling timer fires at most once per kernel tick (250 Hz on a
+/// `CONFIG_HZ=250` kernel), and a fused guard is only a compare and a
+/// branch, ~14% of the checked loop's samples. Half a second gave ~120
+/// resolved samples, and the guard's share could read as low as 3%;
+/// three times the window keeps the sampling error well inside the
+/// asserted 5 points.
 fn profile_hoist_run(hoisting: bool) -> lb_prof::ProfReport {
     lb_prof::set_sampling(4000);
     let m = common::dynamic_bound_module();
@@ -110,7 +117,7 @@ fn profile_hoist_run(hoisting: bool) -> lb_prof::ProfReport {
     let mut inst = loaded.instantiate(&config, &linker).expect("instantiate");
     let session = lb_prof::start().expect("profiler session");
     let t0 = Instant::now();
-    while t0.elapsed() < Duration::from_millis(500) {
+    while t0.elapsed() < Duration::from_millis(1500) {
         inst.invoke("go", &[lb_wasm::Value::I32(common::MAX_N)])
             .expect("go stays in bounds");
     }
@@ -164,7 +171,7 @@ fn guard_self_time_drops_with_hoisting() {
     );
 }
 
-/// Fused guards (mid tier + IR guard optimization) compare the index
+/// Fused guards (`Full` tier with guard fusion) compare the index
 /// directly against the per-extent limit table — no address-setup `lea`
 /// precedes them — yet the profiler's classifier must still bucket the
 /// compare *and* its `jae` as GuardCompare, so fused checks keep showing
@@ -185,7 +192,7 @@ fn fused_guards_classify_as_guard_compare() {
             module: &module,
             metas: &meta.funcs,
             strategy: BoundsStrategy::Trap,
-            opt: OptLevel::Mid,
+            opt: OptLevel::Full,
             safepoints: false,
             funcptrs_base: 0,
             plans: None,
@@ -232,6 +239,6 @@ fn fused_guards_classify_as_guard_compare() {
     }
     assert!(
         fused_cmps > 0,
-        "the rmw module under guardopt must contain fused guards"
+        "the rmw module under guard fusion must contain fused guards"
     );
 }

@@ -2,6 +2,12 @@
 //! tolerances so they hold on any host. Comparisons are restricted to
 //! JIT-generated code vs JIT-generated code (unaffected by debug-mode host
 //! compilation) or to syscall counts, which are exact.
+//!
+//! Every test holds `common::process_lock()`: the timings must not share
+//! the host's cores with a sibling test's kernels, and the syscall counts
+//! are process-wide deltas that a sibling's instantiations would move.
+
+mod common;
 
 use leaps_and_bounds::core::exec::{Engine, Linker};
 use leaps_and_bounds::core::{stats, BoundsStrategy, MemoryConfig};
@@ -10,24 +16,58 @@ use leaps_and_bounds::jit::{JitEngine, JitProfile};
 use leaps_and_bounds::polybench::{by_name, Dataset};
 use std::time::{Duration, Instant};
 
-fn kernel_time(
-    engine: &dyn Engine,
+/// Kernel time for each `(engine, strategy)` run, as the first run's
+/// median time scaled by each run's median ratio to the first run.
+///
+/// Each of `ROUNDS` rounds calls every run's instance once, back to back,
+/// rotating which goes first. The host's load — other tests, other
+/// processes on a shared machine — comes and goes over a few
+/// milliseconds and can slow a call by more than half, but it is nearly
+/// the same for calls within one round: the per-round ratio cancels it,
+/// where comparing each run's best or median over the whole measurement
+/// rewards whichever run happened to catch a quiet moment.
+const ROUNDS: usize = 31;
+
+fn kernel_times(
     module: &leaps_and_bounds::wasm::Module,
-    s: BoundsStrategy,
-) -> Duration {
-    let loaded = engine.load(module).unwrap();
-    let config = MemoryConfig::new(s, 0, 512).with_reserve(256 << 20);
-    let mut inst = loaded.instantiate(&config, &Linker::new()).unwrap();
-    inst.invoke("init", &[]).unwrap();
-    inst.invoke("kernel", &[]).unwrap(); // warm (tiering, faults)
-    inst.invoke("kernel", &[]).unwrap();
-    let mut best = Duration::MAX;
-    for _ in 0..5 {
-        let t = Instant::now();
-        inst.invoke("kernel", &[]).unwrap();
-        best = best.min(t.elapsed());
+    runs: &[(&dyn Engine, BoundsStrategy)],
+) -> Vec<Duration> {
+    let mut insts: Vec<_> = runs
+        .iter()
+        .map(|&(engine, s)| {
+            let loaded = engine.load(module).unwrap();
+            let config = MemoryConfig::new(s, 0, 512).with_reserve(256 << 20);
+            let mut inst = loaded.instantiate(&config, &Linker::new()).unwrap();
+            inst.invoke("init", &[]).unwrap();
+            inst.invoke("kernel", &[]).unwrap(); // warm (tiering, faults)
+            inst.invoke("kernel", &[]).unwrap();
+            inst
+        })
+        .collect();
+    let mut times = vec![[Duration::ZERO; ROUNDS]; runs.len()];
+    for round in 0..ROUNDS {
+        for k in 0..runs.len() {
+            let i = (round + k) % runs.len();
+            let t = Instant::now();
+            insts[i].invoke("kernel", &[]).unwrap();
+            times[i][round] = t.elapsed();
+        }
     }
-    best
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let base = median(times[0].iter().map(Duration::as_secs_f64).collect());
+    times
+        .iter()
+        .map(|ts| {
+            let ratios = ts
+                .iter()
+                .zip(&times[0])
+                .map(|(t, r)| t.as_secs_f64() / r.as_secs_f64());
+            Duration::from_secs_f64(base * median(ratios.collect()))
+        })
+        .collect()
 }
 
 /// Paper §4.1: "Software checks are significantly slower in a number of
@@ -40,12 +80,20 @@ fn kernel_time(
 /// `analysis_closes_the_software_check_gap_on_gemm`).
 #[test]
 fn software_checks_cost_more_than_guard_pages_on_gemm() {
+    let _serial = common::process_lock();
     let bench = by_name("gemm", Dataset::Small).unwrap();
     let engine = JitEngine::new(JitProfile::wavm().with_analysis(false));
-    let none = kernel_time(&engine, &bench.module, BoundsStrategy::None);
-    let clamp = kernel_time(&engine, &bench.module, BoundsStrategy::Clamp);
-    let trap = kernel_time(&engine, &bench.module, BoundsStrategy::Trap);
-    let mprotect = kernel_time(&engine, &bench.module, BoundsStrategy::Mprotect);
+    let [none, clamp, trap, mprotect] = kernel_times(
+        &bench.module,
+        &[
+            (&engine, BoundsStrategy::None),
+            (&engine, BoundsStrategy::Clamp),
+            (&engine, BoundsStrategy::Trap),
+            (&engine, BoundsStrategy::Mprotect),
+        ],
+    )[..] else {
+        unreachable!()
+    };
 
     // Guard pages ≈ none (paper: 1-2 percentage points; allow 15%).
     assert!(
@@ -69,10 +117,18 @@ fn software_checks_cost_more_than_guard_pages_on_gemm() {
 /// close to unchecked code.
 #[test]
 fn analysis_closes_the_software_check_gap_on_gemm() {
+    let _serial = common::process_lock();
     let bench = by_name("gemm", Dataset::Small).unwrap();
     let engine = JitEngine::new(JitProfile::wavm());
-    let none = kernel_time(&engine, &bench.module, BoundsStrategy::None);
-    let trap = kernel_time(&engine, &bench.module, BoundsStrategy::Trap);
+    let [none, trap] = kernel_times(
+        &bench.module,
+        &[
+            (&engine, BoundsStrategy::None),
+            (&engine, BoundsStrategy::Trap),
+        ],
+    )[..] else {
+        unreachable!()
+    };
     assert!(
         trap < none.mul_f64(1.10),
         "trap with analysis {trap:?} should be near none {none:?}"
@@ -83,11 +139,19 @@ fn analysis_closes_the_software_check_gap_on_gemm() {
 /// tiered JIT.
 #[test]
 fn interpreter_is_many_times_slower_than_jit() {
+    let _serial = common::process_lock();
     let bench = by_name("atax", Dataset::Small).unwrap();
     let jit = JitEngine::new(JitProfile::wavm());
     let interp = InterpEngine::new();
-    let t_jit = kernel_time(&jit, &bench.module, BoundsStrategy::Mprotect);
-    let t_int = kernel_time(&interp, &bench.module, BoundsStrategy::Mprotect);
+    let [t_jit, t_int] = kernel_times(
+        &bench.module,
+        &[
+            (&jit, BoundsStrategy::Mprotect),
+            (&interp, BoundsStrategy::Mprotect),
+        ],
+    )[..] else {
+        unreachable!()
+    };
     assert!(
         t_int > t_jit * 3,
         "interp {t_int:?} should be several times slower than jit {t_jit:?}"
@@ -97,6 +161,7 @@ fn interpreter_is_many_times_slower_than_jit() {
 /// Paper §3.1/§4.2.1: strategy-specific syscall behavior, exactly counted.
 #[test]
 fn strategies_issue_the_expected_syscalls() {
+    let _serial = common::process_lock();
     let bench = by_name("trisolv", Dataset::Mini).unwrap();
     let engine = JitEngine::new(JitProfile::wasmtime());
     let loaded = engine.load(&bench.module).unwrap();
@@ -141,6 +206,7 @@ fn strategies_issue_the_expected_syscalls() {
 /// executing behind a long-lived instance without breaking it.
 #[test]
 fn v8_profile_survives_concurrent_tier_up() {
+    let _serial = common::process_lock();
     let bench = by_name("bicg", Dataset::Mini).unwrap();
     let expected = bench.native_checksum();
     let engine = JitEngine::new(JitProfile::v8());

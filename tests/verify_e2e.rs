@@ -5,8 +5,7 @@
 //! consumed and withheld, must verify with zero findings. The verifier's
 //! independently-derived counts must equal what codegen said it did:
 //! `proven_elided == jit.checks.static_elided`,
-//! `proven_hoisted == jit.checks.hoisted`,
-//! `proven_gvn == jit.checks.gvn_elided`, and
+//! `proven_hoisted == jit.checks.hoisted`, and
 //! `proven_fused == jit.checks.fused`, per configuration.
 //!
 //! One `#[test]` on purpose: the jit and verify counters are
@@ -34,14 +33,12 @@ struct SweepTotals {
     sites: u64,
     elided: u64,
     hoisted: u64,
-    gvn: u64,
     fused: u64,
 }
 
 fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
     let jit_elided = lb_telemetry::counter("jit.checks.static_elided");
     let jit_hoisted = lb_telemetry::counter("jit.checks.hoisted");
-    let jit_gvn = lb_telemetry::counter("jit.checks.gvn_elided");
     let jit_fused = lb_telemetry::counter("jit.checks.fused");
     let meta = lb_wasm::validate(module).expect("module validates");
     let plan = lb_analysis::analyze_module(module, &meta);
@@ -53,19 +50,17 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
     assert_eq!(plan.mem_min_bytes, mem_min_bytes, "{name}: plan mem_min");
 
     for strategy in STRATEGIES {
-        // (tier, analysis plan consulted, IR guard optimization) —
-        // `OptLevel::None` never consults the plan (mirrors
-        // `mem_operand`), `Full` without a plan exercises the legacy
-        // peephole, and the two guardopt configs exercise the IR dataflow
-        // pass with and without the static plan (without, every access
-        // reaches `decide` as an `Emit` site — the densest fusion/GVN
+        // (tier, analysis plan consulted, guard fusion) — `OptLevel::None`
+        // never consults the plan (mirrors `mem_operand`), `Full` without
+        // a plan emits every check, and the two fusion configs emit trap
+        // checks as limit-table compares with and without the static
+        // plan (without, every access keeps a check — the densest fusion
         // coverage).
         for (opt, with_plan, guardopt) in [
             (OptLevel::None, false, false),
             (OptLevel::Basic, true, false),
-            (OptLevel::Mid, true, false),
-            (OptLevel::Mid, true, true),
-            (OptLevel::Mid, false, true),
+            (OptLevel::Full, true, true),
+            (OptLevel::Full, false, true),
             (OptLevel::Full, true, false),
             (OptLevel::Full, false, false),
         ] {
@@ -82,49 +77,23 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
             };
             let before_elided = jit_elided.get();
             let before_hoisted = jit_hoisted.get();
-            let before_gvn = jit_gvn.get();
             let before_fused = jit_fused.get();
             let codes: Vec<Vec<u8>> = (0..module.functions.len())
                 .map(|di| compile_function(params, di))
                 .collect();
             let jit_elided_delta = jit_elided.get() - before_elided;
             let jit_hoisted_delta = jit_hoisted.get() - before_hoisted;
-            let jit_gvn_delta = jit_gvn.get() - before_gvn;
             let jit_fused_delta = jit_fused.get() - before_fused;
 
             let mut verify_elided = 0u64;
             let mut verify_hoisted = 0u64;
-            let mut verify_gvn = 0u64;
             let mut verify_fused = 0u64;
             for (di, code) in codes.iter().enumerate() {
                 let func_plan = (with_plan && opt != OptLevel::None).then(|| &plan.funcs[di]);
-                // The verifier re-derives the mid tier's register homes
-                // from the same pure inputs codegen used.
-                let homes = (opt == OptLevel::Mid).then(|| {
-                    lb_jit::regalloc::allocate(
-                        module,
-                        &meta.funcs[di],
-                        &module.functions[di].body,
-                        func_plan,
-                    )
-                    .homes()
-                    .iter()
-                    .map(|&(l, r)| (l, r.0))
-                    .collect()
-                });
-                // Likewise the guard-optimization decisions: recomputed
-                // from the wasm, never read back from codegen.
-                let decisions =
-                    (guardopt && opt == OptLevel::Mid && strategy == lb_core::BoundsStrategy::Trap)
-                        .then(|| {
-                            lb_jit::dataflow::decide(
-                                module,
-                                &meta.funcs[di],
-                                &module.functions[di].body,
-                                func_plan,
-                                &extents,
-                            )
-                        });
+                // The verifier is handed the extent table recomputed from
+                // the module, never told which sites fused.
+                let limit_extents =
+                    (strategy == lb_core::BoundsStrategy::Trap).then(|| extents.clone());
                 let report = verify_function(&FuncInput {
                     func_index: di,
                     code,
@@ -134,9 +103,7 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                     plan: func_plan,
                     mem_min_bytes,
                     reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                    homes,
-                    limit_extents: decisions.is_some().then(|| extents.clone()),
-                    guardopt: decisions,
+                    limit_extents,
                 });
                 assert!(
                     report.findings.is_empty(),
@@ -153,14 +120,12 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                     report.proven_guarded
                         + report.proven_elided
                         + report.proven_hoisted
-                        + report.proven_gvn
                         + report.proven_fused,
                     "{name} [{strategy:?}/{opt:?}/plan={with_plan}/go={guardopt}] func {di}: \
                      every site must be proven one way or the other"
                 );
                 verify_elided += report.proven_elided;
                 verify_hoisted += report.proven_hoisted;
-                verify_gvn += report.proven_gvn;
                 verify_fused += report.proven_fused;
                 totals.sites += report.sites_checked;
             }
@@ -175,18 +140,12 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                  hoisted count must agree with jit.checks.hoisted"
             );
             assert_eq!(
-                verify_gvn, jit_gvn_delta,
-                "{name} [{strategy:?}/{opt:?}/plan={with_plan}/go={guardopt}]: the verifier's \
-                 IR-elision count must agree with jit.checks.gvn_elided"
-            );
-            assert_eq!(
                 verify_fused, jit_fused_delta,
                 "{name} [{strategy:?}/{opt:?}/plan={with_plan}/go={guardopt}]: the verifier's \
                  fused-guard count must agree with jit.checks.fused"
             );
             totals.elided += verify_elided;
             totals.hoisted += verify_hoisted;
-            totals.gvn += verify_gvn;
             totals.fused += verify_fused;
             totals.configs += 1;
         }
@@ -219,33 +178,22 @@ fn all_kernels_verify_with_zero_findings() {
         totals.hoisted > hoisted_before,
         "the synthetic modules must exercise hoisted-guard verification"
     );
-    // And the guardopt modules: straight-line same-address access runs
-    // (PolyBench's addresses are all loop-carried, so back-edge widening
-    // rightly blocks IR elision there — these are the only modules whose
-    // facts survive to a dominated access).
-    let gvn_before = totals.gvn;
+    // And straight-line same-address access runs, including one across a
+    // `memory.grow`.
     sweep_module("rmw", &common::rmw_module(), &mut totals);
     sweep_module("redefine", &common::redefine_module(), &mut totals);
     sweep_module("grow-between", &common::grow_between_module(), &mut totals);
-    assert!(
-        totals.gvn > gvn_before,
-        "the guardopt modules must exercise IR-elision verification"
-    );
 
     // The sweep must actually have exercised elision: the analysis plans
-    // and the peephole both fire on these kernels.
-    assert_eq!(totals.configs, 35 * 5 * 7);
+    // fire on these kernels.
+    assert_eq!(totals.configs, 35 * 5 * 6);
     assert!(totals.sites > 0, "kernels contain memory accesses");
     assert!(
         totals.elided > 0,
         "expected some elided checks across the sweep"
     );
-    // And the IR dataflow pass: the guardopt configs must have produced
-    // (and re-proven) both transformation kinds somewhere in the sweep.
-    assert!(
-        totals.gvn > 0,
-        "expected some IR-dataflow elisions across the sweep"
-    );
+    // And guard fusion: the fusion configs must have emitted (and the
+    // verifier re-proven) fused guards.
     assert!(
         totals.fused > 0,
         "expected some fused guards across the sweep"

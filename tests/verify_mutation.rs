@@ -222,9 +222,7 @@ fn verify(ctx: &Ctx<'_>, code: &[u8]) -> lb_verify::FuncReport {
         plan: None,
         mem_min_bytes: ctx.mem_min_bytes,
         reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-        homes: None,
         limit_extents: None,
-        guardopt: None,
     })
 }
 
@@ -529,8 +527,6 @@ fn is_limit_cmp(inst: &Inst) -> bool {
 /// A bounds compare + its trap branch in compiled code: the classic
 /// `cmp r11, [r15+8]; ja` or the fused `cmp reg, [r15+64+8*slot]; jae`.
 struct BoundsPair {
-    cmp_off: usize,
-    cmp_len: usize,
     ja_off: usize,
     ja_len: usize,
     rel: i32,
@@ -539,7 +535,7 @@ struct BoundsPair {
 
 fn find_bounds_pairs(spans: &[(usize, usize, Inst)]) -> Vec<BoundsPair> {
     let mut out = Vec::new();
-    for (i, &(off, len, inst)) in spans.iter().enumerate() {
+    for (i, &(_, _, inst)) in spans.iter().enumerate() {
         let fused = is_limit_cmp(&inst);
         if !fused && !is_guard_cmp(&inst) {
             continue;
@@ -547,8 +543,6 @@ fn find_bounds_pairs(spans: &[(usize, usize, Inst)]) -> Vec<BoundsPair> {
         if let Some(&(ja_off, ja_len, Inst::Jcc { cc, rel })) = spans.get(i + 1) {
             if (fused && cc == Cc::Ae) || (!fused && cc == Cc::A) {
                 out.push(BoundsPair {
-                    cmp_off: off,
-                    cmp_len: len,
                     ja_off,
                     ja_len,
                     rel,
@@ -560,9 +554,10 @@ fn find_bounds_pairs(spans: &[(usize, usize, Inst)]) -> Vec<BoundsPair> {
     out
 }
 
-/// Corruption classes for the guard-optimizing mid tier, all requiring
-/// the verifier to re-derive machine facts rather than trust the IR
-/// pass's decisions:
+/// Corruption classes for `Full`-tier guard fusion, all requiring the
+/// verifier to re-derive the fused guard's fact from the machine code
+/// and the extent table it was handed — it is never told which sites
+/// fused:
 ///
 /// * `fused-cc-weaken` — `jae` → `ja` on the *first* fused guard: the
 ///   off-by-one the fused encoding exists to avoid (`addr == limit`
@@ -573,19 +568,8 @@ fn find_bounds_pairs(spans: &[(usize, usize, Inst)]) -> Vec<BoundsPair> {
 /// * `fused-target-rel` — corrupt a fused guard's branch displacement to
 ///   a mid-instruction target (kept only when it is not an instruction
 ///   boundary, as for `guard-ja-rel`).
-/// * `gvn-fact-forge` — NOP the function's first bounds check (classic or
-///   fused) and *forge* a `GvnElide` decision for its site: the shape of
-///   a dominance bug in the IR pass. The verifier must refuse the elision
-///   because no dominating machine fact exists.
-/// * `kill-site-ignore` — in a module whose address local is *redefined*
-///   between two stores, NOP the second store's check and forge
-///   `GvnElide` for it: the shape of the pass ignoring a `local.set`
-///   kill. The redefined address is a different machine symbol, so no
-///   fact covers it.
 #[test]
 fn validator_detects_fused_guard_corruption() {
-    use lb_analysis::GuardOpt;
-
     let mut by_class: std::collections::BTreeMap<&'static str, (u64, u64)> =
         std::collections::BTreeMap::new();
     let mut survivors: Vec<String> = Vec::new();
@@ -607,13 +591,13 @@ fn validator_detects_fused_guard_corruption() {
             .memory
             .as_ref()
             .map_or(0, |m| u64::from(m.limits.min) * PAGE_SIZE as u64);
-        // Plan withheld: every site reaches the IR pass as `Emit`, the
-        // densest fusion coverage (mirrors `guardopt_bench`).
+        // Plan withheld: every site keeps its check, the densest fusion
+        // coverage.
         let params = CompileParams {
             module,
             metas: &meta.funcs,
             strategy: BoundsStrategy::Trap,
-            opt: OptLevel::Mid,
+            opt: OptLevel::Full,
             safepoints: false,
             funcptrs_base: 0,
             plans: None,
@@ -623,15 +607,7 @@ fn validator_detects_fused_guard_corruption() {
         for di in 0..module.functions.len() {
             let code = compile_function(params, di);
             let body = &module.functions[di].body;
-            let homes: Option<Vec<(u32, u8)>> = Some(
-                lb_jit::regalloc::allocate(module, &meta.funcs[di], body, None)
-                    .homes()
-                    .iter()
-                    .map(|&(l, r)| (l, r.0))
-                    .collect(),
-            );
-            let decisions = lb_jit::dataflow::decide(module, &meta.funcs[di], body, None, &extents);
-            let verify = |code: &[u8], decisions: Vec<(u32, GuardOpt)>| {
+            let verify = |code: &[u8]| {
                 verify_function(&FuncInput {
                     func_index: di,
                     code,
@@ -641,15 +617,13 @@ fn validator_detects_fused_guard_corruption() {
                     plan: None,
                     mem_min_bytes,
                     reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                    homes: homes.clone(),
                     limit_extents: Some(extents.clone()),
-                    guardopt: Some(decisions),
                 })
             };
-            let clean = verify(&code, decisions.clone());
+            let clean = verify(&code);
             assert!(
                 clean.findings.is_empty(),
-                "{name} func {di}: unmutated guardopt code must verify: {}",
+                "{name} func {di}: unmutated fused code must verify: {}",
                 clean
                     .findings
                     .iter()
@@ -662,51 +636,22 @@ fn validator_detects_fused_guard_corruption() {
             let boundaries: std::collections::HashSet<usize> =
                 spans.iter().map(|&(off, ..)| off).collect();
             let pairs = find_bounds_pairs(&spans);
-            let sites =
-                lb_verify::expected_sites(body, &meta.funcs[di], BoundsStrategy::Trap, None);
 
-            let mut mutants: Vec<(Mutant, Vec<(u32, GuardOpt)>)> = Vec::new();
+            let mut mutants: Vec<Mutant> = Vec::new();
             // The first bounds check guards the function's first access:
             // nothing earlier can cover it, so its corruption is always a
             // genuine (and detectable) sandbox hole.
-            if let Some(first) = pairs.first() {
-                if first.fused {
-                    mutants.push((
-                        Mutant {
-                            class: "fused-cc-weaken",
-                            // 0F 83 (jae) -> 0F 87 (ja).
-                            patches: vec![(first.ja_off + 1, vec![code[first.ja_off + 1] ^ 0x04])],
-                        },
-                        decisions.clone(),
-                    ));
-                    mutants.push((
-                        Mutant {
-                            class: "fused-cc-flip",
-                            // 0F 83 (jae) -> 0F 82 (jb).
-                            patches: vec![(first.ja_off + 1, vec![code[first.ja_off + 1] ^ 0x01])],
-                        },
-                        decisions.clone(),
-                    ));
-                }
-                if let Some(site) = sites.first() {
-                    let pc = site.pc as u32;
-                    let mut forged: Vec<(u32, GuardOpt)> = decisions
-                        .iter()
-                        .copied()
-                        .filter(|&(p, _)| p != pc)
-                        .collect();
-                    forged.push((pc, GuardOpt::GvnElide));
-                    mutants.push((
-                        Mutant {
-                            class: "gvn-fact-forge",
-                            patches: vec![
-                                nop_patch(first.cmp_off, first.cmp_len),
-                                nop_patch(first.ja_off, first.ja_len),
-                            ],
-                        },
-                        forged,
-                    ));
-                }
+            if let Some(first) = pairs.first().filter(|p| p.fused) {
+                mutants.push(Mutant {
+                    class: "fused-cc-weaken",
+                    // 0F 83 (jae) -> 0F 87 (ja).
+                    patches: vec![(first.ja_off + 1, vec![code[first.ja_off + 1] ^ 0x04])],
+                });
+                mutants.push(Mutant {
+                    class: "fused-cc-flip",
+                    // 0F 83 (jae) -> 0F 82 (jb).
+                    patches: vec![(first.ja_off + 1, vec![code[first.ja_off + 1] ^ 0x01])],
+                });
             }
             // Branch-displacement corruption is structural (the CFG no
             // longer decodes), so it applies to every fused guard.
@@ -717,61 +662,19 @@ fn validator_detects_fused_guard_corruption() {
                     || new_target >= code.len() as i64
                     || !boundaries.contains(&(new_target as usize))
                 {
-                    mutants.push((
-                        Mutant {
-                            class: "fused-target-rel",
-                            patches: vec![(p.ja_off + 2, vec![(new_rel & 0xFF) as u8])],
-                        },
-                        decisions.clone(),
-                    ));
+                    mutants.push(Mutant {
+                        class: "fused-target-rel",
+                        patches: vec![(p.ja_off + 2, vec![(new_rel & 0xFF) as u8])],
+                    });
                 }
-            }
-            // The kill-site class lives in the redefinition module: its
-            // second store's address was redefined by a `local.set`, so
-            // the pass must not have elided it — and a forged elision
-            // there must fail to re-prove.
-            if name == "redefine" {
-                assert!(
-                    decisions.iter().all(|&(_, d)| d != GuardOpt::GvnElide),
-                    "redefine: the local.set kill must block every IR elision"
-                );
-                if let (Some(second), Some(site)) = (pairs.get(1), sites.get(1)) {
-                    let pc = site.pc as u32;
-                    let mut forged: Vec<(u32, GuardOpt)> = decisions
-                        .iter()
-                        .copied()
-                        .filter(|&(p, _)| p != pc)
-                        .collect();
-                    forged.push((pc, GuardOpt::GvnElide));
-                    mutants.push((
-                        Mutant {
-                            class: "kill-site-ignore",
-                            patches: vec![
-                                nop_patch(second.cmp_off, second.cmp_len),
-                                nop_patch(second.ja_off, second.ja_len),
-                            ],
-                        },
-                        forged,
-                    ));
-                }
-            }
-            if name == "rmw" {
-                assert!(
-                    decisions
-                        .iter()
-                        .filter(|&&(_, d)| d == GuardOpt::GvnElide)
-                        .count()
-                        >= 2,
-                    "rmw: the pass must elide the dominated same-address accesses"
-                );
             }
 
-            for (mutant, forged) in mutants {
+            for mutant in mutants {
                 let mut mutated = code.clone();
                 for (at, bytes) in &mutant.patches {
                     mutated[*at..*at + bytes.len()].copy_from_slice(bytes);
                 }
-                let report = verify(&mutated, forged);
+                let report = verify(&mutated);
                 let e = by_class.entry(mutant.class).or_insert((0, 0));
                 e.0 += 1;
                 if report.findings.is_empty() {
@@ -783,13 +686,7 @@ fn validator_detects_fused_guard_corruption() {
         }
     }
 
-    for class in [
-        "fused-cc-weaken",
-        "fused-cc-flip",
-        "fused-target-rel",
-        "gvn-fact-forge",
-        "kill-site-ignore",
-    ] {
+    for class in ["fused-cc-weaken", "fused-cc-flip", "fused-target-rel"] {
         let (total, detected) = by_class.get(class).copied().unwrap_or((0, 0));
         println!("  {class}: {detected}/{total}");
         assert!(total > 0, "{class}: no mutants generated");
@@ -824,7 +721,7 @@ fn validator_detects_hoisted_guard_corruption() {
             .map_or(0, |m| u64::from(m.limits.min) * PAGE_SIZE as u64);
 
         for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
-            for opt in [OptLevel::Basic, OptLevel::Mid, OptLevel::Full] {
+            for opt in [OptLevel::Basic, OptLevel::Full] {
                 let params = CompileParams {
                     module,
                     metas: &meta.funcs,
@@ -838,20 +735,6 @@ fn validator_detects_hoisted_guard_corruption() {
                 };
                 for di in 0..module.functions.len() {
                     let code = compile_function(params, di);
-                    // The mid tier's register homes, recomputed exactly as
-                    // the verifier-in-the-JIT does.
-                    let homes: Option<Vec<(u32, u8)>> = (opt == OptLevel::Mid).then(|| {
-                        lb_jit::regalloc::allocate(
-                            module,
-                            &meta.funcs[di],
-                            &module.functions[di].body,
-                            Some(&plan.funcs[di]),
-                        )
-                        .homes()
-                        .iter()
-                        .map(|&(l, r)| (l, r.0))
-                        .collect()
-                    });
                     let clean = verify_function(&FuncInput {
                         func_index: di,
                         code: &code,
@@ -861,9 +744,7 @@ fn validator_detects_hoisted_guard_corruption() {
                         plan: Some(&plan.funcs[di]),
                         mem_min_bytes,
                         reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                        homes: homes.clone(),
                         limit_extents: None,
-                        guardopt: None,
                     });
                     assert!(
                         clean.findings.is_empty(),
@@ -884,9 +765,7 @@ fn validator_detects_hoisted_guard_corruption() {
                             plan: Some(&plan.funcs[di]),
                             mem_min_bytes,
                             reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                            homes: homes.clone(),
                             limit_extents: None,
-                            guardopt: None,
                         });
                         let e = by_class.entry(mutant.class).or_insert((0, 0));
                         e.0 += 1;
