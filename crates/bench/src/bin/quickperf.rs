@@ -1,91 +1,351 @@
-//! Scratch performance sanity check.
+//! Every A/B speed comparison in the reproduction. Each mode times its
+//! arms with `lb_harness::stats` (interleaved, rotating rounds; the
+//! baseline arm repeated as the A/A control) and writes one
+//! `lb_bench::record`:
 //!
-//! * `quickperf [bench]` — the original per-engine kernel timing table.
-//! * `quickperf pool [bench]` — the memory-lifecycle fast-path matrix:
-//!   pool on/off × strategy (× uffd window {1,16}) over fresh-isolate
-//!   iterations, written to `BENCH_pool.json`. This is the acceptance
-//!   harness for pooled reuse (instantiation latency, mmap churn) and
-//!   batched uffd fault service (zeropage ioctls per kernel, which must
-//!   drop ≥4× with the 16-page window on a sequential kernel) — with the
-//!   checksum recorded bit-exactly per row to prove results are identical
-//!   across every configuration.
-use lb_core::exec::{Engine, Linker};
+//! * `engines`: native, the four engines under mprotect, and wavm under
+//!   none/clamp/trap/uffd (the axes of figures 1–2). `BENCH_engines.json`.
+//! * `plan`: under trap, the default compile against `lb-analysis` off
+//!   and guard fusion off, with each compile's elided, hoisted and
+//!   residual checks, plus a parameter-bounded loop with hoisting off.
+//!   `--suite spec` measures the SPEC proxies. `BENCH_hoist.json`.
+//! * `pool`: pool on/off × strategy (× uffd window) over fresh isolates,
+//!   gated on bit-identical checksums and on the 16-page uffd window
+//!   cutting zeropage ioctls ≥4×. `BENCH_pool.json`.
+//! * `memsys`: isolate lifecycle, uffd vs mprotect first touch, hazard
+//!   registry vs mutex, and trap machinery. `BENCH_memsys.json`.
+//!
+//! Modes take `--dataset`, `--suite` and `--bench`. Every kernel arm must
+//! match the native checksum before it is timed.
+
+use lb_bench::record::{self, Row};
+use lb_bench::Args;
+use lb_core::exec::{Engine, Instance, Linker};
 use lb_core::pool::{self, MemoryPoolConfig};
-use lb_core::{BoundsStrategy, MemoryConfig};
-use lb_interp::InterpEngine;
+use lb_core::registry::{ArenaDesc, HazardRegistry};
+use lb_core::signals::catch_traps;
+use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig};
+use lb_dsl::expr::i32 as ci;
+use lb_dsl::Benchmark;
+use lb_dsl::{DslFunc, KernelModule, Layout};
+use lb_harness::stats::{interleave, paired, Arm};
+use lb_harness::EngineSel;
 use lb_jit::{JitEngine, JitProfile};
-use lb_polybench::{by_name, common::Dataset};
+use lb_wasm::{Module, ValType, Value};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("pool") => pool_matrix(&args.next().unwrap_or_else(|| "gemm".into())),
-        first => kernel_table(first.unwrap_or("gemm")),
+    let mut argv = std::env::args().skip(1);
+    let mode = argv.next().unwrap_or_default();
+    let args = Args::parse_from(argv);
+    match mode.as_str() {
+        "engines" => engines(&args),
+        "plan" => plan(&args),
+        "pool" => pool_matrix(&args),
+        "memsys" => memsys(),
+        _ => {
+            eprintln!("usage: quickperf engines|plan|pool|memsys [--dataset D] [--suite S] [--bench NAME]");
+            std::process::exit(2);
+        }
     }
 }
 
-fn kernel_table(name: &str) {
-    let bench = by_name(name, Dataset::Small).unwrap();
+/// `defaults` (PolyBench, at `--dataset`) unless `--bench` or `--suite`
+/// chooses.
+fn kernels(args: &Args, defaults: &[&str]) -> Vec<Benchmark> {
+    if args.bench.is_some() || args.suite != "all" {
+        return args.benchmarks();
+    }
+    defaults
+        .iter()
+        .map(|n| lb_polybench::by_name(n, args.dataset).expect("known kernel"))
+        .collect()
+}
+
+/// Time `arms` (labelled `names`, but for the last, the baseline's A/A
+/// repeat), add the measurement to `row` and print the row.
+fn measure(row: Row, names: &[&str], arms: &mut [Arm<'_>]) -> Row {
+    let row = row.ab(names, &paired(&interleave(arms)));
+    println!("{row}");
+    row
+}
+
+/// `inst` after one run (`init`, `kernel`) whose checksum must match the
+/// native twin's `expected`, as a timed arm calling `kernel`.
+fn kernel_arm(mut inst: Box<dyn Instance>, arm: &str, expected: f64) -> Arm<'static> {
+    inst.invoke("init", &[]).expect("init");
+    inst.invoke("kernel", &[]).expect("kernel");
+    let cs = inst.invoke("checksum", &[]).expect("checksum");
+    let cs = cs.and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
+    assert!(
+        lb_dsl::kernel::checksums_match(cs, expected),
+        "{arm}: checksum {cs} != native {expected}"
+    );
+    Box::new(move || {
+        inst.invoke("kernel", &[]).expect("kernel");
+    })
+}
+
+fn native_arm(bench: &Benchmark) -> Arm<'static> {
     let mut k = (bench.native)();
     k.init();
-    k.kernel();
-    let t = Instant::now();
-    let iters = 30;
-    for _ in 0..iters {
-        k.kernel();
-    }
-    println!("native:   {:?}", t.elapsed() / iters);
-    let config = MemoryConfig::new(BoundsStrategy::Mprotect, 1, 256).with_reserve(512 << 16);
-    for (label, engine) in [
-        (
-            "wavm",
-            Box::new(JitEngine::new(JitProfile::wavm())) as Box<dyn Engine>,
-        ),
-        ("wasmtime", Box::new(JitEngine::new(JitProfile::wasmtime()))),
-        ("v8", Box::new(JitEngine::new(JitProfile::v8()))),
-        ("interp", Box::new(InterpEngine::new())),
-    ] {
-        let loaded = engine.load(&bench.module).unwrap();
-        let mut inst = loaded.instantiate(&config, &Linker::new()).unwrap();
-        inst.invoke("init", &[]).unwrap();
-        inst.invoke("kernel", &[]).unwrap();
-        inst.invoke("kernel", &[]).unwrap();
-        let iters = if label == "interp" { 3 } else { 30 };
-        let t = Instant::now();
-        for _ in 0..iters {
-            inst.invoke("kernel", &[]).unwrap();
+    Box::new(move || k.kernel())
+}
+
+fn engines(args: &Args) {
+    let uffd = lb_core::uffd::sigbus_mode_available();
+    // Every engine under mprotect, and wavm under every strategy.
+    let wanted = |sel: EngineSel, s: BoundsStrategy| {
+        s == BoundsStrategy::Mprotect
+            || sel == EngineSel::Wavm && (s != BoundsStrategy::Uffd || uffd)
+    };
+    let mut rows = Vec::new();
+    for bench in kernels(args, &["gemm", "jacobi-2d", "atax"]) {
+        let expected = bench.native_checksum();
+        let mut names = vec!["native".to_string()];
+        let mut arms = vec![native_arm(&bench)];
+        for sel in EngineSel::WASM_RUNTIMES {
+            let loaded = sel.engine().expect("wasm engine").load(&bench.module);
+            let loaded = loaded.expect("load");
+            for s in BoundsStrategy::ALL.into_iter().filter(|&s| wanted(sel, s)) {
+                let name = format!("{}/{}", sel.name(), s.name());
+                // The production shape: an 8 GiB reservation.
+                let inst = loaded.instantiate(&MemoryConfig::new(s, 0, 4096), &Linker::new());
+                arms.push(kernel_arm(inst.expect("instantiate"), &name, expected));
+                names.push(name);
+            }
         }
-        println!("{label:9} {:?}", t.elapsed() / iters);
+        arms.push(native_arm(&bench)); // A/A
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        rows.push(measure(Row::new(&bench.name), &names, &mut arms));
     }
+    let what = "kernel time per engine and strategy, as ratios to native";
+    record::write("BENCH_engines.json", "engines", what, &rows);
 }
 
-/// One measured cell of the pool matrix.
-struct PoolRow {
-    strategy: &'static str,
-    pool: bool,
-    window: usize,
-    iters: u32,
-    instantiate_us_median: f64,
-    mmap: u64,
-    munmap: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    zeropage_per_iter: f64,
-    batch_pages: u64,
-    prefetch_streaks: u64,
-    checksum_bits: u64,
+/// The plan mode's default kernels: a representative set, then the four
+/// whose per-access checks only the interprocedural analysis removes.
+const REPRESENTATIVE: &[&str] = &["gemm", "atax", "mvt", "bicg", "jacobi-2d", "trisolv"];
+const PREVIOUSLY_PARTIAL: &[&str] = &["deriche", "durbin", "ludcmp", "nussinov"];
+
+/// One compile's check decisions. A residual check is one the code still
+/// performs in either form: `lea`/`cmp`/`ja` (`jit.checks.emitted`) or
+/// fused against the limit table (`jit.checks.fused`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Counts {
+    elided: u64,
+    hoisted: u64,
+    residual: u64,
 }
 
-fn pool_matrix(name: &str) {
-    let bench = by_name(name, Dataset::Small).unwrap();
+/// Compile `module` under `profile` for trap and instantiate it, with
+/// the compile's check decisions (the JIT compiles for a strategy at its
+/// first instantiation).
+fn compile(profile: JitProfile, module: &Module) -> (Box<dyn Instance>, Counts) {
+    let before = lb_telemetry::snapshot();
+    let loaded = JitEngine::new(profile).load(module).expect("load");
+    let config = MemoryConfig::new(BoundsStrategy::Trap, 0, 4096);
+    let inst = loaded.instantiate(&config, &Linker::new());
+    let d = lb_telemetry::snapshot().delta_since(&before);
+    let counts = Counts {
+        elided: d.counter("jit.checks.static_elided"),
+        hoisted: d.counter("jit.checks.hoisted"),
+        residual: d.counter("jit.checks.emitted") + d.counter("jit.checks.fused"),
+    };
+    (inst.expect("instantiate"), counts)
+}
+
+/// Start `name`'s record row with `c`. The A/A arm is a second compile,
+/// whose counts `again` must repeat `c`.
+fn counted(name: &str, kind: &str, c: Counts, again: Counts) -> Row {
+    assert_eq!(c, again, "{name}: check counts must repeat");
+    Row::new(name)
+        .text("kind", kind)
+        .field("elided", c.elided)
+        .field("hoisted", c.hoisted)
+        .field("residual", c.residual)
+}
+
+fn plan(args: &Args) {
+    let wavm = JitProfile::wavm();
+    let names = ["default", "analysis-off", "fusion-off", "default again"];
+    let mut rows = Vec::new();
+    for bench in kernels(args, &[REPRESENTATIVE, PREVIOUSLY_PARTIAL].concat()) {
+        let profiles = [
+            wavm,
+            wavm.with_analysis(false),
+            wavm.with_guardopt(false),
+            wavm,
+        ];
+        let compiled = profiles.map(|p| compile(p, &bench.module));
+        let counts = compiled[0].1;
+        let row = counted(&bench.name, "static", counts, compiled[3].1);
+        if PREVIOUSLY_PARTIAL.contains(&bench.name.as_str()) {
+            assert_eq!(counts.residual, 0, "{}: must be check-free", bench.name);
+        }
+        let expected = bench.native_checksum();
+        let mut arms: Vec<Arm> = compiled
+            .into_iter()
+            .zip(names)
+            .map(|((inst, _), arm)| kernel_arm(inst, &format!("{}/{arm}", bench.name), expected))
+            .collect();
+        rows.push(measure(row, &names[..3], &mut arms));
+    }
+    rows.push(dynamic_bound_row());
+    let what = "trap strategy, wavm profile: kernel time with the lb-analysis plan off \
+                and with guard fusion off, as ratios to the default compile; the \
+                dynamic-bound-loop row turns hoisting off. Counts are the default \
+                compile's; residual = emitted + fused checks";
+    record::write("BENCH_hoist.json", "plan", what, &rows);
+}
+
+/// A loop whose bound is a parameter: static analysis can never prove
+/// its store, so it runs check-free only through the versioned fast body
+/// behind a hoisted preheader guard; the slow copy keeps its check.
+fn dynamic_bound_row() -> Row {
+    let m = dynamic_bound_module();
+    let wavm = JitProfile::wavm();
+    let compiled = [wavm, wavm.with_hoisting(false), wavm].map(|p| compile(p, &m));
+    let name = "dynamic-bound-loop";
+    let counts = compiled[0].1;
+    let row = counted(name, "hoisted", counts, compiled[2].1);
+    assert!(
+        counts.hoisted >= 1 && counts.residual >= 1,
+        "hoisting must version the loop and keep the slow copy's check: {counts:?}"
+    );
+    let n = [Value::I32(DYN_N as i32)];
+    let mut arms: Vec<Arm> = compiled
+        .into_iter()
+        .map(|(mut inst, _)| {
+            assert_eq!(inst.invoke("go", &n).expect("go"), Some(Value::I32(0)));
+            Box::new(move || {
+                inst.invoke("go", &n).expect("go");
+            }) as Arm
+        })
+        .collect();
+    measure(row, &["default", "hoisting-off"], &mut arms)
+}
+
+/// Elements of the dynamic-bound loop's array, which fills its one page.
+const DYN_N: u32 = 16368;
+
+/// `go(n) -> i32`: `for i in 0..n` (unsigned) `a[i] = i`, then return
+/// `a[0]`.
+fn dynamic_bound_module() -> Module {
+    let mut layout = Layout::new();
+    let a = layout.array_i32(DYN_N);
+    let mut f = DslFunc::new("go", &[ValType::I32], Some(ValType::I32));
+    let (i, n) = (f.local_i32(), f.param(0));
+    f.for_i32u(i, ci(0), n.get(), |f| a.set(f, i.get(), i.get()));
+    f.ret(a.at(ci(0)));
+    let mut km = KernelModule::new();
+    km.memory(layout.pages(), Some(layout.pages()));
+    km.add_exported(f);
+    km.finish()
+}
+
+fn memsys() {
+    let mut rows = Vec::new();
+    let uffd = lb_core::uffd::sigbus_mode_available();
+
+    // Isolate lifecycle (reserve, commit 16 pages, touch one, tear down):
+    // the churn that serializes on mmap_lock.
+    let lifecycle = |s: BoundsStrategy| -> Arm<'static> {
+        let config = MemoryConfig::new(s, 16, 64).with_reserve(64 << 20);
+        Box::new(move || {
+            let m = LinearMemory::new(&config).expect("memory");
+            catch_traps(|| m.store::<u64>(128, 0, 42)).expect("store");
+        })
+    };
+    let strategies: Vec<BoundsStrategy> = BoundsStrategy::ALL
+        .into_iter()
+        .filter(|&s| s != BoundsStrategy::Uffd || uffd)
+        .collect();
+    let names: Vec<&str> = strategies.iter().map(|s| s.name()).collect();
+    let with_aa = strategies.into_iter().chain([BoundsStrategy::None]);
+    let mut arms: Vec<Arm> = with_aa.map(lifecycle).collect();
+    rows.push(measure(Row::new("isolate_lifecycle"), &names, &mut arms));
+
+    // First touch of 16 pages: uffd's SIGBUS + UFFDIO_ZEROPAGE service vs
+    // mprotect-backed minor faults. Each call also reserves and tears
+    // down its memory, the same work in both arms.
+    if uffd {
+        let touch = |s: BoundsStrategy| -> Arm<'static> {
+            let config = MemoryConfig::new(s, 64, 64).with_reserve(8 << 20);
+            Box::new(move || {
+                let m = LinearMemory::new(&config).expect("memory");
+                catch_traps(|| (0..16u32).try_for_each(|p| m.store::<u8>(p * 65536, 0, 1)))
+                    .expect("store");
+            })
+        };
+        let (mp, uf) = (BoundsStrategy::Mprotect, BoundsStrategy::Uffd);
+        let mut arms = [touch(mp), touch(uf), touch(mp)];
+        let names = ["mprotect", "uffd"];
+        rows.push(measure(Row::new("first_touch_16_pages"), &names, &mut arms));
+    }
+
+    // Arena lookup: the hazard-pointer registry (the paper's design,
+    // readable from signal context), its cached-slot probe, and the
+    // mutexed map a lock-based runtime would use.
+    let reg: HazardRegistry<ArenaDesc> = HazardRegistry::new();
+    let desc = ArenaDesc::new(0x10000, 0x10000, 0x10000, BoundsStrategy::Uffd, -1);
+    let (slot, ptr) = reg.register(Box::new(desc));
+    let h = reg.claim_hazard();
+    let map = std::sync::Mutex::new(vec![(0x10000usize, 0x20000usize)]);
+    let addr = || black_box(0x18000);
+    let hazard = || {
+        black_box(reg.find_with(h, |d| d.contains(addr()), |d| d.base));
+    };
+    let hinted = || {
+        black_box(reg.find_with_hint(h, 0, |d| d.contains(addr()), |d| d.base));
+    };
+    let mutex = || {
+        let g = map.lock().expect("map lock");
+        black_box(g.iter().find(|(lo, hi)| (*lo..*hi).contains(&addr())));
+    };
+    let names = ["hazard", "hazard_hinted", "mutex"];
+    let mut arms: [Arm; 4] = [
+        Box::new(hazard),
+        Box::new(hinted),
+        Box::new(mutex),
+        Box::new(hazard),
+    ];
+    rows.push(measure(Row::new("arena_registry"), &names, &mut arms));
+    reg.release_hazard(h);
+    reg.unregister(slot, ptr);
+
+    // Trap machinery: `catch_traps` entry vs a full hardware out-of-bounds
+    // round trip (SIGSEGV, handler, classified wasm trap).
+    let config = MemoryConfig::new(BoundsStrategy::Mprotect, 1, 1).with_reserve(4 << 20);
+    let m = LinearMemory::new(&config).expect("memory");
+    let entry = || {
+        black_box(catch_traps(|| Ok::<_, lb_core::Trap>(black_box(1) + 1))).expect("no trap");
+    };
+    let oob = || {
+        black_box(catch_traps(|| m.load::<u8>(2 * 65536, 0))).expect_err("out of bounds");
+    };
+    let names = ["catch_traps_entry", "hardware_oob_roundtrip"];
+    let mut arms: [Arm; 3] = [Box::new(entry), Box::new(oob), Box::new(entry)];
+    rows.push(measure(Row::new("trap_machinery"), &names, &mut arms));
+
+    let what = "memory-subsystem ablations, as ratios to each set's first arm";
+    record::write("BENCH_memsys.json", "memsys", what, &rows);
+}
+
+fn pool_matrix(args: &Args) {
+    let name = args.bench.as_deref().unwrap_or("gemm");
+    let bench = lb_polybench::by_name(name, args.dataset).expect("known kernel");
     let engine = JitEngine::new(JitProfile::wavm());
     let loaded = engine.load(&bench.module).unwrap();
     let linker = Linker::new();
     let iters: u32 = 8;
     let uffd_ok = lb_core::uffd::sigbus_mode_available();
 
-    let mut rows: Vec<PoolRow> = Vec::new();
+    let mut rows = Vec::new();
+    let mut checksums = Vec::new();
+    // The most zeropage ioctls per iteration of a uffd cell, by window.
+    let mut uffd_zeropage = std::collections::BTreeMap::new();
     for s in BoundsStrategy::ALL {
         if s == BoundsStrategy::Uffd && !uffd_ok {
             eprintln!("note: uffd unavailable, skipping its rows");
@@ -134,34 +394,29 @@ fn pool_matrix(name: &str) {
                 let vm = lb_core::stats::snapshot().delta(&vm0);
                 let tele = lb_telemetry::snapshot().delta_since(&tele0);
                 lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                rows.push(PoolRow {
-                    strategy: s.name(),
-                    pool: pooled,
-                    window,
-                    iters,
-                    instantiate_us_median: lat[lat.len() / 2],
-                    mmap: vm.mmap,
-                    munmap: vm.munmap,
-                    pool_hits: vm.pool_hits,
-                    pool_misses: vm.pool_misses,
-                    zeropage_per_iter: vm.uffd_zeropage as f64 / f64::from(iters),
-                    batch_pages: tele.counter("uffd.batch_pages"),
-                    prefetch_streaks: tele.counter("uffd.prefetch_streak"),
-                    checksum_bits: checksum.to_bits(),
-                });
-                let r = rows.last().unwrap();
-                println!(
-                    "{:9} pool={:<5} window={:<3} inst_us={:<9.1} mmap={:<3} \
-                     zeropage/iter={:<7.1} hits={} misses={}",
-                    r.strategy,
-                    r.pool,
-                    r.window,
-                    r.instantiate_us_median,
-                    r.mmap,
-                    r.zeropage_per_iter,
-                    r.pool_hits,
-                    r.pool_misses
-                );
+                let inst_us = lat[lat.len() / 2];
+                let zeropage = vm.uffd_zeropage as f64 / f64::from(iters);
+                if s == BoundsStrategy::Uffd {
+                    let most = uffd_zeropage.entry(window).or_insert(0.0f64);
+                    *most = most.max(zeropage);
+                }
+                checksums.push(checksum.to_bits());
+                let row = Row::new(name)
+                    .text("strategy", s.name())
+                    .field("pool", pooled)
+                    .field("window", window)
+                    .field("iters", iters)
+                    .field("instantiate_us_median", format!("{inst_us:.2}"))
+                    .field("mmap", vm.mmap)
+                    .field("munmap", vm.munmap)
+                    .field("pool_hits", vm.pool_hits)
+                    .field("pool_misses", vm.pool_misses)
+                    .field("zeropage_per_iter", format!("{zeropage:.2}"))
+                    .field("batch_pages", tele.counter("uffd.batch_pages"))
+                    .field("prefetch_streaks", tele.counter("uffd.prefetch_streak"))
+                    .text("checksum_bits", &format!("{:#018x}", checksum.to_bits()));
+                println!("{row}");
+                rows.push(row);
             }
         }
     }
@@ -170,21 +425,14 @@ fn pool_matrix(name: &str) {
     lb_core::uffd::set_uffd_window_pages(lb_core::uffd::DEFAULT_UFFD_WINDOW_PAGES);
 
     // Correctness gate: every configuration must produce the same bits.
-    let first = rows.first().map(|r| r.checksum_bits).unwrap_or(0);
     assert!(
-        rows.iter().all(|r| r.checksum_bits == first),
+        checksums.windows(2).all(|w| w[0] == w[1]),
         "checksum diverged across pool/window configurations"
     );
     // Batching gate: the 16-page window must service the sequential
     // kernel with ≥4× fewer UFFDIO_ZEROPAGE ioctls than per-page mode.
-    let zp = |w: usize| {
-        rows.iter()
-            .filter(|r| r.strategy == "uffd" && r.window == w)
-            .map(|r| r.zeropage_per_iter)
-            .fold(0.0f64, f64::max)
-    };
     if uffd_ok {
-        let (base, batched) = (zp(1), zp(16));
+        let (base, batched) = (uffd_zeropage[&1], uffd_zeropage[&16]);
         println!("uffd zeropage ioctls/iter: window1={base:.1} window16={batched:.1}");
         assert!(
             batched * 4.0 <= base,
@@ -192,34 +440,10 @@ fn pool_matrix(name: &str) {
         );
     }
 
-    let mut json = String::from("{\n  \"bench\": \"");
-    json.push_str(name);
-    json.push_str("\",\n  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"strategy\":\"{}\",\"pool\":{},\"window\":{},\"iters\":{},\
-             \"instantiate_us_median\":{:.2},\"mmap\":{},\"munmap\":{},\
-             \"pool_hits\":{},\"pool_misses\":{},\"zeropage_per_iter\":{:.2},\
-             \"batch_pages\":{},\"prefetch_streaks\":{},\"checksum_bits\":\"{:#018x}\"}}{}",
-            r.strategy,
-            r.pool,
-            r.window,
-            r.iters,
-            r.instantiate_us_median,
-            r.mmap,
-            r.munmap,
-            r.pool_hits,
-            r.pool_misses,
-            r.zeropage_per_iter,
-            r.batch_pages,
-            r.prefetch_streaks,
-            r.checksum_bits,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-        json.push('\n');
-    }
-    json.push_str("  ]\n}\n");
-    let path = std::path::Path::new("BENCH_pool.json");
-    lb_harness::report::atomic_write(path, json.as_bytes()).unwrap();
-    println!("wrote {}", path.display());
+    record::write(
+        "BENCH_pool.json",
+        "pool",
+        "pool on/off x strategy (x uffd window) over fresh-isolate iterations",
+        &rows,
+    );
 }

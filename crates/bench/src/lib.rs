@@ -2,7 +2,9 @@
 //!
 //! One binary per figure in the paper's evaluation (`fig1` … `fig6`) plus
 //! `replication` (§4.4's comparisons to prior work). Each binary prints the
-//! rows/series the paper plots and optionally writes CSV. Shared CLI:
+//! rows/series the paper plots and optionally writes CSV. `quickperf` runs
+//! every A/B speed comparison through `lb_harness::stats` and writes it as
+//! one [`record`]. Shared CLI:
 //!
 //! ```text
 //! --dataset mini|small|medium   workload size        (default small)
@@ -17,7 +19,7 @@
 
 #![warn(missing_docs)]
 
-pub mod micro;
+pub mod record;
 
 use lb_dsl::Benchmark;
 use lb_harness::EngineSel;
@@ -54,7 +56,13 @@ impl Args {
     /// # Panics
     /// Panics (with a usage message) on malformed flags.
     pub fn parse() -> Args {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse_from(std::env::args().skip(1))
+    }
+
+    /// Parse `argv`: the arguments after the program name, and after a
+    /// mode the program takes first. Panics as [`Args::parse`] does.
+    pub fn parse_from(argv: impl IntoIterator<Item = String>) -> Args {
+        let argv: Vec<String> = argv.into_iter().collect();
         let mut flags = HashMap::new();
         let mut i = 0;
         while i < argv.len() {
@@ -126,17 +134,6 @@ impl Args {
             assert!(!v.is_empty(), "unknown benchmark {name}");
         }
         v
-    }
-
-    /// All wasm runtimes plus native, in the paper's order.
-    pub fn engines(&self) -> Vec<EngineSel> {
-        vec![
-            EngineSel::Native,
-            EngineSel::Wavm,
-            EngineSel::Wasmtime,
-            EngineSel::V8,
-            EngineSel::Interp,
-        ]
     }
 }
 

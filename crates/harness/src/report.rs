@@ -139,7 +139,8 @@ impl JsonlReport {
             if i > 0 {
                 line.push(',');
             }
-            let _ = write!(line, "\"{}\":\"{}\"", escape(k), escape(v));
+            lb_telemetry::json::write_key(&mut line, k);
+            lb_telemetry::json::write_str(&mut line, v);
         }
         line.push('}');
         self.lines.push(line);
@@ -169,28 +170,6 @@ impl JsonlReport {
         }
         atomic_write(path, out.as_bytes())
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format a ratio with 3 decimals.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.3}")
 }
 
 /// Format a duration in adaptive units.

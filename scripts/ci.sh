@@ -14,6 +14,12 @@
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
+#   8. A/B smoke: quickperf's plan mode on one Mini kernel (and its
+#      dynamic-bound loop). It gates only on exact results: checksums
+#      against native, check counts that repeat across two compiles, and
+#      a record that re-parses with every header field. It asserts no
+#      timing. It runs in target/ab-smoke so the committed
+#      BENCH_hoist.json is left alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,5 +38,7 @@ run cargo run --release -p lb-bench --bin analysis_report -- \
 run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
   cargo run --release -p lb-bench --bin prof_report -- --smoke
 run cargo run --release -p lb-bench --bin serve_bench -- --smoke true
+mkdir -p target/ab-smoke
+(cd target/ab-smoke && run ../release/quickperf plan --dataset mini --bench trisolv)
 
 echo "==> ci.sh: all gates passed"

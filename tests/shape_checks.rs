@@ -11,62 +11,34 @@ mod common;
 
 use leaps_and_bounds::core::exec::{Engine, Linker};
 use leaps_and_bounds::core::{stats, BoundsStrategy, MemoryConfig};
+use leaps_and_bounds::harness::stats::{interleave, paired, Arm};
 use leaps_and_bounds::interp::InterpEngine;
 use leaps_and_bounds::jit::{JitEngine, JitProfile};
 use leaps_and_bounds::polybench::{by_name, Dataset};
 use std::time::{Duration, Instant};
 
-/// Kernel time for each `(engine, strategy)` run, as the first run's
-/// median time scaled by each run's median ratio to the first run.
-///
-/// Each of `ROUNDS` rounds calls every run's instance once, back to back,
-/// rotating which goes first. The host's load — other tests, other
-/// processes on a shared machine — comes and goes over a few
-/// milliseconds and can slow a call by more than half, but it is nearly
-/// the same for calls within one round: the per-round ratio cancels it,
-/// where comparing each run's best or median over the whole measurement
-/// rewards whichever run happened to catch a quiet moment.
-const ROUNDS: usize = 31;
-
+/// Kernel time for each `(engine, strategy)` run, from
+/// `lb_harness::stats`' interleaved, rotating rounds: the first run's
+/// median time scaled by each run's median per-round ratio to it.
 fn kernel_times(
     module: &leaps_and_bounds::wasm::Module,
     runs: &[(&dyn Engine, BoundsStrategy)],
 ) -> Vec<Duration> {
-    let mut insts: Vec<_> = runs
+    let mut arms: Vec<Arm> = runs
         .iter()
         .map(|&(engine, s)| {
             let loaded = engine.load(module).unwrap();
             let config = MemoryConfig::new(s, 0, 512).with_reserve(256 << 20);
             let mut inst = loaded.instantiate(&config, &Linker::new()).unwrap();
             inst.invoke("init", &[]).unwrap();
-            inst.invoke("kernel", &[]).unwrap(); // warm (tiering, faults)
-            inst.invoke("kernel", &[]).unwrap();
-            inst
+            Box::new(move || {
+                inst.invoke("kernel", &[]).unwrap();
+            }) as Arm
         })
         .collect();
-    let mut times = vec![[Duration::ZERO; ROUNDS]; runs.len()];
-    for round in 0..ROUNDS {
-        for k in 0..runs.len() {
-            let i = (round + k) % runs.len();
-            let t = Instant::now();
-            insts[i].invoke("kernel", &[]).unwrap();
-            times[i][round] = t.elapsed();
-        }
-    }
-    let median = |mut xs: Vec<f64>| {
-        xs.sort_by(f64::total_cmp);
-        xs[xs.len() / 2]
-    };
-    let base = median(times[0].iter().map(Duration::as_secs_f64).collect());
-    times
+    paired(&interleave(&mut arms))
         .iter()
-        .map(|ts| {
-            let ratios = ts
-                .iter()
-                .zip(&times[0])
-                .map(|(t, r)| t.as_secs_f64() / r.as_secs_f64());
-            Duration::from_secs_f64(base * median(ratios.collect()))
-        })
+        .map(|e| Duration::from_secs_f64(e.secs))
         .collect()
 }
 
