@@ -1,111 +1,20 @@
-//! **Figure 2** — Geometric mean of per-benchmark median execution times
-//! divided by the native baseline, for every runtime × bounds-checking
-//! strategy, PolyBench and SPEC-proxy separated.
-//!
-//! * `--isa x86_64` (default): real measurements on the host.
-//! * `--isa armv8` / `--isa riscv`: the cross-ISA cost model (figures
-//!   2b/2c) — per-strategy overhead relative to `none` estimated from the
-//!   dynamic instruction mix and the target microarchitecture's costs.
-//!   (On RISC-V the paper could only run Native, Wasm3 and V8 — the model
-//!   covers the strategy dimension those runtimes shared.)
+//! **Figures 2b/2c** — the cross-ISA cost model: per-strategy overhead
+//! relative to `none`, estimated from each benchmark's dynamic
+//! instruction mix and the target microarchitecture's costs, as the
+//! geometric mean per suite. (On RISC-V the paper could only run Native,
+//! Wasm3 and V8 — the model covers the strategy dimension those runtimes
+//! shared.) Figure 2a, the measured x86_64 matrix, is `quickperf engines`.
 //!
 //! ```text
-//! cargo run --release -p lb-bench --bin fig2 -- --dataset small --isa x86_64
+//! cargo run --release -p lb-bench --bin fig2 -- --dataset small --isa armv8
 //! ```
 
 use lb_bench::{emit, Args};
-use lb_core::BoundsStrategy;
-use lb_harness::{run_benchmark, stats, EngineSel, RunSpec, Table};
-use std::collections::HashMap;
+use lb_harness::{stats, Table};
 
 fn main() {
     let args = Args::parse();
-    let isa = args
-        .flags
-        .get("isa")
-        .cloned()
-        .unwrap_or_else(|| "x86_64".into());
-    if isa == "x86_64" {
-        measured(&args);
-    } else {
-        modeled(&args, &isa);
-    }
-}
-
-fn strategies() -> Vec<BoundsStrategy> {
-    let mut v = vec![
-        BoundsStrategy::None,
-        BoundsStrategy::Clamp,
-        BoundsStrategy::Trap,
-        BoundsStrategy::Mprotect,
-    ];
-    if lb_core::uffd::sigbus_mode_available() {
-        v.push(BoundsStrategy::Uffd);
-    }
-    v
-}
-
-/// Figure 2a: real measurements, every engine × strategy vs native.
-fn measured(args: &Args) {
-    let benches = args.benchmarks();
-    let strategies = strategies();
-
-    // Native baselines per benchmark.
-    let mut native: HashMap<String, std::time::Duration> = HashMap::new();
-    for b in &benches {
-        let mut spec = RunSpec::new(EngineSel::Native, BoundsStrategy::None);
-        spec.warmup_iters = args.warmup;
-        spec.measured_iters = args.iters;
-        let r = run_benchmark(b, &spec);
-        native.insert(b.name.clone(), r.median());
-        eprintln!("  native {}", b.name);
-    }
-
-    let mut table = Table::new(&["suite", "engine", "strategy", "geomean_vs_native"]);
-    for engine in [
-        EngineSel::Wavm,
-        EngineSel::Wasmtime,
-        EngineSel::V8,
-        EngineSel::Interp,
-    ] {
-        let engine_strategies: &[BoundsStrategy] = if engine == EngineSel::Interp {
-            // The paper leaves Wasm3 on its built-in (trap-equivalent)
-            // checks; we report the same single configuration.
-            &[BoundsStrategy::Trap]
-        } else {
-            &strategies
-        };
-        for &s in engine_strategies {
-            for suite in ["polybench", "spec"] {
-                let mut ratios = Vec::new();
-                for b in benches.iter().filter(|b| b.suite == suite) {
-                    let mut spec = RunSpec::new(engine, s);
-                    spec.warmup_iters = args.warmup;
-                    spec.measured_iters = args.iters;
-                    let r = run_benchmark(b, &spec);
-                    assert!(r.checksum_ok, "{} {s} checksum", b.name);
-                    ratios.push(stats::ratio(r.median(), native[&b.name]));
-                }
-                if ratios.is_empty() {
-                    continue;
-                }
-                table.row(vec![
-                    suite.into(),
-                    engine.name().into(),
-                    s.name().into(),
-                    format!("{:.3}", stats::geomean_ratios(&ratios)),
-                ]);
-            }
-            eprintln!("  measured {} {}", engine.name(), s);
-        }
-    }
-    println!("\nFigure 2a (x86_64, measured): geomean of medians vs native\n");
-    emit(&table, &args.csv);
-}
-
-/// Figures 2b/2c: the ISA cost model. Reported relative to `none` per ISA
-/// (the strategy dimension; runtime quality is a per-host property).
-fn modeled(args: &Args, isa_name: &str) {
+    let isa_name = args.flags.get("isa").map_or("armv8", String::as_str);
     let isa = lb_isa_model::by_name(isa_name)
         .unwrap_or_else(|| panic!("unknown --isa {isa_name} (x86_64|armv8|riscv)"));
     let mut table = Table::new(&["suite", "strategy", "geomean_vs_none", "isa"]);
@@ -115,7 +24,7 @@ fn modeled(args: &Args, isa_name: &str) {
         eprintln!("  profiling {}", b.name);
         mixes.push((b.suite, lb_isa_model::profile_benchmark(b)));
     }
-    for s in strategies() {
+    for s in lb_harness::available_strategies() {
         for suite in ["polybench", "spec"] {
             let ratios: Vec<f64> = mixes
                 .iter()
@@ -133,9 +42,13 @@ fn modeled(args: &Args, isa_name: &str) {
             ]);
         }
     }
+    let figure = match isa_name {
+        "armv8" => "Figure 2b",
+        "riscv" => "Figure 2c",
+        _ => "Figure 2 model",
+    };
     println!(
-        "\nFigure 2{} ({}, cost model): strategy cost normalized to `none`\n",
-        if isa_name == "armv8" { "b" } else { "c" },
+        "\n{figure} ({}, cost model): strategy cost normalized to `none`\n",
         isa.name
     );
     emit(&table, &args.csv);

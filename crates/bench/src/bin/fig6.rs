@@ -24,15 +24,7 @@ fn main() {
         .map(|s| s.parse().expect("reserve bytes"))
         .unwrap_or(lb_core::DEFAULT_RESERVE_BYTES);
 
-    let mut strategies = vec![
-        BoundsStrategy::None,
-        BoundsStrategy::Clamp,
-        BoundsStrategy::Trap,
-        BoundsStrategy::Mprotect,
-    ];
-    if lb_core::uffd::sigbus_mode_available() {
-        strategies.push(BoundsStrategy::Uffd);
-    }
+    let strategies = lb_harness::available_strategies();
 
     let mut table = Table::new(&[
         "engine",

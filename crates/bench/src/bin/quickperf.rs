@@ -3,8 +3,12 @@
 //! baseline arm repeated as the A/A control) and writes one
 //! `lb_bench::record`:
 //!
-//! * `engines`: native, the four engines under mprotect, and wavm under
-//!   none/clamp/trap/uffd (the axes of figures 1–2). `BENCH_engines.json`.
+//! * `engines`: the engine × strategy matrix of Fig. 1, Fig. 2a and §4.4
+//!   (`lb_bench::matrix`): per benchmark of `--suite` (default both),
+//!   native, wavm/wasmtime/v8 under every strategy, interp under trap and
+//!   native again, each arm one isolate iteration
+//!   (`lb_harness::Isolate::iteration`). Prints the three figures' tables
+//!   and writes them with the rows to `BENCH_engines.json`.
 //! * `plan`: under trap, the default compile against `lb-analysis` off
 //!   and guard fusion off, with each compile's elided, hoisted and
 //!   residual checks, plus a parameter-bounded loop with hoisting off.
@@ -18,6 +22,7 @@
 //! Modes take `--dataset`, `--suite` and `--bench`. Every kernel arm must
 //! match the native checksum before it is timed.
 
+use lb_bench::matrix::{self, Measured, SuiteMean};
 use lb_bench::record::{self, Row};
 use lb_bench::Args;
 use lb_core::exec::{Engine, Instance, Linker};
@@ -29,7 +34,7 @@ use lb_dsl::expr::i32 as ci;
 use lb_dsl::Benchmark;
 use lb_dsl::{DslFunc, KernelModule, Layout};
 use lb_harness::stats::{interleave, paired, Arm};
-use lb_harness::EngineSel;
+use lb_harness::{EngineSel, Isolate};
 use lb_jit::{JitEngine, JitProfile};
 use lb_wasm::{Module, ValType, Value};
 use std::hint::black_box;
@@ -54,7 +59,7 @@ fn main() {
 /// `defaults` (PolyBench, at `--dataset`) unless `--bench` or `--suite`
 /// chooses.
 fn kernels(args: &Args, defaults: &[&str]) -> Vec<Benchmark> {
-    if args.bench.is_some() || args.suite != "all" {
+    if args.bench.is_some() || args.flags.contains_key("suite") {
         return args.benchmarks();
     }
     defaults
@@ -77,50 +82,77 @@ fn kernel_arm(mut inst: Box<dyn Instance>, arm: &str, expected: f64) -> Arm<'sta
     inst.invoke("init", &[]).expect("init");
     inst.invoke("kernel", &[]).expect("kernel");
     let cs = inst.invoke("checksum", &[]).expect("checksum");
-    let cs = cs.and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-    assert!(
-        lb_dsl::kernel::checksums_match(cs, expected),
-        "{arm}: checksum {cs} != native {expected}"
-    );
+    check(arm, cs.and_then(|v| v.as_f64()), expected);
     Box::new(move || {
         inst.invoke("kernel", &[]).expect("kernel");
     })
 }
 
-fn native_arm(bench: &Benchmark) -> Arm<'static> {
-    let mut k = (bench.native)();
-    k.init();
-    Box::new(move || k.kernel())
+/// Assert that `arm`'s checksum matches the native twin's `expected`.
+fn check(arm: &str, cs: Option<f64>, expected: f64) {
+    let cs = cs.unwrap_or(f64::NAN);
+    assert!(
+        lb_dsl::kernel::checksums_match(cs, expected),
+        "{arm}: checksum {cs} != native {expected}"
+    );
 }
 
+/// The engine × strategy matrix: per benchmark, every `matrix::cells`
+/// arm as one isolate iteration, interleaved; then Fig. 1, Fig. 2a and
+/// §4.4 as views of those samples.
 fn engines(args: &Args) {
-    let uffd = lb_core::uffd::sigbus_mode_available();
-    // Every engine under mprotect, and wavm under every strategy.
-    let wanted = |sel: EngineSel, s: BoundsStrategy| {
-        s == BoundsStrategy::Mprotect
-            || sel == EngineSel::Wavm && (s != BoundsStrategy::Uffd || uffd)
-    };
-    let mut rows = Vec::new();
-    for bench in kernels(args, &["gemm", "jacobi-2d", "atax"]) {
+    let cells = matrix::cells(&lb_harness::available_strategies());
+    let names: Vec<String> = cells.iter().map(|&c| matrix::name(c)).collect();
+    let names: Vec<&str> = names[..cells.len() - 1]
+        .iter()
+        .map(String::as_str)
+        .collect();
+    let (mut rows, mut measured) = (Vec::new(), Vec::new());
+    for bench in args.benchmarks() {
         let expected = bench.native_checksum();
-        let mut names = vec!["native".to_string()];
-        let mut arms = vec![native_arm(&bench)];
-        for sel in EngineSel::WASM_RUNTIMES {
-            let loaded = sel.engine().expect("wasm engine").load(&bench.module);
-            let loaded = loaded.expect("load");
-            for s in BoundsStrategy::ALL.into_iter().filter(|&s| wanted(sel, s)) {
-                let name = format!("{}/{}", sel.name(), s.name());
+        let loaded = EngineSel::WASM_RUNTIMES.map(|e| {
+            let engine = e.engine().expect("wasm engine");
+            (e, engine.load(&bench.module).expect("load"))
+        });
+        let mut arms: Vec<Arm> = Vec::new();
+        for &cell in &cells {
+            let isolate = match loaded.iter().find(|(e, _)| *e == cell.0) {
                 // The production shape: an 8 GiB reservation.
-                let inst = loaded.instantiate(&MemoryConfig::new(s, 0, 4096), &Linker::new());
-                arms.push(kernel_arm(inst.expect("instantiate"), &name, expected));
-                names.push(name);
-            }
+                Some((_, m)) => Isolate::Wasm(&**m, MemoryConfig::new(cell.1, 0, 4096)),
+                None => Isolate::Native(&bench.native),
+            };
+            let arm = format!("{}/{}", bench.name, matrix::name(cell));
+            let cs = isolate
+                .iteration(true)
+                .unwrap_or_else(|f| panic!("{arm}: {f}"));
+            check(&arm, cs, expected);
+            arms.push(Box::new(move || {
+                isolate.iteration(false).expect("isolate iteration");
+            }));
         }
-        arms.push(native_arm(&bench)); // A/A
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        rows.push(measure(Row::new(&bench.name), &names, &mut arms));
+        let m = Measured::new(&bench.name, bench.suite, &cells, &interleave(&mut arms));
+        let row = m.row(&names);
+        println!("{row}");
+        rows.push(row);
+        measured.push(m);
     }
-    let what = "kernel time per engine and strategy, as ratios to native";
+
+    let means = matrix::fig2a(&cells, &measured);
+    let claims = matrix::replication(&means);
+    print!("{}", matrix::tables(&measured, &means, &claims));
+    let fig2a = |row: Row, &(suite, cell, g): &SuiteMean| {
+        row.field(
+            &format!("{suite}/{}", matrix::name(cell)),
+            format!("{g:.4}"),
+        )
+    };
+    rows.push(means.iter().fold(Row::new("fig2a"), fig2a));
+    let claim = |row: Row, [claim, _, ours]: &[String; 3]| row.text(claim, ours);
+    rows.push(claims.iter().fold(Row::new("replication"), claim));
+    let what = "isolate iteration time (instantiate, init, kernel, tear down) per engine \
+                and strategy as ratios to native, and each v8 strategy's ratio to v8/none \
+                (Fig. 1, the fig1_* fields); then the per-suite geomeans of the ratios to \
+                native (Fig. 2a) and the section 4.4 comparisons built from them";
     record::write("BENCH_engines.json", "engines", what, &rows);
 }
 
@@ -258,10 +290,7 @@ fn memsys() {
             catch_traps(|| m.store::<u64>(128, 0, 42)).expect("store");
         })
     };
-    let strategies: Vec<BoundsStrategy> = BoundsStrategy::ALL
-        .into_iter()
-        .filter(|&s| s != BoundsStrategy::Uffd || uffd)
-        .collect();
+    let strategies = lb_harness::available_strategies();
     let names: Vec<&str> = strategies.iter().map(|s| s.name()).collect();
     let with_aa = strategies.into_iter().chain([BoundsStrategy::None]);
     let mut arms: Vec<Arm> = with_aa.map(lifecycle).collect();

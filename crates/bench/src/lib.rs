@@ -1,10 +1,11 @@
 //! # lb-bench — figure/table regeneration
 //!
-//! One binary per figure in the paper's evaluation (`fig1` … `fig6`) plus
-//! `replication` (§4.4's comparisons to prior work). Each binary prints the
-//! rows/series the paper plots and optionally writes CSV. `quickperf` runs
-//! every A/B speed comparison through `lb_harness::stats` and writes it as
-//! one [`record`]. Shared CLI:
+//! `quickperf` runs every speed comparison through `lb_harness::stats`
+//! and writes it as one [`record`]; its `engines` mode times the engine ×
+//! strategy [`matrix`] that Fig. 1, Fig. 2a and §4.4 (the comparisons to
+//! prior work) are views of. `fig2` (the cross-ISA cost model of Figs.
+//! 2b/2c) and `fig3` … `fig6` print the rows/series the paper plots and
+//! optionally write CSV. Shared CLI:
 //!
 //! ```text
 //! --dataset mini|small|medium   workload size        (default small)
@@ -19,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod matrix;
 pub mod record;
 
 use lb_dsl::Benchmark;

@@ -16,6 +16,6 @@ pub mod stats;
 pub use procstat::{Sampler, SysStats};
 pub use report::{atomic_write, JsonlReport, Table};
 pub use runner::{
-    run_benchmark, run_benchmark_checked, EngineSel, RunFailure, RunOutcome, RunResult, RunSpec,
-    RunStage,
+    available_strategies, run_benchmark, run_benchmark_checked, EngineSel, Isolate, RunFailure,
+    RunOutcome, RunResult, RunSpec, RunStage,
 };

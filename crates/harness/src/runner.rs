@@ -5,7 +5,9 @@
 //!   the module in a timed loop — one instantiation (fresh linear memory),
 //!   `init`, `kernel`, tear-down per iteration, which is exactly the
 //!   allocate/run/free churn the paper says "stresses the virtual memory
-//!   management subsystem";
+//!   management subsystem". [`Isolate::iteration`] is that unit, for the
+//!   native baseline and every engine alike, and the interleaved engine
+//!   matrix (`quickperf engines`) times the same function;
 //! * warm-up iterations precede the timed window, and threads that finish
 //!   keep running cool-down iterations until all threads are done, so the
 //!   machine stays uniformly busy throughout every measurement.
@@ -20,10 +22,10 @@
 //! JSONL export next to the requested one.
 
 use crate::procstat::{pin_to_cpu, Sampler, SysStats};
-use lb_core::exec::{Engine, Linker};
+use lb_core::exec::{Engine, Linker, LoadedModule};
 use lb_core::stats::{snapshot, VmSnapshot};
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig};
-use lb_dsl::{Benchmark, NativeKernel};
+use lb_dsl::{Benchmark, NativeFactory};
 use lb_interp::InterpEngine;
 use lb_jit::{JitEngine, JitProfile};
 use std::fmt;
@@ -90,6 +92,16 @@ impl EngineSel {
             EngineSel::V8 => Some(Arc::new(JitEngine::new(JitProfile::v8()))),
         }
     }
+}
+
+/// The bounds strategies this host can run: all five, or four when the
+/// kernel refuses userfaultfd's SIGBUS mode.
+pub fn available_strategies() -> Vec<BoundsStrategy> {
+    let uffd = lb_core::uffd::sigbus_mode_available();
+    BoundsStrategy::ALL
+        .into_iter()
+        .filter(|&s| s != BoundsStrategy::Uffd || uffd)
+        .collect()
 }
 
 /// One measurement configuration.
@@ -190,6 +202,11 @@ impl RunFailure {
             attempts: 0,
         }
     }
+}
+
+/// A `map_err` adapter: the error, as a failure at `stage`.
+fn fail<E: fmt::Display>(stage: RunStage) -> impl Fn(E) -> RunFailure {
+    move |e| RunFailure::new(stage, &e)
 }
 
 impl fmt::Display for RunFailure {
@@ -357,10 +374,13 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
     let prof_session = lb_prof::start();
     let deadline = spec.timeout.map(|t| Instant::now() + t);
 
-    let raw = match spec.engine.engine() {
-        None => run_native(bench, spec, expected, deadline),
-        Some(engine) => run_wasm(bench, spec, engine, expected, deadline),
-    };
+    let raw = load(bench, spec).and_then(|wasm| {
+        let (isolate, effective) = match &wasm {
+            Some((module, config)) => (Isolate::Wasm(&**module, *config), config.strategy),
+            None => (Isolate::Native(&bench.native), spec.strategy),
+        };
+        run_workers(isolate, effective, spec, expected, deadline)
+    });
 
     // Always stop the sampler and profiler and settle telemetry, success
     // or not — a failed run must not leave the SIGPROF timer armed.
@@ -511,6 +531,49 @@ struct RawRun {
     effective: BoundsStrategy,
 }
 
+/// What an isolate iteration instantiates.
+#[derive(Clone, Copy)]
+pub enum Isolate<'a> {
+    /// A fresh state of a benchmark's native twin.
+    Native(&'a NativeFactory),
+    /// A fresh instance of a loaded module (benchmarks import nothing),
+    /// with a fresh linear memory under the config.
+    Wasm(&'a dyn LoadedModule, MemoryConfig),
+}
+
+impl Isolate<'_> {
+    /// One isolate iteration, the unit every engine measurement times:
+    /// instantiate, `init`, `kernel`, then tear down. With `checksum`,
+    /// the checksum is read before the tear-down and returned.
+    ///
+    /// # Errors
+    /// The stage that failed: instantiate, init, kernel or checksum.
+    pub fn iteration(self, checksum: bool) -> Result<Option<f64>, RunFailure> {
+        match self {
+            Isolate::Native(native) => {
+                let mut k = native();
+                k.init();
+                k.kernel();
+                Ok(checksum.then(|| k.checksum()))
+            }
+            Isolate::Wasm(module, config) => {
+                let mut inst = module
+                    .instantiate(&config, &Linker::new())
+                    .map_err(fail(RunStage::Instantiate))?;
+                inst.invoke("init", &[]).map_err(fail(RunStage::Init))?;
+                inst.invoke("kernel", &[]).map_err(fail(RunStage::Kernel))?;
+                if !checksum {
+                    return Ok(None);
+                }
+                let cs = inst
+                    .invoke("checksum", &[])
+                    .map_err(fail(RunStage::Checksum))?;
+                Ok(Some(cs.and_then(|v| v.as_f64()).unwrap_or(f64::NAN)))
+            }
+        }
+    }
+}
+
 fn timed_out(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }
@@ -547,84 +610,16 @@ fn collect_workers(
     }
 }
 
-fn run_native(
+/// Load the module and resolve the run's memory config; `None` for the
+/// native baseline.
+fn load(
     bench: &Benchmark,
     spec: &RunSpec,
-    expected: f64,
-    deadline: Option<Instant>,
-) -> Result<RawRun, RunFailure> {
-    let barrier = Arc::new(Barrier::new(spec.threads));
-    let remaining = Arc::new(AtomicUsize::new(spec.threads));
-    let t0 = Instant::now();
-    let joined = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for tid in 0..spec.threads {
-            let barrier = Arc::clone(&barrier);
-            let remaining = Arc::clone(&remaining);
-            let native = &bench.native;
-            handles.push(s.spawn(move || {
-                pin_to_cpu(tid);
-                lb_prof::ensure_thread();
-                let one_iter = || {
-                    let mut k: Box<dyn NativeKernel> = native();
-                    k.init();
-                    k.kernel();
-                    k
-                };
-                for _ in 0..spec.warmup_iters {
-                    if timed_out(deadline) {
-                        break;
-                    }
-                    one_iter();
-                }
-                // Every worker reaches the barrier exactly once, even on
-                // the failure paths below — otherwise siblings deadlock.
-                barrier.wait();
-                let mut times = Vec::with_capacity(spec.measured_iters as usize);
-                let mut last = None;
-                for _ in 0..spec.measured_iters {
-                    if timed_out(deadline) {
-                        remaining.fetch_sub(1, Ordering::AcqRel);
-                        return Err(timeout_failure());
-                    }
-                    let t = Instant::now();
-                    let k = one_iter();
-                    times.push(t.elapsed());
-                    last = Some(k);
-                }
-                let ok = last
-                    .map(|k| lb_dsl::kernel::checksums_match(k.checksum(), expected))
-                    .unwrap_or(true);
-                // Cool-down: keep the CPU busy until everyone is done.
-                remaining.fetch_sub(1, Ordering::AcqRel);
-                while remaining.load(Ordering::Acquire) > 0 && !timed_out(deadline) {
-                    one_iter();
-                }
-                Ok((times, ok))
-            }));
-        }
-        collect_workers(handles)
-    })?;
-    let wall = t0.elapsed();
-    let ok = joined.iter().all(|(_, ok)| *ok);
-    Ok(RawRun {
-        times: joined.into_iter().map(|(t, _)| t).collect(),
-        checksum_ok: ok,
-        wall,
-        effective: spec.strategy,
-    })
-}
-
-fn run_wasm(
-    bench: &Benchmark,
-    spec: &RunSpec,
-    engine: Arc<dyn Engine>,
-    expected: f64,
-    deadline: Option<Instant>,
-) -> Result<RawRun, RunFailure> {
-    let loaded = engine
-        .load(&bench.module)
-        .map_err(|e| RunFailure::new(RunStage::Load, &e))?;
+) -> Result<Option<(Arc<dyn LoadedModule>, MemoryConfig)>, RunFailure> {
+    let Some(engine) = spec.engine.engine() else {
+        return Ok(None);
+    };
+    let loaded = engine.load(&bench.module).map_err(fail(RunStage::Load))?;
     let requested = MemoryConfig {
         strategy: spec.strategy,
         initial_pages: 0,
@@ -636,94 +631,70 @@ fn run_wasm(
     // every isolate of this run then uses the *same* fallen-back strategy
     // instead of each iteration renegotiating — keeping per-iteration
     // timings comparable and the JSONL row honest about what actually ran.
-    let probe = LinearMemory::new(&requested).map_err(|e| RunFailure::new(RunStage::Probe, &e))?;
-    let effective = probe.strategy();
-    drop(probe);
+    let probe = LinearMemory::new(&requested).map_err(fail(RunStage::Probe))?;
     let config = MemoryConfig {
-        strategy: effective,
+        strategy: probe.strategy(),
         ..requested
     };
+    Ok(Some((loaded, config)))
+}
 
-    let linker = Linker::new();
-    let barrier = Arc::new(Barrier::new(spec.threads));
-    let remaining = Arc::new(AtomicUsize::new(spec.threads));
+/// Run `spec.threads` pinned workers, each iterating `isolate`: warm-up,
+/// a barrier, the timed iterations (the last also reads the checksum),
+/// then cool-down iterations until every worker is done.
+fn run_workers(
+    isolate: Isolate<'_>,
+    effective: BoundsStrategy,
+    spec: &RunSpec,
+    expected: f64,
+    deadline: Option<Instant>,
+) -> Result<RawRun, RunFailure> {
+    let barrier = Barrier::new(spec.threads);
+    let remaining = AtomicUsize::new(spec.threads);
     let t0 = Instant::now();
     let joined = std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for tid in 0..spec.threads {
-            let loaded = Arc::clone(&loaded);
-            let linker = linker.clone();
-            let barrier = Arc::clone(&barrier);
-            let remaining = Arc::clone(&remaining);
-            handles.push(s.spawn(move || {
-                pin_to_cpu(tid);
-                lb_prof::ensure_thread();
-                // One isolate instantiation + run per iteration: the
-                // allocate/free churn the paper measures.
-                let one_iter = || -> Result<Box<dyn lb_core::Instance>, RunFailure> {
-                    let mut inst = loaded
-                        .instantiate(&config, &linker)
-                        .map_err(|e| RunFailure::new(RunStage::Instantiate, &e))?;
-                    inst.invoke("init", &[])
-                        .map_err(|e| RunFailure::new(RunStage::Init, &e))?;
-                    inst.invoke("kernel", &[])
-                        .map_err(|e| RunFailure::new(RunStage::Kernel, &e))?;
-                    Ok(inst)
-                };
-                let mut warm_err = None;
-                for _ in 0..spec.warmup_iters {
-                    if timed_out(deadline) {
-                        warm_err = Some(timeout_failure());
-                        break;
-                    }
-                    if let Err(f) = one_iter() {
-                        warm_err = Some(f);
-                        break;
-                    }
-                }
-                // Every worker reaches the barrier exactly once, even when
-                // warm-up failed — otherwise the siblings deadlock.
-                barrier.wait();
-                if let Some(f) = warm_err {
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                    return Err(f);
-                }
-                let mut times = Vec::with_capacity(spec.measured_iters as usize);
-                let mut ok = true;
-                for i in 0..spec.measured_iters {
-                    if timed_out(deadline) {
-                        remaining.fetch_sub(1, Ordering::AcqRel);
-                        return Err(timeout_failure());
-                    }
-                    let t = Instant::now();
-                    let mut inst = match one_iter() {
-                        Ok(inst) => inst,
-                        Err(f) => {
-                            remaining.fetch_sub(1, Ordering::AcqRel);
-                            return Err(f);
+        let (barrier, remaining) = (&barrier, &remaining);
+        let handles = (0..spec.threads)
+            .map(|tid| {
+                s.spawn(move || {
+                    pin_to_cpu(tid);
+                    lb_prof::ensure_thread();
+                    let warm = (0..spec.warmup_iters).try_for_each(|_| {
+                        if timed_out(deadline) {
+                            return Err(timeout_failure());
                         }
-                    };
-                    times.push(t.elapsed());
-                    if i == spec.measured_iters - 1 {
-                        let cs = match inst.invoke("checksum", &[]) {
-                            Ok(v) => v.and_then(|v| v.as_f64()).unwrap_or(f64::NAN),
-                            Err(e) => {
-                                remaining.fetch_sub(1, Ordering::AcqRel);
-                                return Err(RunFailure::new(RunStage::Checksum, &e));
+                        isolate.iteration(false).map(drop)
+                    });
+                    // Every worker reaches the barrier exactly once, even
+                    // when warm-up failed — otherwise the siblings deadlock.
+                    barrier.wait();
+                    let timed = warm.and_then(|()| {
+                        let mut times = Vec::with_capacity(spec.measured_iters as usize);
+                        let mut ok = true;
+                        for i in 0..spec.measured_iters {
+                            if timed_out(deadline) {
+                                return Err(timeout_failure());
                             }
-                        };
-                        ok = lb_dsl::kernel::checksums_match(cs, expected);
-                    }
-                }
-                remaining.fetch_sub(1, Ordering::AcqRel);
-                while remaining.load(Ordering::Acquire) > 0 && !timed_out(deadline) {
-                    if one_iter().is_err() {
-                        break;
-                    }
-                }
-                Ok((times, ok))
-            }));
-        }
+                            let t = Instant::now();
+                            let checksum = isolate.iteration(i + 1 == spec.measured_iters)?;
+                            times.push(t.elapsed());
+                            if let Some(cs) = checksum {
+                                ok = lb_dsl::kernel::checksums_match(cs, expected);
+                            }
+                        }
+                        Ok((times, ok))
+                    });
+                    // Cool-down: keep the CPU busy until everyone is done.
+                    remaining.fetch_sub(1, Ordering::AcqRel);
+                    while timed.is_ok()
+                        && remaining.load(Ordering::Acquire) > 0
+                        && !timed_out(deadline)
+                        && isolate.iteration(false).is_ok()
+                    {}
+                    timed
+                })
+            })
+            .collect();
         collect_workers(handles)
     })?;
     let wall = t0.elapsed();
@@ -807,15 +778,17 @@ mod tests {
     #[test]
     fn tiny_timeout_fails_cleanly() {
         let b = by_name("gemm", Dataset::Mini).unwrap();
-        let mut spec = quick_spec(EngineSel::Interp);
-        spec.timeout = Some(Duration::ZERO);
-        spec.retries = 0;
-        match run_benchmark_checked(&b, &spec) {
-            RunOutcome::Failed(f) => {
-                assert_eq!(f.stage, RunStage::Worker);
-                assert!(f.error.contains("timeout"), "{}", f.error);
+        for e in [EngineSel::Native, EngineSel::Interp] {
+            let mut spec = quick_spec(e);
+            spec.timeout = Some(Duration::ZERO);
+            spec.retries = 0;
+            match run_benchmark_checked(&b, &spec) {
+                RunOutcome::Failed(f) => {
+                    assert_eq!(f.stage, RunStage::Worker, "{}", e.name());
+                    assert!(f.error.contains("timeout"), "{}: {}", e.name(), f.error);
+                }
+                RunOutcome::Completed(_) => panic!("{}: zero timeout must fail", e.name()),
             }
-            RunOutcome::Completed(_) => panic!("zero timeout must fail"),
         }
     }
 }

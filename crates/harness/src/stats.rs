@@ -159,11 +159,6 @@ pub fn geomean_ratios(ratios: &[f64]) -> f64 {
     (log_sum / ratios.len() as f64).exp()
 }
 
-/// Ratio of two durations as f64.
-pub fn ratio(a: Duration, b: Duration) -> f64 {
-    a.as_secs_f64() / b.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

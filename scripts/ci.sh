@@ -15,11 +15,13 @@
 #      request must resolve exactly once and the latency histogram must
 #      be populated
 #   8. A/B smoke: quickperf's plan mode on one Mini kernel (and its
-#      dynamic-bound loop). It gates only on exact results: checksums
-#      against native, check counts that repeat across two compiles, and
-#      a record that re-parses with every header field. It asserts no
-#      timing. It runs in target/ab-smoke so the committed
-#      BENCH_hoist.json is left alone.
+#      dynamic-bound loop), and its engines mode on one Mini kernel. They
+#      gate only on exact results: every arm's checksum against native,
+#      check counts that repeat across two compiles, a record that
+#      re-parses with every header field, and (engines) all three tables
+#      -- Fig. 1, Fig. 2a, section 4.4 -- printed. They assert no timing.
+#      They run in target/ab-smoke so the committed BENCH_hoist.json and
+#      BENCH_engines.json are left alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,5 +42,13 @@ run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
 run cargo run --release -p lb-bench --bin serve_bench -- --smoke true
 mkdir -p target/ab-smoke
 (cd target/ab-smoke && run ../release/quickperf plan --dataset mini --bench trisolv)
+(cd target/ab-smoke && run ../release/quickperf engines --dataset mini --bench atax) |
+  tee target/ab-smoke/engines.txt
+for table in "Figure 1:" "Figure 2a" "Section 4.4"; do
+  grep -q "^$table" target/ab-smoke/engines.txt || {
+    echo "quickperf engines printed no \"$table\" table" >&2
+    exit 1
+  }
+done
 
 echo "==> ci.sh: all gates passed"
