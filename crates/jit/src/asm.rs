@@ -103,6 +103,34 @@ pub enum Cc {
     G = 0xF,
 }
 
+/// The negated condition (x86 pairs each condition with its negation in
+/// the low bit of the nibble).
+impl std::ops::Not for Cc {
+    type Output = Cc;
+
+    fn not(self) -> Cc {
+        use Cc::*;
+        match self {
+            O => No,
+            No => O,
+            B => Ae,
+            Ae => B,
+            E => Ne,
+            Ne => E,
+            Be => A,
+            A => Be,
+            S => Ns,
+            Ns => S,
+            P => Np,
+            Np => P,
+            L => Ge,
+            Ge => L,
+            Le => G,
+            G => Le,
+        }
+    }
+}
+
 /// An unresolved intra-function label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(usize);
@@ -412,9 +440,19 @@ impl Asm {
         self.alu_rr(w, 0x09, d, s);
     }
 
+    /// `or d, imm`.
+    pub fn or_ri(&mut self, w: W, d: Reg, v: i32) {
+        self.alu_ri(w, 1, d, v);
+    }
+
     /// `xor d, s`.
     pub fn xor_rr(&mut self, w: W, d: Reg, s: Reg) {
         self.alu_rr(w, 0x31, d, s);
+    }
+
+    /// `xor d, imm`.
+    pub fn xor_ri(&mut self, w: W, d: Reg, v: i32) {
+        self.alu_ri(w, 6, d, v);
     }
 
     /// `cmp d, s`.
@@ -444,6 +482,21 @@ impl Asm {
         self.rex(w == W::W64, d.hi(), false, s.hi(), false);
         self.bytes(&[0x0F, 0xAF]);
         self.modrm(3, d.low(), s.low());
+    }
+
+    /// `imul d, s, imm` (three-operand signed multiply by a sign-extended
+    /// `imm8`/`imm32`).
+    pub fn imul_rri(&mut self, w: W, d: Reg, s: Reg, v: i32) {
+        self.rex(w == W::W64, d.hi(), false, s.hi(), false);
+        if i8::try_from(v).is_ok() {
+            self.b(0x6B);
+            self.modrm(3, d.low(), s.low());
+            self.b(v as i8 as u8);
+        } else {
+            self.b(0x69);
+            self.modrm(3, d.low(), s.low());
+            self.i32_(v);
+        }
     }
 
     /// `neg d`.
@@ -521,6 +574,21 @@ impl Asm {
     /// `shr d, imm`.
     pub fn shr_i(&mut self, w: W, d: Reg, v: u8) {
         self.shift_imm(w, 5, d, v);
+    }
+
+    /// `sar d, imm`.
+    pub fn sar_i(&mut self, w: W, d: Reg, v: u8) {
+        self.shift_imm(w, 7, d, v);
+    }
+
+    /// `rol d, imm`.
+    pub fn rol_i(&mut self, w: W, d: Reg, v: u8) {
+        self.shift_imm(w, 0, d, v);
+    }
+
+    /// `ror d, imm`.
+    pub fn ror_i(&mut self, w: W, d: Reg, v: u8) {
+        self.shift_imm(w, 1, d, v);
     }
 
     /// `lea d, [m]`.
@@ -811,6 +879,30 @@ mod tests {
         assert!(d.contains("push   rbp"), "{d}");
         assert!(d.contains("pop    r15"), "{d}");
         assert!(d.contains("ret"), "{d}");
+    }
+
+    #[test]
+    fn immediate_forms_disassemble_correctly() {
+        if !has_objdump() {
+            eprintln!("skipping: no objdump");
+            return;
+        }
+        let mut a = Asm::new();
+        a.imul_rri(W::W32, Reg::RCX, Reg::RBX, 70);
+        a.imul_rri(W::W64, Reg::R9, Reg::R13, 0x1000);
+        a.or_ri(W::W32, Reg::RAX, 0x10);
+        a.xor_ri(W::W64, Reg::R10, -2);
+        a.sar_i(W::W32, Reg::RDX, 31);
+        a.rol_i(W::W64, Reg::RSI, 7);
+        a.ror_i(W::W32, Reg::R8, 1);
+        let d = disasm(&a.finish());
+        assert!(d.contains("imul   ecx,ebx,0x46"), "{d}");
+        assert!(d.contains("imul   r9,r13,0x1000"), "{d}");
+        assert!(d.contains("or     eax,0x10"), "{d}");
+        assert!(d.contains("xor    r10,0xfffffffffffffffe"), "{d}");
+        assert!(d.contains("sar    edx,0x1f"), "{d}");
+        assert!(d.contains("rol    rsi,0x7"), "{d}");
+        assert!(d.contains("ror    r8d,0x1"), "{d}");
     }
 
     #[test]

@@ -205,7 +205,20 @@ fn alu_roundtrip() {
                     a.add_ri(w, d, v);
                     a.sub_ri(w, d, v);
                     a.and_ri(w, d, v);
+                    a.or_ri(w, d, v);
+                    a.xor_ri(w, d, v);
                     a.cmp_ri(w, d, v);
+                }
+            }
+        }
+    });
+    check("imul r, r, imm8/imm32 all pairs", |a| {
+        for d in ALL_REGS {
+            for s in ALL_REGS {
+                for w in [W::W32, W::W64] {
+                    for v in [0, 1, -1, 70, 127, -128, 128, -129, i32::MAX, i32::MIN] {
+                        a.imul_rri(w, d, s, v);
+                    }
                 }
             }
         }
@@ -225,6 +238,11 @@ fn alu_roundtrip() {
                 a.shl_i(w, r, 1);
                 a.shl_i(w, r, 63);
                 a.shr_i(w, r, 31);
+                for k in [1, 31, 63] {
+                    a.sar_i(w, r, k);
+                    a.rol_i(w, r, k);
+                    a.ror_i(w, r, k);
+                }
                 for s in [Reg::RAX, Reg::R13] {
                     a.popcnt(w, r, s);
                     a.lzcnt(w, r, s);

@@ -1190,7 +1190,7 @@ impl Absint {
                     st.flags = Flags::Unknown;
                 }
             }
-            ImulRr { w, d, .. } | Neg { w, d } => {
+            ImulRr { w, d, .. } | ImulRi { w, d, .. } | Neg { w, d } => {
                 let v = self.fresh(off, u64::from(d.0), w == W::W32);
                 self.set_reg(st, off, d, v);
                 st.flags = Flags::Unknown;

@@ -232,8 +232,10 @@ pub fn decode_one(bytes: &[u8], offset: usize) -> Result<(Inst, usize), DecodeEr
             let d = want_reg(&c, rm)?;
             let aop = match reg & 7 {
                 0 => AluRi::Add,
+                1 => AluRi::Or,
                 4 => AluRi::And,
                 5 => AluRi::Sub,
+                6 => AluRi::Xor,
                 7 => AluRi::Cmp,
                 other => return c.err(format!("ALU /{} immediate form is not emitted", other)),
             };
@@ -246,6 +248,21 @@ pub fn decode_one(bytes: &[u8], offset: usize) -> Result<(Inst, usize), DecodeEr
                 w: ww(rex),
                 op: aop,
                 d: Reg(d),
+                v,
+            }
+        }
+        0x69 | 0x6B if sse_prefix == 0 => {
+            let (reg, rm) = modrm(&mut c, rex)?;
+            let s = want_reg(&c, rm)?;
+            let v = if op == 0x6B {
+                i32::from(c.u8()? as i8)
+            } else {
+                c.i32_()?
+            };
+            Inst::ImulRi {
+                w: ww(rex),
+                d: Reg(reg),
+                s: Reg(s),
                 v,
             }
         }

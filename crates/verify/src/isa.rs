@@ -155,8 +155,10 @@ pub enum AluRr {
 #[allow(missing_docs)]
 pub enum AluRi {
     Add = 0,
+    Or = 1,
     And = 4,
     Sub = 5,
+    Xor = 6,
     Cmp = 7,
 }
 
@@ -274,6 +276,14 @@ pub enum Inst {
         w: W,
         d: Reg,
         s: Reg,
+    },
+    /// `imul d, s, imm8` (`6B`) or `imul d, s, imm32` (`69`); the
+    /// encoding follows from the value, as for [`Inst::AluRi`].
+    ImulRi {
+        w: W,
+        d: Reg,
+        s: Reg,
+        v: i32,
     },
     Neg {
         w: W,
@@ -626,6 +636,18 @@ pub fn encode(inst: &Inst, out: &mut Vec<u8>) {
             e.rex(w64(w), d.hi(), false, s.hi(), false);
             e.bytes(&[0x0F, 0xAF]);
             e.modrm(3, d.low(), s.low());
+        }
+        Inst::ImulRi { w, d, s, v } => {
+            e.rex(w64(w), d.hi(), false, s.hi(), false);
+            if i8::try_from(v).is_ok() {
+                e.b(0x6B);
+                e.modrm(3, d.low(), s.low());
+                e.b(v as i8 as u8);
+            } else {
+                e.b(0x69);
+                e.modrm(3, d.low(), s.low());
+                e.i32_(v);
+            }
         }
         Inst::Neg { w, d } => {
             e.rex(w64(w), false, false, d.hi(), false);

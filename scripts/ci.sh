@@ -6,7 +6,9 @@
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
-#   4. translation validation end-to-end + mutation detection
+#   4. translation validation end-to-end + mutation detection, and the
+#      instruction-selection edge cases re-run with LB_VERIFY=strict (every
+#      JIT compile validated; any finding fails the load)
 #   5. elision-regression gate: no PolyBench kernel's static elision
 #      ratio may fall below its recorded floor (scripts/elision_floors.tsv)
 #   6. profiler smoke: one kernel sampled at 997 Hz, the chrome trace
@@ -35,6 +37,7 @@ run cargo test -q --workspace
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation
+run env LB_VERIFY=strict cargo test -q --test isel_differential
 run cargo run --release -p lb-bench --bin analysis_report -- \
   --check scripts/elision_floors.tsv
 run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
