@@ -4,7 +4,9 @@
 //! one A/B measurement every speed comparison goes through.
 //!
 //! [`interleave`] runs [`ROUNDS`] rounds, each calling every arm once,
-//! back to back, rotating which goes first. The host's load comes and
+//! back to back, in an order shuffled per round, so no arm always runs
+//! right after the same neighbour (and inherits its cache and frequency
+//! state). The host's load comes and
 //! goes over a few milliseconds and can slow a call by more than half,
 //! but it is nearly the same for calls within one round, so [`paired`]
 //! estimates each arm from its per-round ratio to arm 0. Comparing each
@@ -27,7 +29,7 @@ pub const MIN_SAMPLE: Duration = Duration::from_millis(1);
 pub const RESAMPLES: usize = 2000;
 
 /// Seed of the bootstrap's resampling stream, so that the same samples
-/// always give the same interval.
+/// always give the same interval, and of [`interleave`]'s arm orders.
 pub const SEED: u64 = 0x1eaf_b0d5;
 
 /// One arm of an A/B measurement: a call of the code being measured.
@@ -44,23 +46,38 @@ pub struct Estimate {
     pub ci: (f64, f64),
 }
 
-/// Time `arms` in [`ROUNDS`] interleaved, rotating rounds and return
-/// `samples[arm][round]`, in seconds per call.
+/// Time `arms` in [`ROUNDS`] interleaved rounds, each in its own
+/// [`round_orders`] order, and return `samples[arm][round]`, in seconds
+/// per call.
 ///
 /// Each arm first gets enough calls per sample for one sample to last at
 /// least [`MIN_SAMPLE`]; the calibration calls double as warm-up.
 pub fn interleave(arms: &mut [Arm<'_>]) -> Vec<Vec<f64>> {
     let calls: Vec<u32> = arms.iter_mut().map(|a| calls_per_sample(a)).collect();
     let mut samples = vec![vec![0.0; ROUNDS]; arms.len()];
-    for round in 0..ROUNDS {
-        for k in 0..arms.len() {
-            let i = (round + k) % arms.len();
+    for (round, order) in round_orders(arms.len()).into_iter().enumerate() {
+        for i in order {
             let t = Instant::now();
             (0..calls[i]).for_each(|_| arms[i]());
             samples[i][round] = t.elapsed().as_secs_f64() / f64::from(calls[i]);
         }
     }
     samples
+}
+
+/// The order of `n` arms in each of the [`ROUNDS`] rounds: a Fisher–Yates
+/// shuffle per round from [`SEED`], the same on every run.
+fn round_orders(n: usize) -> Vec<Vec<usize>> {
+    let mut rng = SplitMix64::new(SEED);
+    (0..ROUNDS)
+        .map(|_| {
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            order
+        })
+        .collect()
 }
 
 /// Calls of `arm` that make one sample last at least [`MIN_SAMPLE`].
@@ -165,6 +182,36 @@ mod tests {
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
+    }
+
+    #[test]
+    fn every_arm_follows_more_than_one_neighbour() {
+        for n in 2..=40 {
+            let calls: Vec<usize> = round_orders(n).concat();
+            for arm in 0..n {
+                let mut before: Vec<usize> = calls
+                    .windows(2)
+                    .filter(|w| w[1] == arm)
+                    .map(|w| w[0])
+                    .collect();
+                before.sort_unstable();
+                before.dedup();
+                assert!(
+                    before.len() > 1,
+                    "{n} arms: arm {arm} always runs after {before:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_orders_are_permutations() {
+        for n in [1, 2, 7, 37] {
+            for mut order in round_orders(n) {
+                order.sort_unstable();
+                assert_eq!(order, (0..n).collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

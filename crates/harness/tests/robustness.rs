@@ -44,7 +44,10 @@ fn injected_failure_becomes_failed_record_and_campaign_continues() {
         }
     }
     drop(guard);
-    // With the fault gone the same spec completes.
+    // With the fault gone the same spec completes. It runs under an empty
+    // plan, holding the install lock: unguarded, its mmaps would consume
+    // the `nth` count of a plan another test has armed meanwhile.
+    let _quiet = lb_chaos::install("").unwrap();
     let b = by_name("gemm", Dataset::Mini).unwrap();
     let spec = quick_spec(EngineSel::Interp, BoundsStrategy::Mprotect);
     let r = run_benchmark_checked(&b, &spec);
