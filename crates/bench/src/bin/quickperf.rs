@@ -1,5 +1,5 @@
 //! Every A/B speed comparison in the reproduction. Each mode times its
-//! arms with `lb_harness::stats` (interleaved, rotating rounds; the
+//! arms with `lb_harness::stats` (interleaved rounds in shuffled order; the
 //! baseline arm repeated as the A/A control) and writes one
 //! `lb_bench::record`:
 //!

@@ -18,7 +18,7 @@ use leaps_and_bounds::polybench::{by_name, Dataset};
 use std::time::{Duration, Instant};
 
 /// Kernel time for each `(engine, strategy)` run, from
-/// `lb_harness::stats`' interleaved, rotating rounds: the first run's
+/// `lb_harness::stats`' interleaved, shuffled rounds: the first run's
 /// median time scaled by each run's median per-round ratio to it.
 fn kernel_times(
     module: &leaps_and_bounds::wasm::Module,
