@@ -18,9 +18,10 @@
 //! steps per body instruction, a work bound that cannot flip on timing
 //! noise and fails if nested fixpoints ever multiply per nesting level.
 
+mod common;
+
+use common::{fnv1a, workload_modules, FNV_OFFSET};
 use lb_analysis::{analyze_module, CheckKind, ModulePlan};
-use lb_polybench::common::Dataset;
-use lb_spec_proxy::Scale;
 use lb_wasm::module::{Export, ExportKind, Function};
 use lb_wasm::{FuncType, Instr, Limits, MemArg, MemoryType, Module, ValType};
 use std::fmt::Write as _;
@@ -31,30 +32,6 @@ const GOLDEN: &str = concat!(
 );
 
 const HEADER: &str = "# module\tdigest\telided\temitted\thoisted\tmax_proven_ea_sum";
-
-/// Every module the golden file covers, as `(label, module)`.
-fn modules() -> Vec<(String, Module)> {
-    let mut out = Vec::new();
-    for (tag, d) in [
-        ("mini", Dataset::Mini),
-        ("small", Dataset::Small),
-        ("medium", Dataset::Medium),
-    ] {
-        for b in lb_polybench::all(d) {
-            out.push((format!("polybench/{tag}/{}", b.name), b.module));
-        }
-    }
-    for (tag, s) in [
-        ("mini", Scale::Mini),
-        ("small", Scale::Small),
-        ("train", Scale::Train),
-    ] {
-        for b in lb_spec_proxy::all(s) {
-            out.push((format!("spec/{tag}/{}", b.name), b.module));
-        }
-    }
-    out
-}
 
 fn kind_tag(k: CheckKind) -> &'static str {
     match k {
@@ -120,13 +97,6 @@ fn render(module: &Module, plan: &ModulePlan) -> String {
     s
 }
 
-/// FNV-1a, 64-bit: a stable digest without external crates.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// One golden line: label, digest, and readable totals.
 fn golden_line(label: &str, module: &Module) -> String {
     let meta = lb_wasm::validate(module).expect("workload validates");
@@ -139,13 +109,13 @@ fn golden_line(label: &str, module: &Module) -> String {
         .sum();
     format!(
         "{label}\t{:016x}\t{elided}\t{emitted}\t{}\t{ea_sum}",
-        fnv1a(render(module, &plan).as_bytes()),
+        fnv1a(FNV_OFFSET, render(module, &plan).as_bytes()),
         plan.total_hoisted()
     )
 }
 
 fn current_lines() -> Vec<String> {
-    modules()
+    workload_modules()
         .iter()
         .map(|(label, m)| golden_line(label, m))
         .collect()
@@ -275,7 +245,7 @@ fn assert_within_budget(label: &str, module: &Module) -> u64 {
 #[test]
 fn workload_analysis_stays_within_step_budget() {
     let mut worst = (0, String::new());
-    for (label, m) in modules() {
+    for (label, m) in workload_modules() {
         let w = assert_within_budget(&label, &m);
         if w > worst.0 {
             worst = (w, label);
