@@ -165,9 +165,11 @@ fn resolve_one(pc: u64, t_ns: u64, thread: u32) -> ResolvedSample {
     let (class, func_index, wasm_pc) = match fi {
         Some(i) => {
             let f = &info.funcs[i];
-            let rel = off - f.start;
-            let class = region
-                .classes(i)
+            let classes = region.classes(i);
+            let rel = classes.map_or(off - f.start, |cl| {
+                lb_verify::charged_offset(cl, off - f.start)
+            });
+            let class = classes
                 .and_then(|cl| lb_verify::class_at(cl, rel))
                 .map_or(SampleClass::Runtime, SampleClass::Inst);
             let wasm_pc = f
@@ -287,14 +289,21 @@ mod tests {
             }],
         });
         let now = lb_telemetry::clock::now_ns();
-        // One sample on the guard compare, one on the r14-based load,
-        // one outside any region. Offsets come from the decoder so the
-        // test does not hardcode encoding lengths.
+        // Samples on the guard compare (charged to the guard's `lea`), on
+        // the r14-based load (charged to the guard's `ja`), on the `ret`
+        // (charged to the load), and one outside any region. Offsets come
+        // from the decoder so the test does not hardcode encoding lengths.
         let insts = lb_verify::decode::decode_all(&guard_body()).unwrap();
         let cmp_off = insts[1].0;
         let load_off = insts[3].0;
+        let ret_off = insts[4].0;
         let raw = RawProfile {
             samples: vec![
+                crate::Sample {
+                    pc: (base + ret_off) as u64,
+                    t_ns: now,
+                    thread: 1,
+                },
                 crate::Sample {
                     pc: (base + cmp_off) as u64,
                     t_ns: now,
@@ -318,8 +327,8 @@ mod tests {
             stopped_ns: now + 1,
         };
         let rep = resolve_profile(raw);
-        assert_eq!(rep.total, 3);
-        assert_eq!(rep.guard, 1, "samples: {:?}", rep.samples);
+        assert_eq!(rep.total, 4);
+        assert_eq!(rep.guard, 2, "samples: {:?}", rep.samples);
         assert_eq!(rep.mem_access, 1);
         assert_eq!(rep.unresolved, 1);
         assert_eq!(
@@ -333,9 +342,11 @@ mod tests {
             rep.total
         );
         let s0 = &rep.samples[0];
+        assert_eq!(s0.class, SampleClass::Inst(InstClass::MemoryAccess));
         assert_eq!(s0.func_index, Some(3));
         assert_eq!(s0.wasm_pc, Some(17));
         assert_eq!(s0.strategy, Some("trap"));
+        assert_eq!(rep.samples[1].wasm_pc, Some(0), "charged to the lea");
         crate::set_sampling(0);
     }
 }

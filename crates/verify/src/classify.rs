@@ -70,6 +70,8 @@ pub struct ClassifiedInst {
     pub len: u32,
     /// Attribution bucket.
     pub class: InstClass,
+    /// Whether a branch of the function lands on this instruction.
+    pub branch_target: bool,
 }
 
 /// The linear-memory base register (`MEM_BASE` lives in a register, not
@@ -268,16 +270,45 @@ pub fn classify_function(
         }
     }
 
+    let ends: Vec<usize> = (0..n)
+        .map(|i| insts.get(i + 1).map_or(code.len(), |(o, _)| *o))
+        .collect();
+    let targets: std::collections::HashSet<i64> = insts
+        .iter()
+        .zip(&ends)
+        .filter_map(|((_, inst), &end)| match *inst {
+            Inst::Jcc { rel, .. } | Inst::Jmp { rel } => Some(end as i64 + i64::from(rel)),
+            _ => None,
+        })
+        .collect();
     let mut out = Vec::with_capacity(n);
     for (i, (off, _)) in insts.iter().enumerate() {
-        let end = insts.get(i + 1).map_or(code.len(), |(o, _)| *o);
         out.push(ClassifiedInst {
             offset: *off as u32,
-            len: (end - off) as u32,
+            len: (ends[i] - off) as u32,
             class: classes[i],
+            branch_target: targets.contains(&(*off as i64)),
         });
     }
     Ok(out)
+}
+
+/// The offset a timer sample taken at `offset` is charged to.
+///
+/// An interrupt is taken once the instruction holding up retirement has
+/// retired, and the saved PC is the instruction after it: a compare that
+/// stalls shows up on the access it guards. So a sample at the start of
+/// an instruction is charged to the instruction laid out before it —
+/// unless a branch lands on it (its predecessor in execution is then
+/// unknown) or it is the function's first instruction.
+pub fn charged_offset(classes: &[ClassifiedInst], offset: u32) -> u32 {
+    let idx = classes.partition_point(|c| c.offset <= offset);
+    match idx.checked_sub(1) {
+        Some(i) if i > 0 && classes[i].offset == offset && !classes[i].branch_target => {
+            classes[i - 1].offset
+        }
+        _ => offset,
+    }
 }
 
 /// Find the class of the instruction containing byte `offset`, if any.
@@ -600,6 +631,47 @@ mod tests {
         ]);
         let cl = classify_function(&code, MEM_SIZE).unwrap();
         assert!(cl.iter().all(|c| c.class == InstClass::Compute));
+    }
+
+    #[test]
+    fn samples_are_charged_to_the_preceding_instruction() {
+        // lea; cmp [r15+8]; ja stub; mov eax, [r14+rcx]; ret; stub: ud2.
+        let code = bytes(&[
+            Inst::Lea {
+                w: W::W64,
+                d: Reg::R11,
+                m: Mem::base(Reg::RCX, 4),
+            },
+            Inst::CmpRm {
+                w: W::W64,
+                d: Reg::R11,
+                m: Mem::base(Reg::R15, MEM_SIZE),
+            },
+            Inst::Jcc { cc: Cc::A, rel: 5 },
+            Inst::MovRm {
+                w: W::W32,
+                d: Reg::RAX,
+                m: Mem {
+                    base: Reg::R14,
+                    index: Some((Reg::RCX, 1)),
+                    disp: 0,
+                },
+            },
+            Inst::Ret,
+            Inst::Ud2Trap { code: 1 },
+        ]);
+        let cl = classify_function(&code, MEM_SIZE).unwrap();
+        let charged = |i: usize| class_at(&cl, charged_offset(&cl, cl[i].offset));
+        // The first instruction keeps its own samples.
+        assert_eq!(charged(0), Some(InstClass::GuardCompare));
+        // The access right after the guard's branch is the guard's time.
+        assert_eq!(charged(3), Some(InstClass::GuardCompare));
+        assert_eq!(charged(4), Some(InstClass::MemoryAccess));
+        // The trap stub is the branch's target: charged to itself.
+        assert!(cl[5].branch_target);
+        assert_eq!(charged(5), Some(InstClass::TrapPath));
+        // An offset inside an instruction is not shifted.
+        assert_eq!(charged_offset(&cl, cl[3].offset + 1), cl[3].offset + 1);
     }
 
     #[test]

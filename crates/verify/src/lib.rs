@@ -32,7 +32,7 @@ pub mod expected;
 pub mod isa;
 pub mod report;
 
-pub use classify::{class_at, classify_function, ClassifiedInst, InstClass};
+pub use classify::{charged_offset, class_at, classify_function, ClassifiedInst, InstClass};
 pub use expected::{expected_sites, ExpectedSite};
 pub use report::{Finding, FindingKind, FuncReport};
 
