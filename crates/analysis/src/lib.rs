@@ -13,7 +13,7 @@
 //! * reconstructs the **structured control-flow tree** so dominating-check
 //!   facts survive joins (an `if/else` both of whose arms inherit a check
 //!   keeps it — unlike the JIT's old per-basic-block peephole, which
-//!   dropped every fact at every label), and are hoisted across loop
+//!   dropped every fact at every label), and are carried across loop
 //!   iterations via a widening/narrowing fixpoint at each loop header
 //!   (inner loops warm-start from their previous header, so the cost
 //!   stays polynomial in nest depth rather than multiplying per level),
@@ -22,13 +22,8 @@
 //!   parameters, and a callee's constant return interval (`ret_iv`)
 //!   narrows call results in the caller; exported/escaping functions and
 //!   call-graph cycles conservatively stay at ⊤,
-//! * synthesizes **hoisted loop guards** ([`HoistPlan`]/[`GuardExpr`]):
-//!   when every remaining check in a loop is covered by one loop-invariant
-//!   symbolic bound, the JIT versions the loop behind a single preheader
-//!   guard — a check-free fast copy when the whole-loop bound fits in
-//!   memory, the original per-access-checked copy otherwise,
 //! * emits a per-instruction [`CheckKind`] plan (`Emit`, `ElideInBounds`,
-//!   `ElideDominated`, `ElideHoisted`, `StaticOob`) plus a per-function
+//!   `ElideDominated`, `StaticOob`) plus a per-function
 //!   access-footprint [`FuncSummary`] (max proven effective address,
 //!   minimum memory size that makes the function check-free).
 //!
@@ -55,12 +50,6 @@
 //!   consumed only when the dominator's coverage was itself *static*
 //!   (established by an `ElideInBounds` proof); [`FuncPlan::clamp_elidable`]
 //!   exposes exactly that set, and the JIT clamps the rest.
-//! * **Hoisted** (`ElideHoisted`) — the access sits in the fast copy of a
-//!   versioned loop whose preheader guard proved the whole-loop bound
-//!   `(bound_local << shift) + addend <= mem_size` (width-checked before
-//!   shifting, so the guard itself cannot wrap). The slow copy keeps every
-//!   per-access check, so trap timing and partial side effects are
-//!   identical to the unversioned loop. Valid under `trap` and `clamp`.
 //!
 //! `StaticOob` means the *smallest* possible effective address already
 //! exceeds the declared maximum memory: the access must trap on every
@@ -84,7 +73,7 @@ const U32_MAX: u64 = u32::MAX as u64;
 
 // ─────────────────────────────────── public API ──────────────────────────
 
-/// The per-access decision the JIT and interpreter consume.
+/// The per-access decision the JIT consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckKind {
     /// Emit the bounds check (the default; also used for unreachable code).
@@ -99,52 +88,6 @@ pub enum CheckKind {
     /// Proven out of bounds against the declared maximum memory size; the
     /// access traps unconditionally under trapping strategies.
     StaticOob,
-    /// Covered by a synthesized loop-preheader guard ([`HoistPlan`]): the
-    /// JIT emits the loop twice and skips this check only in the fast
-    /// copy entered when every guard passes. Consumers that do not
-    /// version (the interpreter, unversioned tiers) must treat this as
-    /// `Emit`.
-    ElideHoisted,
-}
-
-/// One synthesized loop-preheader guard. The guard passes iff
-///
-/// ```text
-/// bound' = bound_local - (strict ? 1 : 0)        (zero-extended u32)
-/// bound' <= 0x7FFF_FFFF
-///   && ((bound' << shift) + addend) <= mem_size  (64-bit arithmetic)
-/// ```
-///
-/// `bound_local` is loop-invariant, so its preheader value equals its
-/// value at every access the guard covers. The range pre-check makes the
-/// 64-bit bound computation exact (max `(2^31-1 << 31) + 2^31-1 < 2^62`)
-/// and conservatively routes huge/wrapping bounds to the slow copy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GuardExpr {
-    /// The loop-invariant local holding the (inclusive or exclusive)
-    /// bound on the access index.
-    pub bound_local: u32,
-    /// Whether the index is strictly below the bound (`i < bound`) or at
-    /// most it (`i <= bound`).
-    pub strict: bool,
-    /// Index scale: the access address is `(index << shift) + addend'`
-    /// with `addend' + extent <= addend`.
-    pub shift: u8,
-    /// Largest `addend + offset + size` over the covered accesses
-    /// (always `<= 0x7FFF_FFFF`).
-    pub addend: u64,
-}
-
-/// A loop the JIT should version: duplicate `loop_pc..=end_pc`, enter the
-/// check-free fast copy only when every guard in `guards` passes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HoistPlan {
-    /// pc of the `Loop` opcode.
-    pub loop_pc: u32,
-    /// pc of the loop's matching `End`.
-    pub end_pc: u32,
-    /// Guards to evaluate in the preheader (conjunction).
-    pub guards: Vec<GuardExpr>,
 }
 
 /// Knobs for [`analyze_module_with`].
@@ -153,8 +96,8 @@ pub struct AnalysisConfig {
     /// Propagate caller argument intervals and callee return intervals
     /// across `call` edges (module call graph, non-escaping callees only).
     pub interprocedural: bool,
-    /// Synthesize loop-preheader guards and classify covered accesses as
-    /// [`CheckKind::ElideHoisted`].
+    /// Ignored: the analysis synthesizes no loop guards. Kept only so the
+    /// committed `perfbench` harness, which sets it, builds unedited.
     pub hoist: bool,
 }
 
@@ -162,7 +105,7 @@ impl Default for AnalysisConfig {
     fn default() -> AnalysisConfig {
         AnalysisConfig {
             interprocedural: true,
-            hoist: true,
+            hoist: false,
         }
     }
 }
@@ -178,9 +121,6 @@ pub struct FuncSummary {
     pub elided_dominated: u32,
     /// Accesses proven statically out of bounds.
     pub static_oob: u32,
-    /// Accesses covered by a synthesized loop-preheader guard (check-free
-    /// in the versioned fast body only).
-    pub elided_hoisted: u32,
     /// Accesses that still need their check.
     pub emitted: u32,
     /// Largest proven end-of-access effective address (`addr + offset +
@@ -203,8 +143,7 @@ pub struct FuncSummary {
 
 impl FuncSummary {
     /// Fraction of reachable accesses whose check is statically elided
-    /// (in-bounds or dominated) under the `trap` strategy. Hoisted
-    /// accesses are excluded: their check is gone only in the fast body.
+    /// (in-bounds or dominated) under the `trap` strategy.
     pub fn elision_ratio(&self) -> f64 {
         if self.accesses == 0 {
             return 0.0;
@@ -214,16 +153,14 @@ impl FuncSummary {
 }
 
 /// The plan for one defined function: a [`CheckKind`] per instruction
-/// index (memory accesses only; everything else stays `Emit`), the loops
-/// to version, and which dominated accesses stay elidable under `clamp`.
+/// index (memory accesses only; everything else stays `Emit`) and which
+/// dominated accesses stay elidable under `clamp`.
 #[derive(Debug, Clone)]
 pub struct FuncPlan {
     kinds: Vec<CheckKind>,
     /// pcs of `ElideDominated` accesses whose dominating fact was static
     /// (in-bounds against the declared minimum), sorted.
     clamp_ok: Vec<u32>,
-    /// Loops to version, sorted by `loop_pc`, non-overlapping.
-    hoists: Vec<HoistPlan>,
     /// Access-footprint summary.
     pub summary: FuncSummary,
     /// Abstract instruction steps the analysis took: its cost, not part
@@ -247,22 +184,6 @@ impl FuncPlan {
         u32::try_from(pc).is_ok_and(|pc| self.clamp_ok.binary_search(&pc).is_ok())
     }
 
-    /// The versioning plan for the loop whose `Loop` opcode is at
-    /// `loop_pc`, if any.
-    #[inline]
-    pub fn hoist_at(&self, loop_pc: u32) -> Option<&HoistPlan> {
-        self.hoists
-            .binary_search_by_key(&loop_pc, |h| h.loop_pc)
-            .ok()
-            .map(|i| &self.hoists[i])
-    }
-
-    /// All loops to version in this function.
-    #[inline]
-    pub fn hoists(&self) -> &[HoistPlan] {
-        &self.hoists
-    }
-
     /// Abstract instruction steps the analysis of this function took over
     /// both phases: a deterministic work count (every probe and pass, not
     /// just the recording one). Not part of the plan.
@@ -284,19 +205,7 @@ pub struct ModulePlan {
 }
 
 impl ModulePlan {
-    /// Whether the instruction at `pc` of defined function `di` is a
-    /// statically-out-of-bounds access (used by the interpreter to
-    /// pre-trap).
-    #[inline]
-    pub fn is_static_oob(&self, di: usize, pc: usize) -> bool {
-        self.funcs
-            .get(di)
-            .is_some_and(|f| f.kind_at(pc) == CheckKind::StaticOob)
-    }
-
-    /// Module totals: `(accesses, elided, emitted, static_oob)`. Hoisted
-    /// accesses count as neither elided nor emitted (their check exists
-    /// in the slow loop copy only); see [`ModulePlan::total_hoisted`].
+    /// Module totals: `(accesses, elided, emitted, static_oob)`.
     pub fn totals(&self) -> (u64, u64, u64, u64) {
         let mut t = (0u64, 0u64, 0u64, 0u64);
         for f in &self.funcs {
@@ -308,12 +217,11 @@ impl ModulePlan {
         t
     }
 
-    /// Total accesses covered by synthesized loop-preheader guards.
+    /// Always 0: the analysis synthesizes no loop guards. Kept only so
+    /// the committed `perfbench` harness, which reports it, builds
+    /// unedited.
     pub fn total_hoisted(&self) -> u64 {
-        self.funcs
-            .iter()
-            .map(|f| u64::from(f.summary.elided_hoisted))
-            .sum()
+        0
     }
 
     /// Abstract instruction steps the whole analysis took, summed over
@@ -324,7 +232,7 @@ impl ModulePlan {
 }
 
 /// Analyze every defined function of a validated module with the default
-/// configuration (interprocedural propagation and guard hoisting on).
+/// configuration (interprocedural propagation on).
 pub fn analyze_module(module: &Module, meta: &ModuleMeta) -> ModulePlan {
     analyze_module_with(module, meta, &AnalysisConfig::default())
 }
@@ -407,7 +315,6 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
                 &meta.funcs[di],
                 mem_min_bytes,
                 mem_max_bytes,
-                false,
                 &ret_ivs,
                 None,
             )
@@ -468,7 +375,6 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
             &meta.funcs[di],
             mem_min_bytes,
             mem_max_bytes,
-            cfg.hoist,
             &ret_ivs,
             params.as_deref(),
         )
@@ -540,10 +446,10 @@ type Part = (u32, u32);
 /// Symbolic provenance. When `exact`, `value == (local << shift) + addend`
 /// holds over the integers (no wrap anywhere in the chain). When inexact,
 /// only the congruence `value ≡ (local << shift) + addend (mod 2^32)`
-/// holds (`addend` is kept reduced mod 2^32): enough for hoisted-guard
-/// synthesis — the guard recomputes the bound in 64-bit where the wrapped
-/// runtime value can only be *smaller* — but not for dominating-check
-/// facts, which compare checked extents of the runtime (wrapped) value.
+/// holds (`addend` is kept reduced mod 2^32): enough for
+/// [`AbsVal::as_local`], where a zero shift and addend make the
+/// congruence an equality, but not for dominating-check facts, which
+/// compare checked extents of the runtime (wrapped) value.
 /// Either way `addend` fits a u32: an exact addend is a non-negative part
 /// of a u32 value, an inexact one is reduced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -969,7 +875,7 @@ fn abs_shl(a: &AbsVal, b: &AbsVal) -> AbsVal {
     });
     if ahi << k > U32_MAX {
         // The shift may wrap: hull goes to ⊤, but the (inexact)
-        // congruence provenance survives for hoisted-guard synthesis.
+        // congruence provenance survives.
         return AbsVal {
             sym,
             ..AbsVal::top()
@@ -1048,8 +954,7 @@ struct State {
     /// Relational facts, sorted by `(a, b)`. Established by branch
     /// refinement on unsigned (or provably-nonnegative signed) compares
     /// and by exact local-to-local copies; intersected at joins; killed
-    /// when either side is reassigned. These power `a - b` narrowing and
-    /// supply the loop-invariant bound for hoisted-guard synthesis.
+    /// when either side is reassigned. These power `a - b` narrowing.
     rel: Vec<Rel>,
     live: bool,
 }
@@ -1264,9 +1169,9 @@ fn state_contains(a: &State, b: &State) -> bool {
 enum Node {
     Plain(u32),
     Block(BlockType, Vec<Node>),
-    /// A loop with its header pc (the `Loop` opcode) and end pc (its
-    /// `End`), the instruction range codegen duplicates when versioning.
-    Loop(BlockType, Vec<Node>, u32, u32),
+    /// A loop with its header pc (the `Loop` opcode), which keys the
+    /// loop-header cache.
+    Loop(BlockType, Vec<Node>, u32),
     If(BlockType, Vec<Node>, Vec<Node>),
 }
 
@@ -1288,8 +1193,7 @@ fn parse_seq(body: &[Instr], pos: &mut usize) -> (Vec<Node>, Term) {
             }
             Instr::Loop(bt) => {
                 let (inner, _) = parse_seq(body, pos);
-                // `pos` now points one past the loop's End.
-                out.push(Node::Loop(*bt, inner, pc as u32, (*pos - 1) as u32));
+                out.push(Node::Loop(*bt, inner, pc as u32));
             }
             Instr::If(bt) => {
                 let (then_b, t) = parse_seq(body, pos);
@@ -1318,7 +1222,7 @@ fn collect_written_locals(nodes: &[Node], body: &[Instr], out: &mut Vec<u32>) {
                     }
                 }
             }
-            Node::Block(_, b) | Node::Loop(_, b, _, _) => collect_written_locals(b, body, out),
+            Node::Block(_, b) | Node::Loop(_, b, _) => collect_written_locals(b, body, out),
             Node::If(_, t, e) => {
                 collect_written_locals(t, body, out);
                 collect_written_locals(e, body, out);
@@ -1341,20 +1245,6 @@ struct Frame {
 
 // ──────────────────────────────────── analyzer ───────────────────────────
 
-/// Per-loop hoist-candidate collection, pushed for the recording pass of
-/// each straight-line (all-`Plain`) loop body.
-struct LoopCtx {
-    loop_pc: u32,
-    end_pc: u32,
-    /// Locals the loop body writes (guard bounds must not be among them).
-    written: Vec<u32>,
-    guards: Vec<GuardExpr>,
-    /// pcs of the `Emit` accesses the guards cover.
-    pcs: Vec<u32>,
-    /// Still hoistable: every `Emit` access so far produced a guard.
-    ok: bool,
-}
-
 struct Analyzer<'m> {
     module: &'m Module,
     fmeta: &'m FuncMeta,
@@ -1372,8 +1262,6 @@ struct Analyzer<'m> {
     /// Plan/summary writes happen only on the single recording pass over
     /// each instruction; loop fixpoint probes run with this off.
     recording: bool,
-    /// Synthesize hoisted guards ([`AnalysisConfig::hoist`]).
-    hoist: bool,
     /// Number of imported functions (start of the defined index space).
     ni: u32,
     /// Phase-A return intervals by defined function index (`None` = ⊤ or
@@ -1387,8 +1275,6 @@ struct Analyzer<'m> {
     /// Params the body ever writes (excluded from `param_footprint`).
     param_written: Vec<bool>,
     footprint: BTreeMap<(u32, u8), u64>,
-    loop_stack: Vec<LoopCtx>,
-    hoists: Vec<HoistPlan>,
     clamp_ok: Vec<u32>,
     /// Per-loop `(entry, stabilized header)` of the last probe-mode
     /// fixpoint, keyed by `loop_pc`: warm starts for inner loops.
@@ -1406,7 +1292,6 @@ impl<'m> Analyzer<'m> {
         fmeta: &'m FuncMeta,
         mem_min: u64,
         mem_max: u64,
-        hoist: bool,
         ret_ivs: &'m [Option<(u64, u64)>],
         param_ivs: Option<&'m [(u64, u64)]>,
     ) -> Analyzer<'m> {
@@ -1423,15 +1308,12 @@ impl<'m> Analyzer<'m> {
             any_bounded: false,
             any_unbounded: false,
             recording: true,
-            hoist,
             ni: module.num_imported_funcs(),
             ret_ivs,
             param_ivs,
             call_args: Vec::new(),
             param_written: Vec::new(),
             footprint: BTreeMap::new(),
-            loop_stack: Vec::new(),
-            hoists: Vec::new(),
             clamp_ok: Vec::new(),
             loop_cache: BTreeMap::new(),
             spare: Vec::new(),
@@ -1542,12 +1424,10 @@ impl<'m> Analyzer<'m> {
         };
         self.clamp_ok.sort_unstable();
         self.clamp_ok.dedup();
-        self.hoists.sort_by_key(|h| h.loop_pc);
         (
             FuncPlan {
                 kinds: self.kinds,
                 clamp_ok: self.clamp_ok,
-                hoists: self.hoists,
                 summary: self.summary,
                 steps: self.steps,
             },
@@ -1596,8 +1476,8 @@ impl<'m> Analyzer<'m> {
                     let fr = frames.pop().expect("block frame");
                     self.block_exit(st, fr.merged, eh, keep);
                 }
-                Node::Loop(bt, inner, loop_pc, end_pc) => {
-                    self.exec_loop(*bt, inner, *loop_pc, *end_pc, st, frames, floor)
+                Node::Loop(bt, inner, loop_pc) => {
+                    self.exec_loop(*bt, inner, *loop_pc, st, frames, floor)
                 }
                 Node::If(bt, then_b, else_b) => {
                     self.exec_if(*bt, then_b, else_b, st, frames, floor)
@@ -1621,7 +1501,7 @@ impl<'m> Analyzer<'m> {
         // `st` itself becomes the else arm.
         let mut then_s = self.copy_of(st);
         // Interval gating: a constant condition kills the untaken arm
-        // entirely (this is how a hoisted loop pre-guard manifests).
+        // entirely.
         if cond.hi == 0 {
             then_s.live = false;
         }
@@ -1681,13 +1561,11 @@ impl<'m> Analyzer<'m> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn exec_loop(
         &mut self,
         bt: BlockType,
         inner: &[Node],
         loop_pc: u32,
-        end_pc: u32,
         st: &mut State,
         frames: &mut Vec<Frame>,
         floor: usize,
@@ -1747,10 +1625,7 @@ impl<'m> Analyzer<'m> {
         self.recording = saved_rec;
 
         // The single recording pass, from the stabilized header, with
-        // forward exits live. Straight-line loop bodies additionally
-        // collect hoisted-guard candidates: if every `Emit` access in the
-        // body has a loop-invariant symbolic bound, the loop is versioned
-        // and those accesses become `ElideHoisted`.
+        // forward exits live.
         *st = header;
         frames.push(Frame {
             is_loop: true,
@@ -1759,49 +1634,9 @@ impl<'m> Analyzer<'m> {
             merged: None,
             backedge: None,
         });
-        let hoisting = self.recording
-            && self.hoist
-            && !inner.is_empty()
-            && inner.iter().all(|n| matches!(n, Node::Plain(_)));
-        if hoisting {
-            let mut written = Vec::new();
-            collect_written_locals(inner, self.body, &mut written);
-            self.loop_stack.push(LoopCtx {
-                loop_pc,
-                end_pc,
-                written,
-                guards: Vec::new(),
-                pcs: Vec::new(),
-                ok: true,
-            });
-        }
         self.exec_seq(inner, st, frames, floor);
         if let Some(be) = frames.pop().expect("loop frame").backedge {
             self.retire(be);
-        }
-        if hoisting {
-            let ctx = self.loop_stack.pop().expect("loop ctx");
-            if ctx.ok && !ctx.pcs.is_empty() {
-                for &pc in &ctx.pcs {
-                    self.kinds[pc as usize] = CheckKind::ElideHoisted;
-                    self.summary.emitted -= 1;
-                    self.summary.elided_hoisted += 1;
-                }
-                let mut guards: Vec<GuardExpr> = Vec::new();
-                for g in ctx.guards {
-                    match guards.iter_mut().find(|e| {
-                        e.bound_local == g.bound_local && e.strict == g.strict && e.shift == g.shift
-                    }) {
-                        Some(e) => e.addend = e.addend.max(g.addend),
-                        None => guards.push(g),
-                    }
-                }
-                self.hoists.push(HoistPlan {
-                    loop_pc: ctx.loop_pc,
-                    end_pc: ctx.end_pc,
-                    guards,
-                });
-            }
         }
         self.block_exit(st, None, eh, keep);
     }
@@ -1885,35 +1720,6 @@ impl<'m> Analyzer<'m> {
             self.retire(c);
         }
         header
-    }
-
-    /// A preheader guard covering one `Emit` access with symbolic address
-    /// `(sym.local << sym.shift) + sym.addend` and the given extent, if
-    /// the loop admits one: the index local itself when loop-invariant,
-    /// else the first (in key order) relational bound `index <u/≤u n` on
-    /// an invariant `n`.
-    fn guard_for(sym: &Sym, extent: u64, st: &State, written: &[u32]) -> Option<GuardExpr> {
-        let needed = u64::from(sym.addend) + extent;
-        if needed > 0x7FFF_FFFF {
-            return None;
-        }
-        if !written.contains(&sym.local) {
-            return Some(GuardExpr {
-                bound_local: sym.local,
-                strict: false,
-                shift: sym.shift,
-                addend: needed,
-            });
-        }
-        st.rel
-            .iter()
-            .find(|r| r.a == sym.local && !written.contains(&r.b))
-            .map(|r| GuardExpr {
-                bound_local: r.b,
-                strict: r.strict,
-                shift: sym.shift,
-                addend: needed,
-            })
     }
 
     /// One non-recording pass over a loop body from `header`; returns the
@@ -2013,9 +1819,7 @@ impl<'m> Analyzer<'m> {
         let end_max = addr_hi + extent;
         // Dominating-check facts need *exact* provenance: they compare
         // checked extents of the runtime value, which a mod-2^32
-        // congruence cannot order. Inexact provenance still feeds
-        // hoisted-guard synthesis below (the guard recomputes the bound
-        // in 64-bit, where the wrapped value can only be smaller).
+        // congruence cannot order.
         let exact_sym = addr.sym.filter(|s| s.exact);
         let mut dom_static = false;
         let kind = if end_max <= self.mem_min {
@@ -2055,7 +1859,6 @@ impl<'m> Analyzer<'m> {
                 CheckKind::ElideInBounds => self.summary.elided_in_bounds += 1,
                 CheckKind::ElideDominated => self.summary.elided_dominated += 1,
                 CheckKind::StaticOob => self.summary.static_oob += 1,
-                CheckKind::ElideHoisted => unreachable!("assigned only at loop finalize"),
             }
             if kind == CheckKind::ElideDominated && dom_static {
                 self.clamp_ok.push(pc as u32);
@@ -2073,22 +1876,6 @@ impl<'m> Analyzer<'m> {
             } else {
                 self.any_bounded = true;
                 self.max_needed = self.max_needed.max(end_max);
-            }
-            if kind == CheckKind::Emit && self.hoist {
-                if let Some(ctx) = self.loop_stack.last_mut() {
-                    if ctx.ok {
-                        match addr
-                            .sym
-                            .and_then(|s| Self::guard_for(&s, extent, st, &ctx.written))
-                        {
-                            Some(g) => {
-                                ctx.guards.push(g);
-                                ctx.pcs.push(pc as u32);
-                            }
-                            None => ctx.ok = false,
-                        }
-                    }
-                }
             }
         }
     }
@@ -3110,52 +2897,13 @@ mod tests {
     }
 
     #[test]
-    fn unsigned_dynamic_bound_loop_gets_hoisted_guard() {
+    fn unsigned_dynamic_bound_loop_keeps_its_check() {
+        // Nothing bounds `end`, so no fact covers the store: it keeps its
+        // per-access check.
         let (m, meta) = mk(&[I32], &[I32, I32], 1, dyn_loop_body());
         let plan = plan_of(&m, &meta);
-        assert_eq!(plan.summary.elided_hoisted, 1);
-        assert_eq!(plan.summary.emitted, 0);
-        let h = (0..m.functions[0].body.len() as u32)
-            .find_map(|pc| plan.hoist_at(pc))
-            .expect("loop is versioned");
-        assert_eq!(h.guards.len(), 1);
-        let g = h.guards[0];
-        assert_eq!(g.bound_local, 2, "bound is the loop-invariant end local");
-        assert!(g.strict, "backedge compares `i <u end`");
-        assert_eq!(g.shift, 2);
-        assert_eq!(g.addend, 68, "worst access is `(end-1)<<2 + 64 + 4`");
-    }
-
-    #[test]
-    fn signed_compare_on_top_bound_is_not_hoisted() {
-        // `i <s end` proves nothing about the unsigned index when `end`
-        // is ⊤ (a negative bound admits huge unsigned indices), so the
-        // loop must keep its per-access check rather than gain a guard.
-        let mut body = dyn_loop_body();
-        for instr in &mut body {
-            match instr {
-                Instr::I32GeU => *instr = Instr::I32GeS,
-                Instr::I32LtU => *instr = Instr::I32LtS,
-                _ => {}
-            }
-        }
-        let (m, meta) = mk(&[I32], &[I32, I32], 1, body);
-        let plan = plan_of(&m, &meta);
-        assert_eq!(plan.summary.elided_hoisted, 0);
+        assert_eq!(plan.summary.accesses, 1);
         assert_eq!(plan.summary.emitted, 1);
-    }
-
-    #[test]
-    fn hoisting_can_be_disabled_by_config() {
-        let (m, meta) = mk(&[I32], &[I32, I32], 1, dyn_loop_body());
-        let cfg = AnalysisConfig {
-            interprocedural: true,
-            hoist: false,
-        };
-        let plan = &analyze_module_with(&m, &meta, &cfg).funcs[0];
-        assert_eq!(plan.summary.elided_hoisted, 0);
-        assert_eq!(plan.summary.emitted, 1);
-        assert!((0..m.functions[0].body.len() as u32).all(|pc| plan.hoist_at(pc).is_none()));
     }
 
     #[test]

@@ -82,8 +82,6 @@ fn every_kernel_is_fully_elided() {
     // summaries, all 30 kernels prove every access — including the four
     // (deriche, durbin, ludcmp, nussinov) whose triangular or
     // data-dependent index shapes previously kept some checks emitted.
-    // None of them needs a hoisted guard for this: their bounds are
-    // static once the analysis is precise enough.
     let mut partial = Vec::new();
     for name in lb_polybench::NAMES {
         let bench = by_name(name, Dataset::Mini).expect("known benchmark");
@@ -91,7 +89,6 @@ fn every_kernel_is_fully_elided() {
         let plan = analyze_module(&bench.module, &meta);
         let (accesses, elided, emitted, oob) = plan.totals();
         assert_eq!(oob, 0, "{name}: no statically-OOB accesses");
-        assert_eq!(plan.total_hoisted(), 0, "{name}: static elision suffices");
         if emitted != 0 || elided != accesses {
             partial.push(format!("{name}: {elided}/{accesses} ({emitted} emitted)"));
         }

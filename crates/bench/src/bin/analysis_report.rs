@@ -2,8 +2,8 @@
 //! CI elision-regression gate.
 //!
 //! For every kernel this prints the plan's access accounting — elided
-//! (statically proven), hoisted (covered by a versioned loop's preheader
-//! guard), emitted, and statically OOB — plus the elision ratio. No code
+//! (statically proven), emitted, and statically OOB — plus the elision
+//! ratio. No code
 //! runs; the numbers come straight from `lb-analysis`, so the tool is
 //! deterministic and fast enough to gate CI on.
 //!
@@ -25,7 +25,6 @@ use std::process::ExitCode;
 struct Row {
     accesses: u64,
     elided: u64,
-    hoisted: u64,
     emitted: u64,
     oob: u64,
 }
@@ -52,7 +51,6 @@ fn analyze_all() -> BTreeMap<&'static str, Row> {
             Row {
                 accesses,
                 elided,
-                hoisted: plan.total_hoisted(),
                 emitted,
                 oob,
             },
@@ -97,11 +95,10 @@ fn main() -> ExitCode {
                 match rows.get(name.as_str()) {
                     Some(row) if row.ratio() + 1e-9 < *floor => regressions.push(format!(
                         "{name}: elision ratio {:.4} fell below recorded floor {floor:.4} \
-                         ({} of {} accesses elided, {} hoisted, {} emitted)",
+                         ({} of {} accesses elided, {} emitted)",
                         row.ratio(),
                         row.elided,
                         row.accesses,
-                        row.hoisted,
                         row.emitted
                     )),
                     Some(_) => {}
@@ -144,16 +141,15 @@ fn main() -> ExitCode {
         }
         _ => {
             println!(
-                "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>8}",
-                "kernel", "accesses", "elided", "hoisted", "emitted", "oob", "elide%"
+                "{:<16} {:>9} {:>8} {:>8} {:>5} {:>8}",
+                "kernel", "accesses", "elided", "emitted", "oob", "elide%"
             );
             for (name, r) in &rows {
                 println!(
-                    "{:<16} {:>9} {:>8} {:>8} {:>8} {:>5} {:>7.1}%",
+                    "{:<16} {:>9} {:>8} {:>8} {:>5} {:>7.1}%",
                     name,
                     r.accesses,
                     r.elided,
-                    r.hoisted,
                     r.emitted,
                     r.oob,
                     100.0 * r.ratio()

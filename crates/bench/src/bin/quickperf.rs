@@ -10,9 +10,8 @@
 //!   (`lb_harness::Isolate::iteration`). Prints the three figures' tables
 //!   and writes them with the rows to `BENCH_engines.json`.
 //! * `plan`: under trap, the default compile against `lb-analysis` off
-//!   and guard fusion off, with each compile's elided, hoisted and
-//!   residual checks, plus a parameter-bounded loop with hoisting off.
-//!   `--suite spec` measures the SPEC proxies. `BENCH_hoist.json`.
+//!   and guard fusion off, with each compile's elided and residual
+//!   checks. `--suite spec` measures the SPEC proxies. `BENCH_plan.json`.
 //! * `pool`: pool on/off × strategy (× uffd window) over fresh isolates,
 //!   gated on bit-identical checksums and on the 16-page uffd window
 //!   cutting zeropage ioctls ≥4×. `BENCH_pool.json`.
@@ -30,13 +29,11 @@ use lb_core::pool::{self, MemoryPoolConfig};
 use lb_core::registry::{ArenaDesc, HazardRegistry};
 use lb_core::signals::catch_traps;
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig};
-use lb_dsl::expr::i32 as ci;
 use lb_dsl::Benchmark;
-use lb_dsl::{DslFunc, KernelModule, Layout};
 use lb_harness::stats::{interleave, paired, Arm};
 use lb_harness::{EngineSel, Isolate};
 use lb_jit::{JitEngine, JitProfile};
-use lb_wasm::{Module, ValType, Value};
+use lb_wasm::Module;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -167,7 +164,6 @@ const PREVIOUSLY_PARTIAL: &[&str] = &["deriche", "durbin", "ludcmp", "nussinov"]
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Counts {
     elided: u64,
-    hoisted: u64,
     residual: u64,
 }
 
@@ -182,7 +178,6 @@ fn compile(profile: JitProfile, module: &Module) -> (Box<dyn Instance>, Counts) 
     let d = lb_telemetry::snapshot().delta_since(&before);
     let counts = Counts {
         elided: d.counter("jit.checks.static_elided"),
-        hoisted: d.counter("jit.checks.hoisted"),
         residual: d.counter("jit.checks.emitted") + d.counter("jit.checks.fused"),
     };
     (inst.expect("instantiate"), counts)
@@ -190,12 +185,10 @@ fn compile(profile: JitProfile, module: &Module) -> (Box<dyn Instance>, Counts) 
 
 /// Start `name`'s record row with `c`. The A/A arm is a second compile,
 /// whose counts `again` must repeat `c`.
-fn counted(name: &str, kind: &str, c: Counts, again: Counts) -> Row {
+fn counted(name: &str, c: Counts, again: Counts) -> Row {
     assert_eq!(c, again, "{name}: check counts must repeat");
     Row::new(name)
-        .text("kind", kind)
         .field("elided", c.elided)
-        .field("hoisted", c.hoisted)
         .field("residual", c.residual)
 }
 
@@ -212,7 +205,7 @@ fn plan(args: &Args) {
         ];
         let compiled = profiles.map(|p| compile(p, &bench.module));
         let counts = compiled[0].1;
-        let row = counted(&bench.name, "static", counts, compiled[3].1);
+        let row = counted(&bench.name, counts, compiled[3].1);
         if PREVIOUSLY_PARTIAL.contains(&bench.name.as_str()) {
             assert_eq!(counts.residual, 0, "{}: must be check-free", bench.name);
         }
@@ -224,57 +217,10 @@ fn plan(args: &Args) {
             .collect();
         rows.push(measure(row, &names[..3], &mut arms));
     }
-    rows.push(dynamic_bound_row());
     let what = "trap strategy, wavm profile: kernel time with the lb-analysis plan off \
-                and with guard fusion off, as ratios to the default compile; the \
-                dynamic-bound-loop row turns hoisting off. Counts are the default \
-                compile's; residual = emitted + fused checks";
-    record::write("BENCH_hoist.json", "plan", what, &rows);
-}
-
-/// A loop whose bound is a parameter: static analysis can never prove
-/// its store, so it runs check-free only through the versioned fast body
-/// behind a hoisted preheader guard; the slow copy keeps its check.
-fn dynamic_bound_row() -> Row {
-    let m = dynamic_bound_module();
-    let wavm = JitProfile::wavm();
-    let compiled = [wavm, wavm.with_hoisting(false), wavm].map(|p| compile(p, &m));
-    let name = "dynamic-bound-loop";
-    let counts = compiled[0].1;
-    let row = counted(name, "hoisted", counts, compiled[2].1);
-    assert!(
-        counts.hoisted >= 1 && counts.residual >= 1,
-        "hoisting must version the loop and keep the slow copy's check: {counts:?}"
-    );
-    let n = [Value::I32(DYN_N as i32)];
-    let mut arms: Vec<Arm> = compiled
-        .into_iter()
-        .map(|(mut inst, _)| {
-            assert_eq!(inst.invoke("go", &n).expect("go"), Some(Value::I32(0)));
-            Box::new(move || {
-                inst.invoke("go", &n).expect("go");
-            }) as Arm
-        })
-        .collect();
-    measure(row, &["default", "hoisting-off"], &mut arms)
-}
-
-/// Elements of the dynamic-bound loop's array, which fills its one page.
-const DYN_N: u32 = 16368;
-
-/// `go(n) -> i32`: `for i in 0..n` (unsigned) `a[i] = i`, then return
-/// `a[0]`.
-fn dynamic_bound_module() -> Module {
-    let mut layout = Layout::new();
-    let a = layout.array_i32(DYN_N);
-    let mut f = DslFunc::new("go", &[ValType::I32], Some(ValType::I32));
-    let (i, n) = (f.local_i32(), f.param(0));
-    f.for_i32u(i, ci(0), n.get(), |f| a.set(f, i.get(), i.get()));
-    f.ret(a.at(ci(0)));
-    let mut km = KernelModule::new();
-    km.memory(layout.pages(), Some(layout.pages()));
-    km.add_exported(f);
-    km.finish()
+                and with guard fusion off, as ratios to the default compile. Counts \
+                are the default compile's; residual = emitted + fused checks";
+    record::write("BENCH_plan.json", "plan", what, &rows);
 }
 
 fn memsys() {

@@ -18,8 +18,9 @@
 use lb_chaos::SplitMix64;
 use lb_core::pool::{self, MemoryPoolConfig};
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig, WASM_PAGE};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -125,13 +126,22 @@ fn seeded_interleaving_stress_keeps_pool_coherent() {
 /// `drain` concurrent with a stream of releases: once the releasing
 /// thread has joined, a single drain call must evict every parked entry
 /// — the multi-pass sweep guarantees no entry slips behind the cursor.
+///
+/// The drains keep running until the releaser has published at least
+/// [`RACE_RELEASES`] releases, so the race is forced rather than hoped
+/// for; a releaser that cannot get there before the deadline fails the
+/// test loudly.
 #[test]
 fn drain_racing_release_leaves_nothing_behind() {
+    const RACE_RELEASES: u32 = 64;
+    const DEADLINE: Duration = Duration::from_secs(30);
     let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _p = PoolGuard::enable(8, false);
     let stop = Arc::new(AtomicBool::new(false));
+    let published = Arc::new(AtomicU32::new(0));
     let releaser = {
         let stop = Arc::clone(&stop);
+        let published = Arc::clone(&published);
         std::thread::spawn(move || {
             let mut n = 0u32;
             while !stop.load(Ordering::Acquire) {
@@ -144,11 +154,18 @@ fn drain_racing_release_leaves_nothing_behind() {
                 m.write_bytes(0, &[1; 16]).expect("write");
                 drop(m);
                 n += 1;
+                published.store(n, Ordering::Release);
             }
             n
         })
     };
-    for _ in 0..200 {
+    let t0 = Instant::now();
+    while published.load(Ordering::Acquire) < RACE_RELEASES {
+        if t0.elapsed() > DEADLINE {
+            stop.store(true, Ordering::Release);
+            let n = releaser.join().expect("releaser lives");
+            panic!("releaser published only {n} of {RACE_RELEASES} releases in {DEADLINE:?}");
+        }
         pool::drain();
     }
     stop.store(true, Ordering::Release);

@@ -155,36 +155,6 @@ impl DslFunc {
         self.body.push(Instr::End); // block
     }
 
-    /// `for v in start..end` (i32, step +1) with *unsigned* comparisons.
-    ///
-    /// The `v <u end` backedge is the loop shape whose relational fact
-    /// lets `lb-analysis` synthesize a hoisted preheader guard when `end`
-    /// is not statically known (signed compares prove nothing about the
-    /// unsigned access index unless both sides are provably non-negative).
-    pub fn for_i32u(&mut self, v: Var, start: Expr, end: Expr, body: impl FnOnce(&mut DslFunc)) {
-        assert_eq!(v.ty, ValType::I32, "loop variable must be i32");
-        self.assign(v, start);
-        let end_v = self.local_i32();
-        self.assign(end_v, end);
-        // block { if v >=u end br 0; loop { body; v += 1; if v <u end br 0 } }
-        self.body.push(Instr::Block(BlockType::Empty));
-        self.body.push(Instr::LocalGet(v.idx));
-        self.body.push(Instr::LocalGet(end_v.idx));
-        self.body.push(Instr::I32GeU);
-        self.body.push(Instr::BrIf(0));
-        self.body.push(Instr::Loop(BlockType::Empty));
-        body(self);
-        self.body.push(Instr::LocalGet(v.idx));
-        self.body.push(Instr::I32Const(1));
-        self.body.push(Instr::I32Add);
-        self.body.push(Instr::LocalTee(v.idx));
-        self.body.push(Instr::LocalGet(end_v.idx));
-        self.body.push(Instr::I32LtU);
-        self.body.push(Instr::BrIf(0));
-        self.body.push(Instr::End); // loop
-        self.body.push(Instr::End); // block
-    }
-
     /// Descending loop: `for v in (start-1)..=end_inclusive` counting down.
     pub fn for_i32_down(
         &mut self,

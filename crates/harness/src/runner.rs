@@ -465,12 +465,6 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
             "checks_emitted",
             telemetry.counter("jit.checks.emitted").to_string(),
         ),
-        // Fast-loop-body sites covered by a hoisted preheader guard
-        // (check-free in the versioned fast copy).
-        (
-            "checks_hoisted",
-            telemetry.counter("jit.checks.hoisted").to_string(),
-        ),
         // Sites whose trap check was fused into a single
         // compare-against-limit (`Full` tier).
         (

@@ -61,30 +61,13 @@ fn flush_dispatch_counts(counts: &lb_wasm::instr::OpCounts) {
 /// the paper's interpreter uses an equivalent of the `trap` strategy; ours
 /// honors whatever strategy the memory config requests, since the checks
 /// live in [`lb_core::LinearMemory`]).
-#[derive(Debug, Clone, Copy)]
-pub struct InterpEngine {
-    /// Run the `lb-analysis` pass at load time so statically
-    /// out-of-bounds accesses pre-trap without touching memory.
-    analysis: bool,
-}
-
-impl Default for InterpEngine {
-    fn default() -> InterpEngine {
-        InterpEngine::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InterpEngine;
 
 impl InterpEngine {
-    /// Create the engine (static analysis on).
+    /// Create the engine.
     pub fn new() -> InterpEngine {
-        InterpEngine { analysis: true }
-    }
-
-    /// Toggle the static analysis (off = every access goes through the
-    /// dynamic checks only; used for differential testing).
-    pub fn with_analysis(mut self, on: bool) -> InterpEngine {
-        self.analysis = on;
-        self
+        InterpEngine
     }
 }
 
@@ -93,7 +76,6 @@ impl InterpEngine {
 pub struct InterpModule {
     module: Module,
     meta: ModuleMeta,
-    plan: Option<Arc<lb_analysis::ModulePlan>>,
 }
 
 impl Engine for InterpEngine {
@@ -103,13 +85,9 @@ impl Engine for InterpEngine {
 
     fn load(&self, module: &Module) -> Result<Arc<dyn LoadedModule>, LoadError> {
         let meta = validate(module)?;
-        let plan = self
-            .analysis
-            .then(|| Arc::new(lb_analysis::analyze_module(module, &meta)));
         Ok(Arc::new(InterpModule {
             module: module.clone(),
             meta,
-            plan,
         }))
     }
 }
@@ -122,11 +100,9 @@ impl InterpModule {
     /// Validation failures.
     pub fn load(module: &Module) -> Result<InterpModule, LoadError> {
         let meta = validate(module)?;
-        let plan = Some(Arc::new(lb_analysis::analyze_module(module, &meta)));
         Ok(InterpModule {
             module: module.clone(),
             meta,
-            plan,
         })
     }
 
@@ -144,7 +120,6 @@ impl InterpModule {
         let mut inst = InterpInstance {
             module: self.module.clone(),
             meta: self.meta.clone(),
-            plan: self.plan.clone(),
             mem: parts.memory,
             globals: parts.globals,
             table: parts.table,
@@ -171,7 +146,6 @@ impl LoadedModule for InterpModule {
         let mut inst = InterpInstance {
             module: self.module.clone(),
             meta: self.meta.clone(),
-            plan: self.plan.clone(),
             mem: parts.memory,
             globals: parts.globals,
             table: parts.table,
@@ -190,7 +164,6 @@ impl LoadedModule for InterpModule {
 pub struct InterpInstance {
     module: Module,
     meta: ModuleMeta,
-    plan: Option<Arc<lb_analysis::ModulePlan>>,
     mem: Option<LinearMemory>,
     globals: Vec<u64>,
     table: Vec<Option<u32>>,
@@ -270,12 +243,6 @@ impl InterpInstance {
         let table = &self.table;
         let host = &self.host;
         let stack = &mut self.stack;
-        // Pre-trapping is only valid when an OOB access would trap anyway
-        // (the clamp strategy redirects instead of trapping).
-        let plan = match mem {
-            Some(m) if m.strategy() == lb_core::BoundsStrategy::Trap => self.plan.as_deref(),
-            _ => None,
-        };
 
         let r = catch_traps(move || {
             let mut ex = Exec {
@@ -287,7 +254,6 @@ impl InterpInstance {
                 host,
                 stack,
                 counts,
-                plan,
             };
             ex.call_function(func_idx)
         });

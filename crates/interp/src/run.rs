@@ -30,17 +30,6 @@ pub(crate) struct Exec<'a> {
     /// When set, dynamic instruction counts are recorded per cost class
     /// (used by the ISA cost model).
     pub counts: Option<&'a mut lb_wasm::instr::OpCounts>,
-    /// `lb-analysis` plan; accesses proven statically out of bounds trap
-    /// before touching memory. Only set under the `trap` strategy (clamp
-    /// must fall through to the dynamic redirect).
-    pub plan: Option<&'a lb_analysis::ModulePlan>,
-}
-
-/// Accesses the analysis proved out of bounds, trapped without a dynamic
-/// check (cached: counter registration takes a lock).
-fn static_oob_counter() -> lb_telemetry::Counter {
-    static C: std::sync::OnceLock<lb_telemetry::Counter> = std::sync::OnceLock::new();
-    *C.get_or_init(|| lb_telemetry::counter("interp.checks.static_oob_pretrap"))
 }
 
 fn num_trap(e: NumError) -> Trap {
@@ -234,22 +223,8 @@ impl Exec<'_> {
                     self.push_bool($op(a, b));
                 }};
             }
-            macro_rules! pre_trap {
-                () => {
-                    // Statically proven out of bounds: the dynamic check
-                    // would trap with the same kind, so pre-trapping is
-                    // observationally identical (and never reads memory).
-                    if let Some(p) = self.plan {
-                        if p.is_static_oob(di, pc - 1) {
-                            static_oob_counter().inc();
-                            return Err(Trap::new(TrapKind::OutOfBounds));
-                        }
-                    }
-                };
-            }
             macro_rules! load {
                 ($m:expr, $t:ty, $push:ident, $conv:expr) => {{
-                    pre_trap!();
                     let addr = self.pop_u32();
                     match self.mem().load::<$t>(addr, $m.offset) {
                         Ok(v) => self.$push($conv(v)),
@@ -259,7 +234,6 @@ impl Exec<'_> {
             }
             macro_rules! store {
                 ($m:expr, $t:ty, $pop:ident, $conv:expr) => {{
-                    pre_trap!();
                     let v = self.$pop();
                     let addr = self.pop_u32();
                     if let Err(t) = self.mem().store::<$t>(addr, $m.offset, $conv(v)) {

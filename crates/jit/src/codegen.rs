@@ -34,7 +34,6 @@ use lb_core::{BoundsStrategy, TrapKind};
 use lb_wasm::instr::Instr;
 use lb_wasm::validate::FuncMeta;
 use lb_wasm::{Module, ValType, Value};
-use std::collections::HashMap;
 
 /// Code-quality tiers, mapping to the paper's engine profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +67,7 @@ pub struct CompileParams<'a> {
     /// Address of function-pointer table entry 0.
     pub funcptrs_base: usize,
     /// Module-level bounds-check plan from `lb-analysis`, the sole owner
-    /// of every elide/hoist/dead decision. `None` emits every check.
+    /// of every elide/dead decision. `None` emits every check.
     pub plans: Option<&'a lb_analysis::ModulePlan>,
     /// Emit a trap check whose extent has a slot in `limit_extents` as
     /// one fused compare against the module limit table instead of the
@@ -86,7 +85,6 @@ pub struct CompileParams<'a> {
 /// registration takes a lock and these sites run once per compiled access.
 struct CheckCounters {
     elided: lb_telemetry::Counter,
-    hoisted: lb_telemetry::Counter,
     emitted: lb_telemetry::Counter,
     static_oob: lb_telemetry::Counter,
     fused: lb_telemetry::Counter,
@@ -96,7 +94,6 @@ fn check_counters() -> &'static CheckCounters {
     static C: std::sync::OnceLock<CheckCounters> = std::sync::OnceLock::new();
     C.get_or_init(|| CheckCounters {
         elided: lb_telemetry::counter("jit.checks.static_elided"),
-        hoisted: lb_telemetry::counter("jit.checks.hoisted"),
         emitted: lb_telemetry::counter("jit.checks.emitted"),
         static_oob: lb_telemetry::counter("jit.checks.static_oob"),
         fused: lb_telemetry::counter("jit.checks.fused"),
@@ -159,13 +156,6 @@ struct Gen<'a> {
     labels: Vec<Option<Label>>,
     /// Whether a loop header (the pc after a `Loop`) starts at each pc.
     loop_headers: Vec<bool>,
-    /// Loop-versioning context while a hoisted loop's fast (1) or slow (2)
-    /// copy is being emitted: `(loop_pc, end_pc, copy)`.
-    copy_ctx: Option<(u32, u32, u8)>,
-    /// Per-copy duplicates of branch-target labels inside the versioned
-    /// range, keyed by `(dest_pc, copy)` — the backedge of each copy must
-    /// re-enter that same copy.
-    copy_labels: HashMap<(u32, u8), Label>,
     trap_labels: [Option<Label>; 12],
     end_label: Label,
     end_label_used: bool,
@@ -249,8 +239,6 @@ pub fn compile_function_mapped(
         free_f,
         labels: vec![None; func.body.len()],
         loop_headers: vec![false; func.body.len() + 1],
-        copy_ctx: None,
-        copy_labels: HashMap::new(),
         trap_labels: [None; 12],
         end_label,
         end_label_used: false,
@@ -611,47 +599,6 @@ impl<'a> Gen<'a> {
         self.fmeta.height_at[pc as usize] as usize
     }
 
-    /// The label a branch to `dest` resolves to: the per-copy duplicate
-    /// when `dest` lies inside the loop range currently being versioned
-    /// (the backedge must re-enter the same copy), the shared label
-    /// otherwise (loop exits converge outside the range).
-    fn jump_label(&mut self, dest: u32) -> Label {
-        if let Some((lp, ep, copy)) = self.copy_ctx {
-            if dest > lp && dest <= ep {
-                return self.copy_label(dest, copy);
-            }
-        }
-        self.labels[dest as usize].expect("branch target has a label")
-    }
-
-    /// The label to bind at `pc`, if any. Inside a versioned copy the
-    /// range's own targets bind their per-copy duplicates; the `Loop` pc
-    /// itself was already handled by the preheader.
-    fn bind_label_at(&mut self, pc: u32) -> Option<Label> {
-        if let Some((lp, ep, copy)) = self.copy_ctx {
-            if pc >= lp && pc <= ep {
-                if pc == lp || self.labels[pc as usize].is_none() {
-                    return None;
-                }
-                return Some(self.copy_label(pc, copy));
-            }
-        }
-        self.labels[pc as usize]
-    }
-
-    fn copy_label(&mut self, pc: u32, copy: u8) -> Label {
-        if let Some(&l) = self.copy_labels.get(&(pc, copy)) {
-            return l;
-        }
-        let l = self.a.label();
-        self.copy_labels.insert((pc, copy), l);
-        l
-    }
-
-    fn in_fast_copy(&self) -> bool {
-        matches!(self.copy_ctx, Some((_, _, 1)))
-    }
-
     // ── prologue / epilogue ────────────────────────────────────────
 
     fn prologue(&mut self) {
@@ -756,7 +703,7 @@ impl<'a> Gen<'a> {
             let l = self.end_label;
             self.a.jmp(l);
         } else {
-            let l = self.jump_label(dest.dest_pc);
+            let l = self.labels[dest.dest_pc as usize].expect("branch target has a label");
             self.a.jmp(l);
         }
     }
@@ -866,7 +813,6 @@ impl<'a> Gen<'a> {
                 let extent = u64::from(offset) + u64::from(size);
                 enum Act {
                     Skip,
-                    Hoisted,
                     Check,
                     Dead,
                 }
@@ -875,17 +821,6 @@ impl<'a> Gen<'a> {
                     // proven against the declared minimum memory, and a
                     // dominating check has already trapped any OOB path.
                     Some(CheckKind::ElideInBounds | CheckKind::ElideDominated) => Act::Skip,
-                    // Fast-copy sites are covered by the preheader guard;
-                    // the slow copy — and a loop body reached only through
-                    // dead-code revival, where no guard ran — re-emits the
-                    // full check.
-                    Some(CheckKind::ElideHoisted) => {
-                        if self.in_fast_copy() {
-                            Act::Hoisted
-                        } else {
-                            Act::Check
-                        }
-                    }
                     Some(CheckKind::StaticOob) => Act::Dead,
                     // Without a plan every check is emitted.
                     Some(CheckKind::Emit) | None => Act::Check,
@@ -893,7 +828,6 @@ impl<'a> Gen<'a> {
                 let c = check_counters();
                 match act {
                     Act::Skip => c.elided.inc(),
-                    Act::Hoisted => c.hoisted.inc(),
                     Act::Dead => {
                         // Provably out of bounds: trap unconditionally.
                         // The access code that follows is unreachable but
@@ -940,19 +874,13 @@ impl<'a> Gen<'a> {
             BoundsStrategy::Clamp => {
                 let c = check_counters();
                 // The static in-bounds proof survives clamping; so does a
-                // fast-copy hoisted site (the preheader guard proved every
-                // iteration in bounds, making the clamp the identity) and
-                // a dominated site whose dominating fact was itself static
+                // dominated site whose dominating fact was itself static
                 // (`clamp_ok`: a dominating *clamp* redirects instead of
                 // trapping and proves nothing dynamic, but a static fact
                 // stands regardless of what the dominator emitted).
                 let elide = match plan_kind {
                     Some(CheckKind::ElideInBounds) => {
                         c.elided.inc();
-                        true
-                    }
-                    Some(CheckKind::ElideHoisted) if self.in_fast_copy() => {
-                        c.hoisted.inc();
                         true
                     }
                     Some(CheckKind::ElideDominated)
@@ -1500,19 +1428,11 @@ impl<'a> Gen<'a> {
 
     // ── the main walk ──────────────────────────────────────────────
 
-    #[allow(clippy::too_many_lines)]
     fn walk(&mut self) {
-        let mut pc = 0usize;
-        while pc < self.body.len() {
-            if let Some(end) = self.hoistable_at(pc) {
-                self.emit_versioned_loop(pc, end);
-                pc = end + 1;
-                continue;
-            }
+        for pc in 0..self.body.len() {
             if self.step(pc) {
                 return;
             }
-            pc += 1;
         }
         unreachable!("function body must end with End");
     }
@@ -1525,7 +1445,7 @@ impl<'a> Gen<'a> {
             self.cur_pc = pc;
             self.pc_map.push((self.a.len() as u32, pc as u32));
             // Label binding (and revival of dead code).
-            if let Some(l) = self.bind_label_at(pc as u32) {
+            if let Some(l) = self.labels[pc] {
                 if !self.dead {
                     self.spill_all();
                     let h = self.stack.len();
@@ -1577,7 +1497,7 @@ impl<'a> Gen<'a> {
                     self.depth += 1;
                     let cc = self.branch_cond();
                     let dest = self.fmeta.ctrl[pc];
-                    let l = self.jump_label(dest);
+                    let l = self.labels[dest as usize].expect("branch target has a label");
                     self.a.jcc(!cc, l);
                 }
                 Else => {
@@ -1588,7 +1508,7 @@ impl<'a> Gen<'a> {
                         let l = self.end_label;
                         self.a.jmp(l);
                     } else {
-                        let l = self.jump_label(dest);
+                        let l = self.labels[dest as usize].expect("branch target has a label");
                         self.a.jmp(l);
                     }
                     self.dead = true;
@@ -1620,7 +1540,8 @@ impl<'a> Gen<'a> {
                         let l = self.end_label;
                         self.a.jcc(cc, l);
                     } else {
-                        let l = self.jump_label(dest.dest_pc);
+                        let l =
+                            self.labels[dest.dest_pc as usize].expect("branch target has a label");
                         self.a.jcc(cc, l);
                     }
                 }
@@ -2098,135 +2019,6 @@ impl<'a> Gen<'a> {
             }
         }
         false
-    }
-
-    // ── loop versioning (hoisted bounds checks) ────────────────────
-
-    /// When `pc` is the `Loop` of a plan-versioned range reachable here
-    /// (live, or revived by a label at the loop itself), the range's end
-    /// pc. The plan is consulted at the optimizing tiers under the
-    /// strategies whose codegen honours it, mirroring `mem_operand`; a
-    /// loop whose header is dead and only revived *inside* the range is
-    /// not versioned — its body is emitted once, fully checked.
-    fn hoistable_at(&self, pc: usize) -> Option<usize> {
-        if self.p.opt == OptLevel::None
-            || !matches!(
-                self.p.strategy,
-                BoundsStrategy::Trap | BoundsStrategy::Clamp
-            )
-            || (self.dead && self.labels[pc].is_none())
-        {
-            return None;
-        }
-        let h = self.plan?.hoist_at(pc as u32)?;
-        Some(h.end_pc as usize)
-    }
-
-    /// Emit a hoisted loop `[loop_pc, end_pc]` twice: preheader guards
-    /// select the check-free fast copy when every per-iteration bound is
-    /// proven within `mem_size`, the fully checked slow copy otherwise.
-    /// Both copies start and end in canonical spilled state at the same
-    /// stack heights, so wasm-level machine state at every iteration —
-    /// and at any trap — is bit-identical to the unversioned lowering;
-    /// the only difference is which copy's checks execute.
-    fn emit_versioned_loop(&mut self, loop_pc: usize, end_pc: usize) {
-        self.cur_pc = loop_pc;
-        self.pc_map.push((self.a.len() as u32, loop_pc as u32));
-        // The preheader is a control-flow boundary: bind any label at the
-        // `Loop` pc (an else-arm or branch may start here, possibly
-        // reviving dead code), then flush to canonical slots.
-        if let Some(l) = self.labels[loop_pc] {
-            if !self.dead {
-                self.spill_all();
-                self.a.bind(l);
-            } else {
-                self.a.bind(l);
-                let h = self.label_height(loop_pc as u32);
-                self.reset_stack_to(h);
-                self.dead = false;
-            }
-        } else {
-            self.spill_all();
-        }
-        let entry_h = self.stack.len();
-
-        let slow = self.a.label();
-        let cont = self.a.label();
-        let guards = self
-            .plan
-            .and_then(|pl| pl.hoist_at(loop_pc as u32))
-            .expect("caller checked hoist_at")
-            .guards
-            .clone();
-        for g in &guards {
-            self.emit_hoist_guard(g, slow);
-        }
-
-        // Fast copy: `mem_operand` skips every `ElideHoisted` check.
-        self.copy_ctx = Some((loop_pc as u32, end_pc as u32, 1));
-        for pc in loop_pc..=end_pc {
-            let done = self.step(pc);
-            debug_assert!(!done, "hoisted range balances its Loop/End");
-        }
-        let fast_dead = self.dead;
-        let mut exit_h = 0;
-        if !fast_dead {
-            self.spill_all();
-            exit_h = self.stack.len();
-            self.a.jmp(cont);
-        }
-
-        // Slow copy: every check re-emitted.
-        self.copy_ctx = Some((loop_pc as u32, end_pc as u32, 2));
-        self.dead = false;
-        self.reset_stack_to(entry_h);
-        self.a.bind(slow);
-        for pc in loop_pc..=end_pc {
-            let done = self.step(pc);
-            debug_assert!(!done, "hoisted range balances its Loop/End");
-        }
-        // Same instruction range under the same label set: the copies
-        // agree on end-of-range liveness and stack height. When both end
-        // dead, the walk continues dead past the loop and `cont` (which
-        // nothing jumped to) stays unbound.
-        debug_assert_eq!(self.dead, fast_dead);
-        self.copy_ctx = None;
-        if !fast_dead {
-            self.spill_all();
-            self.a.bind(cont);
-            self.reset_stack_to(exit_h);
-            self.dead = false;
-        }
-    }
-
-    /// One preheader guard: route to `slow` unless
-    /// `((bound - strict) << shift) + addend <= mem_size` with the
-    /// adjusted bound in `0..=i32::MAX`. The range pre-check keeps the
-    /// 64-bit bound computation exact and conservatively sends huge,
-    /// zero-strict, or wrapping bounds down the checked copy. This exact
-    /// instruction shape is what `lb-verify`'s abstract interpreter
-    /// recognizes as a hoisted-guard fact source — keep them in sync.
-    fn emit_hoist_guard(&mut self, g: &lb_analysis::GuardExpr, slow: Label) {
-        if let Some(pr) = self.pinned[g.bound_local as usize] {
-            self.a.mov_rr(W::W32, SCRATCH, pr);
-        } else {
-            let m = self.local_mem(g.bound_local);
-            self.a.mov_rm(W::W32, SCRATCH, m);
-        }
-        if g.strict {
-            self.a.sub_ri(W::W64, SCRATCH, 1);
-        }
-        self.a.cmp_ri(W::W64, SCRATCH, 0x7FFF_FFFF);
-        self.a.jcc(Cc::A, slow);
-        if g.shift > 0 {
-            self.a.shl_i(W::W64, SCRATCH, g.shift);
-        }
-        if g.addend > 0 {
-            self.a.add_ri(W::W64, SCRATCH, g.addend as i32);
-        }
-        self.a
-            .cmp_rm(W::W64, SCRATCH, Mem::base(Reg::R15, ctx_off::MEM_SIZE));
-        self.a.jcc(Cc::A, slow);
     }
 
     fn finish_function(&mut self) {

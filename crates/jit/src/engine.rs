@@ -82,8 +82,8 @@ pub struct JitProfile {
     /// Run the `lb-analysis` bounds-check elimination pass at load time
     /// and consume its plan at the optimizing tiers.
     pub analysis: bool,
-    /// Let the analysis synthesize loop-preheader guards and version the
-    /// covered loops (no effect with `analysis` off).
+    /// Ignored: no tier versions loops behind hoisted guards. Kept only so
+    /// the committed `perfbench` harness, which reads it, builds unedited.
     pub hoisting: bool,
     /// Emit `Full`-tier trap checks as fused compares against the
     /// module limit table ([`crate::codegen::CompileParams::guardopt`]).
@@ -96,14 +96,6 @@ impl JitProfile {
     /// off emits every check, for differential testing).
     pub fn with_analysis(mut self, on: bool) -> JitProfile {
         self.analysis = on;
-        self
-    }
-
-    /// Toggle hoisted-guard synthesis / loop versioning (on by default;
-    /// turning it off keeps per-access checks, for differential testing
-    /// and A/B benchmarks).
-    pub fn with_hoisting(mut self, on: bool) -> JitProfile {
-        self.hoisting = on;
         self
     }
 
@@ -124,7 +116,7 @@ impl JitProfile {
             safepoints: false,
             gc_pause: false,
             analysis: true,
-            hoisting: true,
+            hoisting: false,
             guardopt: true,
         }
     }
@@ -139,7 +131,7 @@ impl JitProfile {
             safepoints: false,
             gc_pause: false,
             analysis: true,
-            hoisting: true,
+            hoisting: false,
             guardopt: true,
         }
     }
@@ -154,7 +146,7 @@ impl JitProfile {
             safepoints: true,
             gc_pause: true,
             analysis: true,
-            hoisting: true,
+            hoisting: false,
             guardopt: true,
         }
     }
@@ -264,13 +256,9 @@ impl Engine for JitEngine {
         }
         let canon_types = canonical_type_ids(module);
         let plan = self.profile.analysis.then(|| {
-            let cfg = lb_analysis::AnalysisConfig {
-                interprocedural: true,
-                hoist: self.profile.hoisting,
-            };
             let _span = lb_telemetry::span!("analysis.module", module.functions.len());
             let t0 = lb_telemetry::clock::now_ns();
-            let plan = lb_analysis::analyze_module_with(module, &meta, &cfg);
+            let plan = lb_analysis::analyze_module(module, &meta);
             lb_telemetry::histogram("analysis.module_ns")
                 .record(lb_telemetry::clock::now_ns().saturating_sub(t0));
             Arc::new(plan)

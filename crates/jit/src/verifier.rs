@@ -11,8 +11,6 @@
 //! * `verify.proven_guarded` — proven by a check at the site, the guard
 //!   region, or a static bound
 //! * `verify.proven_elided` — proven by a re-checked plan elision
-//! * `verify.proven_hoisted` — fast-loop-body sites proven by a matched
-//!   loop-preheader guard (mirrors `jit.checks.hoisted`)
 //! * `verify.proven_fused` — fused compare-and-trap guards proven exact
 //!   against the per-extent limit table (mirrors `jit.checks.fused`)
 //! * `verify.findings` — everything that did not prove
@@ -49,7 +47,6 @@ struct VerifyCounters {
     sites: lb_telemetry::Counter,
     guarded: lb_telemetry::Counter,
     elided: lb_telemetry::Counter,
-    hoisted: lb_telemetry::Counter,
     fused: lb_telemetry::Counter,
     findings: lb_telemetry::Counter,
 }
@@ -60,7 +57,6 @@ fn counters() -> &'static VerifyCounters {
         sites: lb_telemetry::counter("verify.sites_checked"),
         guarded: lb_telemetry::counter("verify.proven_guarded"),
         elided: lb_telemetry::counter("verify.proven_elided"),
-        hoisted: lb_telemetry::counter("verify.proven_hoisted"),
         fused: lb_telemetry::counter("verify.proven_fused"),
         findings: lb_telemetry::counter("verify.findings"),
     })
@@ -114,7 +110,6 @@ pub fn verify_emitted(
     c.sites.add(report.sites_checked);
     c.guarded.add(report.proven_guarded);
     c.elided.add(report.proven_elided);
-    c.hoisted.add(report.proven_hoisted);
     c.fused.add(report.proven_fused);
     c.findings.add(report.findings.len() as u64);
     if !report.findings.is_empty() {

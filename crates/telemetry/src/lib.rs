@@ -160,8 +160,9 @@ macro_rules! span {
     };
 }
 
-/// Serializes tests that drain the global ring registry, so concurrent
-/// test threads don't steal each other's records.
+/// Serializes tests that drain the global ring registry or toggle span
+/// recording, so concurrent test threads don't steal each other's records
+/// or switch spans off under each other.
 #[cfg(test)]
 pub(crate) fn test_drain_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -190,6 +191,7 @@ mod tests {
 
     #[test]
     fn flags_toggle() {
+        let _g = test_drain_lock();
         set_spans_enabled(true);
         assert!(spans_enabled());
         set_spans_enabled(false);

@@ -139,42 +139,11 @@ struct State {
     /// rbp-relative frame slots. Valid only while `rbp_valid`.
     slots: BTreeMap<i32, AbsVal>,
     facts: BTreeMap<FactKey, Fact>,
-    /// Hoisted-guard facts: indices into the pre-scanned guard list,
-    /// established on the fall-through (pass) edge of a guard's final
-    /// `ja` and never killed — the guarded bound is a comparison against
-    /// `mem_size`, which only grows. Intersected at joins, so a fact here
-    /// means every path ran the guard; the slow-body entry (the taken
-    /// edge) never receives it.
-    hfacts: BTreeSet<usize>,
     flags: Flags,
     rbp_valid: bool,
     /// `(reg, slot_disp)` when `reg` holds `lea reg, [rbp+disp]` — the
     /// host-call result protocol.
     slot_ptr: Option<(u8, i32)>,
-}
-
-/// Where a synthesized preheader guard read its loop bound from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BoundSrc {
-    /// A callee-saved register (pinned local, `Full` opt).
-    Reg(u8),
-    /// An rbp-relative frame slot displacement (spilled local).
-    Slot(i32),
-}
-
-/// A hoisted-guard sequence found by structural pre-scan: the exact
-/// contiguous shape `emit_hoist_guards` produces, ending in
-/// `cmp scratch, [r15+MEM_SIZE]; ja slow`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HGuard {
-    /// Where the bound was loaded from.
-    pub src: BoundSrc,
-    /// Whether the guard subtracted 1 (exclusive bound).
-    pub strict: bool,
-    /// Left shift applied to the bound.
-    pub shift: u8,
-    /// Constant added after the shift.
-    pub addend: u64,
 }
 
 /// What the interpreter observed about one `r14`-based memory operand.
@@ -192,8 +161,6 @@ pub(crate) struct SiteObs {
     pub reachable: bool,
     /// Index-register observation (reachable sites only).
     pub idx: Option<IdxObs>,
-    /// Hoisted-guard facts that dominate this access.
-    pub hfacts: Vec<HGuard>,
 }
 
 /// The abstract index value at an access, with any covering proof state.
@@ -280,7 +247,6 @@ pub(crate) fn analyze(
         }
     };
     let mut ai = Absint::new(func, code.len(), insts, int_params, limit_extents);
-    ai.scan_hguards();
     if let Err(f) = ai.build_cfg() {
         ai.findings.push(f);
         // Even with a broken CFG we can still enumerate raw r14 operands
@@ -312,10 +278,6 @@ struct Absint {
     sites: BTreeMap<usize, SiteObs>,
     entry_state: State,
     recording: bool,
-    /// Pre-scanned hoisted-guard sequences, in byte order.
-    hguards: Vec<HGuard>,
-    /// Byte offset of a guard's final `ja` -> its `hguards` index.
-    hguard_by_ja: HashMap<usize, usize>,
     /// Fused-guard extent per limit-table slot (may be shorter than
     /// `N_LIMIT_SLOTS`; out-of-range slots yield no fact).
     limit_extents: Vec<u64>,
@@ -361,7 +323,6 @@ impl Absint {
             regs,
             slots: BTreeMap::new(),
             facts: BTreeMap::new(),
-            hfacts: BTreeSet::new(),
             flags: Flags::Unknown,
             rbp_valid: false,
             slot_ptr: None,
@@ -379,144 +340,8 @@ impl Absint {
             sites: BTreeMap::new(),
             entry_state,
             recording: false,
-            hguards: Vec::new(),
-            hguard_by_ja: HashMap::new(),
             limit_extents: limit_extents.to_vec(),
         }
-    }
-
-    // ── hoisted-guard pre-scan ─────────────────────────────────────────
-
-    /// Structurally match every synthesized preheader-guard sequence in
-    /// the instruction stream. The shape is exactly what the JIT's
-    /// `emit_hoist_guards` produces, contiguous and in order:
-    ///
-    /// ```text
-    /// mov  scratch32, <bound>        ; pinned reg or rbp local slot
-    /// [sub scratch, 1]               ; strict (exclusive) bound
-    /// cmp  scratch, 0x7fff_ffff
-    /// ja   slow
-    /// [shl scratch, k]
-    /// [add scratch, addend]
-    /// cmp  scratch, [r15 + MEM_SIZE]
-    /// ja   slow                      ; same target as the first ja
-    /// ```
-    ///
-    /// The fall-through of the final `ja` establishes the guard fact.
-    fn scan_hguards(&mut self) {
-        let mut i = 0;
-        while i < self.insts.len() {
-            if let Some((g, ja_off, next)) = self.match_hguard(i) {
-                let gi = self.hguards.len();
-                self.hguards.push(g);
-                self.hguard_by_ja.insert(ja_off, gi);
-                i = next;
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    fn match_hguard(&self, start: usize) -> Option<(HGuard, usize, usize)> {
-        const SCRATCH: u8 = 11;
-        use Inst::*;
-        let get = |i: usize| -> Option<(usize, Inst)> { self.insts.get(i).copied() };
-        let mut i = start;
-        let src = match get(i)?.1 {
-            MovRr { w: W::W32, d, s } if d.0 == SCRATCH => BoundSrc::Reg(s.0),
-            MovRm { w: W::W32, d, m } if d.0 == SCRATCH && m.base.0 == RBP && m.index.is_none() => {
-                BoundSrc::Slot(m.disp)
-            }
-            _ => return None,
-        };
-        i += 1;
-        let mut strict = false;
-        if let Some((
-            _,
-            AluRi {
-                w: W::W64,
-                op: self::AluRi::Sub,
-                d,
-                v: 1,
-            },
-        )) = get(i)
-        {
-            if d.0 == SCRATCH {
-                strict = true;
-                i += 1;
-            }
-        }
-        match get(i)? {
-            (
-                _,
-                AluRi {
-                    w: W::W64,
-                    op: self::AluRi::Cmp,
-                    d,
-                    v: 0x7FFF_FFFF,
-                },
-            ) if d.0 == SCRATCH => i += 1,
-            _ => return None,
-        }
-        let t1 = match get(i)? {
-            (_, Jcc { cc: Cc::A, rel }) => self.branch_target(i, rel).ok()?,
-            _ => return None,
-        };
-        i += 1;
-        let mut shift = 0u8;
-        if let Some((
-            _,
-            ShiftImm {
-                w: W::W64,
-                op: ShiftOp::Shl,
-                d,
-                v,
-            },
-        )) = get(i)
-        {
-            if d.0 == SCRATCH {
-                shift = v;
-                i += 1;
-            }
-        }
-        let mut addend = 0u64;
-        if let Some((
-            _,
-            AluRi {
-                w: W::W64,
-                op: self::AluRi::Add,
-                d,
-                v,
-            },
-        )) = get(i)
-        {
-            if d.0 == SCRATCH && v >= 0 {
-                addend = v as u64;
-                i += 1;
-            }
-        }
-        match get(i)? {
-            (_, CmpRm { w: W::W64, d, m })
-                if d.0 == SCRATCH && m == Mem::base(Reg(R15), CTX_MEM_SIZE) => {}
-            _ => return None,
-        }
-        let (ja_off, rel2) = match get(i + 1)? {
-            (off, Jcc { cc: Cc::A, rel }) => (off, rel),
-            _ => return None,
-        };
-        if self.branch_target(i + 1, rel2).ok()? != t1 {
-            return None;
-        }
-        Some((
-            HGuard {
-                src,
-                strict,
-                shift,
-                addend,
-            },
-            ja_off,
-            i + 2,
-        ))
     }
 
     fn inst_end(&self, i: usize) -> usize {
@@ -609,11 +434,6 @@ impl Absint {
                         if cc == Cc::A {
                             if let Flags::CmpMemSize(lhs) = st.flags {
                                 add_fact(&mut fall, lhs);
-                            }
-                            // Hoisted preheader guard: the pass edge of
-                            // its final `ja` proves the whole loop bound.
-                            if let Some(&gi) = self.hguard_by_ja.get(&off) {
-                                fall.hfacts.insert(gi);
                             }
                         }
                         // The fused-guard fall-through: `jae oob` not taken
@@ -708,7 +528,6 @@ impl Absint {
                         scale_ok: m.index.map_or(true, |(_, s)| s == 1),
                         reachable: false,
                         idx: None,
-                        hfacts: Vec::new(),
                     },
                 );
             }
@@ -731,7 +550,6 @@ impl Absint {
                     scale_ok: m.index.map_or(true, |(_, s)| s == 1),
                     reachable: false,
                     idx: None,
-                    hfacts: Vec::new(),
                 });
             }
         }
@@ -823,7 +641,6 @@ impl Absint {
             regs,
             slots,
             facts,
-            hfacts: a.hfacts.intersection(&b.hfacts).copied().collect(),
             flags: if a.flags == b.flags {
                 a.flags
             } else {
@@ -940,7 +757,6 @@ impl Absint {
                     scale_ok: m.index.map_or(true, |(_, s)| s == 1),
                     reachable: true,
                     idx: Some(idx),
-                    hfacts: st.hfacts.iter().map(|&gi| self.hguards[gi]).collect(),
                 },
             );
         }

@@ -29,7 +29,7 @@
 //! exactly the shapes `mem_operand` in `crates/jit/src/codegen.rs` emits.
 
 use crate::decode::{decode_all, DecodeErr};
-use crate::isa::{AluRi, AluRr, Cc, Inst, Mem, Reg, ShiftOp, W};
+use crate::isa::{AluRi, AluRr, Cc, Inst, Mem, Reg};
 
 /// What a sampled instruction was doing, from the bounds-checking
 /// point of view.
@@ -181,63 +181,6 @@ pub fn classify_function(
             {
                 classes[i + 1] = InstClass::GuardCompare;
             }
-        }
-    }
-
-    // Pass 2c: hoisted preheader guards (`emit_hoist_guard`), anchored on
-    // their unique `cmp r11, 0x7FFF_FFFF` range pre-check followed by
-    // `ja`. Walk backward over the bound load — a 32-bit `mov r11, reg`
-    // when the bound local lives in a register (pinned at `Full`, or any
-    // other register a compiler might home it in) or a 32-bit
-    // `mov r11, [rbp+disp]` from its spill slot — plus
-    // the optional `sub r11, 1`, and forward over the optional
-    // `shl`/`add r11` up to the final size compare pass 2a already
-    // marked. The whole sequence is bounds-check time.
-    const SCRATCH: Reg = Reg::R11;
-    for i in 0..n {
-        let anchored = matches!(
-            insts[i].1,
-            Inst::AluRi { w: W::W64, op: AluRi::Cmp, d, v: 0x7FFF_FFFF } if d == SCRATCH
-        );
-        if !anchored || !matches!(insts.get(i + 1), Some((_, Inst::Jcc { cc: Cc::A, .. }))) {
-            continue;
-        }
-        let mut j = i;
-        if j > 0
-            && matches!(insts[j - 1].1,
-            Inst::AluRi { w: W::W64, op: AluRi::Sub, d, v: 1 } if d == SCRATCH)
-        {
-            j -= 1;
-        }
-        let bound_load = j > 0
-            && matches!(insts[j - 1].1,
-                Inst::MovRr { w: W::W32, d, .. } if d == SCRATCH)
-            || j > 0
-                && matches!(&insts[j - 1].1,
-                    Inst::MovRm { w: W::W32, d, m } if *d == SCRATCH && m.base == Reg::RBP);
-        if !bound_load {
-            continue;
-        }
-        j -= 1;
-        let mut k = i + 2;
-        if matches!(insts.get(k),
-            Some((_, Inst::ShiftImm { w: W::W64, op: ShiftOp::Shl, d, .. })) if *d == SCRATCH)
-        {
-            k += 1;
-        }
-        if matches!(insts.get(k),
-            Some((_, Inst::AluRi { w: W::W64, op: AluRi::Add, d, .. })) if *d == SCRATCH)
-        {
-            k += 1;
-        }
-        // Only accept the full shape: the size compare must follow.
-        if !matches!(insts.get(k),
-            Some((_, Inst::CmpRm { m, .. })) if is_ctx_field(m, mem_size_disp))
-        {
-            continue;
-        }
-        for c in classes.iter_mut().take(k).skip(j) {
-            *c = InstClass::GuardCompare;
         }
     }
 
@@ -520,100 +463,9 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_guard_with_register_homed_bound_is_guard() {
-        // A preheader guard reading the bound from a register other than
-        // the `Full` pins (here r8):
-        // mov r11d, r8d; sub r11, 1; cmp r11, 7FFFFFFF; ja; shl r11, 2;
-        // add r11, 8; cmp r11, [r15+8]; ja; then the fast body's access.
-        let code = bytes(&[
-            Inst::MovRr {
-                w: W::W32,
-                d: Reg::R11,
-                s: Reg::R8,
-            },
-            Inst::AluRi {
-                w: W::W64,
-                op: AluRi::Sub,
-                d: Reg::R11,
-                v: 1,
-            },
-            Inst::AluRi {
-                w: W::W64,
-                op: AluRi::Cmp,
-                d: Reg::R11,
-                v: 0x7FFF_FFFF,
-            },
-            Inst::Jcc { cc: Cc::A, rel: 0 },
-            Inst::ShiftImm {
-                w: W::W64,
-                op: ShiftOp::Shl,
-                d: Reg::R11,
-                v: 2,
-            },
-            Inst::AluRi {
-                w: W::W64,
-                op: AluRi::Add,
-                d: Reg::R11,
-                v: 8,
-            },
-            Inst::CmpRm {
-                w: W::W64,
-                d: Reg::R11,
-                m: Mem::base(Reg::R15, MEM_SIZE),
-            },
-            Inst::Jcc { cc: Cc::A, rel: 0 },
-            Inst::MovRm {
-                w: W::W32,
-                d: Reg::RAX,
-                m: Mem {
-                    base: Reg::R14,
-                    index: Some((Reg::R8, 1)),
-                    disp: 0,
-                },
-            },
-        ]);
-        let cl = classify_function(&code, MEM_SIZE).unwrap();
-        let got: Vec<InstClass> = cl.iter().map(|c| c.class).collect();
-        assert_eq!(got[..8], vec![InstClass::GuardCompare; 8][..]);
-        assert_eq!(got[8], InstClass::MemoryAccess);
-    }
-
-    #[test]
-    fn hoisted_guard_with_spilled_bound_is_guard() {
-        // Minimal shape, bound loaded from its rbp frame slot, no
-        // sub/shl/add: mov r11d, [rbp-16]; cmp r11, 7FFFFFFF; ja;
-        // cmp r11, [r15+8]; ja.
-        let code = bytes(&[
-            Inst::MovRm {
-                w: W::W32,
-                d: Reg::R11,
-                m: Mem::base(Reg::RBP, -16),
-            },
-            Inst::AluRi {
-                w: W::W64,
-                op: AluRi::Cmp,
-                d: Reg::R11,
-                v: 0x7FFF_FFFF,
-            },
-            Inst::Jcc { cc: Cc::A, rel: 0 },
-            Inst::CmpRm {
-                w: W::W64,
-                d: Reg::R11,
-                m: Mem::base(Reg::R15, MEM_SIZE),
-            },
-            Inst::Jcc { cc: Cc::A, rel: 0 },
-            Inst::Ret,
-        ]);
-        let cl = classify_function(&code, MEM_SIZE).unwrap();
-        let got: Vec<InstClass> = cl.iter().map(|c| c.class).collect();
-        assert_eq!(got[..5], vec![InstClass::GuardCompare; 5][..]);
-        assert_eq!(got[5], InstClass::Compute);
-    }
-
-    #[test]
     fn range_precheck_without_size_compare_stays_compute() {
-        // A `cmp r11, 7FFFFFFF; ja` that is not followed by the hoisted
-        // guard's size compare must not be attributed as a bounds check.
+        // A range compare on the scratch register that no size compare
+        // follows is not a bounds check.
         let code = bytes(&[
             Inst::MovRr {
                 w: W::W32,

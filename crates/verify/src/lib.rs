@@ -36,7 +36,7 @@ pub use classify::{charged_offset, class_at, classify_function, ClassifiedInst, 
 pub use expected::{expected_sites, ExpectedSite};
 pub use report::{Finding, FindingKind, FuncReport};
 
-use absint::{BoundSrc, Fact, IdxObs, MachineOp, SiteObs};
+use absint::{Fact, IdxObs, MachineOp, SiteObs};
 use expected::ExpectedSite as Site;
 use lb_analysis::{CheckKind, FuncPlan};
 use lb_core::BoundsStrategy;
@@ -277,91 +277,6 @@ fn classify(input: &FuncInput<'_>, site: &Site, obs: &SiteObs, report: &mut Func
             report.proven_elided += 1;
         }
         CheckKind::Emit => classify_emit(input, site, obs, disp, bytes, report),
-        CheckKind::ElideHoisted => classify_hoisted(input, site, obs, report),
-    }
-}
-
-/// The machine locations where a guard could have read local `l`,
-/// mirroring codegen's frame layout: a spilled rbp slot at
-/// `-8 * (n_pinned + 1 + l)`, or (at `OptLevel::Full`) the callee-saved
-/// register the local is pinned in. The verifier is not told the opt
-/// level, so both the Basic (`n_pinned = 0`) and Full layouts are
-/// accepted — ambiguity only ever maps the bound to a *different local's*
-/// slot, which the matched guard shape still proves was compared against
-/// `mem_size` whole.
-fn bound_srcs_for_local(meta: &FuncMeta, l: u32) -> Vec<BoundSrc> {
-    // PIN_REGS in codegen: rbx, r12, r13 — assigned to the first three
-    // integer locals in index order at OptLevel::Full.
-    const PIN_REGS: [u8; 3] = [3, 12, 13];
-    let mut srcs = vec![BoundSrc::Slot(-8 * (1 + l as i32))];
-    let mut k = 0usize;
-    for (i, ty) in meta.local_types.iter().enumerate() {
-        if k == PIN_REGS.len() {
-            break;
-        }
-        if matches!(ty, ValType::I32 | ValType::I64) {
-            if i as u32 == l {
-                srcs.push(BoundSrc::Reg(PIN_REGS[k]));
-                break;
-            }
-            k += 1;
-        }
-    }
-    // Full layout with `n_pinned` saved registers shifts spill slots down.
-    let n_pinned = meta
-        .local_types
-        .iter()
-        .filter(|t| matches!(t, ValType::I32 | ValType::I64))
-        .take(3)
-        .count();
-    if n_pinned > 0 {
-        srcs.push(BoundSrc::Slot(-8 * (n_pinned as i32 + 1 + l as i32)));
-    }
-    srcs
-}
-
-/// Prove a fast-body site of a versioned loop: the access carries no
-/// machine check, so the preheader guard's fact must dominate it. The
-/// abstract interpreter records an `HGuard` fact for each synthesized
-/// guard on the fall-through (pass) edge of its final `ja`; the slow-body
-/// entry never receives the fact, and facts are intersected at joins, so
-/// a fact observed here means every path from function entry ran the
-/// guard with a bound at least as strong as the plan's.
-fn classify_hoisted(input: &FuncInput<'_>, site: &Site, obs: &SiteObs, report: &mut FuncReport) {
-    let Some(hoist) = site.hoist.as_ref() else {
-        finding(
-            report,
-            input,
-            obs.off,
-            FindingKind::BadElisionProof {
-                detail: format!("hoisted site without guard plan at wasm pc {}", site.pc),
-            },
-        );
-        return;
-    };
-    let covered = hoist.iter().all(|g| {
-        let srcs = bound_srcs_for_local(input.meta, g.bound_local);
-        obs.hfacts.iter().any(|f| {
-            srcs.contains(&f.src)
-                && f.strict == g.strict
-                && f.shift == g.shift
-                && f.addend >= g.addend
-        })
-    });
-    if covered {
-        report.proven_hoisted += 1;
-    } else {
-        finding(
-            report,
-            input,
-            obs.off,
-            FindingKind::BadElisionProof {
-                detail: format!(
-                    "fast-body access at wasm pc {} is not dominated by its preheader guard",
-                    site.pc
-                ),
-            },
-        );
     }
 }
 

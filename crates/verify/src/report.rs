@@ -130,9 +130,6 @@ pub struct FuncReport {
     /// covering guard that ran before the site), with the proof
     /// re-checked.
     pub proven_elided: u64,
-    /// Fast-loop-body sites proven safe by a loop-preheader guard whose
-    /// machine fact dominates the access (mirrors `jit.checks.hoisted`).
-    pub proven_hoisted: u64,
     /// Fused compare-and-trap sites proven exact against the limit-table
     /// extent the verifier recomputed (mirrors `jit.checks.fused`).
     pub proven_fused: u64,
@@ -146,7 +143,6 @@ impl FuncReport {
         self.sites_checked += other.sites_checked;
         self.proven_guarded += other.proven_guarded;
         self.proven_elided += other.proven_elided;
-        self.proven_hoisted += other.proven_hoisted;
         self.proven_fused += other.proven_fused;
         self.findings.extend(other.findings);
     }

@@ -16,13 +16,13 @@
 #   7. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   8. A/B smoke: quickperf's plan mode on one Mini kernel (and its
-#      dynamic-bound loop), and its engines mode on one Mini kernel. They
+#   8. A/B smoke: quickperf's plan mode on one Mini kernel, and its
+#      engines mode on one Mini kernel. They
 #      gate only on exact results: every arm's checksum against native,
 #      check counts that repeat across two compiles, a record that
 #      re-parses with every header field, and (engines) all three tables
 #      -- Fig. 1, Fig. 2a, section 4.4 -- printed. They assert no timing.
-#      They run in target/ab-smoke so the committed BENCH_hoist.json and
+#      They run in target/ab-smoke so the committed BENCH_plan.json and
 #      BENCH_engines.json are left alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."

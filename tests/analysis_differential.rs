@@ -1,8 +1,9 @@
 //! Differential testing for `lb-analysis`: the static bounds-check plan
 //! must be *invisible* to program behavior. Every module here runs on
-//! four configurations — interpreter and JIT, each with the analysis on
-//! and off — under the software `trap` strategy, and all four must agree
-//! bit-for-bit on results and on trap/no-trap outcomes.
+//! three configurations — the interpreter, which never consults the
+//! analysis, and the JIT with the analysis on and off — under the
+//! software `trap` strategy, and all three must agree bit-for-bit on
+//! results and on trap/no-trap outcomes.
 //!
 //! The deterministic tests pin down the exact boundary: the last
 //! in-bounds byte, the first out-of-bounds byte, and memarg offsets near
@@ -70,19 +71,18 @@ fn outcome_repr(r: &Result<Option<Value>, Trap>) -> String {
     }
 }
 
-/// Run `go(arg)` on all four engine configurations and assert agreement;
+/// Run `go(arg)` on all three engine configurations and assert agreement;
 /// returns the shared outcome string.
 fn agreed_outcome(module: &Module, pages: u32, arg: i32, ctx: &str) -> String {
     agreed_outcomes(module, pages, &[vec![Value::I32(arg)]], ctx).remove(0)
 }
 
-/// Run `go(args)` for every argument list on all four engine
+/// Run `go(args)` for every argument list on all three engine
 /// configurations (each module loaded once per configuration, a fresh
 /// instance per call) and assert agreement; returns the shared outcomes.
 fn agreed_outcomes(module: &Module, pages: u32, arg_sets: &[Vec<Value>], ctx: &str) -> Vec<String> {
-    let engines: [(&str, Box<dyn Engine>); 4] = [
-        ("interp+analysis", Box::new(InterpEngine::new())),
-        ("interp", Box::new(InterpEngine::new().with_analysis(false))),
+    let engines: [(&str, Box<dyn Engine>); 3] = [
+        ("interp", Box::new(InterpEngine::new())),
         ("jit+analysis", Box::new(JitEngine::new(JitProfile::wavm()))),
         (
             "jit",
@@ -456,7 +456,7 @@ fn random_nest_module(seed: u64) -> Module {
 
 /// Seeded deep loop nests: with loop bounds from constants and from `n`,
 /// and accesses straddling the end of memory on the last iterations, all
-/// four configurations agree on every result and every trap.
+/// three configurations agree on every result and every trap.
 #[test]
 fn random_deep_nests_agree_with_analysis_on_and_off() {
     let mut meta = Rng(0xDEE9_7E57);

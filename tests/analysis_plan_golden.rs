@@ -1,13 +1,13 @@
 //! Golden plans for `lb-analysis`: every check decision, clamp
-//! licence, hoisted guard and summary field the analysis produces on
+//! licence and summary field the analysis produces on
 //! the 111 workload modules (PolyBench at Mini/Small/Medium, the SPEC
 //! proxies at Mini/Small/Train) is rendered canonically, digested, and
 //! compared with `tests/golden/analysis_plans.tsv`.
 //!
 //! The loop fixpoint's iteration strategy is a pure cost concern: a
 //! change to how headers are found must leave every plan byte-identical.
-//! Any drift — an access losing its elision, a looser `max_proven_ea`, a
-//! hoist appearing or vanishing — fails here with the module named.
+//! Any drift — an access losing its elision, a looser `max_proven_ea` —
+//! fails here with the module named.
 //!
 //! Regenerate after an *intended* plan change with
 //! `cargo test --release --test analysis_plan_golden -- --ignored regenerate`.
@@ -39,12 +39,13 @@ fn kind_tag(k: CheckKind) -> &'static str {
         CheckKind::ElideInBounds => "I",
         CheckKind::ElideDominated => "D",
         CheckKind::StaticOob => "O",
-        CheckKind::ElideHoisted => "H",
     }
 }
 
 /// Canonical text of a whole plan: per function, every non-`Emit` kind,
-/// every clamp-elidable pc, every hoist, and every summary field.
+/// every clamp-elidable pc, and every summary field. The empty `hoists=`
+/// list and `hoi=0` are fixed text, kept from when the plan could version
+/// loops, so the committed digests still apply.
 fn render(module: &Module, plan: &ModulePlan) -> String {
     let mut s = String::new();
     writeln!(s, "mem {} {}", plan.mem_min_bytes, plan.mem_max_bytes).unwrap();
@@ -61,31 +62,14 @@ fn render(module: &Module, plan: &ModulePlan) -> String {
         for pc in (0..n).filter(|&pc| f.clamp_elidable(pc)) {
             write!(s, "{pc},").unwrap();
         }
-        write!(s, " hoists=").unwrap();
-        for h in f.hoists() {
-            write!(s, "[{}..{}", h.loop_pc, h.end_pc).unwrap();
-            for g in &h.guards {
-                write!(
-                    s,
-                    " l{}{}<<{}+{}",
-                    g.bound_local,
-                    if g.strict { "<" } else { "<=" },
-                    g.shift,
-                    g.addend
-                )
-                .unwrap();
-            }
-            write!(s, "]").unwrap();
-        }
         let m = &f.summary;
         writeln!(
             s,
-            " acc={} inb={} dom={} oob={} hoi={} emit={} max_ea={:?} free={:?} ret={:?} fp={:?}",
+            " hoists= acc={} inb={} dom={} oob={} hoi=0 emit={} max_ea={:?} free={:?} ret={:?} fp={:?}",
             m.accesses,
             m.elided_in_bounds,
             m.elided_dominated,
             m.static_oob,
-            m.elided_hoisted,
             m.emitted,
             m.max_proven_ea,
             m.check_free_min_bytes,
@@ -97,7 +81,8 @@ fn render(module: &Module, plan: &ModulePlan) -> String {
     s
 }
 
-/// One golden line: label, digest, and readable totals.
+/// One golden line: label, digest, and readable totals (the fifth
+/// column is a fixed 0, like `hoi=0` in [`render`]).
 fn golden_line(label: &str, module: &Module) -> String {
     let meta = lb_wasm::validate(module).expect("workload validates");
     let plan = analyze_module(module, &meta);
@@ -108,9 +93,8 @@ fn golden_line(label: &str, module: &Module) -> String {
         .filter_map(|f| f.summary.max_proven_ea)
         .sum();
     format!(
-        "{label}\t{:016x}\t{elided}\t{emitted}\t{}\t{ea_sum}",
+        "{label}\t{:016x}\t{elided}\t{emitted}\t0\t{ea_sum}",
         fnv1a(FNV_OFFSET, render(module, &plan).as_bytes()),
-        plan.total_hoisted()
     )
 }
 

@@ -1,8 +1,8 @@
 //! Shared module builders for the integration tests: synthetic kernels
-//! with *dynamic* (unprovable-at-compile-time) loop bounds, the shape
-//! `lb-analysis` versions with a hoisted preheader guard. PolyBench's
-//! kernels are all fully statically elided, so these are the only
-//! modules that exercise `CheckKind::ElideHoisted` end to end.
+//! with *dynamic* (unprovable-at-compile-time) loop bounds, whose
+//! accesses keep their checks. PolyBench's kernels are all fully
+//! statically elided, so these are the modules that exercise emitted
+//! checks in loops end to end.
 //!
 //! Also the lock that serializes tests using process-wide state, and the
 //! workload module set and digest the golden files share.
@@ -75,8 +75,8 @@ pub const K: i32 = 40;
 /// `(n-1)*4 + A_BASE + 4 <= 65536`.
 pub const MAX_N: i32 = 16368;
 
-/// The canonical dynamic-bound loop in the unsigned counted shape the
-/// analysis hoists: `for i in 0..bound` (unsigned) store `i` at `a[i]`.
+/// The canonical counted store loop in its unsigned shape: `for i in
+/// 0..bound` (unsigned) store `i` at `a[i]`.
 pub fn store_loop(bound_local: u32, i: u32, end: u32) -> Vec<Instr> {
     vec![
         Instr::I32Const(0),
@@ -107,8 +107,8 @@ pub fn store_loop(bound_local: u32, i: u32, end: u32) -> Vec<Instr> {
 }
 
 /// Single-function module: `go(n) -> i32` runs the store loop and
-/// returns `a[n-1]` (0 when `n == 0`). The loop store becomes
-/// `ElideHoisted`; the post-loop read keeps its check.
+/// returns `a[n-1]` (0 when `n == 0`). Both the loop store and the
+/// post-loop read keep their checks.
 pub fn dynamic_bound_module() -> Module {
     let mut m = Module::new();
     m.types.push(FuncType {
@@ -150,6 +150,16 @@ pub fn dynamic_bound_module() -> Module {
     });
     lb_wasm::validate(&m).expect("module validates");
     m
+}
+
+/// `go()`: the store loop with the constant bound [`MAX_N`]. Its
+/// whole footprint fits the declared minimum memory, so the analysis
+/// proves the store in bounds and elides its check.
+pub fn constant_bound_module() -> Module {
+    let mut body = store_loop(0, 0, 1);
+    body[2] = Instr::I32Const(MAX_N);
+    body.push(Instr::End);
+    one_func_module(vec![], vec![], vec![ValType::I32, ValType::I32], body)
 }
 
 fn one_func_module(
@@ -254,7 +264,7 @@ pub fn grow_between_module() -> Module {
 
 /// Three-function module exercising the interprocedural layers at once:
 /// exported `go(n)` calls internal `fill(m)` (whose bound joins a ⊤
-/// argument, so its loop is versioned) and sizes a second loop with
+/// argument, so its store keeps its check) and sizes a second loop with
 /// internal `len()` whose constant return interval propagates (so that
 /// loop needs no guard at all). Returns `(n != 0 ? a[n-1] : 0) + b[K-1]`.
 pub fn multi_function_module() -> Module {

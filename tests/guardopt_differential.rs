@@ -2,7 +2,7 @@
 //! check emitted as one compare against the module limit table must be
 //! *invisible* to program behavior. Modules run on the interpreter, the
 //! `Basic` tier, and `Full` with fusion off and on (with and without the
-//! static plan and hoisting), under every bounds-check strategy, at exact
+//! static plan), under every bounds-check strategy, at exact
 //! memory boundaries (t, t±1, 0, −1), and must agree bit-for-bit on
 //! results, trap points, and pre-trap partial stores. A `memory.grow`
 //! between accesses proves the limit table is refreshed. The workload
@@ -37,9 +37,8 @@ const STRATEGIES: [BoundsStrategy; 5] = [
 ];
 
 /// Interpreter reference, the `Basic` tier, and `Full` with fusion off
-/// and on — plus no-plan (every access reaches codegen with its check,
-/// the densest fusion) and no-hoist (per-access checks instead of
-/// versioned loops) variants of the fused tier.
+/// and on — plus a no-plan variant of the fused tier (every access
+/// reaches codegen with its check, the densest fusion).
 fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
     vec![
         ("interp", Box::new(InterpEngine::new())),
@@ -52,10 +51,6 @@ fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
         (
             "full-fused-noplan",
             Box::new(JitEngine::new(JitProfile::wavm().with_analysis(false))),
-        ),
-        (
-            "full-fused-nohoist",
-            Box::new(JitEngine::new(JitProfile::wavm().with_hoisting(false))),
         ),
     ]
 }
@@ -174,9 +169,9 @@ fn guardopt_boundary_agrees() {
     }
 }
 
-/// Boundary sweep on the dynamic-bound store loop, whose store the plan
-/// hoists into a versioned loop (the no-hoist and no-plan engines check
-/// it per access): every `n` around the exact memory edge.
+/// Boundary sweep on the dynamic-bound store loop, whose store no static
+/// fact covers (every engine checks it per access): every `n` around
+/// the exact memory edge.
 #[test]
 fn dynamic_bound_boundary_agrees() {
     let _serial = common::process_lock();
@@ -229,6 +224,25 @@ fn dynamic_bound_boundary_agrees() {
 fn calls_boundary_agrees() {
     let _serial = common::process_lock();
     let m = multi_function_module();
+    let meta = lb_wasm::validate(&m).unwrap();
+
+    // Plan shape: `fill`'s store keeps its check (its bound joins a ⊤
+    // argument); `go`'s second loop is statically elided through `len`'s
+    // propagated return interval.
+    let plan = lb_analysis::analyze_module(&m, &meta);
+    assert_eq!(plan.funcs[1].summary.emitted, 1, "fill keeps its check");
+    assert_eq!(
+        plan.funcs[0].summary.emitted, 1,
+        "only the post-loop a[n-1] read keeps its check"
+    );
+    assert!(
+        plan.funcs[0].summary.elided_in_bounds >= 2,
+        "len()'s return interval proves go's b-loop store (and the b[k-1] \
+         read) in bounds: {:?}",
+        plan.funcs[0].summary
+    );
+    assert_eq!(plan.funcs[2].summary.ret_iv, Some((K as u64, K as u64)));
+
     for strategy in STRATEGIES {
         for n in [0, 1, K, MAX_N] {
             let got = agreed(&m, strategy, &[Value::I32(n)], "multi-function in bounds");
@@ -296,7 +310,7 @@ fn guardopt_pre_trap_stores_visible_identically() {
 
 /// Trap timing in a loop: the dynamic-bound store loop traps on its last
 /// iteration, so every earlier iteration's store must be visible on every
-/// engine — including the ones that hoist the check into a versioned loop.
+/// engine.
 #[test]
 fn dynamic_bound_pre_trap_stores_visible_identically() {
     let _serial = common::process_lock();

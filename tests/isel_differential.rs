@@ -12,9 +12,9 @@
 //! counts 0, 31, 32, 33, 63, 64 and −1 at both widths; `i64` constants
 //! outside imm32; `imul` by constants that overflow; `i32.eqz; br_if`;
 //! a `br_if` at a pc where a label is bound; a compare result used twice
-//! through `local.tee`; compare-and-branch in a hoisted loop's fast and
-//! slow copies; and `local.tee`/`local.set` on a pinned local with a live
-//! alias of its old value.
+//! through `local.tee`; compare-and-branch closing a loop whose store
+//! keeps its check; and `local.tee`/`local.set` on a pinned local with a
+//! live alias of its old value.
 
 mod common;
 
@@ -44,10 +44,6 @@ fn engines() -> Vec<(&'static str, Box<dyn Engine>)> {
         ("none", Box::new(JitEngine::new(JitProfile::v8()))),
         ("basic", Box::new(JitEngine::new(JitProfile::wasmtime()))),
         ("full", Box::new(JitEngine::new(JitProfile::wavm()))),
-        (
-            "full-nohoist",
-            Box::new(JitEngine::new(JitProfile::wavm().with_hoisting(false))),
-        ),
     ]
 }
 
@@ -707,21 +703,27 @@ fn signed_store_loop_module() -> Module {
 /// Loops whose back-edge is a fused compare-and-branch, run to and past
 /// the page edge, then inspected: every store before the faulting
 /// iteration, and none after, is visible on every engine. The second
-/// module's loop is versioned, so its fast copy runs in bounds and its
-/// slow copy runs up to the trap. Past the edge only trap and clamp
-/// define the outcome, so out-of-bounds runs use those two.
+/// module's loop bound is a parameter, so its store keeps its check, which
+/// `Full` fuses. Past the edge only trap and clamp define the outcome, so
+/// out-of-bounds runs use those two.
 #[test]
 fn stores_before_a_trap_agree() {
-    let versioned = dynamic_bound_module();
-    let meta = lb_wasm::validate(&versioned).unwrap();
-    let plan = lb_analysis::analyze_module(&versioned, &meta);
+    let unsigned = dynamic_bound_module();
+    let meta = lb_wasm::validate(&unsigned).unwrap();
+    let plan = lb_analysis::analyze_module(&unsigned, &meta);
+    let store_pc = unsigned.functions[0]
+        .body
+        .iter()
+        .position(|i| matches!(i, I32Store(_)))
+        .expect("the loop stores");
     assert_eq!(
-        plan.funcs[0].summary.elided_hoisted, 1,
-        "the loop is versioned"
+        plan.funcs[0].kind_at(store_pc),
+        lb_analysis::CheckKind::Emit,
+        "the loop's check is emitted"
     );
     for (ctx, mut m) in [
         ("signed store loop", signed_store_loop_module()),
-        ("versioned store loop", versioned),
+        ("unsigned store loop", unsigned),
     ] {
         add_peek(&mut m);
         lb_wasm::validate(&m).expect("module validates");

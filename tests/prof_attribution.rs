@@ -97,77 +97,73 @@ fn guard_attribution_tracks_check_elision() {
     );
 }
 
-/// Run the dynamic-bound store loop for ~1.5 s with the profiler
-/// attached. Its loop bound is a parameter, so *static* elision can never
-/// remove the per-store guard — only the hoisted preheader guard can.
+/// Run the constant-bound store loop for ~1.5 s under the wavm profile
+/// with the profiler attached. With the analysis on, the store's check is
+/// statically elided; with it off, every iteration runs a fused guard.
 ///
 /// The sampling timer fires at most once per kernel tick (250 Hz on a
 /// `CONFIG_HZ=250` kernel), and a fused guard is only a compare and a
-/// branch, ~14% of the checked loop's samples. Half a second gave ~120
-/// resolved samples, and the guard's share could read as low as 3%;
-/// three times the window keeps the sampling error well inside the
-/// asserted 5 points.
-fn profile_hoist_run(hoisting: bool) -> lb_prof::ProfReport {
+/// branch. Half a second gave ~120 resolved samples, too few to separate
+/// the two runs reliably; three times the window keeps the sampling
+/// error well inside the asserted 5 points.
+fn profile_store_loop_run(analysis: bool) -> lb_prof::ProfReport {
     lb_prof::set_sampling(4000);
-    let m = common::dynamic_bound_module();
-    let engine = JitEngine::new(JitProfile::wavm().with_hoisting(hoisting));
+    let m = common::constant_bound_module();
+    let engine = JitEngine::new(JitProfile::wavm().with_analysis(analysis));
     let loaded = engine.load(&m).expect("load");
-    let config = MemoryConfig::new(BoundsStrategy::Trap, 1, 1).with_reserve(1 << 22);
+    let config = MemoryConfig::new(BoundsStrategy::Trap, 1, 2).with_reserve(1 << 22);
     let linker = Linker::new();
     let mut inst = loaded.instantiate(&config, &linker).expect("instantiate");
     let session = lb_prof::start().expect("profiler session");
     let t0 = Instant::now();
     while t0.elapsed() < Duration::from_millis(1500) {
-        inst.invoke("go", &[lb_wasm::Value::I32(common::MAX_N)])
-            .expect("go stays in bounds");
+        inst.invoke("go", &[]).expect("go stays in bounds");
     }
     let report = lb_prof::resolve_profile(session.stop());
     lb_prof::set_sampling(0);
     report
 }
 
-/// Hoisting moves the bounds check out of the loop: guard self-time on a
-/// kernel whose checks static analysis *cannot* remove must measurably
-/// drop when the loop is versioned behind a preheader guard.
+/// Guard self-time on a store loop must measurably drop when the
+/// analysis elides its per-store check: the checked loop's guard is a
+/// large share of a 4-instruction body, the elided loop has none.
 #[test]
-fn guard_self_time_drops_with_hoisting() {
+fn guard_self_time_drops_with_elision() {
     let _serial = common::process_lock();
-    let checked = profile_hoist_run(false);
-    let hoisted = profile_hoist_run(true);
+    let checked = profile_store_loop_run(false);
+    let elided = profile_store_loop_run(true);
 
-    for (name, r) in [("checked", &checked), ("hoisted", &hoisted)] {
+    for (name, r) in [("checked", &checked), ("elided", &elided)] {
         let sum: u64 = r.class_counts().iter().map(|&(_, n)| n).sum();
         assert_eq!(sum, r.total, "{name}: class buckets must partition samples");
         assert!(r.resolved() + r.unresolved == r.total, "{name}");
     }
 
     const MIN_RESOLVED: u64 = 50;
-    if checked.resolved() < MIN_RESOLVED || hoisted.resolved() < MIN_RESOLVED {
+    if checked.resolved() < MIN_RESOLVED || elided.resolved() < MIN_RESOLVED {
         eprintln!(
             "skipping direction assertions: too few resolved samples \
-             (checked {}, hoisted {})",
+             (checked {}, elided {})",
             checked.resolved(),
-            hoisted.resolved()
+            elided.resolved()
         );
         return;
     }
 
-    // The versioned fast body is check-free; the preheader guard runs
-    // once per call, which is statistically invisible.
     assert!(
-        hoisted.guard_pct_resolved() <= 5.0,
-        "hoisted kernel shows {:.2}% guard self-time ({} of {} resolved)",
-        hoisted.guard_pct_resolved(),
-        hoisted.guard,
-        hoisted.resolved()
+        elided.guard_pct_resolved() <= 5.0,
+        "elided kernel shows {:.2}% guard self-time ({} of {} resolved)",
+        elided.guard_pct_resolved(),
+        elided.guard,
+        elided.resolved()
     );
     // Per-store guards dominate a 4-instruction loop body: the drop must
     // be real signal, not slack.
     assert!(
-        checked.guard_pct_resolved() >= hoisted.guard_pct_resolved() + 5.0,
-        "guard self-time did not drop with hoisting: {:.2}% checked vs {:.2}% hoisted",
+        checked.guard_pct_resolved() >= elided.guard_pct_resolved() + 5.0,
+        "guard self-time did not drop with elision: {:.2}% checked vs {:.2}% elided",
         checked.guard_pct_resolved(),
-        hoisted.guard_pct_resolved()
+        elided.guard_pct_resolved()
     );
 }
 

@@ -1,11 +1,9 @@
 //! End-to-end translation validation: every function of every PolyBench
-//! kernel — plus the synthetic dynamic-bound modules whose loops the
-//! analysis *versions* with hoisted preheader guards — compiled under
-//! every bounds-check strategy at every tier, with the analysis plan both
-//! consumed and withheld, must verify with zero findings. The verifier's
-//! independently-derived counts must equal what codegen said it did:
-//! `proven_elided == jit.checks.static_elided`,
-//! `proven_hoisted == jit.checks.hoisted`, and
+//! kernel — plus synthetic modules whose loop accesses keep their checks —
+//! compiled under every bounds-check strategy at every tier, with the
+//! analysis plan both consumed and withheld, must verify with zero
+//! findings. The verifier's independently-derived counts must equal what
+//! codegen said it did: `proven_elided == jit.checks.static_elided` and
 //! `proven_fused == jit.checks.fused`, per configuration.
 //!
 //! One `#[test]` on purpose: the jit and verify counters are
@@ -32,13 +30,11 @@ struct SweepTotals {
     configs: usize,
     sites: u64,
     elided: u64,
-    hoisted: u64,
     fused: u64,
 }
 
 fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
     let jit_elided = lb_telemetry::counter("jit.checks.static_elided");
-    let jit_hoisted = lb_telemetry::counter("jit.checks.hoisted");
     let jit_fused = lb_telemetry::counter("jit.checks.fused");
     let meta = lb_wasm::validate(module).expect("module validates");
     let plan = lb_analysis::analyze_module(module, &meta);
@@ -76,17 +72,14 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                 limit_extents: &extents,
             };
             let before_elided = jit_elided.get();
-            let before_hoisted = jit_hoisted.get();
             let before_fused = jit_fused.get();
             let codes: Vec<Vec<u8>> = (0..module.functions.len())
                 .map(|di| compile_function(params, di))
                 .collect();
             let jit_elided_delta = jit_elided.get() - before_elided;
-            let jit_hoisted_delta = jit_hoisted.get() - before_hoisted;
             let jit_fused_delta = jit_fused.get() - before_fused;
 
             let mut verify_elided = 0u64;
-            let mut verify_hoisted = 0u64;
             let mut verify_fused = 0u64;
             for (di, code) in codes.iter().enumerate() {
                 let func_plan = (with_plan && opt != OptLevel::None).then(|| &plan.funcs[di]);
@@ -117,15 +110,11 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                 );
                 assert_eq!(
                     report.sites_checked,
-                    report.proven_guarded
-                        + report.proven_elided
-                        + report.proven_hoisted
-                        + report.proven_fused,
+                    report.proven_guarded + report.proven_elided + report.proven_fused,
                     "{name} [{strategy:?}/{opt:?}/plan={with_plan}/go={guardopt}] func {di}: \
                      every site must be proven one way or the other"
                 );
                 verify_elided += report.proven_elided;
-                verify_hoisted += report.proven_hoisted;
                 verify_fused += report.proven_fused;
                 totals.sites += report.sites_checked;
             }
@@ -135,17 +124,11 @@ fn sweep_module(name: &str, module: &Module, totals: &mut SweepTotals) {
                  elision count must agree with jit.checks.static_elided"
             );
             assert_eq!(
-                verify_hoisted, jit_hoisted_delta,
-                "{name} [{strategy:?}/{opt:?}/plan={with_plan}/go={guardopt}]: the verifier's \
-                 hoisted count must agree with jit.checks.hoisted"
-            );
-            assert_eq!(
                 verify_fused, jit_fused_delta,
                 "{name} [{strategy:?}/{opt:?}/plan={with_plan}/go={guardopt}]: the verifier's \
                  fused-guard count must agree with jit.checks.fused"
             );
             totals.elided += verify_elided;
-            totals.hoisted += verify_hoisted;
             totals.fused += verify_fused;
             totals.configs += 1;
         }
@@ -160,10 +143,8 @@ fn all_kernels_verify_with_zero_findings() {
         let bench = lb_polybench::by_name(name, lb_polybench::Dataset::Mini).expect("known kernel");
         sweep_module(name, &bench.module, &mut totals);
     }
-    // The synthetic dynamic-bound modules: the only ones in the sweep
-    // whose plans contain `ElideHoisted` sites, so the only ones that
-    // exercise versioned-loop emission and its verification.
-    let hoisted_before = totals.hoisted;
+    // The synthetic dynamic-bound modules: loops whose checks no static
+    // fact removes.
     sweep_module(
         "dynamic-bound",
         &common::dynamic_bound_module(),
@@ -173,10 +154,6 @@ fn all_kernels_verify_with_zero_findings() {
         "multi-function",
         &common::multi_function_module(),
         &mut totals,
-    );
-    assert!(
-        totals.hoisted > hoisted_before,
-        "the synthetic modules must exercise hoisted-guard verification"
     );
     // And straight-line same-address access runs, including one across a
     // `memory.grow`.

@@ -323,195 +323,6 @@ fn validator_detects_safety_breaking_mutants() {
     );
 }
 
-/// Byte spans of one hoisted preheader guard in compiled code, anchored
-/// on its unique `cmp r11, 0x7FFF_FFFF` range pre-check.
-struct HoistGuardSpans {
-    /// `(offset, len, inst)` of the bound load into r11 — `mov r11d, reg`
-    /// when the bound local lives in a register home, `mov r11d,
-    /// [rbp+disp]` when it is read from its spill slot.
-    bound: Option<(usize, usize, Inst)>,
-    /// `(offset, len)` of the optional `add r11, addend`, plus whether
-    /// the immediate is encoded as imm32 (vs imm8).
-    add: Option<(usize, usize, bool)>,
-    /// `(offset, len)` of the final `cmp r11, [r15 + mem_size]`.
-    size_cmp: (usize, usize),
-    /// `(offset, len)` of the final `ja slow`.
-    size_ja: (usize, usize),
-}
-
-/// Find every hoisted-guard sequence (`mov r11, bound; [sub 1]; cmp r11,
-/// 0x7FFF_FFFF; ja; [shl]; [add]; cmp r11, [r15+8]; ja`) in `code`.
-fn find_hoist_guards(spans: &[(usize, usize, Inst)]) -> Vec<HoistGuardSpans> {
-    use lb_verify::isa::{AluRi as Alu, ShiftOp};
-    const SCRATCH: u8 = 11;
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < spans.len() {
-        let anchored = matches!(
-            spans[i].2,
-            Inst::AluRi { w: W::W64, op: Alu::Cmp, d, v: 0x7FFF_FFFF } if d.0 == SCRATCH
-        );
-        if !anchored || !matches!(spans.get(i + 1), Some((_, _, Inst::Jcc { cc: Cc::A, .. }))) {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 2;
-        if matches!(
-            spans.get(j),
-            Some((_, _, Inst::ShiftImm { w: W::W64, op: ShiftOp::Shl, d, .. })) if d.0 == SCRATCH
-        ) {
-            j += 1;
-        }
-        let mut add = None;
-        if let Some(&(
-            aoff,
-            alen,
-            Inst::AluRi {
-                w: W::W64,
-                op: Alu::Add,
-                d,
-                ..
-            },
-        )) = spans.get(j)
-        {
-            if d.0 == SCRATCH {
-                // `83 /0 ib` (imm8) is at most 4 bytes with REX; `81 /0 id`
-                // (imm32) is 7.
-                add = Some((aoff, alen, alen >= 7));
-                j += 1;
-            }
-        }
-        let (Some(&(coff, clen, cmp)), Some(&(joff, jlen, Inst::Jcc { cc: Cc::A, .. }))) =
-            (spans.get(j), spans.get(j + 1))
-        else {
-            i += 1;
-            continue;
-        };
-        if !is_guard_cmp(&cmp) {
-            i += 1;
-            continue;
-        }
-        // The bound load precedes the range pre-check, behind an optional
-        // `sub r11, 1` (strict bounds).
-        let mut b = i;
-        if b > 0
-            && matches!(spans[b - 1].2,
-                Inst::AluRi { w: W::W64, op: Alu::Sub, d, v: 1 } if d.0 == SCRATCH)
-        {
-            b -= 1;
-        }
-        let bound = b.checked_sub(1).map(|p| spans[p]).filter(|&(.., inst)| {
-            matches!(inst, Inst::MovRr { w: W::W32, d, .. } if d.0 == SCRATCH)
-                || matches!(inst,
-                    Inst::MovRm { w: W::W32, d, m } if d.0 == SCRATCH && m.base == Reg::RBP)
-        });
-        out.push(HoistGuardSpans {
-            bound,
-            add,
-            size_cmp: (coff, clen),
-            size_ja: (joff, jlen),
-        });
-        i = j + 2;
-    }
-    out
-}
-
-/// The hoisted-guard corruption classes, all safety-breaking:
-///
-/// * `hoist-guard-nop` — NOP the preheader's `cmp r11, [r15+8]; ja slow`:
-///   the guard never routes to the checked slow copy, so any bound up to
-///   the i32 range runs the check-free fast body.
-/// * `hoist-bound-weaken` — shrink the guard's addend immediate: bounds
-///   whose footprint ends within the shaved window pass the guard yet
-///   access past `mem_size` in the fast body.
-/// * `hoist-target-swap` — invert the final `ja` (`ja` → `jbe`): the
-///   version selection is swapped, so a failing guard falls through into
-///   the check-free fast copy instead of the per-access-checked slow one.
-/// * `regalloc-bound-reg-swap` — read the guard's bound from a different
-///   register home: the shape of a register allocator assigning (or
-///   clobbering into) the wrong home, so the guard proves a bound the
-///   loop never uses.
-/// * `regalloc-slot-swap` — repoint a spill-slot bound load one frame
-///   slot down: the allocator-bug analogue for slot-homed bounds.
-fn enumerate_hoist_mutants(code: &[u8], spans: &[(usize, usize, Inst)]) -> Vec<Mutant> {
-    let mut out = Vec::new();
-    for g in find_hoist_guards(spans) {
-        out.push(Mutant {
-            class: "hoist-guard-nop",
-            patches: vec![
-                nop_patch(g.size_cmp.0, g.size_cmp.1),
-                nop_patch(g.size_ja.0, g.size_ja.1),
-            ],
-        });
-        if let Some((aoff, alen, imm32)) = g.add {
-            out.push(Mutant {
-                class: "hoist-bound-weaken",
-                patches: vec![if imm32 {
-                    (aoff + alen - 4, 4u32.to_le_bytes().to_vec())
-                } else {
-                    (aoff + alen - 1, vec![4])
-                }],
-            });
-        }
-        out.push(Mutant {
-            class: "hoist-target-swap",
-            // 0F 87 (ja) -> 0F 86 (jbe): second opcode byte.
-            patches: vec![(g.size_ja.0 + 1, vec![code[g.size_ja.0 + 1] ^ 0x01])],
-        });
-        // Register-allocator corruption classes: repoint the guard's
-        // bound load at a *different* local's home or spill slot, the
-        // machine shape of an allocator bug. The guard then proves a
-        // bound the loop never uses.
-        match g.bound {
-            Some((boff, blen, Inst::MovRr { w, d, s })) => {
-                // Clobbered guard register: read the bound from the
-                // neighboring register (rbx↔rdx, r12↔r13, r8↔r9 — all
-                // stay valid encodings of the same length).
-                let mut patched = Vec::new();
-                lb_verify::isa::encode(
-                    &Inst::MovRr {
-                        w,
-                        d,
-                        s: Reg(s.0 ^ 1),
-                    },
-                    &mut patched,
-                );
-                if patched.len() == blen {
-                    out.push(Mutant {
-                        class: "regalloc-bound-reg-swap",
-                        patches: vec![(boff, patched)],
-                    });
-                }
-            }
-            Some((boff, blen, Inst::MovRm { w, d, m })) => {
-                // Spill-slot swap: shift the bound read one slot down —
-                // another local's frame slot under every layout this
-                // module can have.
-                let mut patched = Vec::new();
-                lb_verify::isa::encode(
-                    &Inst::MovRm {
-                        w,
-                        d,
-                        m: lb_verify::isa::Mem {
-                            disp: m.disp - 8,
-                            ..m
-                        },
-                    },
-                    &mut patched,
-                );
-                if patched.len() == blen {
-                    out.push(Mutant {
-                        class: "regalloc-slot-swap",
-                        patches: vec![(boff, patched)],
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 /// The fused-guard compare: `cmp r, [r15 + MEM_LIMITS + 8*slot]`, 64-bit.
 fn is_limit_cmp(inst: &Inst) -> bool {
     matches!(
@@ -694,110 +505,6 @@ fn validator_detects_fused_guard_corruption() {
             detected,
             total,
             "{class}: fused-guard corruption must be detected 100% — survivors:\n{}",
-            survivors.join("\n")
-        );
-    }
-}
-
-/// Every corruption of the hoisted-guard machinery must be flagged: the
-/// fast loop body carries no per-access checks, so a broken preheader
-/// guard is a sandbox escape with nothing downstream to catch it.
-#[test]
-fn validator_detects_hoisted_guard_corruption() {
-    let modules = [
-        ("dynamic-bound", common::dynamic_bound_module()),
-        ("multi-function", common::multi_function_module()),
-    ];
-    let mut by_class: std::collections::BTreeMap<&'static str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    let mut survivors: Vec<String> = Vec::new();
-
-    for (name, module) in &modules {
-        let meta = lb_wasm::validate(module).expect("module validates");
-        let plan = lb_analysis::analyze_module(module, &meta);
-        let mem_min_bytes = module
-            .memory
-            .as_ref()
-            .map_or(0, |m| u64::from(m.limits.min) * PAGE_SIZE as u64);
-
-        for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
-            for opt in [OptLevel::Basic, OptLevel::Full] {
-                let params = CompileParams {
-                    module,
-                    metas: &meta.funcs,
-                    strategy,
-                    opt,
-                    safepoints: false,
-                    funcptrs_base: 0,
-                    plans: Some(&plan),
-                    guardopt: false,
-                    limit_extents: &[],
-                };
-                for di in 0..module.functions.len() {
-                    let code = compile_function(params, di);
-                    let clean = verify_function(&FuncInput {
-                        func_index: di,
-                        code: &code,
-                        body: &module.functions[di].body,
-                        meta: &meta.funcs[di],
-                        strategy,
-                        plan: Some(&plan.funcs[di]),
-                        mem_min_bytes,
-                        reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                        limit_extents: None,
-                    });
-                    assert!(
-                        clean.findings.is_empty(),
-                        "{name}/{strategy:?}/{opt:?} func {di}: unmutated code must verify"
-                    );
-                    let spans = decode_spans(&code);
-                    for mutant in enumerate_hoist_mutants(&code, &spans) {
-                        let mut mutated = code.clone();
-                        for (at, bytes) in &mutant.patches {
-                            mutated[*at..*at + bytes.len()].copy_from_slice(bytes);
-                        }
-                        let report = verify_function(&FuncInput {
-                            func_index: di,
-                            code: &mutated,
-                            body: &module.functions[di].body,
-                            meta: &meta.funcs[di],
-                            strategy,
-                            plan: Some(&plan.funcs[di]),
-                            mem_min_bytes,
-                            reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES as u64,
-                            limit_extents: None,
-                        });
-                        let e = by_class.entry(mutant.class).or_insert((0, 0));
-                        e.0 += 1;
-                        if report.findings.is_empty() {
-                            survivors.push(format!(
-                                "{name}/{strategy:?}/{opt:?} func {di}: {}",
-                                mutant.class
-                            ));
-                        } else {
-                            e.1 += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    for class in [
-        "hoist-guard-nop",
-        "hoist-bound-weaken",
-        "hoist-target-swap",
-        "regalloc-bound-reg-swap",
-        "regalloc-slot-swap",
-    ] {
-        let (total, detected) = by_class.get(class).copied().unwrap_or((0, 0));
-        println!("  {class}: {detected}/{total}");
-        assert!(total > 0, "{class}: no mutants generated");
-        assert_eq!(
-            detected,
-            total,
-            "{class}: hoisted-guard corruption must be detected 100% — \
-             survivors:\n{}",
             survivors.join("\n")
         );
     }
