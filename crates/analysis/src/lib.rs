@@ -17,11 +17,8 @@
 //!   iterations via a widening/narrowing fixpoint at each loop header
 //!   (inner loops warm-start from their previous header, so the cost
 //!   stays polynomial in nest depth rather than multiplying per level),
-//! * summarizes functions **interprocedurally**, bottom-up over the call
-//!   graph: caller argument intervals narrow an internal callee's
-//!   parameters, and a callee's constant return interval (`ret_iv`)
-//!   narrows call results in the caller; exported/escaping functions and
-//!   call-graph cycles conservatively stay at ⊤,
+//! * analyzes each function **on its own**: parameters enter at ⊤ and a
+//!   call's i32 result is ⊤, whatever the callee,
 //! * emits a per-instruction [`CheckKind`] plan (`Emit`, `ElideInBounds`,
 //!   `ElideDominated`, `StaticOob`) plus a per-function
 //!   access-footprint [`FuncSummary`] (max proven effective address,
@@ -90,24 +87,16 @@ pub enum CheckKind {
     StaticOob,
 }
 
-/// Knobs for [`analyze_module_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Knobs for [`analyze_module_with`], all inert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AnalysisConfig {
-    /// Propagate caller argument intervals and callee return intervals
-    /// across `call` edges (module call graph, non-escaping callees only).
+    /// Ignored: each function is analyzed on its own, with ⊤ parameters
+    /// and ⊤ call results. Kept only so the committed `perfbench`
+    /// harness, which sets it, builds unedited.
     pub interprocedural: bool,
     /// Ignored: the analysis synthesizes no loop guards. Kept only so the
     /// committed `perfbench` harness, which sets it, builds unedited.
     pub hoist: bool,
-}
-
-impl Default for AnalysisConfig {
-    fn default() -> AnalysisConfig {
-        AnalysisConfig {
-            interprocedural: true,
-            hoist: false,
-        }
-    }
 }
 
 /// Per-function access-footprint summary.
@@ -131,14 +120,6 @@ pub struct FuncSummary {
     /// function check-free. `None` if some access has an unbounded
     /// address; `Some(0)` if the function performs no accesses.
     pub check_free_min_bytes: Option<u64>,
-    /// Interval of the function's i32 return value under ⊤ parameters
-    /// (`None` when the function returns nothing or a non-i32), used by
-    /// callers to narrow `call` results.
-    pub ret_iv: Option<(u64, u64)>,
-    /// Access-footprint bounds over *unmodified* parameters:
-    /// `(param, shift, max addend + extent)` — the function accesses at
-    /// most `(param << shift) + bound` bytes through each entry.
-    pub param_footprint: Vec<(u32, u8, u64)>,
 }
 
 impl FuncSummary {
@@ -184,9 +165,9 @@ impl FuncPlan {
         u32::try_from(pc).is_ok_and(|pc| self.clamp_ok.binary_search(&pc).is_ok())
     }
 
-    /// Abstract instruction steps the analysis of this function took over
-    /// both phases: a deterministic work count (every probe and pass, not
-    /// just the recording one). Not part of the plan.
+    /// Abstract instruction steps the analysis of this function took: a
+    /// deterministic work count (every probe and pass, not just the
+    /// recording one). Not part of the plan.
     #[inline]
     pub fn steps(&self) -> u64 {
         self.steps
@@ -231,28 +212,21 @@ impl ModulePlan {
     }
 }
 
-/// Analyze every defined function of a validated module with the default
-/// configuration (interprocedural propagation on).
-pub fn analyze_module(module: &Module, meta: &ModuleMeta) -> ModulePlan {
-    analyze_module_with(module, meta, &AnalysisConfig::default())
+/// Same as [`analyze_module`]: no field of `cfg` changes the plan. Kept
+/// only so the committed `perfbench` harness, which calls it, builds
+/// unedited.
+pub fn analyze_module_with(
+    module: &Module,
+    meta: &ModuleMeta,
+    _cfg: &AnalysisConfig,
+) -> ModulePlan {
+    analyze_module(module, meta)
 }
 
-/// Analyze every defined function of a validated module.
-///
-/// With `interprocedural` enabled this runs in two phases over the module
-/// call graph:
-///
-/// 1. **Return summaries** — every defined function is analyzed with ⊤
-///    parameters in callee-first (post-order) order, producing the i32
-///    return interval callers use to narrow `call` results. Cycle
-///    members see ⊤ for their in-cycle callees.
-/// 2. **Final plans** — functions are processed callers-first; each
-///    reachable `call` site's argument intervals are joined into the
-///    callee's entry state. Only non-escaping callees (not exported, not
-///    in any element segment, not the start function, not self-recursive)
-///    receive narrowed parameters; everything else keeps ⊤. Functions on
-///    call-graph cycles fall back to ⊤ parameters.
-pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisConfig) -> ModulePlan {
+/// Analyze every defined function of a validated module. Each function
+/// is analyzed once, on its own, with ⊤ parameters; a call's i32 result
+/// is ⊤ whatever the callee.
+pub fn analyze_module(module: &Module, meta: &ModuleMeta) -> ModulePlan {
     let (mem_min_bytes, mem_max_bytes) = match &module.memory {
         Some(mt) => (
             u64::from(mt.limits.min) * PAGE_SIZE as u64,
@@ -260,177 +234,13 @@ pub fn analyze_module_with(module: &Module, meta: &ModuleMeta, cfg: &AnalysisCon
         ),
         None => (0, 0),
     };
-    let nd = module.functions.len();
-    let ni = module.num_imported_funcs();
-
-    // Distinct defined-callee edges per defined function.
-    let mut callees: Vec<Vec<usize>> = vec![Vec::new(); nd];
-    for (di, f) in module.functions.iter().enumerate() {
-        for instr in &f.body {
-            if let Instr::Call(fi) = instr {
-                if let Some(cd) = fi.checked_sub(ni) {
-                    let cd = cd as usize;
-                    if cd < nd && !callees[di].contains(&cd) {
-                        callees[di].push(cd);
-                    }
-                }
-            }
-        }
-    }
-
-    // Phase 1: return-interval summaries, callees first.
-    let mut ret_ivs: Vec<Option<(u64, u64)>> = vec![None; nd];
-    let mut phase1_steps = vec![0u64; nd];
-    if cfg.interprocedural && nd > 0 {
-        let mut color = vec![0u8; nd]; // 0 unvisited, 1 on stack, 2 done
-        let mut order = Vec::with_capacity(nd);
-        for root in 0..nd {
-            if color[root] != 0 {
-                continue;
-            }
-            color[root] = 1;
-            let mut stack = vec![(root, 0usize)];
-            while let Some(&mut (n, ref mut i)) = stack.last_mut() {
-                if *i < callees[n].len() {
-                    let c = callees[n][*i];
-                    *i += 1;
-                    if color[c] == 0 {
-                        color[c] = 1;
-                        stack.push((c, 0));
-                    }
-                } else {
-                    color[n] = 2;
-                    order.push(n);
-                    stack.pop();
-                }
-            }
-        }
-        // Only an i32 result has a return interval to summarize.
-        for di in order
-            .into_iter()
-            .filter(|&di| meta.funcs[di].result == Some(ValType::I32))
-        {
-            let plan = Analyzer::new(
-                module,
-                &meta.funcs[di],
-                mem_min_bytes,
-                mem_max_bytes,
-                &ret_ivs,
-                None,
-            )
-            .run(&module.functions[di].body);
-            ret_ivs[di] = plan.summary.ret_iv;
-            phase1_steps[di] = plan.steps;
-        }
-    }
-
-    // Escaping functions can be entered with arbitrary arguments.
-    let mut escaping = vec![false; nd];
-    let escape = |fi: u32, escaping: &mut Vec<bool>| {
-        if let Some(d) = fi.checked_sub(ni) {
-            if (d as usize) < nd {
-                escaping[d as usize] = true;
-            }
-        }
-    };
-    for e in &module.exports {
-        if let lb_wasm::module::ExportKind::Func(fi) = e.kind {
-            escape(fi, &mut escaping);
-        }
-    }
-    for seg in &module.elems {
-        for &fi in &seg.funcs {
-            escape(fi, &mut escaping);
-        }
-    }
-    if let Some(s) = module.start {
-        escape(s, &mut escaping);
-    }
-
-    // Phase 2: final plans, callers first (Kahn over distinct-caller
-    // in-degrees; self-loops excluded — a self-recursive function's inner
-    // call sites would feed its own entry state, so it keeps ⊤ params).
-    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); nd];
-    for di in 0..nd {
-        for &c in &callees[di] {
-            if c != di && !callers[c].contains(&di) {
-                callers[c].push(di);
-            }
-        }
-    }
-    let self_rec: Vec<bool> = (0..nd).map(|di| callees[di].contains(&di)).collect();
-    let mut in_deg: Vec<usize> = callers.iter().map(Vec::len).collect();
-    let mut plans: Vec<Option<FuncPlan>> = (0..nd).map(|_| None).collect();
-    let mut arg_ivs: Vec<Option<Vec<(u64, u64)>>> = vec![None; nd];
-    let mut queue: std::collections::VecDeque<usize> =
-        (0..nd).filter(|&di| in_deg[di] == 0).collect();
-    let run_one = |di: usize, arg_ivs: &Vec<Option<Vec<(u64, u64)>>>| {
-        let params = if cfg.interprocedural && !escaping[di] && !self_rec[di] {
-            arg_ivs[di].clone()
-        } else {
-            None
-        };
-        Analyzer::new(
-            module,
-            &meta.funcs[di],
-            mem_min_bytes,
-            mem_max_bytes,
-            &ret_ivs,
-            params.as_deref(),
-        )
-        .run_collect(&module.functions[di].body)
-    };
-    let finish = |di: usize,
-                  (plan, call_args): (FuncPlan, Vec<(u32, Vec<(u64, u64)>)>),
-                  plans: &mut Vec<Option<FuncPlan>>,
-                  arg_ivs: &mut Vec<Option<Vec<(u64, u64)>>>| {
-        for (fi, args) in call_args {
-            if let Some(d) = fi.checked_sub(ni) {
-                let d = d as usize;
-                if d < nd {
-                    match &mut arg_ivs[d] {
-                        Some(acc) => {
-                            for (a, b) in acc.iter_mut().zip(&args) {
-                                a.0 = a.0.min(b.0);
-                                a.1 = a.1.max(b.1);
-                            }
-                        }
-                        None => arg_ivs[d] = Some(args),
-                    }
-                }
-            }
-        }
-        plans[di] = Some(plan);
-    };
-    while let Some(di) = queue.pop_front() {
-        let out = run_one(di, &arg_ivs);
-        finish(di, out, &mut plans, &mut arg_ivs);
-        for &c in &callees[di] {
-            if c != di && plans[c].is_none() {
-                in_deg[c] -= 1;
-                if in_deg[c] == 0 {
-                    queue.push_back(c);
-                }
-            }
-        }
-    }
-    // Cycle members (and anything only reachable through them): ⊤ params.
-    for di in 0..nd {
-        if plans[di].is_none() {
-            arg_ivs[di] = None;
-            let out = run_one(di, &arg_ivs);
-            plans[di] = Some(out.0);
-        }
-    }
-
     ModulePlan {
-        funcs: plans
-            .into_iter()
-            .zip(phase1_steps)
-            .map(|(p, s1)| {
-                let mut p = p.expect("all analyzed");
-                p.steps += s1;
-                p
+        funcs: module
+            .functions
+            .iter()
+            .zip(&meta.funcs)
+            .map(|(f, fmeta)| {
+                Analyzer::new(module, fmeta, mem_min_bytes, mem_max_bytes).run(&f.body)
             })
             .collect(),
         mem_min_bytes,
@@ -1262,19 +1072,6 @@ struct Analyzer<'m> {
     /// Plan/summary writes happen only on the single recording pass over
     /// each instruction; loop fixpoint probes run with this off.
     recording: bool,
-    /// Number of imported functions (start of the defined index space).
-    ni: u32,
-    /// Phase-A return intervals by defined function index (`None` = ⊤ or
-    /// not yet computed).
-    ret_ivs: &'m [Option<(u64, u64)>],
-    /// Entry intervals for the parameters (`None` = all ⊤).
-    param_ivs: Option<&'m [(u64, u64)]>,
-    /// Caller-side argument intervals observed at reachable `call` sites
-    /// on the recording pass: `(callee func index, per-param intervals)`.
-    call_args: Vec<(u32, Vec<(u64, u64)>)>,
-    /// Params the body ever writes (excluded from `param_footprint`).
-    param_written: Vec<bool>,
-    footprint: BTreeMap<(u32, u8), u64>,
     clamp_ok: Vec<u32>,
     /// Per-loop `(entry, stabilized header)` of the last probe-mode
     /// fixpoint, keyed by `loop_pc`: warm starts for inner loops.
@@ -1287,14 +1084,7 @@ struct Analyzer<'m> {
 }
 
 impl<'m> Analyzer<'m> {
-    fn new(
-        module: &'m Module,
-        fmeta: &'m FuncMeta,
-        mem_min: u64,
-        mem_max: u64,
-        ret_ivs: &'m [Option<(u64, u64)>],
-        param_ivs: Option<&'m [(u64, u64)]>,
-    ) -> Analyzer<'m> {
+    fn new(module: &'m Module, fmeta: &'m FuncMeta, mem_min: u64, mem_max: u64) -> Analyzer<'m> {
         Analyzer {
             module,
             fmeta,
@@ -1308,12 +1098,6 @@ impl<'m> Analyzer<'m> {
             any_bounded: false,
             any_unbounded: false,
             recording: true,
-            ni: module.num_imported_funcs(),
-            ret_ivs,
-            param_ivs,
-            call_args: Vec::new(),
-            param_written: Vec::new(),
-            footprint: BTreeMap::new(),
             clamp_ok: Vec::new(),
             loop_cache: BTreeMap::new(),
             spare: Vec::new(),
@@ -1321,14 +1105,7 @@ impl<'m> Analyzer<'m> {
         }
     }
 
-    fn run(self, body: &'m [Instr]) -> FuncPlan {
-        self.run_collect(body).0
-    }
-
-    /// Like [`Analyzer::run`], but also returns the argument intervals
-    /// observed at every reachable `call` site for caller→callee
-    /// propagation.
-    fn run_collect(mut self, body: &'m [Instr]) -> (FuncPlan, Vec<(u32, Vec<(u64, u64)>)>) {
+    fn run(mut self, body: &'m [Instr]) -> FuncPlan {
         self.body = body;
         self.kinds = vec![CheckKind::Emit; body.len()];
         for i in body {
@@ -1342,28 +1119,13 @@ impl<'m> Analyzer<'m> {
         self.thresholds.dedup();
 
         let n_params = self.fmeta.n_params as usize;
-        self.param_written = vec![false; n_params];
-        for i in body {
-            if let Instr::LocalSet(l) | Instr::LocalTee(l) = i {
-                if (*l as usize) < n_params {
-                    self.param_written[*l as usize] = true;
-                }
-            }
-        }
-        let locals = self
-            .fmeta
-            .local_types
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
+        // Parameters are ⊤; declared locals are zero-initialized,
+        // numerically [0, 0] regardless of type.
+        let locals = (0..self.fmeta.local_types.len())
+            .map(|i| {
                 if i < n_params {
-                    match self.param_ivs.and_then(|p| p.get(i)) {
-                        Some(&(lo, hi)) => AbsVal::iv(lo, hi),
-                        None => AbsVal::top(),
-                    }
+                    AbsVal::top()
                 } else {
-                    // Declared locals are zero-initialized; numerically
-                    // [0, 0] regardless of type.
                     AbsVal::cst(0)
                 }
             })
@@ -1385,35 +1147,6 @@ impl<'m> Analyzer<'m> {
         }];
         self.exec_seq(&tree, &mut st, &mut frames, 0);
 
-        // Joined i32 return interval: the fall-through exit plus every
-        // `return` merged into the root frame.
-        if self.fmeta.result == Some(ValType::I32) {
-            let mut rj: Option<(u64, u64)> = None;
-            let mut add = |v: &AbsVal| {
-                let (vlo, vhi) = v.bounds();
-                rj = Some(match rj {
-                    Some((lo, hi)) => (lo.min(vlo), hi.max(vhi)),
-                    None => (vlo, vhi),
-                });
-            };
-            if st.live {
-                if let Some(v) = st.stack.last() {
-                    add(v);
-                }
-            }
-            if let Some(m) = &frames[0].merged {
-                if let Some(v) = m.stack.last() {
-                    add(v);
-                }
-            }
-            self.summary.ret_iv = Some(rj.unwrap_or((0, U32_MAX)));
-        }
-        self.summary.param_footprint = self
-            .footprint
-            .iter()
-            .map(|(&(p, shift), &bound)| (p, shift, bound))
-            .collect();
-
         self.summary.max_proven_ea = self.any_bounded.then_some(self.max_needed);
         self.summary.check_free_min_bytes = if self.summary.accesses == 0 {
             Some(0)
@@ -1424,15 +1157,12 @@ impl<'m> Analyzer<'m> {
         };
         self.clamp_ok.sort_unstable();
         self.clamp_ok.dedup();
-        (
-            FuncPlan {
-                kinds: self.kinds,
-                clamp_ok: self.clamp_ok,
-                summary: self.summary,
-                steps: self.steps,
-            },
-            self.call_args,
-        )
+        FuncPlan {
+            kinds: self.kinds,
+            clamp_ok: self.clamp_ok,
+            summary: self.summary,
+            steps: self.steps,
+        }
     }
 
     // ── state buffers ──────────────────────────────────────────────
@@ -1863,14 +1593,6 @@ impl<'m> Analyzer<'m> {
             if kind == CheckKind::ElideDominated && dom_static {
                 self.clamp_ok.push(pc as u32);
             }
-            if let Some(sym) = exact_sym {
-                if (sym.local as usize) < self.param_written.len()
-                    && !self.param_written[sym.local as usize]
-                {
-                    let e = self.footprint.entry((sym.local, sym.shift)).or_insert(0);
-                    *e = (*e).max(u64::from(sym.addend) + extent);
-                }
-            }
             if addr.hi == u32::MAX {
                 self.any_unbounded = true;
             } else {
@@ -1925,25 +1647,9 @@ impl<'m> Analyzer<'m> {
             }
             Call(fi) => {
                 let ty = self.module.func_type(*fi).expect("validated call");
-                let base = st.stack.len() - ty.params.len();
-                if self.recording {
-                    let args = st.stack[base..].iter().map(AbsVal::bounds).collect();
-                    self.call_args.push((*fi, args));
-                }
-                st.stack.truncate(base);
-                if let Some(rt) = ty.result() {
-                    // Imports and non-i32 results stay ⊤; defined callees
-                    // narrow to their Phase-A return interval.
-                    let v = match (rt, fi.checked_sub(self.ni)) {
-                        (ValType::I32, Some(d)) => {
-                            match self.ret_ivs.get(d as usize).copied().flatten() {
-                                Some((lo, hi)) => AbsVal::iv(lo, hi),
-                                None => AbsVal::top(),
-                            }
-                        }
-                        _ => AbsVal::top(),
-                    };
-                    st.stack.push(v);
+                st.stack.truncate(st.stack.len() - ty.params.len());
+                if ty.result().is_some() {
+                    st.stack.push(AbsVal::top());
                 }
                 // Calls cannot touch our locals, and linear memory only
                 // grows, so intervals and facts survive.
@@ -2936,102 +2642,6 @@ mod tests {
         let plan = plan_of(&m, &meta);
         assert_eq!(plan.summary.elided_in_bounds, 1, "{:?}", plan.summary);
         assert_eq!(plan.summary.emitted, 0);
-    }
-
-    /// Two-function module: exported `go()` + internal helper, for the
-    /// interprocedural tests. Returns the plans for (go, helper).
-    fn two_func_plans(
-        go_body: Vec<Instr>,
-        go_locals: &[ValType],
-        helper_ty: FuncType,
-        helper_body: Vec<Instr>,
-    ) -> (FuncPlan, FuncPlan) {
-        let mut m = Module::new();
-        m.types.push(FuncType {
-            params: vec![],
-            results: vec![],
-        });
-        m.types.push(helper_ty);
-        m.memory = Some(MemoryType {
-            limits: Limits {
-                min: 1,
-                max: Some(1),
-            },
-        });
-        m.functions.push(Function {
-            type_idx: 0,
-            locals: go_locals.to_vec(),
-            body: go_body,
-            name: Some("go".into()),
-        });
-        m.functions.push(Function {
-            type_idx: 1,
-            locals: vec![],
-            body: helper_body,
-            name: None,
-        });
-        m.exports.push(lb_wasm::module::Export {
-            name: "go".into(),
-            kind: lb_wasm::module::ExportKind::Func(0),
-        });
-        let meta = validate(&m).expect("test module validates");
-        let plan = analyze_module(&m, &meta);
-        (plan.funcs[0].clone(), plan.funcs[1].clone())
-    }
-
-    #[test]
-    fn callee_return_interval_narrows_caller_load() {
-        // helper() = 100; go() loads at helper()<<2: in bounds only
-        // because the return interval [100,100] propagates to the call
-        // result.
-        let go = vec![
-            Instr::Call(1),
-            Instr::I32Const(2),
-            Instr::I32Shl,
-            Instr::I32Load(MemArg::offset(0)),
-            Instr::Drop,
-            Instr::End,
-        ];
-        let helper = vec![Instr::I32Const(100), Instr::End];
-        let (go_plan, helper_plan) = two_func_plans(
-            go,
-            &[],
-            FuncType {
-                params: vec![],
-                results: vec![I32],
-            },
-            helper,
-        );
-        assert_eq!(helper_plan.summary.ret_iv, Some((100, 100)));
-        assert_eq!(go_plan.summary.elided_in_bounds, 1);
-        assert_eq!(go_plan.summary.emitted, 0);
-    }
-
-    #[test]
-    fn caller_argument_interval_narrows_callee_access() {
-        // go() calls helper(8); helper stores at `p0 << 2`. The access is
-        // provable only through the propagated argument interval [8,8] —
-        // with ⊤ parameters it would need a check.
-        let go = vec![Instr::I32Const(8), Instr::Call(1), Instr::End];
-        let helper = vec![
-            Instr::LocalGet(0),
-            Instr::I32Const(2),
-            Instr::I32Shl,
-            Instr::I32Const(7),
-            Instr::I32Store(MemArg::offset(0)),
-            Instr::End,
-        ];
-        let (_, helper_plan) = two_func_plans(
-            go,
-            &[],
-            FuncType {
-                params: vec![I32],
-                results: vec![],
-            },
-            helper,
-        );
-        assert_eq!(helper_plan.summary.elided_in_bounds, 1);
-        assert_eq!(helper_plan.summary.emitted, 0);
     }
 
     #[test]

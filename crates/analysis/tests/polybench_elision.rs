@@ -78,8 +78,8 @@ fn check_free_memory_bound_is_reported() {
 
 #[test]
 fn every_kernel_is_fully_elided() {
-    // With interval splitting, relational facts, and interprocedural
-    // summaries, all 30 kernels prove every access — including the four
+    // With interval splitting and relational facts, all 30 kernels
+    // prove every access — including the four
     // (deriche, durbin, ludcmp, nussinov) whose triangular or
     // data-dependent index shapes previously kept some checks emitted.
     let mut partial = Vec::new();

@@ -257,9 +257,8 @@ fn fn_body(text: &str, name: &str) -> Option<(usize, String)> {
 /// * signals.rs — trap-resume bookkeeping invariants inside
 ///   `catch_traps`; if these fire, the jump-buffer state machine is
 ///   corrupt and continuing would execute on poisoned state.
-/// * uffd.rs / procstat.rs — `std::thread::Builder::spawn` refusing to
-///   create a thread (host out of tids/memory); the harness cannot run
-///   at all, and both sites are documented with `# Panics`.
+/// * procstat.rs — `std::thread::Builder::spawn` refusing to create a
+///   thread (host out of tids/memory); the harness cannot run at all.
 const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     (
         "crates/core/src/region.rs",
@@ -267,14 +266,6 @@ const UNWRAP_ALLOWLIST: &[(&str, &str)] = &[
     ),
     ("crates/core/src/signals.rs", "expect(\"closure present\")"),
     ("crates/core/src/signals.rs", "expect(\"closure ran\")"),
-    (
-        "crates/core/src/uffd.rs",
-        "expect(\"spawn uffd poll thread\")",
-    ),
-    (
-        "crates/core/src/uffd.rs",
-        "expect(\"spawn uffd watchdog thread\")",
-    ),
     (
         "crates/harness/src/procstat.rs",
         "expect(\"spawn sampler\")",

@@ -154,7 +154,8 @@ fn engines(args: &Args) {
 }
 
 /// The plan mode's default kernels: a representative set, then the four
-/// whose per-access checks only the interprocedural analysis removes.
+/// whose triangular or data-dependent index shapes kept some checks
+/// before the analysis split intervals and tracked relational facts.
 const REPRESENTATIVE: &[&str] = &["gemm", "atax", "mvt", "bicg", "jacobi-2d", "trisolv"];
 const PREVIOUSLY_PARTIAL: &[&str] = &["deriche", "durbin", "ludcmp", "nussinov"];
 

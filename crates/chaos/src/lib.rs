@@ -9,7 +9,7 @@
 //! fallible OS call site in `lb-core` is a named [fault point](SITES) that
 //! consults a process-wide injection [`Plan`] before issuing the real
 //! syscall, so graceful-degradation paths (strategy fallback chains, clean
-//! `memory.grow` failure, watchdog recovery) can be exercised
+//! `memory.grow` failure, pool reset failure) can be exercised
 //! deterministically in tests and benchmark campaigns.
 //!
 //! # The `LB_FAULTS` spec
@@ -71,7 +71,6 @@ pub const SITES: &[&str] = &[
     "core.uffd.create",     // userfaultfd(2) fd creation + API handshake
     "core.uffd.register",   // UFFDIO_REGISTER of the reservation
     "core.uffd.copy",       // UFFDIO_ZEROPAGE population (host and in-handler)
-    "core.uffd.wake",       // UFFDIO_WAKE from the watchdog's stall recovery
     "core.madvise.discard", // madvise(MADV_DONTNEED) when recycling memory
     "core.pool.reset",      // pooled-memory reset on release to the free-list
     "serve.dispatch",       // lb-serve shard worker dispatching a request
@@ -87,7 +86,6 @@ const SITE_COUNTERS: &[&str] = &[
     "chaos.fired.core.uffd.create",
     "chaos.fired.core.uffd.register",
     "chaos.fired.core.uffd.copy",
-    "chaos.fired.core.uffd.wake",
     "chaos.fired.core.madvise.discard",
     "chaos.fired.core.pool.reset",
     "chaos.fired.serve.dispatch",

@@ -62,3 +62,13 @@ pub use pool::MemoryPoolConfig;
 pub use signals::catch_traps;
 pub use strategy::{BoundsStrategy, MemoryConfig, DEFAULT_RESERVE_BYTES};
 pub use trap::{Trap, TrapKind};
+
+/// Serializes this crate's unit tests that make or count memory
+/// syscalls and faults: the [`stats`] tallies and the telemetry counters
+/// are process-wide, so a sibling test's syscalls would move another
+/// test's deltas.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -543,6 +543,7 @@ mod tests {
 
     #[test]
     fn roundtrip_all_strategies() {
+        let _serial = crate::test_lock();
         for s in BoundsStrategy::ALL {
             if s == BoundsStrategy::Uffd && !sigbus_mode_available() {
                 continue;
@@ -562,6 +563,7 @@ mod tests {
 
     #[test]
     fn grow_updates_size_and_respects_max() {
+        let _serial = crate::test_lock();
         let m = LinearMemory::new(&cfg(BoundsStrategy::Mprotect)).unwrap();
         assert_eq!(m.size_pages(), 2);
         assert_eq!(m.grow(3), Some(2));
@@ -575,6 +577,7 @@ mod tests {
 
     #[test]
     fn trap_strategy_returns_err_on_oob() {
+        let _serial = crate::test_lock();
         let m = LinearMemory::new(&cfg(BoundsStrategy::Trap)).unwrap();
         let e = m.load::<u32>(2 * WASM_PAGE as u32 - 2, 0).unwrap_err();
         assert_eq!(*e.kind(), TrapKind::OutOfBounds);
@@ -586,6 +589,7 @@ mod tests {
 
     #[test]
     fn clamp_strategy_redirects_to_end() {
+        let _serial = crate::test_lock();
         let m = LinearMemory::new(&cfg(BoundsStrategy::Clamp)).unwrap();
         let end = 2 * WASM_PAGE as u32;
         m.store::<u32>(end - 4, 0, 0x55AA55AA).unwrap();
@@ -599,6 +603,7 @@ mod tests {
 
     #[test]
     fn mprotect_oob_traps_via_sigsegv() {
+        let _serial = crate::test_lock();
         let m = LinearMemory::new(&cfg(BoundsStrategy::Mprotect)).unwrap();
         let e = catch_traps(|| m.load::<u32>((3 * WASM_PAGE) as u32, 0)).unwrap_err();
         assert_eq!(*e.kind(), TrapKind::OutOfBounds);
@@ -609,6 +614,7 @@ mod tests {
 
     #[test]
     fn uffd_lazy_populate_and_oob() {
+        let _serial = crate::test_lock();
         if !sigbus_mode_available() {
             eprintln!("skipping: uffd unavailable");
             return;
@@ -640,6 +646,7 @@ mod tests {
 
     #[test]
     fn none_strategy_allows_silent_oob_within_reservation() {
+        let _serial = crate::test_lock();
         let m = LinearMemory::new(&cfg(BoundsStrategy::None)).unwrap();
         // This is the unsafe baseline: no trap, access "succeeds".
         let v = catch_traps(|| m.load::<u8>((4 * WASM_PAGE) as u32, 0)).unwrap();
@@ -648,6 +655,7 @@ mod tests {
 
     #[test]
     fn data_segment_write_and_read_back() {
+        let _serial = crate::test_lock();
         for s in [BoundsStrategy::Trap, BoundsStrategy::Mprotect] {
             let m = LinearMemory::new(&cfg(s)).unwrap();
             m.write_bytes(64, b"hello wasm").unwrap();
@@ -661,6 +669,7 @@ mod tests {
 
     #[test]
     fn grow_counts_mprotect_calls_only_for_mprotect_strategy() {
+        let _serial = crate::test_lock();
         let pre = crate::stats::snapshot();
         let m = LinearMemory::new(&cfg(BoundsStrategy::Trap)).unwrap();
         m.grow(4).unwrap();
@@ -674,6 +683,7 @@ mod tests {
 
     #[test]
     fn bad_config_rejected() {
+        let _serial = crate::test_lock();
         let c = MemoryConfig::new(BoundsStrategy::Trap, 10, 2);
         assert!(matches!(
             LinearMemory::new(&c),

@@ -199,6 +199,7 @@ mod tests {
 
     #[test]
     fn reserve_write_read() {
+        let _serial = crate::test_lock();
         let r = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
         // SAFETY: mapped read-write.
         unsafe {
@@ -212,6 +213,7 @@ mod tests {
 
     #[test]
     fn protect_enables_pages() {
+        let _serial = crate::test_lock();
         let ps = host_page_size();
         let r = Reservation::new(16 * ps, Protection::None).unwrap();
         r.protect(0, 4 * ps, Protection::ReadWrite).unwrap();
@@ -223,6 +225,7 @@ mod tests {
 
     #[test]
     fn big_reservation_is_cheap() {
+        let _serial = crate::test_lock();
         // An 8 GiB NORESERVE mapping must succeed without touching memory.
         let r = Reservation::new(8 << 30, Protection::None).unwrap();
         assert_eq!(r.len(), 8 << 30);
@@ -231,6 +234,7 @@ mod tests {
 
     #[test]
     fn discard_zeroes_pages() {
+        let _serial = crate::test_lock();
         let ps = host_page_size();
         let r = Reservation::new(4 * ps, Protection::ReadWrite).unwrap();
         // SAFETY: mapped RW.

@@ -584,18 +584,21 @@ mod tests {
 
     #[test]
     fn normal_completion_passes_through() {
+        let _serial = crate::test_lock();
         let r = catch_traps(|| Ok::<_, Trap>(41 + 1)).unwrap();
         assert_eq!(r, 42);
     }
 
     #[test]
     fn software_trap_passes_through() {
+        let _serial = crate::test_lock();
         let e = catch_traps(|| Err::<(), _>(Trap::new(TrapKind::Unreachable))).unwrap_err();
         assert_eq!(*e.kind(), TrapKind::Unreachable);
     }
 
     #[test]
     fn panic_propagates() {
+        let _serial = crate::test_lock();
         let r = std::panic::catch_unwind(|| {
             let _ = catch_traps(|| -> Result<(), Trap> { panic!("boom") });
         });
@@ -604,6 +607,7 @@ mod tests {
 
     #[test]
     fn segv_in_registered_arena_becomes_oob_trap() {
+        let _serial = crate::test_lock();
         // A PROT_NONE reservation registered as an arena: touching it must
         // surface as a wasm OOB trap, not a crash.
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
@@ -633,6 +637,7 @@ mod tests {
 
     #[test]
     fn nested_catch_traps() {
+        let _serial = crate::test_lock();
         let res = Reservation::new(1 << 16, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
         let desc = Box::new(ArenaDesc::new(
@@ -661,6 +666,7 @@ mod tests {
 
     #[test]
     fn traps_work_from_many_threads() {
+        let _serial = crate::test_lock();
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
         let desc = Box::new(ArenaDesc::new(
@@ -699,6 +705,7 @@ mod raise_tests {
 
     #[test]
     fn raise_trap_lands_in_catch() {
+        let _serial = crate::test_lock();
         let e = catch_traps(|| -> Result<(), Trap> {
             raise_trap(TrapKind::IntegerDivByZero, 0);
         })
@@ -708,6 +715,7 @@ mod raise_tests {
 
     #[test]
     fn raise_trap_from_nested_helper() {
+        let _serial = crate::test_lock();
         fn helper(depth: usize) -> u64 {
             if depth == 0 {
                 raise_trap(TrapKind::InvalidConversion, 0x42);

@@ -253,6 +253,7 @@ mod tests {
 
     #[test]
     fn deltas_subtract() {
+        let _serial = crate::test_lock();
         let before = snapshot();
         count_mprotect();
         count_mprotect();
@@ -265,6 +266,7 @@ mod tests {
 
     #[test]
     fn grow_is_strategy_labelled() {
+        let _serial = crate::test_lock();
         let before = lb_telemetry::snapshot();
         count_grow(BoundsStrategy::Uffd);
         count_grow(BoundsStrategy::Uffd);
@@ -321,6 +323,7 @@ mod tests {
 
     #[test]
     fn vm_counters_share_telemetry_storage() {
+        let _serial = crate::test_lock();
         let before = lb_telemetry::snapshot();
         count_mmap();
         let after = lb_telemetry::snapshot();

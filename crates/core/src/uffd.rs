@@ -1,23 +1,19 @@
 //! Raw `userfaultfd(2)` support: the paper's proposed alternative to
 //! mprotect-based memory management (§2.3.1, §3.1 strategy 5).
 //!
-//! Two delivery modes are implemented, matching the paper:
-//!
-//! * **SIGBUS mode** (used for measurements): the `UFFD_FEATURE_SIGBUS`
-//!   feature makes missing-page faults deliver a SIGBUS to the faulting
-//!   thread; the signal handler resolves legal faults with
-//!   `UFFDIO_ZEROPAGE` in place, avoiding "back-and-forth context
-//!   switches" with a handler thread.
-//! * **Poll mode** (kept as an ablation): a dedicated thread reads fault
-//!   events from the file descriptor and populates pages; the paper
-//!   footnotes that "this has a higher latency than the signal-based
-//!   method".
+//! Faults are delivered in **SIGBUS mode**, the mode the paper measures:
+//! the `UFFD_FEATURE_SIGBUS` feature makes missing-page faults deliver a
+//! SIGBUS to the faulting thread, and the signal handler resolves legal
+//! faults with `UFFDIO_ZEROPAGE` in place, avoiding "back-and-forth
+//! context switches" with a handler thread. The paper's footnoted
+//! alternative, a thread that reads fault events from the descriptor,
+//! "has a higher latency than the signal-based method" and is not
+//! implemented.
 
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 // ── Linux ABI (stable since 4.3; SIGBUS feature since 4.14) ─────────────
 
@@ -25,12 +21,10 @@ const UFFD_API: u64 = 0xAA;
 const UFFDIO_API: libc::c_ulong = 0xC018_AA3F;
 const UFFDIO_REGISTER: libc::c_ulong = 0xC020_AA00;
 const UFFDIO_UNREGISTER: libc::c_ulong = 0x8010_AA01;
-const UFFDIO_WAKE: libc::c_ulong = 0x8010_AA02;
 const UFFDIO_ZEROPAGE: libc::c_ulong = 0xC020_AA04;
 
 const UFFDIO_REGISTER_MODE_MISSING: u64 = 1 << 0;
 const UFFD_FEATURE_SIGBUS: u64 = 1 << 7;
-const UFFD_EVENT_PAGEFAULT: u8 = 0x12;
 
 #[repr(C)]
 struct UffdioApi {
@@ -60,18 +54,6 @@ struct UffdioZeropage {
     zeropage: i64,
 }
 
-#[repr(C)]
-struct UffdMsg {
-    event: u8,
-    reserved1: u8,
-    reserved2: u16,
-    reserved3: u32,
-    // pagefault arm of the union (largest arm is 24 bytes)
-    flags: u64,
-    address: u64,
-    extra: u64,
-}
-
 /// Outcome of a fault-resolution attempt from the signal handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -85,7 +67,6 @@ pub enum FaultAction {
 #[derive(Debug)]
 pub struct Uffd {
     fd: RawFd,
-    sigbus: bool,
 }
 
 impl Uffd {
@@ -96,42 +77,20 @@ impl Uffd {
     /// Fails if the kernel lacks userfaultfd or the SIGBUS feature, or the
     /// process lacks the privilege (`vm.unprivileged_userfaultfd`).
     pub fn new_sigbus() -> io::Result<Uffd> {
-        Uffd::new(UFFD_FEATURE_SIGBUS, true)
-    }
-
-    /// Create a userfaultfd in poll mode (events read from the fd by a
-    /// handler thread; see [`PollHandler`]).
-    ///
-    /// # Errors
-    /// Fails if the kernel lacks userfaultfd or the process lacks privilege.
-    pub fn new_poll() -> io::Result<Uffd> {
-        Uffd::new(0, false)
-    }
-
-    fn new(features: u64, sigbus: bool) -> io::Result<Uffd> {
         // The fault point most worth injecting: userfaultfd(2) is EPERM'd
         // in most containers (vm.unprivileged_userfaultfd since 5.11).
         if let Some(e) = lb_chaos::inject("core.uffd.create") {
             return Err(e);
         }
-        // O_CLOEXEC always. Poll mode adds O_NONBLOCK: a queued fault
-        // event can be resolved — and its wait-queue entry removed — by a
-        // third party (the watchdog's eager conversion) between the
-        // handler's poll() and read(), and a blocking read would then
-        // hang the handler thread forever.
-        let mut flags = libc::O_CLOEXEC;
-        if !sigbus {
-            flags |= libc::O_NONBLOCK;
-        }
         // SAFETY: plain syscall.
-        let fd = unsafe { libc::syscall(libc::SYS_userfaultfd, flags) };
+        let fd = unsafe { libc::syscall(libc::SYS_userfaultfd, libc::O_CLOEXEC) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
         let fd = fd as RawFd;
         let mut api = UffdioApi {
             api: UFFD_API,
-            features,
+            features: UFFD_FEATURE_SIGBUS,
             ioctls: 0,
         };
         // SAFETY: valid fd and struct.
@@ -142,7 +101,7 @@ impl Uffd {
             unsafe { libc::close(fd) };
             return Err(e);
         }
-        if features & UFFD_FEATURE_SIGBUS != 0 && api.features & UFFD_FEATURE_SIGBUS == 0 {
+        if api.features & UFFD_FEATURE_SIGBUS == 0 {
             // SAFETY: closing the fd we just opened.
             unsafe { libc::close(fd) };
             return Err(io::Error::new(
@@ -150,18 +109,13 @@ impl Uffd {
                 "kernel lacks UFFD_FEATURE_SIGBUS",
             ));
         }
-        Ok(Uffd { fd, sigbus })
+        Ok(Uffd { fd })
     }
 
     /// The raw file descriptor (stored in the arena descriptor so the
     /// signal handler can issue `UFFDIO_ZEROPAGE`).
     pub fn raw_fd(&self) -> RawFd {
         self.fd
-    }
-
-    /// Whether this fd was created in SIGBUS mode.
-    pub fn is_sigbus(&self) -> bool {
-        self.sigbus
     }
 
     /// Register `[base, base+len)` for missing-page tracking.
@@ -216,28 +170,6 @@ impl Uffd {
             e => Err(io::Error::from_raw_os_error(e)),
         }
     }
-
-    /// Wake threads blocked on faults in `[base, base+len)` (`UFFDIO_WAKE`).
-    /// Used by the watchdog's stall recovery: a lost or stuck wakeup is
-    /// re-issued so faulting threads retry their access.
-    ///
-    /// # Errors
-    /// Propagates the ioctl failure.
-    pub fn wake(&self, base: usize, len: usize) -> io::Result<()> {
-        if let Some(e) = lb_chaos::inject("core.uffd.wake") {
-            return Err(e);
-        }
-        let range = UffdioRange {
-            start: base as u64,
-            len: len as u64,
-        };
-        // SAFETY: valid fd and struct.
-        let rc = unsafe { libc::ioctl(self.fd, UFFDIO_WAKE, &range) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
 }
 
 impl Drop for Uffd {
@@ -252,8 +184,7 @@ impl Drop for Uffd {
 /// atomic loads and increments on pre-registered counters. This one site
 /// covers both the host-side populate path and the in-handler SIGBUS
 /// fast path. Every real ioctl issued counts into `uffd.zeropage`, so
-/// the counter is an exact ioctl tally across host, handler, poll-thread
-/// and watchdog callers.
+/// the counter is an exact ioctl tally across host and handler callers.
 fn zeropage_raw(fd: RawFd, start: usize, len: usize) -> i32 {
     if let Some(errno) = lb_chaos::inject_raw("core.uffd.copy") {
         return errno;
@@ -410,292 +341,6 @@ pub fn sigbus_mode_available() -> bool {
     *AVAILABLE.get_or_init(|| Uffd::new_sigbus().is_ok())
 }
 
-/// A monotonically increasing liveness signal. The poll-mode fault
-/// handler bumps it every loop iteration (event or timeout alike); the
-/// [`Watchdog`] reads it to distinguish a healthy-but-idle handler from a
-/// stalled one.
-#[derive(Debug, Clone, Default)]
-pub struct Heartbeat(Arc<AtomicU64>);
-
-impl Heartbeat {
-    /// A fresh heartbeat at tick 0.
-    pub fn new() -> Heartbeat {
-        Heartbeat::default()
-    }
-
-    /// Record one liveness tick.
-    pub fn beat(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The current tick count.
-    pub fn ticks(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A poll-mode fault-handler thread (the paper's footnoted alternative;
-/// kept for the latency ablation bench).
-#[derive(Debug)]
-pub struct PollHandler {
-    stop: Arc<AtomicBool>,
-    heartbeat: Heartbeat,
-    thread: Option<std::thread::JoinHandle<u64>>,
-}
-
-impl PollHandler {
-    /// Spawn a thread servicing missing-page faults on `uffd` by zero-
-    /// filling one host page per event.
-    ///
-    /// # Panics
-    /// Panics if the OS refuses to spawn a thread.
-    pub fn spawn(uffd: Arc<Uffd>) -> PollHandler {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let heartbeat = Heartbeat::new();
-        let hb = heartbeat.clone();
-        let thread = std::thread::Builder::new()
-            .name("uffd-poll".into())
-            .spawn(move || {
-                let mut handled = 0u64;
-                let fd = uffd.raw_fd();
-                while !stop2.load(Ordering::Relaxed) {
-                    hb.beat();
-                    let mut pfd = libc::pollfd {
-                        fd,
-                        events: libc::POLLIN,
-                        revents: 0,
-                    };
-                    // SAFETY: valid pollfd.
-                    let n = unsafe { libc::poll(&mut pfd, 1, 50) };
-                    if n <= 0 {
-                        continue;
-                    }
-                    let mut msg = UffdMsg {
-                        event: 0,
-                        reserved1: 0,
-                        reserved2: 0,
-                        reserved3: 0,
-                        flags: 0,
-                        address: 0,
-                        extra: 0,
-                    };
-                    // SAFETY: reading one event struct from the fd.
-                    let r = unsafe {
-                        libc::read(
-                            fd,
-                            &mut msg as *mut _ as *mut libc::c_void,
-                            std::mem::size_of::<UffdMsg>(),
-                        )
-                    };
-                    if r <= 0 {
-                        continue;
-                    }
-                    if msg.event == UFFD_EVENT_PAGEFAULT {
-                        let page = (msg.address as usize) & !(4096 - 1);
-                        let _ = zeropage_raw(fd, page, 4096);
-                        handled += 1;
-                    }
-                }
-                handled
-            })
-            .expect("spawn uffd poll thread");
-        PollHandler {
-            stop,
-            heartbeat,
-            thread: Some(thread),
-        }
-    }
-
-    /// The handler thread's liveness signal, for wiring up a [`Watchdog`].
-    pub fn heartbeat(&self) -> Heartbeat {
-        self.heartbeat.clone()
-    }
-
-    /// Stop the handler thread and return the number of faults it serviced.
-    pub fn stop(mut self) -> u64 {
-        self.stop.store(true, Ordering::Relaxed);
-        self.thread
-            .take()
-            .map(|t| t.join().unwrap_or(0))
-            .unwrap_or(0)
-    }
-}
-
-impl Drop for PollHandler {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-// ── watchdog ─────────────────────────────────────────────────────────────
-
-/// Tuning for the [`Watchdog`]'s stall state machine.
-#[derive(Debug, Clone, Copy)]
-pub struct WatchdogConfig {
-    /// How often the watchdog samples the heartbeat.
-    pub poll_interval: Duration,
-    /// A heartbeat frozen for this long is declared a stall.
-    pub stall_after: Duration,
-    /// `UFFDIO_WAKE` recovery attempts before the last resort.
-    pub max_wakes: u32,
-    /// Sleep after the first wake; doubles per attempt (bounded backoff).
-    pub wake_backoff: Duration,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> WatchdogConfig {
-        WatchdogConfig {
-            poll_interval: Duration::from_millis(100),
-            stall_after: Duration::from_secs(2),
-            max_wakes: 3,
-            wake_backoff: Duration::from_millis(50),
-        }
-    }
-}
-
-/// What a [`Watchdog`] did over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WatchdogReport {
-    /// Stalls detected (heartbeat frozen past `stall_after`).
-    pub stalls: u64,
-    /// `UFFDIO_WAKE` recovery attempts issued.
-    pub wakes: u64,
-    /// Last-resort conversions of the region to eagerly-populated pages.
-    pub eager_conversions: u64,
-}
-
-/// Supervises a uffd fault-handler thread through its [`Heartbeat`].
-///
-/// State machine (documented in DESIGN.md §"Failure model"):
-///
-/// ```text
-/// Healthy --heartbeat frozen ≥ stall_after--> Stalled
-/// Stalled --UFFDIO_WAKE, backoff ×2, ≤ max_wakes--> Healthy (beat seen)
-/// Stalled --wakes exhausted--> Converted (eager-populate whole region,
-///                                         wake once more, stop escalating)
-/// ```
-///
-/// The conversion is the last resort the issue of a dead handler thread
-/// demands: `UFFDIO_ZEROPAGE` over the entire committed range resolves
-/// every pending and future missing-page fault directly (the default
-/// zeropage mode wakes waiters), so blocked wasm threads resume even
-/// though lazy population is lost for that region.
-#[derive(Debug)]
-pub struct Watchdog {
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<WatchdogReport>>,
-}
-
-impl Watchdog {
-    /// Spawn a watchdog over `heartbeat`, guarding the registered range
-    /// `[base, base+len)` on `uffd`.
-    ///
-    /// # Panics
-    /// Panics if the OS refuses to spawn a thread.
-    pub fn spawn(
-        heartbeat: Heartbeat,
-        uffd: Arc<Uffd>,
-        base: usize,
-        len: usize,
-        config: WatchdogConfig,
-    ) -> Watchdog {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        // Register counters from normal context, before the thread runs.
-        let stall_ctr = lb_telemetry::counter("core.uffd.watchdog.stall");
-        let wake_ctr = lb_telemetry::counter("core.uffd.watchdog.wake");
-        let convert_ctr = lb_telemetry::counter("core.uffd.watchdog.eager_convert");
-        let thread = std::thread::Builder::new()
-            .name("uffd-watchdog".into())
-            .spawn(move || {
-                let mut report = WatchdogReport::default();
-                let mut last_ticks = heartbeat.ticks();
-                let mut frozen_for = Duration::ZERO;
-                let mut converted = false;
-                while !stop2.load(Ordering::Relaxed) {
-                    std::thread::sleep(config.poll_interval);
-                    let now_ticks = heartbeat.ticks();
-                    if now_ticks != last_ticks {
-                        last_ticks = now_ticks;
-                        frozen_for = Duration::ZERO;
-                        continue;
-                    }
-                    frozen_for += config.poll_interval;
-                    if converted || frozen_for < config.stall_after {
-                        continue;
-                    }
-                    // Stalled: the handler made no progress for a full
-                    // stall window while the region may have waiters.
-                    report.stalls += 1;
-                    stall_ctr.inc();
-                    let mut backoff = config.wake_backoff;
-                    let mut recovered = false;
-                    for _ in 0..config.max_wakes {
-                        if stop2.load(Ordering::Relaxed) {
-                            return report;
-                        }
-                        report.wakes += 1;
-                        wake_ctr.inc();
-                        let _ = uffd.wake(base, len);
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(Duration::from_secs(1));
-                        if heartbeat.ticks() != last_ticks {
-                            recovered = true;
-                            break;
-                        }
-                    }
-                    if recovered {
-                        last_ticks = heartbeat.ticks();
-                        frozen_for = Duration::ZERO;
-                        continue;
-                    }
-                    // Last resort: convert the stalled region to eagerly-
-                    // populated pages. Chunked so one bad page cannot veto
-                    // the rest; EEXIST means already present and is fine.
-                    report.eager_conversions += 1;
-                    convert_ctr.inc();
-                    const CHUNK: usize = 4 << 20;
-                    let mut off = 0;
-                    while off < len {
-                        let n = CHUNK.min(len - off);
-                        let _ = uffd.zeropage(base + off, n);
-                        off += n;
-                    }
-                    let _ = uffd.wake(base, len);
-                    converted = true;
-                }
-                report
-            })
-            .expect("spawn uffd watchdog thread");
-        Watchdog {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stop the watchdog and return what it observed and did.
-    pub fn stop(mut self) -> WatchdogReport {
-        self.stop.store(true, Ordering::Relaxed);
-        self.thread
-            .take()
-            .map(|t| t.join().unwrap_or_default())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,16 +356,17 @@ mod tests {
 
     #[test]
     fn api_handshake() {
+        let _serial = crate::test_lock();
         if !require_uffd() {
             return;
         }
         let u = Uffd::new_sigbus().unwrap();
         assert!(u.raw_fd() >= 0);
-        assert!(u.is_sigbus());
     }
 
     #[test]
     fn register_and_explicit_zeropage() {
+        let _serial = crate::test_lock();
         if !require_uffd() {
             return;
         }
@@ -746,8 +392,7 @@ mod tests {
     }
 
     fn window_lock(pages: usize) -> WindowGuard {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+        let g = crate::test_lock();
         set_uffd_window_pages(pages);
         WindowGuard { _lock: g }
     }
@@ -914,117 +559,5 @@ mod tests {
         // The faulting page itself must be present now.
         let e = u.zeropage(desc.base + 3 * 4096, 4096).unwrap_err();
         assert_eq!(e.raw_os_error(), Some(libc::EEXIST));
-    }
-
-    #[test]
-    fn poll_mode_populates_on_touch() {
-        let Ok(u) = Uffd::new_poll() else {
-            eprintln!("skipping: userfaultfd unavailable");
-            return;
-        };
-        let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
-        let base = res.base().as_ptr() as usize;
-        let u = Arc::new(u);
-        u.register_missing(base, res.len()).unwrap();
-        let handler = PollHandler::spawn(Arc::clone(&u));
-        // Touch a few pages: each blocks until the poll thread populates it.
-        for i in 0..4usize {
-            // SAFETY: registered range; poll handler resolves the fault.
-            let v = unsafe { std::ptr::read_volatile((base + i * 4096) as *const u8) };
-            assert_eq!(v, 0);
-        }
-        let handled = handler.stop();
-        assert!(handled >= 1, "poll handler should have serviced faults");
-        u.unregister(base, res.len()).unwrap();
-    }
-
-    #[test]
-    fn watchdog_rescues_thread_blocked_on_dead_handler() {
-        let Ok(u) = Uffd::new_poll() else {
-            eprintln!("skipping: userfaultfd unavailable");
-            return;
-        };
-        let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
-        let base = res.base().as_ptr() as usize;
-        let len = res.len();
-        let u = Arc::new(u);
-        u.register_missing(base, len).unwrap();
-        // No handler thread at all: a dead heartbeat is the worst-case
-        // stall. The toucher below blocks in the kernel until someone
-        // resolves its fault — which must end up being the watchdog's
-        // eager conversion (UFFDIO_WAKE alone just re-faults).
-        let heartbeat = Heartbeat::new();
-        let dog = Watchdog::spawn(
-            heartbeat,
-            Arc::clone(&u),
-            base,
-            len,
-            WatchdogConfig {
-                poll_interval: Duration::from_millis(10),
-                stall_after: Duration::from_millis(40),
-                max_wakes: 2,
-                wake_backoff: Duration::from_millis(5),
-            },
-        );
-        let toucher = std::thread::spawn(move || {
-            // SAFETY: registered range; blocks until populated.
-            unsafe { std::ptr::read_volatile(base as *const u8) }
-        });
-        let t0 = std::time::Instant::now();
-        while !toucher.is_finished() {
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "watchdog failed to unblock the stalled toucher"
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert_eq!(toucher.join().unwrap(), 0);
-        let report = dog.stop();
-        assert!(report.stalls >= 1, "stall must be detected: {report:?}");
-        assert!(report.wakes >= 1, "bounded wake recovery must run first");
-        assert!(
-            report.eager_conversions >= 1,
-            "last resort must fire: {report:?}"
-        );
-        u.unregister(base, len).unwrap();
-    }
-
-    #[test]
-    fn watchdog_stays_quiet_while_heartbeat_advances() {
-        let Ok(u) = Uffd::new_poll() else {
-            eprintln!("skipping: userfaultfd unavailable");
-            return;
-        };
-        let res = Reservation::new(1 << 20, Protection::ReadWrite).unwrap();
-        let base = res.base().as_ptr() as usize;
-        let u = Arc::new(u);
-        u.register_missing(base, res.len()).unwrap();
-        let handler = PollHandler::spawn(Arc::clone(&u));
-        let dog = Watchdog::spawn(
-            handler.heartbeat(),
-            Arc::clone(&u),
-            base,
-            res.len(),
-            WatchdogConfig {
-                poll_interval: Duration::from_millis(20),
-                // Must comfortably exceed the handler's idle beat period
-                // (one beat per 50 ms poll timeout) or an *idle* handler
-                // reads as stalled — with margin for scheduler delay when
-                // the whole workspace's test binaries run in parallel.
-                stall_after: Duration::from_millis(1000),
-                ..WatchdogConfig::default()
-            },
-        );
-        // Healthy operation: faults are serviced, heartbeat advances.
-        for i in 0..4usize {
-            // SAFETY: registered range; poll handler resolves the fault.
-            let v = unsafe { std::ptr::read_volatile((base + i * 4096) as *const u8) };
-            assert_eq!(v, 0);
-        }
-        std::thread::sleep(Duration::from_millis(500));
-        let report = dog.stop();
-        assert_eq!(report, WatchdogReport::default(), "no false positives");
-        let _ = handler.stop();
-        u.unregister(base, res.len()).unwrap();
     }
 }

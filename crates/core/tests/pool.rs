@@ -53,8 +53,41 @@ fn strategies() -> Vec<BoundsStrategy> {
         .collect()
 }
 
+/// Marks the child process [`in_child_process`] starts.
+const CHILD_ENV: &str = "LB_POOL_TEST_CHILD";
+
+/// Run `body` in a child process of this test binary that runs only the
+/// test `name`, so no sibling test (nor the harness threads that run
+/// them) maps or unmaps memory while `body` diffs `/proc/self/maps`.
+fn in_child_process(name: &str, body: impl FnOnce()) {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        body();
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([name, "--exact", "--test-threads=1", "--nocapture"])
+        .env(CHILD_ENV, "1")
+        .output()
+        .expect("run the test binary as a child");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{name} failed in its child process ({}):\n{stdout}{stderr}",
+        out.status
+    );
+}
+
 #[test]
 fn steady_state_reuse_performs_zero_mmap_and_maps_stay_stable() {
+    in_child_process(
+        "steady_state_reuse_performs_zero_mmap_and_maps_stay_stable",
+        steady_state_reuse,
+    );
+}
+
+fn steady_state_reuse() {
     let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _p = PoolGuard::enable(4, true);
     for s in strategies() {

@@ -705,6 +705,14 @@ fn run_workers(
 mod tests {
     use super::*;
     use lb_polybench::{by_name, common::Dataset};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that run an engine: a run's `vm` tallies are
+    /// process-wide syscall deltas, which a sibling run would inflate.
+    fn engine_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn quick_spec(engine: EngineSel) -> RunSpec {
         RunSpec {
@@ -723,6 +731,7 @@ mod tests {
 
     #[test]
     fn native_run_produces_times() {
+        let _serial = engine_lock();
         let b = by_name("gemm", Dataset::Mini).unwrap();
         let r = run_benchmark(&b, &quick_spec(EngineSel::Native));
         assert!(r.checksum_ok);
@@ -732,6 +741,7 @@ mod tests {
 
     #[test]
     fn wasm_run_produces_times_and_validates() {
+        let _serial = engine_lock();
         let b = by_name("atax", Dataset::Mini).unwrap();
         for e in [EngineSel::Interp, EngineSel::Wavm] {
             let r = run_benchmark(&b, &quick_spec(e));
@@ -744,6 +754,7 @@ mod tests {
 
     #[test]
     fn multithreaded_run_works() {
+        let _serial = engine_lock();
         let b = by_name("trisolv", Dataset::Mini).unwrap();
         let mut spec = quick_spec(EngineSel::Wasmtime);
         spec.threads = 4;
@@ -755,6 +766,7 @@ mod tests {
 
     #[test]
     fn mprotect_strategy_issues_mprotect_calls() {
+        let _serial = engine_lock();
         let b = by_name("jacobi-1d", Dataset::Mini).unwrap();
         let mut spec = quick_spec(EngineSel::Wavm);
         spec.strategy = BoundsStrategy::Mprotect;
@@ -771,6 +783,7 @@ mod tests {
 
     #[test]
     fn tiny_timeout_fails_cleanly() {
+        let _serial = engine_lock();
         let b = by_name("gemm", Dataset::Mini).unwrap();
         for e in [EngineSel::Native, EngineSel::Interp] {
             let mut spec = quick_spec(e);

@@ -277,6 +277,51 @@ impl Engine for JitEngine {
     }
 }
 
+/// Pad `blob` with `INT3` to the next 16-byte boundary, so every entry
+/// starts aligned (for decoding niceness).
+fn align16(blob: &mut Vec<u8>) {
+    while blob.len() % 16 != 0 {
+        blob.push(asm::INT3);
+    }
+}
+
+/// Compile every defined function with `params` into one blob: the
+/// compile loop of both the initial tier and the background tier-up.
+/// Returns the blob, each function's offset in it and the profiler's
+/// function ranges. Times each compile into `jit.compile_ns`, counts
+/// `jit.compile.count` and the tier's code bytes, and runs the
+/// `LB_VERIFY` hook on each function.
+fn compile_funcs(params: CompileParams<'_>) -> (Vec<u8>, Vec<usize>, Vec<lb_prof::FuncRange>) {
+    let n = params.module.functions.len();
+    let mut blob = Vec::new();
+    let mut offsets = Vec::with_capacity(n);
+    let mut ranges = Vec::with_capacity(n);
+    let compile_ns = lb_telemetry::histogram("jit.compile_ns");
+    let compile_count = lb_telemetry::counter("jit.compile.count");
+    let code_bytes = lb_telemetry::counter(code_bytes_counter(params.opt));
+    for di in 0..n {
+        let _span = lb_telemetry::span!("jit.compile", di);
+        let t0 = lb_telemetry::clock::now_ns();
+        let (code, pc_map) = compile_function_mapped(params, di);
+        compile_ns.record(lb_telemetry::clock::now_ns().saturating_sub(t0));
+        if crate::verifier::mode() != crate::verifier::VerifyMode::Off {
+            crate::verifier::verify_emitted(&params, di, &code);
+        }
+        compile_count.inc();
+        code_bytes.add(code.len() as u64);
+        ranges.push(lb_prof::FuncRange {
+            func_index: di as u32,
+            start: blob.len() as u32,
+            end: (blob.len() + code.len()) as u32,
+            pc_map,
+        });
+        offsets.push(blob.len());
+        blob.extend_from_slice(&code);
+        align16(&mut blob);
+    }
+    (blob, offsets, ranges)
+}
+
 fn canonical_type_ids(module: &Module) -> Vec<usize> {
     let mut ids = Vec::with_capacity(module.types.len());
     for (i, ty) in module.types.iter().enumerate() {
@@ -305,43 +350,7 @@ impl JitModule {
             limit_extents: &self.extents,
         };
         let ni = self.module.num_imported_funcs() as usize;
-        let mut blob = Vec::new();
-        let mut func_offsets = Vec::with_capacity(self.module.functions.len());
-        let mut func_ranges = Vec::with_capacity(self.module.functions.len());
-        let compile_ns = lb_telemetry::histogram("jit.compile_ns");
-        let compile_count = lb_telemetry::counter("jit.compile.count");
-        let code_bytes = lb_telemetry::counter(code_bytes_counter(opt));
-        for di in 0..self.module.functions.len() {
-            let _span = lb_telemetry::span!("jit.compile", di);
-            let t0 = lb_telemetry::clock::now_ns();
-            let (code, pc_map) = compile_function_mapped(params, di);
-            compile_ns.record(lb_telemetry::clock::now_ns().saturating_sub(t0));
-            if crate::verifier::mode() != crate::verifier::VerifyMode::Off {
-                crate::verifier::verify_emitted(
-                    &self.module,
-                    &self.meta,
-                    self.plan.as_deref(),
-                    strategy,
-                    opt,
-                    di,
-                    &code,
-                );
-            }
-            compile_count.inc();
-            code_bytes.add(code.len() as u64);
-            func_ranges.push(lb_prof::FuncRange {
-                func_index: di as u32,
-                start: blob.len() as u32,
-                end: (blob.len() + code.len()) as u32,
-                pc_map,
-            });
-            func_offsets.push(blob.len());
-            blob.extend_from_slice(&code);
-            // Align entries for decoding niceness.
-            while blob.len() % 16 != 0 {
-                blob.push(asm::INT3);
-            }
-        }
+        let (mut blob, func_offsets, func_ranges) = compile_funcs(params);
         // Import thunks (so tables can hold imports).
         let mut import_offsets = Vec::with_capacity(ni);
         for ii in 0..ni {
@@ -349,9 +358,7 @@ impl JitModule {
             let code = gen_import_thunk(ii as u32, ty);
             import_offsets.push(blob.len());
             blob.extend_from_slice(&code);
-            while blob.len() % 16 != 0 {
-                blob.push(asm::INT3);
-            }
+            align16(&mut blob);
         }
         (blob, func_offsets, import_offsets, func_ranges)
     }
@@ -376,9 +383,7 @@ impl JitModule {
             let code = gen_trampoline(ty, funcptrs.entry_addr(fi));
             tramp_offsets.push(blob.len());
             blob.extend_from_slice(&code);
-            while blob.len() % 16 != 0 {
-                blob.push(asm::INT3);
-            }
+            align16(&mut blob);
         }
 
         let buf = Arc::new(CodeBuf::publish(&blob).expect("publish code"));
@@ -418,52 +423,17 @@ impl JitModule {
             .spawn(move || {
                 let _span = lb_telemetry::span!("jit.tierup", module.functions.len());
                 let ni = module.num_imported_funcs() as usize;
-                let mut blob = Vec::new();
-                let mut offsets = Vec::with_capacity(module.functions.len());
-                let mut func_ranges = Vec::with_capacity(module.functions.len());
-                let compile_ns = lb_telemetry::histogram("jit.compile_ns");
-                let compile_count = lb_telemetry::counter("jit.compile.count");
-                let code_bytes = lb_telemetry::counter(code_bytes_counter(target));
-                for di in 0..module.functions.len() {
-                    let params = CompileParams {
-                        module: &module,
-                        metas: &metas.funcs,
-                        strategy,
-                        opt: target,
-                        safepoints,
-                        funcptrs_base: sc.funcptrs.base_addr(),
-                        plans: plan.as_deref(),
-                        guardopt,
-                        limit_extents: &extents,
-                    };
-                    let t0 = lb_telemetry::clock::now_ns();
-                    let (code, pc_map) = compile_function_mapped(params, di);
-                    compile_ns.record(lb_telemetry::clock::now_ns().saturating_sub(t0));
-                    if crate::verifier::mode() != crate::verifier::VerifyMode::Off {
-                        crate::verifier::verify_emitted(
-                            &module,
-                            &metas,
-                            plan.as_deref(),
-                            strategy,
-                            target,
-                            di,
-                            &code,
-                        );
-                    }
-                    compile_count.inc();
-                    code_bytes.add(code.len() as u64);
-                    func_ranges.push(lb_prof::FuncRange {
-                        func_index: di as u32,
-                        start: blob.len() as u32,
-                        end: (blob.len() + code.len()) as u32,
-                        pc_map,
-                    });
-                    offsets.push(blob.len());
-                    blob.extend_from_slice(&code);
-                    while blob.len() % 16 != 0 {
-                        blob.push(asm::INT3);
-                    }
-                }
+                let (blob, offsets, func_ranges) = compile_funcs(CompileParams {
+                    module: &module,
+                    metas: &metas.funcs,
+                    strategy,
+                    opt: target,
+                    safepoints,
+                    funcptrs_base: sc.funcptrs.base_addr(),
+                    plans: plan.as_deref(),
+                    guardopt,
+                    limit_extents: &extents,
+                });
                 let buf = Arc::new(CodeBuf::publish(&blob).expect("publish tier-up code"));
                 register_prof_region(&buf, &blob, strategy, target, func_ranges);
                 // Swap function pointers; running activations finish on the

@@ -15,11 +15,10 @@
 //!   against the per-extent limit table (mirrors `jit.checks.fused`)
 //! * `verify.findings` — everything that did not prove
 
-use crate::codegen::OptLevel;
+use crate::codegen::{CompileParams, OptLevel};
 use lb_core::BoundsStrategy;
 use lb_verify::{verify_function, FuncInput, FuncReport};
-use lb_wasm::validate::ModuleMeta;
-use lb_wasm::{Module, PAGE_SIZE};
+use lb_wasm::PAGE_SIZE;
 use std::sync::OnceLock;
 
 /// How much teeth `LB_VERIFY` has.
@@ -62,20 +61,23 @@ fn counters() -> &'static VerifyCounters {
     })
 }
 
-/// Validate one just-compiled function and record the outcome.
+/// Validate one function just compiled with `params` and record the
+/// outcome.
 ///
-/// `opt` must be the tier the code was compiled at: the baseline tier
-/// ignores the analysis plan, so the verifier must too. Panics on any
-/// finding in [`VerifyMode::Strict`].
-pub fn verify_emitted(
-    module: &Module,
-    meta: &ModuleMeta,
-    plan: Option<&lb_analysis::ModulePlan>,
-    strategy: BoundsStrategy,
-    opt: OptLevel,
-    defined_idx: usize,
-    code: &[u8],
-) -> FuncReport {
+/// `params.opt` is the tier the code was compiled at: the baseline tier
+/// ignores the analysis plan, so the verifier must too. Only the module,
+/// its metadata, the plan, the strategy and the tier are read; the
+/// extent table is recomputed. Panics on any finding in
+/// [`VerifyMode::Strict`].
+pub fn verify_emitted(params: &CompileParams<'_>, defined_idx: usize, code: &[u8]) -> FuncReport {
+    let CompileParams {
+        module,
+        metas,
+        plans: plan,
+        strategy,
+        opt,
+        ..
+    } = *params;
     let mem_min_bytes = match plan {
         Some(p) => p.mem_min_bytes,
         None => module
@@ -99,7 +101,7 @@ pub fn verify_emitted(
         func_index: defined_idx,
         code,
         body: &module.functions[defined_idx].body,
-        meta: &meta.funcs[defined_idx],
+        meta: &metas[defined_idx],
         strategy,
         plan: func_plan,
         mem_min_bytes,

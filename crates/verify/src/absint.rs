@@ -18,7 +18,10 @@
 //!
 //! The interpretation is deterministic: symbol identities derive from
 //! instruction byte offsets, and join symbols are memoized per
-//! (block, location).
+//! (block, location). A join symbol inherits the facts that cover the
+//! location's value on every incoming path, so a guard whose operand is a
+//! constant on the first visit of a block and symbolic on later visits
+//! still proves the access it dominates.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -614,14 +617,20 @@ impl Absint {
     }
 
     fn join_states(&mut self, block: usize, a: &State, b: &State) -> State {
+        // Facts for join symbols, derived from the joined values below.
+        let mut join_facts: Vec<(u64, Option<Fact>)> = Vec::new();
         let mut regs = [AbsVal::Const(0); 16];
         for r in 0..16 {
-            regs[r] = self.join_val(block, JoinLoc::Reg(r as u8), a.regs[r], b.regs[r]);
+            let (av, bv) = (a.regs[r], b.regs[r]);
+            regs[r] = self.join_val(block, JoinLoc::Reg(r as u8), av, bv);
+            join_facts.extend(join_fact(a, av, b, bv, regs[r]));
         }
         let mut slots = BTreeMap::new();
         for (&d, &av) in &a.slots {
             if let Some(&bv) = b.slots.get(&d) {
-                slots.insert(d, self.join_val(block, JoinLoc::Slot(d), av, bv));
+                let v = self.join_val(block, JoinLoc::Slot(d), av, bv);
+                join_facts.extend(join_fact(a, av, b, bv, v));
+                slots.insert(d, v);
             }
         }
         let mut facts = BTreeMap::new();
@@ -636,6 +645,15 @@ impl Absint {
                     },
                 );
             }
+        }
+        // A join symbol's own key is about the value entering this block,
+        // so an incoming fact under that key from an earlier visit does not
+        // apply to it: the derived fact replaces the intersection.
+        for (id, f) in join_facts {
+            match f {
+                Some(f) => facts.insert(FactKey::Sym(id), f),
+                None => facts.remove(&FactKey::Sym(id)),
+            };
         }
         State {
             regs,
@@ -1204,6 +1222,52 @@ enum MemClass {
     Other,
 }
 
+/// The fact covering the value `v` itself in `st`: `v + covered <=
+/// mem_size`. A symbolic value `sym + add` is covered by `sym`'s fact
+/// less `add`; a constant by the constant pool's fact less the constant.
+fn value_fact(st: &State, v: AbsVal) -> Option<Fact> {
+    let (key, add) = match v {
+        AbsVal::Sym { id, add, .. } => (FactKey::Sym(id), add),
+        AbsVal::Const(c) => (FactKey::Consts, c),
+        _ => return None,
+    };
+    let f = st.facts.get(&key)?;
+    Some(Fact {
+        covered: f.covered.checked_sub(add)?,
+        ..*f
+    })
+}
+
+/// The fact for the join symbol `joined` that a location holding `av` in
+/// `a` and `bv` in `b` was joined into, as `(symbol, fact)`; `None` when
+/// the join produced no new symbol. The symbol is covered by what covers
+/// the location's value on both paths. Once the symbol exists (`av` is
+/// `joined`), its fact only holds or is dropped, never weakened step by
+/// step, so the fixpoint converges.
+fn join_fact(
+    a: &State,
+    av: AbsVal,
+    b: &State,
+    bv: AbsVal,
+    joined: AbsVal,
+) -> Option<(u64, Option<Fact>)> {
+    let AbsVal::Sym { id, add: 0, .. } = joined else {
+        return None;
+    };
+    if av == bv {
+        return None;
+    }
+    let f = match (value_fact(a, av), value_fact(b, bv)) {
+        (Some(x), Some(y)) if av != joined || y.covered >= x.covered => Some(Fact {
+            covered: x.covered.min(y.covered),
+            fresh: x.fresh && y.fresh,
+            fused: x.fused && y.fused,
+        }),
+        _ => None,
+    };
+    Some((id, f))
+}
+
 /// Record the guard fact on the fall-through edge of `ja oob`.
 fn add_fact(st: &mut State, lhs: AbsVal) {
     let (key, covered) = match lhs {
@@ -1315,4 +1379,131 @@ fn linear_operand(inst: &Inst) -> Option<(MachineOp, Mem)> {
         _ => return None,
     };
     (m.base.0 == R14).then_some((op, m))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::isa::encode;
+
+    /// Encode `insts`; a `Some(t)` beside a branch points it at `insts[t]`.
+    fn assemble(insts: &[(Inst, Option<usize>)]) -> Vec<u8> {
+        let mut offs = vec![0];
+        for (inst, _) in insts {
+            let mut b = Vec::new();
+            encode(inst, &mut b);
+            offs.push(offs.last().unwrap() + b.len());
+        }
+        let mut out = Vec::new();
+        for (i, &(inst, target)) in insts.iter().enumerate() {
+            let rel = target.map_or(0, |t| offs[t] as i32 - offs[i + 1] as i32);
+            let inst = match inst {
+                Inst::Jcc { cc, .. } => Inst::Jcc { cc, rel },
+                Inst::Jmp { .. } => Inst::Jmp { rel },
+                other => other,
+            };
+            encode(&inst, &mut out);
+        }
+        out
+    }
+
+    /// `rbx` counts up from 0; a fused guard against slot 0 (extent 65)
+    /// heads each iteration and guards `movzx esi, byte [r14+rbx+64]`.
+    /// With `escape`, a second branch reaches the access unguarded.
+    fn counted_loop(escape: bool) -> Vec<u8> {
+        let jcc = |cc| Inst::Jcc { cc, rel: 0 };
+        let mut insts = vec![
+            (
+                Inst::AluRr {
+                    w: W::W32,
+                    op: AluRr::Xor,
+                    d: Reg::RBX,
+                    s: Reg::RBX,
+                },
+                None,
+            ),
+            (
+                Inst::CmpRm {
+                    w: W::W64,
+                    d: Reg::RBX,
+                    m: Mem::base(Reg::R15, CTX_MEM_LIMITS),
+                },
+                None,
+            ),
+            (jcc(Cc::Ae), Some(if escape { 10 } else { 8 })),
+            (
+                Inst::Movzx8 {
+                    d: Reg::RSI,
+                    m: Mem {
+                        base: Reg::R14,
+                        index: Some((Reg::RBX, 1)),
+                        disp: 64,
+                    },
+                },
+                None,
+            ),
+            (
+                Inst::AluRi {
+                    w: W::W32,
+                    op: AluRi::Add,
+                    d: Reg::RBX,
+                    v: 1,
+                },
+                None,
+            ),
+            (
+                Inst::AluRi {
+                    w: W::W32,
+                    op: AluRi::Cmp,
+                    d: Reg::RBX,
+                    v: 100,
+                },
+                None,
+            ),
+            (jcc(Cc::L), Some(1)),
+        ];
+        if escape {
+            insts.extend([
+                (
+                    Inst::AluRi {
+                        w: W::W32,
+                        op: AluRi::Cmp,
+                        d: Reg::RBX,
+                        v: 200,
+                    },
+                    None,
+                ),
+                (jcc(Cc::L), Some(3)),
+            ]);
+        }
+        insts.extend([(Inst::Ret, None), (Inst::Ud2Trap { code: 1 }, None)]);
+        assemble(&insts)
+    }
+
+    fn access_fact(code: &[u8]) -> Option<Fact> {
+        let ma = analyze(0, code, &[], &[65]);
+        assert!(ma.findings.is_empty(), "{:?}", ma.findings);
+        match ma.sites.as_slice() {
+            [SiteObs {
+                idx: Some(IdxObs::Sym { fact, .. }),
+                ..
+            }] => *fact,
+            other => panic!("expected one symbolic access, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn guard_on_constant_then_symbolic_operand_covers_its_access() {
+        // On the first visit `rbx` is the constant 0; later it is the
+        // loop's join symbol. The access block joins the two, and the
+        // guard right before it covers the access on both paths.
+        let fact = access_fact(&counted_loop(false)).expect("the guard covers the access");
+        assert_eq!(fact.covered, 65);
+        assert!(fact.fresh && fact.fused);
+    }
+
+    #[test]
+    fn unguarded_path_into_the_access_drops_the_join_fact() {
+        assert_eq!(access_fact(&counted_loop(true)), None);
+    }
 }

@@ -65,16 +65,14 @@ fn render(module: &Module, plan: &ModulePlan) -> String {
         let m = &f.summary;
         writeln!(
             s,
-            " hoists= acc={} inb={} dom={} oob={} hoi=0 emit={} max_ea={:?} free={:?} ret={:?} fp={:?}",
+            " hoists= acc={} inb={} dom={} oob={} hoi=0 emit={} max_ea={:?} free={:?}",
             m.accesses,
             m.elided_in_bounds,
             m.elided_dominated,
             m.static_oob,
             m.emitted,
             m.max_proven_ea,
-            m.check_free_min_bytes,
-            m.ret_iv,
-            m.param_footprint
+            m.check_free_min_bytes
         )
         .unwrap();
     }

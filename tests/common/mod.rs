@@ -262,11 +262,10 @@ pub fn grow_between_module() -> Module {
     )
 }
 
-/// Three-function module exercising the interprocedural layers at once:
-/// exported `go(n)` calls internal `fill(m)` (whose bound joins a ⊤
-/// argument, so its store keeps its check) and sizes a second loop with
-/// internal `len()` whose constant return interval propagates (so that
-/// loop needs no guard at all). Returns `(n != 0 ? a[n-1] : 0) + b[K-1]`.
+/// Three-function module with calls around its loops: exported `go(n)`
+/// calls internal `fill(m)` (a store loop bounded by its parameter) and
+/// sizes a second loop with internal `len()`, which returns `K`. Returns
+/// `(n != 0 ? a[n-1] : 0) + b[K-1]`.
 pub fn multi_function_module() -> Module {
     let mut m = Module::new();
     m.types.push(FuncType {

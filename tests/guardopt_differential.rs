@@ -217,7 +217,7 @@ fn dynamic_bound_boundary_agrees() {
     );
 }
 
-/// Calls inside and around the hot loops: the interprocedural module
+/// Calls inside and around the hot loops: the multi-function module
 /// (whose `go` calls `fill` and `len`) agrees across engines at the same
 /// boundaries.
 #[test]

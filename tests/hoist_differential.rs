@@ -1,8 +1,8 @@
-//! Differential test for the interprocedural multi-function module:
-//! `go(n)` calls an internal `fill(m)` and sizes a second loop with an
-//! internal `len()` helper. The file and test names date from when
-//! `fill`'s loop was versioned behind a hoisted guard; the engine no
-//! longer versions loops, so `fill` keeps a per-access check. The test
+//! Differential test for the multi-function module: `go(n)` calls an
+//! internal `fill(m)` and sizes a second loop with an internal `len()`
+//! helper. The file and test names date from when `fill`'s loop was
+//! versioned behind a hoisted guard; the engine no longer versions
+//! loops, so `fill` keeps a per-access check. The test
 //! pins the plan's shape for this module and requires the interpreter
 //! and the JIT tiers (with the static plan on and off) to agree
 //! bit-for-bit at the exact memory boundary.
@@ -67,22 +67,22 @@ fn multi_function_versioned_boundary_agrees() {
     let m = multi_function_module();
     let meta = lb_wasm::validate(&m).unwrap();
 
-    // Plan shape: `fill`'s store keeps its check (its bound joins a ⊤
-    // argument); `go`'s second loop is statically elided through `len`'s
-    // propagated return interval.
+    // Plan shape: each function is analyzed with ⊤ parameters and ⊤
+    // call results, so `fill`'s store keeps its check, and so does `go`'s
+    // b-loop store, whose bound is `len()`'s (⊤) result. `go`'s
+    // constant-address b[K-1] read is proven in bounds.
     let plan = lb_analysis::analyze_module(&m, &meta);
     assert_eq!(plan.funcs[1].summary.emitted, 1, "fill keeps its check");
     assert_eq!(
-        plan.funcs[0].summary.emitted, 1,
-        "only the post-loop a[n-1] read keeps its check"
-    );
-    assert!(
-        plan.funcs[0].summary.elided_in_bounds >= 2,
-        "len()'s return interval proves go's b-loop store (and the b[k-1] \
-         read) in bounds: {:?}",
+        plan.funcs[0].summary.emitted, 2,
+        "go's b-loop store and its a[n-1] read keep their checks: {:?}",
         plan.funcs[0].summary
     );
-    assert_eq!(plan.funcs[2].summary.ret_iv, Some((K as u64, K as u64)));
+    assert_eq!(
+        plan.funcs[0].summary.elided_in_bounds, 1,
+        "the b[K-1] read is in bounds: {:?}",
+        plan.funcs[0].summary
+    );
 
     for strategy in [BoundsStrategy::Trap, BoundsStrategy::Clamp] {
         for n in [0, 1, K, MAX_N] {

@@ -1,5 +1,6 @@
 //! End-to-end translation validation: every function of every PolyBench
-//! kernel — plus synthetic modules whose loop accesses keep their checks —
+//! kernel and SPEC proxy (at Mini) — plus synthetic modules whose loop
+//! accesses keep their checks —
 //! compiled under every bounds-check strategy at every tier, with the
 //! analysis plan both consumed and withheld, must verify with zero
 //! findings. The verifier's independently-derived counts must equal what
@@ -143,6 +144,11 @@ fn all_kernels_verify_with_zero_findings() {
         let bench = lb_polybench::by_name(name, lb_polybench::Dataset::Mini).expect("known kernel");
         sweep_module(name, &bench.module, &mut totals);
     }
+    // The SPEC proxies keep residual checks, so their guards (classic and
+    // fused) are re-proven in loops the analysis cannot elide.
+    for bench in lb_spec_proxy::all(lb_spec_proxy::Scale::Mini) {
+        sweep_module(&bench.name, &bench.module, &mut totals);
+    }
     // The synthetic dynamic-bound modules: loops whose checks no static
     // fact removes.
     sweep_module(
@@ -163,7 +169,7 @@ fn all_kernels_verify_with_zero_findings() {
 
     // The sweep must actually have exercised elision: the analysis plans
     // fire on these kernels.
-    assert_eq!(totals.configs, 35 * 5 * 6);
+    assert_eq!(totals.configs, 42 * 5 * 6);
     assert!(totals.sites > 0, "kernels contain memory accesses");
     assert!(
         totals.elided > 0,
