@@ -93,25 +93,18 @@ fn mem_config(strategy: BoundsStrategy) -> MemoryConfig {
     MemoryConfig::new(strategy, 1, 2)
 }
 
-fn start_server(
-    strategy: BoundsStrategy,
-    shards: usize,
-    deadline: Duration,
-    breaker: Option<lb_serve::BreakerConfig>,
-) -> Server {
+fn start_server(strategy: BoundsStrategy, shards: usize, deadline: Duration) -> Server {
     let engine = JitEngine::new(JitProfile::wavm());
     let module = engine.load(&kernel_module()).expect("load kernel");
-    let mut cfg = ServeConfig::from_env();
-    cfg.shards = shards;
-    cfg.queue_depth = 128;
-    cfg.max_inflight = 4096;
-    cfg.tenants = vec![TenantQuota::Unlimited; 4];
-    cfg.default_deadline = deadline;
-    if let Some(b) = breaker {
-        cfg.breaker = b;
-    }
     Server::start(
-        cfg,
+        ServeConfig {
+            shards,
+            queue_depth: 128,
+            max_inflight: 4096,
+            tenants: vec![TenantQuota::Unlimited; 4],
+            default_deadline: deadline,
+            pin_workers: false,
+        },
         vec![KernelSpec {
             name: "store-load".into(),
             module,
@@ -165,7 +158,7 @@ fn closed_loop(server: &Server, n: u64) -> (f64, Vec<u64>, [u64; 3]) {
                     tickets.push(t);
                     break;
                 }
-                Err(Overload::QueueFull) | Err(Overload::QuotaExceeded) => {
+                Err(Overload::QueueFull) => {
                     std::thread::sleep(Duration::from_micros(50));
                 }
                 Err(e) => panic!("closed loop rejected: {e}"),
@@ -258,7 +251,7 @@ fn strategies() -> Vec<BoundsStrategy> {
 fn smoke(shards: usize, requests: u64) {
     set_pool(true);
     let before = lb_telemetry::snapshot();
-    let server = start_server(BoundsStrategy::Trap, shards, Duration::from_secs(5), None);
+    let server = start_server(BoundsStrategy::Trap, shards, Duration::from_secs(5));
     let (rps, lat, counts) = closed_loop(&server, requests);
     server.shutdown();
     let delta = lb_telemetry::snapshot().delta_since(&before);
@@ -305,15 +298,7 @@ fn chaos(shards: usize, requests: u64, seed: u64, jsonl_path: &str) {
         );
         let _guard = lb_chaos::install(&plan).expect("chaos plan");
         let before = lb_telemetry::snapshot();
-        // A hair-trigger breaker (trip on 2 consecutive failures, short
-        // open window) so the campaign exercises the full
-        // open -> half-open probe -> close lifecycle under load.
-        let breaker = lb_serve::BreakerConfig {
-            failure_threshold: 2,
-            open_base: Duration::from_millis(2),
-            open_max: Duration::from_millis(50),
-        };
-        let server = start_server(strategy, shards, Duration::from_secs(10), Some(breaker));
+        let server = start_server(strategy, shards, Duration::from_secs(10));
         let started = Instant::now();
         let mut admitted = 0u64;
         let mut rejected = 0u64;
@@ -321,9 +306,9 @@ fn chaos(shards: usize, requests: u64, seed: u64, jsonl_path: &str) {
         let mut window: Vec<lb_serve::Ticket> = Vec::new();
         for i in 0..requests {
             // Closed-loop client with bounded retry: an overload
-            // rejection (queue full, breaker open) backs off briefly so
-            // open windows expire and half-open probes get through. A
-            // request still rejected after ~100ms counts as rejected.
+            // rejection (a full queue, real or injected) backs off
+            // briefly. A request still rejected after ~100ms counts as
+            // rejected.
             let give_up = Instant::now() + Duration::from_millis(100);
             loop {
                 match server.submit((i % 4) as u32, 0, None) {
@@ -368,14 +353,12 @@ fn chaos(shards: usize, requests: u64, seed: u64, jsonl_path: &str) {
         all_ok &= exactly_once;
         println!(
             "chaos {}: {admitted} admitted ({rejected} rejected) -> {} completed / {} failed / {} shed in {dur:.1}s; \
-             breaker open/half/close = {}/{}/{}; exactly-once: {}",
+             pool relief = {}; exactly-once: {}",
             strategy.name(),
             counts[0],
             counts[1],
             counts[2],
-            delta.counter("serve.breaker.open"),
-            delta.counter("serve.breaker.half_open"),
-            delta.counter("serve.breaker.close"),
+            delta.counter("serve.pool.relief"),
             if exactly_once { "OK" } else { "VIOLATED" }
         );
         let meta: Vec<(&str, String)> = vec![
@@ -405,7 +388,7 @@ fn sweep(shards: usize, out_path: &str) {
         let mut base = HashMap::new();
         for pool_on in [true, false] {
             set_pool(pool_on);
-            let server = start_server(strategy, shards, Duration::from_secs(5), None);
+            let server = start_server(strategy, shards, Duration::from_secs(5));
             // Warm the pool and the per-strategy JIT cache.
             let _ = closed_loop(&server, 64);
             let (rps, lat, _) = closed_loop(&server, 512);
@@ -454,7 +437,7 @@ fn sweep(shards: usize, out_path: &str) {
 
         for pool_on in [true, false] {
             set_pool(pool_on);
-            let server = start_server(strategy, shards, Duration::from_millis(250), None);
+            let server = start_server(strategy, shards, Duration::from_millis(250));
             let _ = closed_loop(&server, 64); // warm
             let base_rps = base[&pool_on].0;
             let mut steps = Vec::new();

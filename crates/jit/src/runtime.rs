@@ -268,7 +268,11 @@ fn num_trap_kind(e: NumError) -> TrapKind {
 }
 
 /// `memory.grow`: returns the old page count or −1.
-pub extern "C" fn lb_jit_grow(ctx: *mut VmCtx, delta: u32) -> i32 {
+///
+/// # Safety
+/// `ctx` must point at the live `VmCtx` of the running instance. Only
+/// generated code calls this, passing its pinned context register.
+pub unsafe extern "C" fn lb_jit_grow(ctx: *mut VmCtx, delta: u32) -> i32 {
     // SAFETY: ctx is the live VmCtx of the running instance.
     unsafe {
         let inner = &*(*ctx).instance;
@@ -286,7 +290,18 @@ pub extern "C" fn lb_jit_grow(ctx: *mut VmCtx, delta: u32) -> i32 {
 /// slot; argument `i` lives at `args - i` (the JIT's canonical stack grows
 /// downward). The result (if any) is written back to `*args` — which is
 /// exactly the slot the value lands on in wasm terms.
-pub extern "C" fn lb_jit_host(ctx: *mut VmCtx, import_idx: u32, args: *mut u64, _reserved: usize) {
+///
+/// # Safety
+/// `ctx` must point at the live `VmCtx` of the running instance,
+/// `import_idx` must name one of its host imports, and `args` must point
+/// at the highest of at least as many writable slots as that import has
+/// parameters (and at least one). Only generated code calls this.
+pub unsafe extern "C" fn lb_jit_host(
+    ctx: *mut VmCtx,
+    import_idx: u32,
+    args: *mut u64,
+    _reserved: usize,
+) {
     // SAFETY: ctx/instance live; args points into the caller's frame with
     // at least `params.len()` slots.
     unsafe {
@@ -325,7 +340,11 @@ pub extern "C" fn lb_jit_host(ctx: *mut VmCtx, import_idx: u32, args: *mut u64, 
 }
 
 /// Safepoint slow path: park while the pauser's window is open.
-pub extern "C" fn lb_jit_pause(ctx: *mut VmCtx) {
+///
+/// # Safety
+/// `ctx` must point at the live `VmCtx` of the running instance. Only
+/// generated code calls this, from a safepoint poll.
+pub unsafe extern "C" fn lb_jit_pause(ctx: *mut VmCtx) {
     // SAFETY: ctx/instance live.
     unsafe {
         if let Some(p) = (*(*ctx).instance).pauser.as_ref() {

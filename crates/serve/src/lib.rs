@@ -1,22 +1,17 @@
-//! lb-serve: a chaos-hardened multi-tenant instance server.
+//! lb-serve: a multi-tenant instance server over the instance pool.
 //!
 //! The paper's scaling experiment (Fig. 6) shows bounds-check strategy
 //! costs invert under concurrency; this crate drives the pooled ~5 µs
 //! instantiation path like production traffic so those costs — and the
 //! serving layer's own overload behaviour — can be measured instead of
-//! assumed. Robustness is the headline:
+//! assumed. A request is admitted, queued, run and resolved:
 //!
-//! - **Admission control**: per-tenant token-bucket quotas
-//!   ([`quota::TokenBucket`]) plus a global in-flight cap with bounded
-//!   per-shard queues. Overload rejects with a typed [`Overload`] error;
-//!   nothing queues unboundedly.
-//! - **Deadlines**: every admitted request carries an absolute deadline
-//!   enforced by a hashed timing wheel ([`deadline::DeadlineWheel`]).
-//!   Requests that expire while queued are shed before dispatch;
-//!   in-flight runs get a watchdog flag rather than unsafe preemption.
-//! - **Circuit breakers**: each shard has a [`breaker::Breaker`] that
-//!   trips on consecutive failures, fails traffic over to healthy
-//!   shards, and recovers through exponential-backoff half-open probing.
+//! - **Admission control**: a global in-flight cap and bounded per-shard
+//!   queues. Overload rejects with a typed [`Overload`] error; nothing
+//!   queues unboundedly.
+//! - **Deadlines**: every admitted request carries an absolute deadline,
+//!   checked when a worker dequeues it. A request that expired while
+//!   queued is shed without running; a run is never preempted.
 //! - **Graceful degradation**: pool miss → fresh-mmap slow path →
 //!   load-shed with [`ShedReason::Capacity`] plus a pool drain for
 //!   relief. The server never aborts under resource exhaustion or
@@ -28,21 +23,13 @@
 //! double completion structurally impossible and counts any attempt in
 //! `serve.double_complete`.
 //!
-//! Environment knobs (see README): `LB_SERVE` (shard count),
-//! `LB_TENANTS` (tenant count), `LB_DEADLINE_MS` (default per-request
-//! deadline; `0` disables). Chaos sites `serve.dispatch` and
-//! `serve.queue_full` make the serving layer a first-class fault-
-//! injection target alongside the mmap/mprotect/uffd sites.
+//! Chaos sites `serve.dispatch` and `serve.queue_full` make the serving
+//! layer a fault-injection target alongside the mmap/mprotect/uffd
+//! sites.
 
-pub mod breaker;
-pub mod deadline;
-pub mod quota;
 mod shard;
 pub mod ticket;
 
-pub use breaker::{Admit, Breaker, BreakerConfig};
-pub use deadline::DeadlineWheel;
-pub use quota::TokenBucket;
 pub use ticket::{FailStage, Outcome, ShedReason, Ticket};
 
 use lb_core::{Linker, LoadedModule, MemoryConfig};
@@ -62,13 +49,9 @@ const NO_DEADLINE: u64 = u64::MAX;
 /// no ticket. Counted under `serve.rejected` (+ per-reason counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Overload {
-    /// Global in-flight cap reached or every candidate shard queue was
-    /// full; retry later.
+    /// Global in-flight cap reached or the home shard's queue was full;
+    /// retry later.
     QueueFull,
-    /// The tenant's token bucket is empty.
-    QuotaExceeded,
-    /// Every shard's circuit breaker refused the request.
-    BreakerOpen,
     /// The server is shutting down.
     ShuttingDown,
     /// Unknown tenant id.
@@ -82,8 +65,6 @@ impl Overload {
     pub fn name(self) -> &'static str {
         match self {
             Overload::QueueFull => "queue_full",
-            Overload::QuotaExceeded => "quota",
-            Overload::BreakerOpen => "breaker_open",
             Overload::ShuttingDown => "shutdown",
             Overload::UnknownTenant => "unknown_tenant",
             Overload::UnknownKernel => "unknown_kernel",
@@ -95,8 +76,6 @@ impl std::fmt::Display for Overload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Overload::QueueFull => write!(f, "overloaded: queues full"),
-            Overload::QuotaExceeded => write!(f, "tenant quota exceeded"),
-            Overload::BreakerOpen => write!(f, "all shards circuit-broken"),
             Overload::ShuttingDown => write!(f, "server shutting down"),
             Overload::UnknownTenant => write!(f, "unknown tenant"),
             Overload::UnknownKernel => write!(f, "unknown kernel"),
@@ -106,18 +85,12 @@ impl std::fmt::Display for Overload {
 
 impl std::error::Error for Overload {}
 
-/// Per-tenant quota configuration.
+/// One tenant entry of [`ServeConfig::tenants`]. Tenants carry no
+/// per-tenant limit; the entry only counts the tenant.
 #[derive(Debug, Clone, Copy)]
 pub enum TenantQuota {
-    /// No quota: every request passes admission's quota gate.
+    /// The only kind of tenant: limited only by the global caps.
     Unlimited,
-    /// Token bucket: sustained `rate_per_sec` with capacity `burst`.
-    Limited {
-        /// Sustained requests per second.
-        rate_per_sec: f64,
-        /// Burst capacity in tokens.
-        burst: f64,
-    },
 }
 
 /// A kernel the server can invoke: a loaded module plus the export to
@@ -133,8 +106,7 @@ pub struct KernelSpec {
     pub args: Vec<lb_wasm::Value>,
 }
 
-/// Server tuning. [`ServeConfig::from_env`] reads the `LB_SERVE`,
-/// `LB_TENANTS`, and `LB_DEADLINE_MS` knobs.
+/// Server tuning.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker shards (each a pinned thread + bounded queue).
@@ -143,17 +115,11 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Global cap on admitted-but-unresolved requests.
     pub max_inflight: usize,
-    /// Per-tenant quotas; the vector length is the tenant count.
+    /// One entry per tenant; the vector length is the tenant count.
     pub tenants: Vec<TenantQuota>,
     /// Default deadline applied when `submit` passes `None`.
     /// `Duration::ZERO` disables deadlines by default.
     pub default_deadline: Duration,
-    /// Watchdog grace for in-flight runs past their deadline.
-    pub grace: Duration,
-    /// Deadline-wheel tick granularity.
-    pub tick: Duration,
-    /// Circuit-breaker tuning (shared by all shards).
-    pub breaker: BreakerConfig,
     /// Pin each shard worker to a CPU (`shard index % cpu count`).
     pub pin_workers: bool,
 }
@@ -166,35 +132,9 @@ impl Default for ServeConfig {
             max_inflight: 256,
             tenants: vec![TenantQuota::Unlimited; 4],
             default_deadline: Duration::from_millis(1000),
-            grace: Duration::from_millis(50),
-            tick: Duration::from_millis(1),
-            breaker: BreakerConfig::default(),
             pin_workers: false,
         }
     }
-}
-
-impl ServeConfig {
-    /// Defaults overridden by `LB_SERVE` (shards), `LB_TENANTS`
-    /// (unlimited-quota tenant count), and `LB_DEADLINE_MS` (default
-    /// deadline; `0` disables).
-    pub fn from_env() -> ServeConfig {
-        let mut cfg = ServeConfig::default();
-        if let Some(n) = env_usize("LB_SERVE") {
-            cfg.shards = n.max(1);
-        }
-        if let Some(n) = env_usize("LB_TENANTS") {
-            cfg.tenants = vec![TenantQuota::Unlimited; n.max(1)];
-        }
-        if let Some(ms) = env_usize("LB_DEADLINE_MS") {
-            cfg.default_deadline = Duration::from_millis(ms as u64);
-        }
-        cfg
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
 /// Telemetry handles, registered once (counter registration takes a
@@ -206,14 +146,8 @@ pub(crate) struct Metrics {
     pub(crate) shed: Counter,
     pub(crate) rejected: Counter,
     pub(crate) rejected_queue_full: Counter,
-    pub(crate) rejected_quota: Counter,
-    pub(crate) rejected_breaker: Counter,
     pub(crate) rejected_shutdown: Counter,
     pub(crate) rejected_unknown: Counter,
-    pub(crate) breaker_open: Counter,
-    pub(crate) breaker_half_open: Counter,
-    pub(crate) breaker_close: Counter,
-    pub(crate) watchdog_overrun: Counter,
     pub(crate) double_complete: Counter,
     pub(crate) pool_relief: Counter,
     pub(crate) latency_ns: Histogram,
@@ -230,14 +164,8 @@ pub(crate) fn metrics() -> &'static Metrics {
         shed: counter("serve.shed"),
         rejected: counter("serve.rejected"),
         rejected_queue_full: counter("serve.rejected.queue_full"),
-        rejected_quota: counter("serve.rejected.quota"),
-        rejected_breaker: counter("serve.rejected.breaker_open"),
         rejected_shutdown: counter("serve.rejected.shutdown"),
         rejected_unknown: counter("serve.rejected.unknown"),
-        breaker_open: counter("serve.breaker.open"),
-        breaker_half_open: counter("serve.breaker.half_open"),
-        breaker_close: counter("serve.breaker.close"),
-        watchdog_overrun: counter("serve.watchdog.overrun"),
         double_complete: counter("serve.double_complete"),
         pool_relief: counter("serve.pool.relief"),
         latency_ns: histogram("serve.latency_ns"),
@@ -246,12 +174,7 @@ pub(crate) fn metrics() -> &'static Metrics {
     })
 }
 
-struct ShardHandle {
-    tx: SyncSender<Arc<Slot>>,
-    breaker: Arc<Breaker>,
-}
-
-/// State shared between the submit path, shard workers, and the wheel.
+/// State shared between the submit path and the shard workers.
 pub(crate) struct ServerInner {
     pub(crate) kernels: Vec<KernelSpec>,
     pub(crate) memory: MemoryConfig,
@@ -266,9 +189,9 @@ pub(crate) struct ServerInner {
     accepting: AtomicBool,
     inflight: Arc<AtomicUsize>,
     max_inflight: usize,
-    tenants: Vec<TokenBucket>,
-    shards: Vec<ShardHandle>,
-    wheel: Arc<DeadlineWheel>,
+    tenants: usize,
+    /// Each shard's bounded queue.
+    shards: Vec<SyncSender<Arc<Slot>>>,
     default_deadline_ns: u64,
 }
 
@@ -276,12 +199,10 @@ pub(crate) struct ServerInner {
 pub struct Server {
     inner: Arc<ServerInner>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    ticker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
-    /// Start the server: spawn one worker per shard and the deadline
-    /// ticker.
+    /// Start the server: spawn one worker per shard.
     pub fn start(
         config: ServeConfig,
         kernels: Vec<KernelSpec>,
@@ -289,23 +210,6 @@ impl Server {
         linker: Linker,
     ) -> Server {
         metrics(); // register counters before any worker races the lock
-        let now = now_ns();
-        let tenants = config
-            .tenants
-            .iter()
-            .map(|q| match *q {
-                TenantQuota::Unlimited => TokenBucket::unlimited(),
-                TenantQuota::Limited {
-                    rate_per_sec,
-                    burst,
-                } => TokenBucket::new(rate_per_sec, burst, now),
-            })
-            .collect();
-        let wheel = DeadlineWheel::new(
-            config.tick.as_nanos() as u64,
-            config.grace.as_nanos() as u64,
-            now,
-        );
         let default_deadline_ns = if config.default_deadline.is_zero() {
             NO_DEADLINE
         } else {
@@ -317,10 +221,7 @@ impl Server {
         let mut receivers = Vec::with_capacity(nshards);
         for _ in 0..nshards {
             let (tx, rx) = sync_channel(config.queue_depth.max(1));
-            shards.push(ShardHandle {
-                tx,
-                breaker: Arc::new(Breaker::new(config.breaker)),
-            });
+            shards.push(tx);
             receivers.push(rx);
         }
 
@@ -334,38 +235,23 @@ impl Server {
             accepting: AtomicBool::new(true),
             inflight: Arc::new(AtomicUsize::new(0)),
             max_inflight: config.max_inflight.max(1),
-            tenants,
+            tenants: config.tenants.len(),
             shards,
-            wheel: Arc::clone(&wheel),
             default_deadline_ns,
         });
 
         let mut workers = Vec::with_capacity(nshards);
         for (idx, rx) in receivers.into_iter().enumerate() {
             let inner_cl = Arc::clone(&inner);
-            let breaker = Arc::clone(&inner.shards[idx].breaker);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("lb-serve-shard-{idx}"))
-                    .spawn(move || shard::worker_loop(inner_cl, breaker, rx, idx))
+                    .spawn(move || shard::worker_loop(inner_cl, rx, idx))
                     .unwrap_or_else(|e| panic!("spawn shard worker: {e}")),
             );
         }
-        let ticker = {
-            let wheel = Arc::clone(&wheel);
-            Some(
-                std::thread::Builder::new()
-                    .name("lb-serve-ticker".to_string())
-                    .spawn(move || wheel.run_ticker())
-                    .unwrap_or_else(|e| panic!("spawn deadline ticker: {e}")),
-            )
-        };
 
-        Server {
-            inner,
-            workers,
-            ticker,
-        }
+        Server { inner, workers }
     }
 
     /// Submit "invoke kernel `kernel` as tenant `tenant`". On admission
@@ -391,12 +277,8 @@ impl Server {
         if kernel >= inner.kernels.len() {
             return Err(reject(m, Overload::UnknownKernel));
         }
-        let Some(bucket) = inner.tenants.get(tenant as usize) else {
+        if tenant as usize >= inner.tenants {
             return Err(reject(m, Overload::UnknownTenant));
-        };
-        let now = now_ns();
-        if !bucket.try_take(now) {
-            return Err(reject(m, Overload::QuotaExceeded));
         }
 
         // Claim an in-flight slot *before* re-checking the shutdown flag:
@@ -419,6 +301,7 @@ impl Server {
             return Err(reject(m, Overload::QueueFull));
         }
 
+        let now = now_ns();
         let deadline_ns = match deadline {
             Some(d) => now.saturating_add(d.as_nanos() as u64),
             None if inner.default_deadline_ns == NO_DEADLINE => NO_DEADLINE,
@@ -427,50 +310,30 @@ impl Server {
 
         // Tenant-affinity routing: a tenant's traffic lands on its home
         // shard so a noisy tenant saturates one queue, not all of them.
-        // Failover walks the other shards only when a breaker refuses;
-        // a *full* queue rejects immediately — spilling a noisy tenant's
+        // A *full* queue rejects immediately — spilling a noisy tenant's
         // backlog onto healthy shards would defeat the isolation.
-        let nshards = inner.shards.len();
         let home = (tenant as usize)
             .wrapping_mul(0x9e37_79b9)
             .wrapping_add(kernel)
-            % nshards;
-        for i in 0..nshards {
-            let idx = (home + i) % nshards;
-            let shard = &inner.shards[idx];
-            let probe = match shard.breaker.admit(now) {
-                Admit::Yes => false,
-                Admit::Probe => true,
-                Admit::No => continue,
-            };
-            let slot = Slot::new(
-                tenant,
-                kernel,
-                idx,
-                probe,
-                now,
-                deadline_ns,
-                Arc::clone(&inner.inflight),
-            );
-            match shard.tx.try_send(Arc::clone(&slot)) {
-                Ok(()) => {
-                    if deadline_ns != NO_DEADLINE {
-                        inner.wheel.register(Arc::clone(&slot));
-                    }
-                    m.admitted.inc();
-                    return Ok(Ticket { slot });
-                }
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                    if probe {
-                        shard.breaker.probe_aborted();
-                    }
-                    inner.inflight.fetch_sub(1, Ordering::SeqCst);
-                    return Err(reject(m, Overload::QueueFull));
-                }
+            % inner.shards.len();
+        let slot = Slot::new(
+            tenant,
+            kernel,
+            home,
+            now,
+            deadline_ns,
+            Arc::clone(&inner.inflight),
+        );
+        match inner.shards[home].try_send(Arc::clone(&slot)) {
+            Ok(()) => {
+                m.admitted.inc();
+                Ok(Ticket { slot })
+            }
+            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
+                inner.inflight.fetch_sub(1, Ordering::SeqCst);
+                Err(reject(m, Overload::QueueFull))
             }
         }
-        inner.inflight.fetch_sub(1, Ordering::SeqCst);
-        Err(reject(m, Overload::BreakerOpen))
     }
 
     /// Admitted-but-unresolved requests right now.
@@ -478,18 +341,8 @@ impl Server {
         self.inner.inflight.load(Ordering::SeqCst)
     }
 
-    /// The deadline wheel (tests drive it deterministically).
-    pub fn wheel(&self) -> &Arc<DeadlineWheel> {
-        &self.inner.wheel
-    }
-
-    /// Breaker state name for `shard` (diagnostics).
-    pub fn breaker_state(&self, shard: usize) -> &'static str {
-        self.inner.shards[shard].breaker.state_name()
-    }
-
     /// Graceful shutdown: stop admitting, let queued and in-flight work
-    /// resolve, then stop the workers and ticker.
+    /// resolve, then stop the workers.
     pub fn shutdown(self) {
         self.shutdown_inner(false)
     }
@@ -507,20 +360,15 @@ impl Server {
             self.inner.shed_queued.store(true, Ordering::SeqCst);
         }
         // Every admitted request holds an inflight token until its slot
-        // resolves; wait for all of them (workers drain queues, the
-        // wheel sheds expirations).
+        // resolves; wait for all of them (workers drain the queues).
         while self.inner.inflight.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
-        self.inner.wheel.stop_ticker();
         // Queues are empty (inflight hit zero); workers exit on their
         // next poll timeout.
         self.inner.stop_workers.store(true, Ordering::SeqCst);
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        if let Some(t) = self.ticker.take() {
-            let _ = t.join();
         }
     }
 }
@@ -529,8 +377,6 @@ fn reject(m: &Metrics, why: Overload) -> Overload {
     m.rejected.inc();
     match why {
         Overload::QueueFull => m.rejected_queue_full.inc(),
-        Overload::QuotaExceeded => m.rejected_quota.inc(),
-        Overload::BreakerOpen => m.rejected_breaker.inc(),
         Overload::ShuttingDown => m.rejected_shutdown.inc(),
         Overload::UnknownTenant | Overload::UnknownKernel => m.rejected_unknown.inc(),
     }

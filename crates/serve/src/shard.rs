@@ -1,11 +1,11 @@
 //! Shard workers: pinned threads that own a slice of the instance pool
 //! and execute admitted requests.
 //!
-//! Each shard is one worker thread draining one bounded queue. The
-//! worker re-checks the deadline at dispatch (a request that expired in
-//! the queue is shed, never run — this is also how zero-deadline
-//! requests die), claims the ticket's slot (losing the claim race to the
-//! deadline wheel is fine), consults the `serve.dispatch` chaos site,
+//! Each shard is one worker thread draining one bounded queue, and the
+//! worker is the only thread that resolves the requests it dequeues. It
+//! checks the deadline at dispatch (a request that expired in the queue
+//! is shed, never run — this is also how zero-deadline requests die),
+//! claims the ticket's slot, consults the `serve.dispatch` chaos site,
 //! and then instantiates + invokes the kernel under `catch_unwind` so a
 //! panicking request becomes a `Failed` outcome instead of killing the
 //! shard.
@@ -16,10 +16,7 @@
 //! request is load-shed with [`ShedReason::Capacity`] and the pool is
 //! drained to return memory to the OS (`serve.pool.relief`) — the server
 //! never aborts.
-//!
-//! Every outcome is fed to the shard's circuit breaker.
 
-use crate::breaker::Breaker;
 use crate::metrics;
 use crate::ticket::{FailStage, Outcome, ShedReason, Slot, PENDING, RUNNING};
 use crate::ServerInner;
@@ -46,23 +43,8 @@ fn pin_to_cpu(cpu: usize) {
     }
 }
 
-/// Breaker/pool side effect an outcome implies (applied before the
-/// outcome is published).
-enum SideEffect {
-    Success,
-    Failure,
-    Capacity,
-}
-
-/// What one execution attempt produced (before outcome accounting).
-enum ExecResult {
-    Done { run_ns: u64 },
-    Fail { stage: FailStage, error: String },
-    Capacity,
-}
-
 /// Whether a `LoadError` means "the machine is out of a resource" (shed
-/// + relief) as opposed to "this request is broken" (fail + breaker).
+/// + relief) as opposed to "this request is broken" (fail).
 fn is_capacity(err: &LoadError) -> bool {
     let io_err = match err {
         LoadError::Memory(MemoryError::Reserve(e)) => e,
@@ -76,31 +58,36 @@ fn is_capacity(err: &LoadError) -> bool {
     )
 }
 
-fn execute(inner: &ServerInner, slot: &Slot) -> ExecResult {
+fn execute(inner: &ServerInner, slot: &Slot) -> Outcome {
     let kernel = &inner.kernels[slot.kernel];
     let started = now_ns();
     let mut instance = match kernel.module.instantiate(&inner.memory, &inner.linker) {
         Ok(i) => i,
-        Err(e) if is_capacity(&e) => return ExecResult::Capacity,
+        Err(e) if is_capacity(&e) => {
+            return Outcome::Shed {
+                reason: ShedReason::Capacity,
+            }
+        }
         Err(e) => {
-            return ExecResult::Fail {
+            return Outcome::Failed {
                 stage: FailStage::Instantiate,
                 error: e.to_string(),
             }
         }
     };
     match instance.invoke(&kernel.entry, &kernel.args) {
-        Ok(_) => ExecResult::Done {
+        Ok(_) => Outcome::Completed {
+            queue_ns: slot.queue_ns(),
             run_ns: now_ns().saturating_sub(started),
         },
-        Err(trap) => ExecResult::Fail {
+        Err(trap) => Outcome::Failed {
             stage: FailStage::Invoke,
             error: trap.to_string(),
         },
     }
 }
 
-fn run_one(inner: &ServerInner, breaker: &Breaker, slot: Arc<Slot>) {
+fn run_one(inner: &ServerInner, slot: Arc<Slot>) {
     let now = now_ns();
 
     if inner.shed_queued.load(Ordering::Acquire) {
@@ -129,97 +116,57 @@ fn run_one(inner: &ServerInner, breaker: &Breaker, slot: Arc<Slot>) {
     }
 
     if !slot.try_claim(now) {
-        // The deadline wheel (or shutdown shedding) resolved it first.
+        // Already claimed or resolved: the CAS keeps a slot from running
+        // twice even though this worker is its only resolver.
         return;
     }
 
-    // From here on this worker exclusively owns the RUNNING state (the
-    // wheel only resolves PENDING slots), so the resolve below always
-    // wins. Breaker feedback and side effects therefore happen *before*
-    // publishing the outcome: a submitter whose wait() returns then
-    // observes the breaker transition its failure caused.
-    let (outcome, side_effect) = if let Some(e) = lb_chaos::inject("serve.dispatch") {
-        (
-            Outcome::Failed {
-                stage: FailStage::Dispatch,
-                error: format!("injected dispatch fault: {e}"),
-            },
-            SideEffect::Failure,
-        )
-    } else {
-        match catch_unwind(AssertUnwindSafe(|| execute(inner, &slot))) {
-            Ok(ExecResult::Done { run_ns }) => (
-                Outcome::Completed {
-                    queue_ns: slot.queue_ns(),
-                    run_ns,
-                },
-                SideEffect::Success,
-            ),
-            Ok(ExecResult::Fail { stage, error }) => {
-                (Outcome::Failed { stage, error }, SideEffect::Failure)
-            }
-            Ok(ExecResult::Capacity) => (
-                Outcome::Shed {
-                    reason: ShedReason::Capacity,
-                },
-                SideEffect::Capacity,
-            ),
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_string());
-                (
-                    Outcome::Failed {
-                        stage: FailStage::Worker,
-                        error: msg,
-                    },
-                    SideEffect::Failure,
-                )
-            }
+    let outcome = if let Some(e) = lb_chaos::inject("serve.dispatch") {
+        Outcome::Failed {
+            stage: FailStage::Dispatch,
+            error: format!("injected dispatch fault: {e}"),
         }
+    } else {
+        catch_unwind(AssertUnwindSafe(|| execute(inner, &slot))).unwrap_or_else(|panic| {
+            let error = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "worker panicked".to_string());
+            Outcome::Failed {
+                stage: FailStage::Worker,
+                error,
+            }
+        })
     };
 
     let done = now_ns();
     let m = metrics();
-    match side_effect {
-        SideEffect::Success => {
-            if let Outcome::Completed { queue_ns, run_ns } = outcome {
-                m.queue_ns.record(queue_ns);
-                m.run_ns.record(run_ns);
-            }
-            breaker.on_success(slot.probe);
+    match &outcome {
+        Outcome::Completed { queue_ns, run_ns } => {
+            m.queue_ns.record(*queue_ns);
+            m.run_ns.record(*run_ns);
         }
-        SideEffect::Failure => breaker.on_failure(slot.probe, done),
-        SideEffect::Capacity => {
+        Outcome::Shed {
+            reason: ShedReason::Capacity,
+        } => {
             // Resource exhaustion: load-shed and give memory back.
             lb_core::pool::drain();
             m.pool_relief.inc();
-            // Exhaustion is environmental, not a shard fault, but a
-            // half-open probe that could not run must not close the
-            // breaker; re-arm the probe slot instead.
-            if slot.probe {
-                breaker.probe_aborted();
-            }
         }
+        Outcome::Failed { .. } | Outcome::Shed { .. } => {}
     }
     slot.resolve_from(RUNNING, outcome, done);
 }
 
 /// The shard worker loop: drain the queue until the channel closes.
-pub(crate) fn worker_loop(
-    inner: Arc<ServerInner>,
-    breaker: Arc<Breaker>,
-    rx: Receiver<Arc<Slot>>,
-    shard_idx: usize,
-) {
+pub(crate) fn worker_loop(inner: Arc<ServerInner>, rx: Receiver<Arc<Slot>>, shard_idx: usize) {
     if inner.pin_workers {
         pin_to_cpu(shard_idx);
     }
     loop {
         match rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(slot) => run_one(&inner, &breaker, slot),
+            Ok(slot) => run_one(&inner, slot),
             Err(RecvTimeoutError::Timeout) => {
                 if inner.stop_workers.load(Ordering::Acquire) {
                     break;

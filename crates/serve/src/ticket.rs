@@ -22,12 +22,9 @@ use std::time::Duration;
 /// Why an admitted request was shed instead of executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
-    /// The deadline expired while the request sat in a shard queue; the
-    /// deadline wheel resolved it before any worker touched it.
-    DeadlineQueued,
     /// The deadline had already expired when a worker dequeued the
-    /// request (covers zero-deadline requests, which always shed here or
-    /// on the wheel — never run).
+    /// request (covers zero-deadline requests, which always shed here —
+    /// never run).
     DeadlineDispatch,
     /// Resource exhaustion on the instantiation slow path (fresh mmap
     /// failed with ENOMEM-class errno): the request is load-shed and the
@@ -41,7 +38,6 @@ impl ShedReason {
     /// Report name.
     pub fn name(self) -> &'static str {
         match self {
-            ShedReason::DeadlineQueued => "deadline_queued",
             ShedReason::DeadlineDispatch => "deadline_dispatch",
             ShedReason::Capacity => "capacity",
             ShedReason::Shutdown => "shutdown",
@@ -134,15 +130,10 @@ pub(crate) struct Slot {
     pub(crate) kernel: usize,
     /// Shard the request was routed to.
     pub(crate) shard: usize,
-    /// Whether this request is a circuit-breaker half-open probe.
-    pub(crate) probe: bool,
     /// Admission timestamp (monotonic ns).
     pub(crate) admitted_ns: u64,
     /// Absolute deadline (monotonic ns).
     pub(crate) deadline_ns: u64,
-    /// Set once by the deadline wheel when an in-flight run overruns its
-    /// deadline + grace (the watchdog); read by diagnostics.
-    pub(crate) watchdog_fired: AtomicU8,
     dispatched_ns: AtomicU64,
     /// Global in-flight gauge, decremented exactly once on resolution.
     inflight: Arc<AtomicUsize>,
@@ -153,7 +144,6 @@ impl Slot {
         tenant: u32,
         kernel: usize,
         shard: usize,
-        probe: bool,
         admitted_ns: u64,
         deadline_ns: u64,
         inflight: Arc<AtomicUsize>,
@@ -165,22 +155,20 @@ impl Slot {
             tenant,
             kernel,
             shard,
-            probe,
             admitted_ns,
             deadline_ns,
-            watchdog_fired: AtomicU8::new(0),
             dispatched_ns: AtomicU64::new(0),
             inflight,
         })
     }
 
-    /// Current state (for the wheel's triage).
+    /// Current state.
     pub(crate) fn state(&self) -> u8 {
         self.state.load(Ordering::Acquire)
     }
 
-    /// Worker claim: `Pending → Running`. Returns false if the wheel (or
-    /// shutdown shedding) already resolved the request.
+    /// Worker claim: `Pending → Running`. Returns false if the request
+    /// was already claimed or resolved.
     pub(crate) fn try_claim(&self, now_ns: u64) -> bool {
         let claimed = self
             .state
@@ -300,12 +288,6 @@ impl Ticket {
             guard = g;
         }
     }
-
-    /// Whether the in-flight run overran its deadline and was flagged by
-    /// the watchdog.
-    pub fn watchdog_fired(&self) -> bool {
-        self.slot.watchdog_fired.load(Ordering::Relaxed) != 0
-    }
 }
 
 impl std::fmt::Debug for Ticket {
@@ -325,7 +307,7 @@ mod tests {
 
     fn slot() -> Arc<Slot> {
         let inflight = Arc::new(AtomicUsize::new(1));
-        Slot::new(0, 0, 0, false, 100, 1_000, inflight)
+        Slot::new(0, 0, 0, 100, 1_000, inflight)
     }
 
     #[test]
@@ -334,11 +316,11 @@ mod tests {
         assert!(s.resolve_from(
             PENDING,
             Outcome::Shed {
-                reason: ShedReason::DeadlineQueued
+                reason: ShedReason::DeadlineDispatch
             },
             200,
         ));
-        // The losing path: a worker that raced the wheel.
+        // The losing path: a second resolution of the same slot.
         assert!(!s.resolve_from(
             RUNNING,
             Outcome::Completed {
@@ -349,7 +331,7 @@ mod tests {
         ));
         let t = Ticket { slot: s };
         match t.wait() {
-            Outcome::Shed { reason } => assert_eq!(reason, ShedReason::DeadlineQueued),
+            Outcome::Shed { reason } => assert_eq!(reason, ShedReason::DeadlineDispatch),
             other => panic!("first resolution must win, got {other:?}"),
         }
     }
@@ -359,11 +341,11 @@ mod tests {
         let s = slot();
         assert!(s.try_claim(150));
         assert!(!s.try_claim(151), "claim is exclusive");
-        // The wheel can no longer shed a running request.
+        // A running request can no longer be shed as pending.
         assert!(!s.resolve_from(
             PENDING,
             Outcome::Shed {
-                reason: ShedReason::DeadlineQueued
+                reason: ShedReason::DeadlineDispatch
             },
             200,
         ));
@@ -381,7 +363,7 @@ mod tests {
     #[test]
     fn inflight_gauge_decrements_once() {
         let inflight = Arc::new(AtomicUsize::new(3));
-        let s = Slot::new(0, 0, 0, false, 0, 1, Arc::clone(&inflight));
+        let s = Slot::new(0, 0, 0, 0, 1, Arc::clone(&inflight));
         s.resolve_from(
             PENDING,
             Outcome::Shed {

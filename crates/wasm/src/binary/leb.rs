@@ -305,7 +305,7 @@ mod proptests {
 
     #[test]
     fn u32_roundtrips_all() {
-        let mut rng = Rng(0x1EB_32);
+        let mut rng = Rng(0x0001_EB32);
         let check = |v: u32| {
             let mut out = Vec::new();
             write_u32(&mut out, v);
@@ -324,7 +324,7 @@ mod proptests {
 
     #[test]
     fn u64_roundtrips_all() {
-        let mut rng = Rng(0x1EB_64);
+        let mut rng = Rng(0x0001_EB64);
         let check = |v: u64| {
             let mut out = Vec::new();
             write_u64(&mut out, v);
@@ -341,7 +341,7 @@ mod proptests {
 
     #[test]
     fn i32_roundtrips_all() {
-        let mut rng = Rng(0x51EB_32);
+        let mut rng = Rng(0x0051_EB32);
         let check = |v: i32| {
             let mut out = Vec::new();
             write_i32(&mut out, v);
@@ -357,7 +357,7 @@ mod proptests {
 
     #[test]
     fn i64_roundtrips_all() {
-        let mut rng = Rng(0x51EB_64);
+        let mut rng = Rng(0x0051_EB64);
         let check = |v: i64| {
             let mut out = Vec::new();
             write_i64(&mut out, v);

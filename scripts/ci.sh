@@ -4,20 +4,21 @@
 #
 #   1. release build of the whole workspace
 #   2. the full test suite (unit, integration, differential, fuzz)
-#   3. the in-tree repo lint (unsafe/mmap/opcode containment, signal
+#   3. clippy over every target; errors fail, warnings are reported only
+#   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
-#   4. translation validation end-to-end (PolyBench and the SPEC proxies)
+#   5. translation validation end-to-end (PolyBench and the SPEC proxies)
 #      + mutation detection, and the instruction-selection edge cases and
 #      the guard-fusion differential suite re-run with LB_VERIFY=strict
 #      (every JIT compile validated; any finding fails the load)
-#   5. elision-regression gate: no PolyBench kernel's static elision
+#   6. elision-regression gate: no PolyBench kernel's static elision
 #      ratio may fall below its recorded floor (scripts/elision_floors.tsv)
-#   6. profiler smoke: one kernel sampled at 997 Hz, the chrome trace
+#   7. profiler smoke: one kernel sampled at 997 Hz, the chrome trace
 #      must re-parse and the attribution percentages must sum to ~100
-#   7. serving smoke: a short closed-loop serve_bench run; every admitted
+#   8. serving smoke: a short closed-loop serve_bench run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   8. A/B smoke: quickperf's plan mode on one Mini kernel, and its
+#   9. A/B smoke: quickperf's plan mode on one Mini kernel, and its
 #      engines mode on one Mini kernel. They
 #      gate only on exact results: every arm's checksum against native,
 #      check counts that repeat across two compiles, a record that
@@ -35,6 +36,7 @@ run() {
 
 run cargo build --release --workspace
 run cargo test -q --workspace
+run cargo clippy -q --workspace --all-targets
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation
