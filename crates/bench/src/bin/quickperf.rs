@@ -265,7 +265,7 @@ fn memsys() {
     // readable from signal context), its cached-slot probe, and the
     // mutexed map a lock-based runtime would use.
     let reg: HazardRegistry<ArenaDesc> = HazardRegistry::new();
-    let desc = ArenaDesc::new(0x10000, 0x10000, 0x10000, BoundsStrategy::Uffd, -1);
+    let desc = ArenaDesc::new(0x10000, 0x10000, 0x10000, BoundsStrategy::Uffd);
     let (slot, ptr) = reg.register(Box::new(desc));
     let h = reg.claim_hazard();
     let map = std::sync::Mutex::new(vec![(0x10000usize, 0x20000usize)]);

@@ -19,7 +19,7 @@ use crate::registry::{ArenaDesc, ARENAS};
 use crate::stats;
 use crate::strategy::{BoundsStrategy, MemoryConfig};
 use crate::trap::Trap;
-use crate::uffd::Uffd;
+use crate::uffd;
 use std::fmt;
 use std::io;
 use std::mem::ManuallyDrop;
@@ -83,7 +83,7 @@ impl_pod!(u8, i8, u16, i16, u32, i32, u64, i64, f32, f64);
 ///
 /// The memory registers itself in the global arena registry on creation so
 /// the signal handler can classify faults. On drop, its OS-facing parts
-/// (reservation, registration, uffd fd) go back to the instance pool when
+/// (reservation and registration) go back to the instance pool when
 /// pooling is enabled — see [`crate::pool`] — and are fully torn down
 /// otherwise (waiting out concurrent signal-context readers via hazard
 /// pointers).
@@ -171,10 +171,10 @@ impl LinearMemory {
 
     /// One attempt at constructing the memory with a fixed `strategy`.
     ///
-    /// All partially-acquired resources are RAII-owned (`Reservation`
-    /// unmaps, `Uffd` closes its fd), so an error return here leaks
-    /// nothing — `chaos_matrix.rs` verifies this by injecting failures in
-    /// a loop and watching `/proc/self/{fd,maps}`.
+    /// The only partially-acquired resource is the `Reservation`, which
+    /// unmaps on drop (dropping any uffd registration with it), so an
+    /// error return here leaks nothing — `chaos_matrix.rs` verifies this
+    /// by injecting failures in a loop and watching `/proc/self/{fd,maps}`.
     fn try_new(
         config: &MemoryConfig,
         strategy: BoundsStrategy,
@@ -210,21 +210,16 @@ impl LinearMemory {
                 .map_err(MemoryError::Protect)?;
         }
 
-        let uffd = if strategy == BoundsStrategy::Uffd {
-            let u = Uffd::new_sigbus().map_err(MemoryError::Uffd)?;
-            u.register_missing(reservation.base().as_ptr() as usize, reserve)
+        if strategy == BoundsStrategy::Uffd {
+            uffd::register_missing(reservation.base().as_ptr() as usize, reserve)
                 .map_err(MemoryError::Uffd)?;
-            Some(u)
-        } else {
-            None
-        };
+        }
 
         let desc = Box::new(ArenaDesc::new(
             reservation.base().as_ptr() as usize,
             reserve,
             initial_bytes,
             strategy,
-            uffd.as_ref().map(|u| u.raw_fd()).unwrap_or(-1),
         ));
         let (desc_slot, desc) = ARENAS.register(desc);
         // RW high-water: mprotect starts with just the initial window
@@ -239,7 +234,6 @@ impl LinearMemory {
                 reservation,
                 desc_slot,
                 desc,
-                uffd,
                 strategy,
                 rw_high: AtomicUsize::new(rw_high),
             }),
@@ -496,26 +490,14 @@ impl LinearMemory {
     /// other strategies).
     ///
     /// # Errors
-    /// Propagates `UFFDIO_ZEROPAGE` failures. `EEXIST` (already present)
-    /// is success; transient `EAGAIN` is retried a bounded number of times.
+    /// Propagates `UFFDIO_ZEROPAGE` failures. Pages already present are
+    /// skipped; transient `EAGAIN` is retried a bounded number of times.
     pub fn populate(&self, addr: usize, len: usize) -> io::Result<()> {
-        let Some(u) = &self.parts.uffd else {
+        if self.strategy != BoundsStrategy::Uffd {
             return Ok(());
-        };
-        let start = addr & !(4095);
-        let end = round_up_to_page(addr + len);
-        let mut attempts = 0;
-        loop {
-            match u.zeropage(self.base() as usize + start, end - start) {
-                Ok(()) => return Ok(()),
-                Err(e) if e.raw_os_error() == Some(libc::EEXIST) => return Ok(()),
-                Err(e) if e.raw_os_error() == Some(libc::EAGAIN) && attempts < 16 => {
-                    attempts += 1;
-                    std::hint::spin_loop();
-                }
-                Err(e) => return Err(e),
-            }
         }
+        let base = self.base() as usize;
+        uffd::populate(base + (addr & !4095), base + round_up_to_page(addr + len))
     }
 }
 
@@ -642,6 +624,29 @@ mod tests {
         );
         let v = catch_traps(|| m.load::<u8>((2 * WASM_PAGE) as u32, 0)).unwrap();
         assert_eq!(v, 0);
+    }
+
+    /// A host copy that spans a page the SIGBUS servicer populated and a
+    /// page nothing has touched must populate both before copying: on a
+    /// thread that never entered `catch_traps` a missing page would kill
+    /// the process with SIGBUS.
+    #[test]
+    fn host_copy_populates_past_present_pages() {
+        let _serial = crate::test_lock();
+        if !sigbus_mode_available() {
+            eprintln!("skipping: uffd unavailable");
+            return;
+        }
+        let m = LinearMemory::new(&cfg(BoundsStrategy::Uffd)).unwrap();
+        // Populates the first 16-page window, [0, WASM_PAGE).
+        catch_traps(|| m.load::<u64>(0, 0)).unwrap();
+        let at = WASM_PAGE as u32 - 8;
+        std::thread::scope(|s| {
+            s.spawn(|| m.write_bytes(at, &[7; 16]).unwrap());
+        });
+        let mut buf = [0u8; 16];
+        m.read_bytes(at, &mut buf).unwrap();
+        assert_eq!(buf, [7; 16]);
     }
 
     #[test]

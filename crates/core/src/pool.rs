@@ -24,22 +24,20 @@
 //! [`ArenaDesc`], so a stray fault into a pooled arena classifies as a
 //! wasm OOB trap rather than corrupting recycled memory.
 //!
-//! Opt-in: `LB_POOL=N` (entries retained per strategy) or
-//! [`configure`] with a [`MemoryPoolConfig`]. Disabled (capacity 0) by
-//! default, preserving the measured-per-run lifecycle the paper's
-//! baseline figures need.
+//! Opt-in: [`configure`] with a [`MemoryPoolConfig`] (entries retained
+//! per strategy, zero-fill read-back). Disabled (capacity 0) by default,
+//! preserving the measured-per-run lifecycle the paper's baseline figures
+//! need. A parked `uffd` entry holds no descriptor of its own: every arena
+//! shares the process-wide userfaultfd ([`crate::uffd`]).
 
 use crate::region::Reservation;
 use crate::registry::{ArenaDesc, SlotId, ARENAS};
 use crate::stats;
 use crate::strategy::BoundsStrategy;
-use crate::uffd::Uffd;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::Once;
 
 /// Maximum entries the free-list can hold per strategy, regardless of the
-/// configured capacity (each parked entry pins a reservation and, for
-/// `uffd`, a file descriptor).
+/// configured capacity (each parked entry pins a reservation).
 pub const MAX_POOL_SLOTS: usize = 64;
 
 /// Pool tuning, applied process-wide via [`configure`].
@@ -53,68 +51,34 @@ pub struct MemoryPoolConfig {
     pub verify_zero: bool,
 }
 
-impl MemoryPoolConfig {
-    /// The configuration the environment requests: `LB_POOL=N` sets the
-    /// capacity, `LB_POOL_VERIFY=1` the verification mode.
-    pub fn from_env() -> MemoryPoolConfig {
-        let capacity = std::env::var("LB_POOL")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0);
-        let verify_zero = std::env::var("LB_POOL_VERIFY")
-            .map(|v| v.trim() == "1")
-            .unwrap_or(false);
-        MemoryPoolConfig {
-            capacity,
-            verify_zero,
-        }
-    }
-}
-
 static CAPACITY: AtomicUsize = AtomicUsize::new(0);
 static VERIFY: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
 
-/// Apply the environment's configuration exactly once; explicit
-/// [`configure`] calls consume the same `Once` so a later lazy env read
-/// can never clobber them.
-fn ensure_env_config() {
-    ENV_INIT.call_once(|| {
-        let cfg = MemoryPoolConfig::from_env();
-        CAPACITY.store(cfg.capacity.min(MAX_POOL_SLOTS), Ordering::Relaxed);
-        VERIFY.store(cfg.verify_zero, Ordering::Relaxed);
-    });
-}
-
-/// Install a pool configuration, overriding `LB_POOL`/`LB_POOL_VERIFY`.
-/// Shrinking the capacity does not evict already-parked entries; call
-/// [`drain`] for that.
+/// Install a pool configuration. Shrinking the capacity does not evict
+/// already-parked entries; call [`drain`] for that.
 pub fn configure(config: MemoryPoolConfig) {
-    ENV_INIT.call_once(|| {});
     CAPACITY.store(config.capacity.min(MAX_POOL_SLOTS), Ordering::Relaxed);
     VERIFY.store(config.verify_zero, Ordering::Relaxed);
 }
 
 /// The effective per-strategy capacity (0 = pooling disabled).
 pub fn pool_capacity() -> usize {
-    ensure_env_config();
     CAPACITY.load(Ordering::Relaxed)
 }
 
 fn verify_zero_enabled() -> bool {
-    ensure_env_config();
     VERIFY.load(Ordering::Relaxed)
 }
 
 /// The OS-facing parts of a linear memory that survive pooling: the
-/// reservation, its live arena registration, and (for `uffd`) the
-/// registered fault fd. Moves between `LinearMemory` and the free-list.
+/// reservation (still registered with the shared userfaultfd, for `uffd`)
+/// and its live arena registration. Moves between `LinearMemory` and the
+/// free-list.
 #[derive(Debug)]
 pub(crate) struct ArenaParts {
     pub(crate) reservation: Reservation,
     pub(crate) desc_slot: SlotId,
     pub(crate) desc: *const ArenaDesc,
-    pub(crate) uffd: Option<Uffd>,
     pub(crate) strategy: BoundsStrategy,
     /// Bytes from base currently PROT_READ|WRITE. Only meaningful for the
     /// `mprotect` strategy (the others keep the whole reservation RW);
@@ -134,15 +98,10 @@ impl ArenaParts {
         unsafe { &*self.desc }
     }
 
-    /// Full teardown: the non-pooled end of life. Unregisters the uffd
-    /// range and the arena, then unmaps the reservation.
+    /// Full teardown: the non-pooled end of life. Unregisters the arena,
+    /// then unmaps the reservation, which also drops its uffd
+    /// registration.
     pub(crate) fn teardown(self) {
-        if let Some(u) = &self.uffd {
-            let _ = u.unregister(
-                self.reservation.base().as_ptr() as usize,
-                self.reservation.len(),
-            );
-        }
         ARENAS.unregister(self.desc_slot, self.desc);
         // Reservation unmaps in its own Drop.
     }
@@ -209,8 +168,8 @@ pub fn pooled_count() -> usize {
 
 /// Tear down every parked entry, returning how many were evicted. Tests
 /// use this between configurations; long-lived processes (lb-serve's
-/// capacity-shed relief path) use it to release reservations and fds
-/// under memory pressure.
+/// capacity-shed relief path) use it to release reservations under
+/// memory pressure.
 ///
 /// Sweeps repeatedly until a full pass evicts nothing: a concurrent
 /// `release` can park an entry in a slot an in-progress sweep already
@@ -348,16 +307,10 @@ pub(crate) fn release(parts: ArenaParts) {
 fn verify_zero_window(parts: &ArenaParts, initial_bytes: usize) -> bool {
     let base = parts.reservation.base().as_ptr();
     let end = crate::region::round_up_to_page(initial_bytes);
-    if let Some(u) = &parts.uffd {
-        let mut off = 0;
-        while off < end {
-            match u.zeropage(base as usize + off, 4096) {
-                Ok(()) => {}
-                Err(e) if e.raw_os_error() == Some(libc::EEXIST) => {}
-                Err(_) => return false,
-            }
-            off += 4096;
-        }
+    if parts.strategy == BoundsStrategy::Uffd
+        && crate::uffd::populate(base as usize, base as usize + end).is_err()
+    {
+        return false;
     }
     let words = initial_bytes / 8;
     for i in 0..words {

@@ -11,7 +11,7 @@
 //! Removal spins until no hazard references the descriptor, then frees it.
 
 use crate::strategy::BoundsStrategy;
-use std::sync::atomic::{AtomicBool, AtomicI32, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 
 /// Descriptor of one linear-memory arena, shared with the signal handler.
 #[derive(Debug)]
@@ -25,8 +25,6 @@ pub struct ArenaDesc {
     pub committed: AtomicUsize,
     /// The arena's bounds-checking strategy.
     pub strategy: BoundsStrategy,
-    /// userfaultfd file descriptor for `uffd` arenas, −1 otherwise.
-    pub uffd_fd: AtomicI32,
     /// End offset (exclusive, arena-relative) of the last window the uffd
     /// fault servicer populated; the stride predictor compares the next
     /// fault against it to detect sequential scans.
@@ -37,19 +35,12 @@ pub struct ArenaDesc {
 
 impl ArenaDesc {
     /// A descriptor with fault-prediction state zeroed.
-    pub fn new(
-        base: usize,
-        len: usize,
-        committed: usize,
-        strategy: BoundsStrategy,
-        uffd_fd: i32,
-    ) -> ArenaDesc {
+    pub fn new(base: usize, len: usize, committed: usize, strategy: BoundsStrategy) -> ArenaDesc {
         ArenaDesc {
             base,
             len,
             committed: AtomicUsize::new(committed),
             strategy,
-            uffd_fd: AtomicI32::new(uffd_fd),
             last_fault_end: AtomicUsize::new(0),
             fault_streak: AtomicUsize::new(0),
         }
@@ -174,7 +165,7 @@ impl<T> HazardRegistry<T> {
         loop {
             let mut busy = false;
             for h in &self.hazards {
-                if h.load(Ordering::Acquire) as *const T == ptr {
+                if std::ptr::eq(h.load(Ordering::Acquire), ptr) {
                     busy = true;
                     break;
                 }
@@ -315,7 +306,7 @@ mod tests {
     use std::sync::Arc;
 
     fn desc(base: usize, len: usize) -> Box<ArenaDesc> {
-        Box::new(ArenaDesc::new(base, len, len, BoundsStrategy::None, -1))
+        Box::new(ArenaDesc::new(base, len, len, BoundsStrategy::None))
     }
 
     #[test]

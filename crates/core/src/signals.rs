@@ -223,9 +223,6 @@ pub fn install_handlers() {
         // Register every instrument the handler records into *before* it
         // can run: registration takes locks, increments don't.
         stats::force_init();
-        // Resolve the fault-service window from LB_UFFD_WINDOW in normal
-        // context; the handler only does relaxed loads of the cached value.
-        uffd::init_window_from_env();
         let _ = UFFD_FAULT_SPAN.set(lb_telemetry::register_span_name("uffd.fault"));
         let _ = SIGNAL_HANDLER_SPAN.set(lb_telemetry::register_span_name("signal.handler"));
         for &sig in &HANDLED_SIGNALS {
@@ -434,12 +431,11 @@ unsafe fn trap_handler_inner(sig: libc::c_int, info: *mut libc::siginfo_t, ctx: 
                     let off = fault_addr - a.base;
                     let committed = a.committed.load(Ordering::Acquire);
                     if off < committed {
-                        let fd = a.uffd_fd.load(Ordering::Acquire);
                         // Time the in-handler service of a legal fault
                         // (SIGBUS entry → zeropage done); everything
                         // recorded is a pre-registered atomic slot.
                         let t0 = lb_telemetry::clock::now_ns();
-                        let action = uffd::zeropage_around(fd, a, committed, off);
+                        let action = uffd::zeropage_around(a, committed, off);
                         let dur = lb_telemetry::clock::now_ns().saturating_sub(t0);
                         stats::record_uffd_service(dur);
                         if let Some(&id) = UFFD_FAULT_SPAN.get() {
@@ -612,13 +608,7 @@ mod tests {
         // surface as a wasm OOB trap, not a crash.
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
-        let desc = Box::new(ArenaDesc::new(
-            base,
-            res.len(),
-            0,
-            BoundsStrategy::Mprotect,
-            -1,
-        ));
+        let desc = Box::new(ArenaDesc::new(base, res.len(), 0, BoundsStrategy::Mprotect));
         let (slot, ptr) = ARENAS.register(desc);
 
         let err = catch_traps(|| -> Result<(), Trap> {
@@ -640,13 +630,7 @@ mod tests {
         let _serial = crate::test_lock();
         let res = Reservation::new(1 << 16, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
-        let desc = Box::new(ArenaDesc::new(
-            base,
-            res.len(),
-            0,
-            BoundsStrategy::Mprotect,
-            -1,
-        ));
+        let desc = Box::new(ArenaDesc::new(base, res.len(), 0, BoundsStrategy::Mprotect));
         let (slot, ptr) = ARENAS.register(desc);
 
         let outer = catch_traps(|| -> Result<i32, Trap> {
@@ -669,13 +653,7 @@ mod tests {
         let _serial = crate::test_lock();
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
-        let desc = Box::new(ArenaDesc::new(
-            base,
-            res.len(),
-            0,
-            BoundsStrategy::Mprotect,
-            -1,
-        ));
+        let desc = Box::new(ArenaDesc::new(base, res.len(), 0, BoundsStrategy::Mprotect));
         let (slot, ptr) = ARENAS.register(desc);
 
         std::thread::scope(|s| {

@@ -103,7 +103,7 @@ fn steady_state_reuse() {
         for i in 0..10u32 {
             let m = LinearMemory::new(&cfg(s)).unwrap();
             assert!(m.from_pool(), "iteration {i} of {s} must hit the pool");
-            m.write_bytes((i % 2 * 4096) as u32, &[0xCD; 512]).unwrap();
+            m.write_bytes(i % 2 * 4096, &[0xCD; 512]).unwrap();
         }
         let d = lb_core::stats::snapshot().delta(&before);
         assert_eq!(d.mmap, 0, "{s}: steady-state reuse must not mmap");

@@ -87,10 +87,12 @@ fn worker_stage_failure_does_not_deadlock_multithreaded_run() {
 #[test]
 fn uffd_setup_failure_falls_back_to_mprotect_end_to_end() {
     // The acceptance scenario: a Uffd-configured run in an environment
-    // where userfaultfd creation fails (here, forced by injection; in a
-    // locked-down container, for real) completes via the Mprotect
-    // fallback with validating checksums and the degradation on record.
-    let _guard = lb_chaos::install("core.uffd.create:1:EPERM").unwrap();
+    // where uffd setup fails (here, forced by injection into the
+    // per-memory `UFFDIO_REGISTER`, since the shared userfaultfd is
+    // created once per process; in a locked-down container, for real)
+    // completes via the Mprotect fallback with validating checksums and
+    // the degradation on record.
+    let _guard = lb_chaos::install("core.uffd.register:1:EPERM").unwrap();
     let b = by_name("gemm", Dataset::Mini).unwrap();
     let spec = quick_spec(EngineSel::Wavm, BoundsStrategy::Uffd);
     match run_benchmark_checked(&b, &spec) {
