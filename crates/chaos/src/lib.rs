@@ -68,7 +68,7 @@ pub const SITES: &[&str] = &[
     "core.mmap.reserve",    // mmap of a linear-memory reservation
     "core.mprotect.init",   // mprotect enabling the initial committed pages
     "core.mprotect.grow",   // mprotect extending the committed range on grow
-    "core.uffd.create",     // userfaultfd(2) fd creation + API handshake
+    "core.uffd.create",     // the shared userfaultfd(2) + API handshake, once per process
     "core.uffd.register",   // UFFDIO_REGISTER of the reservation
     "core.uffd.copy",       // UFFDIO_ZEROPAGE population (host and in-handler)
     "core.madvise.discard", // madvise(MADV_DONTNEED) when recycling memory
