@@ -13,10 +13,12 @@
 //!   and guard fusion off, with each compile's elided and residual
 //!   checks. `--suite spec` measures the SPEC proxies. `BENCH_plan.json`.
 //! * `pool`: pool on/off × strategy (× uffd window) over fresh isolates,
-//!   gated on bit-identical checksums and on the 16-page uffd window
-//!   cutting zeropage ioctls ≥4×. `BENCH_pool.json`.
-//! * `memsys`: isolate lifecycle, uffd vs mprotect first touch, hazard
-//!   registry vs mutex, and trap machinery. `BENCH_memsys.json`.
+//!   each of which also grows and scans 4 wasm pages, gated on
+//!   bit-identical checksums and on the 16-page uffd window cutting the
+//!   grown scan's zeropage ioctls ≥4×. `BENCH_pool.json`.
+//! * `memsys`: isolate lifecycle, uffd vs mprotect first touch of initial
+//!   and of grown memory, hazard registry vs mutex, and trap machinery.
+//!   `BENCH_memsys.json`.
 //!
 //! Modes take `--dataset`, `--suite` and `--bench`. Every kernel arm must
 //! match the native checksum before it is timed.
@@ -243,22 +245,37 @@ fn memsys() {
     let mut arms: Vec<Arm> = with_aa.map(lifecycle).collect();
     rows.push(measure(Row::new("isolate_lifecycle"), &names, &mut arms));
 
-    // First touch of 16 pages: uffd's SIGBUS + UFFDIO_ZEROPAGE service vs
-    // mprotect-backed minor faults. Each call also reserves and tears
-    // down its memory, the same work in both arms.
+    // First touch of 16 pages, inside the initial size and in grown
+    // memory. uffd registers only the tail above the initial size, so
+    // its initial memory takes the same minor faults as mprotect's; grown
+    // pages cost SIGBUS + UFFDIO_ZEROPAGE service against mprotect's
+    // grow-time `mprotect` and minor faults. Each call also reserves and
+    // tears down its memory, the same work in both arms.
     if uffd {
-        let touch = |s: BoundsStrategy| -> Arm<'static> {
-            let config = MemoryConfig::new(s, 64, 64).with_reserve(8 << 20);
+        let touch = |s: BoundsStrategy, initial: u32| -> Arm<'static> {
+            let config = MemoryConfig::new(s, initial, 64).with_reserve(8 << 20);
             Box::new(move || {
                 let m = LinearMemory::new(&config).expect("memory");
-                catch_traps(|| (0..16u32).try_for_each(|p| m.store::<u8>(p * 65536, 0, 1)))
-                    .expect("store");
+                let first = if initial == 0 {
+                    m.grow(16).expect("grow")
+                } else {
+                    0
+                };
+                catch_traps(|| {
+                    (first..first + 16).try_for_each(|p| m.store::<u8>(p * 65536, 0, 1))
+                })
+                .expect("store");
             })
         };
         let (mp, uf) = (BoundsStrategy::Mprotect, BoundsStrategy::Uffd);
-        let mut arms = [touch(mp), touch(uf), touch(mp)];
         let names = ["mprotect", "uffd"];
-        rows.push(measure(Row::new("first_touch_16_pages"), &names, &mut arms));
+        for (row, initial) in [
+            ("first_touch_initial_16_pages", 64),
+            ("first_touch_grown_16_pages", 0),
+        ] {
+            let mut arms = [touch(mp, initial), touch(uf, initial), touch(mp, initial)];
+            rows.push(measure(Row::new(row), &names, &mut arms));
+        }
     }
 
     // Arena lookup: the hazard-pointer registry (the paper's design,
@@ -309,6 +326,10 @@ fn memsys() {
     record::write("BENCH_memsys.json", "memsys", what, &rows);
 }
 
+/// Wasm pages each `pool` iteration grows its memory by and then scans:
+/// every PolyBench kernel declares a maximum 4 pages above its minimum.
+const GROWN_PAGES: u32 = 4;
+
 fn pool_matrix(args: &Args) {
     let name = args.bench.as_deref().unwrap_or("gemm");
     let bench = lb_polybench::by_name(name, args.dataset).expect("known kernel");
@@ -349,10 +370,23 @@ fn pool_matrix(args: &Args) {
                     lat.push(t.elapsed().as_secs_f64() * 1e6);
                     inst.invoke("init", &[]).unwrap();
                     inst.invoke("kernel", &[]).unwrap();
-                    inst.invoke("checksum", &[])
+                    let checksum = inst
+                        .invoke("checksum", &[])
                         .unwrap()
                         .and_then(|v| v.as_f64())
-                        .unwrap_or(f64::NAN)
+                        .unwrap_or(f64::NAN);
+                    // The kernel touches only its initial memory, which a
+                    // uffd memory leaves unregistered: scan freshly grown
+                    // pages so the uffd cells measure fault service.
+                    let mem = inst.memory().expect("memory");
+                    let grown = mem.grow(GROWN_PAGES).expect("grow") * 65536;
+                    catch_traps(|| {
+                        (grown..grown + GROWN_PAGES * 65536)
+                            .step_by(4096)
+                            .try_for_each(|a| mem.store::<u8>(a, 0, 1))
+                    })
+                    .expect("grown pages");
+                    checksum
                 };
                 // Warm-up fills the pool so the measured window sees
                 // steady-state hits when pooling is on.
@@ -410,6 +444,10 @@ fn pool_matrix(args: &Args) {
     if uffd_ok {
         let (base, batched) = (uffd_zeropage[&1], uffd_zeropage[&16]);
         println!("uffd zeropage ioctls/iter: window1={base:.1} window16={batched:.1}");
+        assert!(
+            base > 0.0,
+            "the grown-page scan must reach the fault servicer"
+        );
         assert!(
             batched * 4.0 <= base,
             "batched fault service must cut ioctls >=4x ({base:.1} -> {batched:.1})"

@@ -69,7 +69,7 @@ pub const SITES: &[&str] = &[
     "core.mprotect.init",   // mprotect enabling the initial committed pages
     "core.mprotect.grow",   // mprotect extending the committed range on grow
     "core.uffd.create",     // the shared userfaultfd(2) + API handshake, once per process
-    "core.uffd.register",   // UFFDIO_REGISTER of the reservation
+    "core.uffd.register",   // UFFDIO_REGISTER of a reservation's tail or a pool register-down
     "core.uffd.copy",       // UFFDIO_ZEROPAGE population (host and in-handler)
     "core.madvise.discard", // madvise(MADV_DONTNEED) when recycling memory
     "core.pool.reset",      // pooled-memory reset on release to the free-list

@@ -5,13 +5,13 @@
 //! committed-size — and differ in how growth and out-of-bounds detection
 //! work, exactly as configured in the paper's runtimes (§3.1):
 //!
-//! | strategy  | reservation     | `memory.grow`           | OOB detection            |
-//! |-----------|-----------------|--------------------------|--------------------------|
-//! | none      | RW (lazy)       | atomic bump              | none (unsafe baseline)   |
-//! | clamp     | RW (lazy)       | atomic bump              | address clamped inline   |
-//! | trap      | RW (lazy)       | atomic bump              | inline check, wasm trap  |
-//! | mprotect  | PROT_NONE       | `mprotect(2)` per grow   | SIGSEGV on guard pages   |
-//! | uffd      | RW + registered | atomic bump              | SIGBUS beyond committed  |
+//! | strategy | reservation                           | `memory.grow`          | OOB detection           |
+//! |----------|---------------------------------------|------------------------|-------------------------|
+//! | none     | RW (lazy)                             | atomic bump            | none (unsafe baseline)  |
+//! | clamp    | RW (lazy)                             | atomic bump            | address clamped inline  |
+//! | trap     | RW (lazy)                             | atomic bump            | inline check, wasm trap |
+//! | mprotect | PROT_NONE                             | `mprotect(2)` per grow | SIGSEGV on guard pages  |
+//! | uffd     | RW; registered above the initial size | atomic bump            | SIGBUS beyond committed |
 
 use crate::pool::{self, ArenaParts};
 use crate::region::{round_up_to_page, Protection, Reservation};
@@ -23,7 +23,7 @@ use crate::uffd;
 use std::fmt;
 use std::io;
 use std::mem::ManuallyDrop;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Size of one wasm page (64 KiB).
 pub const WASM_PAGE: usize = 65536;
@@ -184,8 +184,8 @@ impl LinearMemory {
         let reserve = round_up_to_page(reserve);
         let initial_bytes = config.initial_pages as usize * WASM_PAGE;
 
-        // Fast path: reuse parked parts — no mmap, no UFFDIO_REGISTER, at
-        // most one delta mprotect, all done inside `acquire`.
+        // Fast path: reuse parked parts — no mmap, and at most one delta
+        // mprotect or UFFDIO_REGISTER, all done inside `acquire`.
         if let Some(parts) = pool::acquire(strategy, reserve, initial_bytes) {
             return Ok(LinearMemory {
                 parts: ManuallyDrop::new(parts),
@@ -210,24 +210,23 @@ impl LinearMemory {
                 .map_err(MemoryError::Protect)?;
         }
 
+        // The plain prefix: mprotect made just the initial size writable,
+        // and uffd registers only the tail above it, so the initial memory
+        // takes ordinary minor faults as under trap. Growth stays inside
+        // the registered tail and needs no uffd call.
+        let plain_end = match strategy {
+            BoundsStrategy::Mprotect | BoundsStrategy::Uffd => round_up_to_page(initial_bytes),
+            _ => reserve,
+        };
+        let base = reservation.base().as_ptr() as usize;
         if strategy == BoundsStrategy::Uffd {
-            uffd::register_missing(reservation.base().as_ptr() as usize, reserve)
+            uffd::register_missing(base + plain_end, reserve - plain_end)
                 .map_err(MemoryError::Uffd)?;
         }
 
-        let desc = Box::new(ArenaDesc::new(
-            reservation.base().as_ptr() as usize,
-            reserve,
-            initial_bytes,
-            strategy,
-        ));
+        let desc = Box::new(ArenaDesc::new(base, reserve, initial_bytes, strategy));
+        desc.plain_end.store(plain_end, Ordering::Relaxed);
         let (desc_slot, desc) = ARENAS.register(desc);
-        // RW high-water: mprotect starts with just the initial window
-        // writable; every other strategy maps the whole reservation RW.
-        let rw_high = match strategy {
-            BoundsStrategy::Mprotect => round_up_to_page(initial_bytes),
-            _ => reserve,
-        };
 
         Ok(LinearMemory {
             parts: ManuallyDrop::new(ArenaParts {
@@ -235,7 +234,6 @@ impl LinearMemory {
                 desc_slot,
                 desc,
                 strategy,
-                rw_high: AtomicUsize::new(rw_high),
             }),
             strategy,
             requested: config.strategy,
@@ -316,10 +314,10 @@ impl LinearMemory {
         }
         let new_bytes = new_pages as usize * WASM_PAGE;
         if self.strategy == BoundsStrategy::Mprotect {
-            // Windows at or below the RW high-water mark are already
-            // writable (a pooled predecessor committed them); only the
-            // genuinely new range needs the syscall.
-            let rw_high = self.parts.rw_high.load(Ordering::Relaxed);
+            // Windows inside the plain prefix are already writable (a
+            // pooled predecessor committed them); only the genuinely new
+            // range needs the syscall.
+            let rw_high = self.desc().plain_end.load(Ordering::Relaxed);
             if new_bytes > rw_high {
                 // An injected or real failure (e.g. ENOMEM) surfaces as a
                 // clean wasm-level `memory.grow` of −1, never a crash.
@@ -339,7 +337,7 @@ impl LinearMemory {
                 {
                     return None;
                 }
-                self.parts.rw_high.store(new_bytes, Ordering::Relaxed);
+                self.desc().plain_end.store(new_bytes, Ordering::Relaxed);
             }
         }
         self.desc().committed.store(new_bytes, Ordering::Release);
@@ -487,7 +485,9 @@ impl LinearMemory {
     }
 
     /// Eagerly populate `[addr, addr+len)` for uffd memories (no-op for
-    /// other strategies).
+    /// other strategies). Bytes below the registered floor are plain
+    /// memory that needs no populating, and `UFFDIO_ZEROPAGE` would refuse
+    /// them, so the range is clipped to the floor.
     ///
     /// # Errors
     /// Propagates `UFFDIO_ZEROPAGE` failures. Pages already present are
@@ -497,7 +497,9 @@ impl LinearMemory {
             return Ok(());
         }
         let base = self.base() as usize;
-        uffd::populate(base + (addr & !4095), base + round_up_to_page(addr + len))
+        let floor = self.desc().plain_end.load(Ordering::Relaxed);
+        let start = (addr & !4095).max(floor);
+        uffd::populate(base + start, base + round_up_to_page(addr + len))
     }
 }
 
@@ -602,15 +604,6 @@ mod tests {
             return;
         }
         let m = LinearMemory::new(&cfg(BoundsStrategy::Uffd)).unwrap();
-        let before = crate::stats::snapshot();
-        // First touch of a committed page: SIGBUS → zeropage → retry.
-        let v = catch_traps(|| m.load::<u64>(WASM_PAGE as u32, 0)).unwrap();
-        assert_eq!(v, 0);
-        let after = crate::stats::snapshot();
-        assert!(
-            after.uffd_zeropage > before.uffd_zeropage,
-            "fault must be resolved via UFFDIO_ZEROPAGE in the handler"
-        );
         // Beyond committed: SIGBUS → OOB trap.
         let e = catch_traps(|| m.load::<u8>((2 * WASM_PAGE) as u32, 0)).unwrap_err();
         assert_eq!(*e.kind(), TrapKind::OutOfBounds);
@@ -622,31 +615,96 @@ mod tests {
             sys_before.mprotect, sys_after.mprotect,
             "uffd grow must not call mprotect"
         );
-        let v = catch_traps(|| m.load::<u8>((2 * WASM_PAGE) as u32, 0)).unwrap();
+        // First touch of a grown page: SIGBUS → zeropage → retry.
+        let before = crate::stats::snapshot();
+        let v = catch_traps(|| m.load::<u64>((2 * WASM_PAGE) as u32, 0)).unwrap();
         assert_eq!(v, 0);
+        let after = crate::stats::snapshot();
+        assert!(
+            after.uffd_zeropage > before.uffd_zeropage,
+            "fault must be resolved via UFFDIO_ZEROPAGE in the handler"
+        );
+        // The grown size is the new boundary.
+        let e = catch_traps(|| m.store::<u8>((3 * WASM_PAGE) as u32, 0, 1)).unwrap_err();
+        assert_eq!(*e.kind(), TrapKind::OutOfBounds);
     }
 
-    /// A host copy that spans a page the SIGBUS servicer populated and a
-    /// page nothing has touched must populate both before copying: on a
-    /// thread that never entered `catch_traps` a missing page would kill
-    /// the process with SIGBUS.
+    /// The initial memory is plain anonymous memory: its first touches
+    /// make no uffd call, creation registers only the tail above it, and
+    /// growth into the registered tail makes no syscall at all.
     #[test]
-    fn host_copy_populates_past_present_pages() {
+    fn uffd_registers_only_above_the_initial_size() {
+        let _serial = crate::test_lock();
+        if !sigbus_mode_available() {
+            eprintln!("skipping: uffd unavailable");
+            return;
+        }
+        let before = crate::stats::snapshot();
+        let m = LinearMemory::new(&cfg(BoundsStrategy::Uffd)).unwrap();
+        catch_traps(|| {
+            (0..2 * WASM_PAGE as u32)
+                .step_by(4096)
+                .try_for_each(|a| m.store::<u8>(a, 0, 1))
+        })
+        .unwrap();
+        m.write_bytes(WASM_PAGE as u32 - 8, &[5; 16]).unwrap();
+        let init = crate::stats::snapshot().delta(&before);
+        assert_eq!(init.uffd_register, 1, "one register, of the tail");
+        assert_eq!(init.uffd_zeropage, 0, "initial pages need no zeropage");
+        let before = crate::stats::snapshot();
+        m.grow(3).unwrap();
+        let grow = crate::stats::snapshot().delta(&before);
+        assert_eq!(
+            (grow.uffd_register, grow.mprotect, grow.uffd_zeropage),
+            (0, 0, 0),
+            "uffd grow is an atomic bump"
+        );
+    }
+
+    /// A memory whose initial size fills its reservation has nothing to
+    /// register, and is still a uffd memory.
+    #[test]
+    fn uffd_with_an_empty_tail_registers_nothing() {
+        let _serial = crate::test_lock();
+        if !sigbus_mode_available() {
+            eprintln!("skipping: uffd unavailable");
+            return;
+        }
+        let c = MemoryConfig::new(BoundsStrategy::Uffd, 4, 4).with_reserve(4 * WASM_PAGE);
+        let before = crate::stats::snapshot();
+        let m = LinearMemory::new(&c).unwrap();
+        assert_eq!(m.strategy(), BoundsStrategy::Uffd);
+        assert_eq!(crate::stats::snapshot().delta(&before).uffd_register, 0);
+        m.write_bytes(0, &[1; 8]).unwrap();
+        assert_eq!(m.grow(1), None, "at the maximum");
+    }
+
+    /// A host copy must populate what it spans before copying: on a
+    /// thread that never entered `catch_traps` a missing page would kill
+    /// the process with SIGBUS. Two spans: a page the SIGBUS servicer
+    /// populated and a page nothing has touched, and the registered floor
+    /// (plain initial memory below it, registered grown memory above).
+    #[test]
+    fn host_copy_populates_what_it_spans() {
         let _serial = crate::test_lock();
         if !sigbus_mode_available() {
             eprintln!("skipping: uffd unavailable");
             return;
         }
         let m = LinearMemory::new(&cfg(BoundsStrategy::Uffd)).unwrap();
-        // Populates the first 16-page window, [0, WASM_PAGE).
-        catch_traps(|| m.load::<u64>(0, 0)).unwrap();
-        let at = WASM_PAGE as u32 - 8;
+        m.grow(2).unwrap();
+        // Populates the first 16-page window of grown memory,
+        // [2 * WASM_PAGE, 3 * WASM_PAGE).
+        catch_traps(|| m.load::<u64>((2 * WASM_PAGE) as u32, 0)).unwrap();
+        let spans = [3 * WASM_PAGE as u32 - 8, 2 * WASM_PAGE as u32 - 8];
         std::thread::scope(|s| {
-            s.spawn(|| m.write_bytes(at, &[7; 16]).unwrap());
+            s.spawn(|| spans.map(|at| m.write_bytes(at, &[7; 16]).unwrap()));
         });
-        let mut buf = [0u8; 16];
-        m.read_bytes(at, &mut buf).unwrap();
-        assert_eq!(buf, [7; 16]);
+        for at in spans {
+            let mut buf = [0u8; 16];
+            m.read_bytes(at, &mut buf).unwrap();
+            assert_eq!(buf, [7; 16], "copy at {at}");
+        }
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //!
 //! The **zero-fill guarantee** on reuse comes from `madvise(MADV_DONTNEED)`
 //! over the anonymous private reservation: the kernel drops every resident
-//! page, and the next touch observes a fresh zero page (lazily faulted for
-//! `uffd`, demand-zeroed for the others). Nothing is re-`mmap`ed, nothing
-//! re-registered; for the `mprotect` strategy only the *delta* between the
-//! released RW high-water mark and the new initial size is re-protected —
-//! reusing an instance of the same shape costs zero `mprotect` calls.
-//! [`MemoryPoolConfig::verify_zero`] adds a paranoid read-back of the
-//! initial window for tests.
+//! page, and the next touch observes a fresh zero page (lazily faulted
+//! above a `uffd` arena's registered floor, demand-zeroed everywhere
+//! else). Nothing is re-`mmap`ed. Only the *delta* between the parked
+//! plain prefix ([`ArenaDesc::plain_end`]) and the new initial size is
+//! adjusted: `mprotect` re-protects it either way, and `uffd` registers
+//! `[init, floor)` when a smaller module takes the arena, so every byte at
+//! or beyond `committed` stays registered. Reusing an instance of the same
+//! shape costs no syscall at all. [`MemoryPoolConfig::verify_zero`] adds a
+//! paranoid read-back of the initial window for tests.
 //!
 //! While parked, an entry keeps `committed = 0` in its still-registered
 //! [`ArenaDesc`], so a stray fault into a pooled arena classifies as a
@@ -80,11 +82,6 @@ pub(crate) struct ArenaParts {
     pub(crate) desc_slot: SlotId,
     pub(crate) desc: *const ArenaDesc,
     pub(crate) strategy: BoundsStrategy,
-    /// Bytes from base currently PROT_READ|WRITE. Only meaningful for the
-    /// `mprotect` strategy (the others keep the whole reservation RW);
-    /// lets both reuse and `grow` skip `mprotect` for windows that are
-    /// already writable.
-    pub(crate) rw_high: AtomicUsize,
 }
 
 // SAFETY: the desc pointer stays valid until teardown (the registration it
@@ -219,30 +216,43 @@ pub(crate) fn acquire(
         stats::count_pool_miss();
         return None;
     }
-    if strategy == BoundsStrategy::Mprotect {
-        // Re-protect only the delta against the released RW high-water
-        // mark. Same shape ⇒ zero syscalls; the excess of a larger
-        // previous instance must return to PROT_NONE or OOB detection
-        // beyond the new initial size would be lost.
-        let rw = parts.rw_high.load(Ordering::Relaxed);
-        let init = crate::region::round_up_to_page(initial_bytes);
-        let adjust = if rw > init {
-            parts
-                .reservation
-                .protect(init, rw - init, crate::region::Protection::None)
-        } else if rw < init {
-            parts
-                .reservation
-                .protect(rw, init - rw, crate::region::Protection::ReadWrite)
-        } else {
-            Ok(())
-        };
-        if adjust.is_err() {
+    // Adjust only the delta between the parked plain prefix and the new
+    // initial size, yielding the new prefix end. Same shape ⇒ zero
+    // syscalls.
+    let plain = &parts.desc().plain_end;
+    let (prefix, init) = (
+        plain.load(Ordering::Relaxed),
+        crate::region::round_up_to_page(initial_bytes),
+    );
+    let adjusted = match strategy {
+        // The excess of a larger previous instance must return to
+        // PROT_NONE, or OOB detection beyond the new initial size would
+        // be lost; a larger new instance needs its extra pages writable.
+        BoundsStrategy::Mprotect if prefix > init => parts
+            .reservation
+            .protect(init, prefix - init, crate::region::Protection::None)
+            .map(|()| init),
+        BoundsStrategy::Mprotect if prefix < init => parts
+            .reservation
+            .protect(prefix, init - prefix, crate::region::Protection::ReadWrite)
+            .map(|()| init),
+        // The floor may not exceed `committed`: register the bytes between
+        // the new initial size and the old floor, so an access beyond
+        // `committed` still SIGBUSes. A larger new instance keeps the
+        // floor, and the bytes above it stay lazily served.
+        BoundsStrategy::Uffd if prefix > init => {
+            let base = parts.reservation.base().as_ptr() as usize;
+            crate::uffd::register_missing(base + init, prefix - init).map(|()| init)
+        }
+        _ => Ok(prefix),
+    };
+    match adjusted {
+        Ok(end) => plain.store(end, Ordering::Relaxed),
+        Err(_) => {
             parts.teardown();
             stats::count_pool_miss();
             return None;
         }
-        parts.rw_high.store(init, Ordering::Relaxed);
     }
     parts
         .desc()
@@ -295,9 +305,10 @@ pub(crate) fn release(parts: ArenaParts) {
 
 /// Read back `[0, initial_bytes)` and panic on any nonzero byte — the
 /// pool's contract is that reuse is indistinguishable from a fresh
-/// memory. For `uffd` the pages are populated via ioctl first: this is
-/// host context with no trap frame armed, so letting the read SIGBUS
-/// would kill the process rather than fault-service.
+/// memory. For `uffd` the registered pages (those at or above the floor)
+/// are populated via ioctl first: this is host context with no trap frame
+/// armed, so letting the read SIGBUS would kill the process rather than
+/// fault-service.
 ///
 /// Returns `false` if population failed, meaning the window could not be
 /// checked — the caller must treat the entry as poisoned and tear it
@@ -307,8 +318,9 @@ pub(crate) fn release(parts: ArenaParts) {
 fn verify_zero_window(parts: &ArenaParts, initial_bytes: usize) -> bool {
     let base = parts.reservation.base().as_ptr();
     let end = crate::region::round_up_to_page(initial_bytes);
+    let floor = parts.desc().plain_end.load(Ordering::Relaxed);
     if parts.strategy == BoundsStrategy::Uffd
-        && crate::uffd::populate(base as usize, base as usize + end).is_err()
+        && crate::uffd::populate(base as usize + floor, base as usize + end).is_err()
     {
         return false;
     }

@@ -134,12 +134,18 @@ fn create_sigbus() -> io::Result<RawFd> {
 }
 
 /// Register `[base, base+len)` with the shared userfaultfd for
-/// missing-page tracking, creating the descriptor on first use.
+/// missing-page tracking, creating the descriptor on first use. An empty
+/// range still creates the descriptor, so a memory with nothing to
+/// register degrades along the fallback chain like any other when
+/// userfaultfd is unavailable, but makes no ioctl.
 ///
 /// # Errors
 /// Propagates a descriptor-creation or `UFFDIO_REGISTER` failure.
 pub(crate) fn register_missing(base: usize, len: usize) -> io::Result<()> {
     let fd = shared_fd()?;
+    if len == 0 {
+        return Ok(());
+    }
     if let Some(e) = lb_chaos::inject("core.uffd.register") {
         return Err(e);
     }
@@ -263,9 +269,14 @@ pub fn uffd_window_pages() -> usize {
 /// 16×, hard-capped at 4 MiB), collapsing N ioctls into ~N/16 or better
 /// on streaming kernels.
 ///
-/// The window always clamps to the committed range: it must never round
-/// past the committed/guard boundary, or pages beyond `memory.size` would
-/// be silently populated and out-of-bounds detection lost.
+/// The window always clamps to `[floor, committed)`, the floor being the
+/// arena's [`ArenaDesc::plain_end`](crate::registry::ArenaDesc::plain_end).
+/// It must never round past the committed/guard boundary, or pages beyond
+/// `memory.size` would be silently populated and out-of-bounds detection
+/// lost; and it must never start below the floor, where the pages are
+/// unregistered and `UFFDIO_ZEROPAGE` fails, which would turn a legal
+/// access into an OOB trap. A fault below the floor is not a missing-page
+/// fault of this arena and classifies as out of bounds.
 ///
 /// Async-signal-safe: only ioctls, arithmetic, and relaxed atomics on
 /// pre-registered slots.
@@ -274,12 +285,13 @@ pub(crate) fn zeropage_around(
     committed: usize,
     off: usize,
 ) -> FaultAction {
-    if off >= committed {
+    let floor = desc.plain_end.load(Ordering::Relaxed);
+    if off >= committed || off < floor {
         return FaultAction::OutOfBounds;
     }
     let wpages = uffd_window_pages();
     let window = wpages * HOST_PAGE;
-    let start = off & !(window - 1);
+    let start = (off & !(window - 1)).max(floor);
     let mut len = window;
     if wpages > 1 {
         // Stride prediction. `last_fault_end == 0` means "no history"
@@ -297,7 +309,7 @@ pub(crate) fn zeropage_around(
             desc.fault_streak.store(0, Ordering::Relaxed);
         }
     }
-    // Clamp to the registered/committed range — never past the boundary.
+    // Clamp to the committed range — never past the boundary.
     len = len.min(committed - start);
     crate::stats::count_uffd_batch_pages((len / HOST_PAGE) as u64);
     match zeropage_raw(desc.base + start, len) {
@@ -524,6 +536,29 @@ mod tests {
         }
         let ioctls = crate::stats::snapshot().uffd_zeropage - before.uffd_zeropage;
         assert_eq!(ioctls, 32, "window=1 must issue exactly one ioctl per page");
+    }
+
+    /// A window aligned to its own size can start below the registered
+    /// floor; clamped to it, the first touch of grown memory is one
+    /// zeropage of the grown range rather than a refused ioctl (an OOB
+    /// trap on a legal access).
+    #[test]
+    fn window_clamps_to_the_registered_floor() {
+        let _g = window_lock(64);
+        if !require_uffd() {
+            return;
+        }
+        use crate::memory::{LinearMemory, WASM_PAGE};
+        let config = crate::strategy::MemoryConfig::new(BoundsStrategy::Uffd, 1, 8)
+            .with_reserve(8 * WASM_PAGE);
+        let m = LinearMemory::new(&config).unwrap();
+        m.grow(4).unwrap();
+        let before = crate::stats::snapshot();
+        let v = crate::signals::catch_traps(|| m.load::<u64>(WASM_PAGE as u32, 0))
+            .expect("a grown page is populated, not trapped");
+        assert_eq!(v, 0);
+        let d = crate::stats::snapshot().delta(&before);
+        assert_eq!(d.uffd_zeropage, 1, "one ioctl for the whole window");
     }
 
     #[test]

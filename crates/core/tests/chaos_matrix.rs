@@ -26,10 +26,12 @@ fn lifecycle(strategy: BoundsStrategy) -> Result<(), String> {
     let m = LinearMemory::new(&cfg(strategy)).map_err(|e| e.to_string())?;
     // Injected grow failures must read as wasm-level `memory.grow == -1`.
     let _ = m.grow(1);
-    // Data-segment style host access; populate failures surface as traps.
-    let _ = m.write_bytes(0, b"chaos");
+    // Host access to the grown page, which a uffd memory populates by
+    // ioctl; populate failures (and a failed grow) surface as traps.
+    let grown = 2 * WASM_PAGE as u32;
+    let _ = m.write_bytes(grown, b"chaos");
     let mut buf = [0u8; 5];
-    let _ = m.read_bytes(0, &mut buf);
+    let _ = m.read_bytes(grown, &mut buf);
     Ok(())
 }
 
@@ -42,6 +44,7 @@ fn every_fault_point_on_every_strategy_fails_clean_or_falls_back() {
         // the matrix uses `:1:` which every consumer must absorb once.
         for errno in ["EPERM", "ENOMEM", "EIO"] {
             let guard = lb_chaos::install(&format!("{site}:1:{errno}")).unwrap();
+            let before = lb_telemetry::snapshot();
             for strategy in BoundsStrategy::ALL {
                 if let Err(e) = lifecycle(strategy) {
                     // Errors are fine; they just must be *clean*. The only
@@ -52,6 +55,15 @@ fn every_fault_point_on_every_strategy_fails_clean_or_falls_back() {
                         "{site}:{errno} under {strategy}: unexpected hard failure: {e}"
                     );
                 }
+            }
+            if *site == "core.uffd.copy" && lb_core::uffd::sigbus_mode_available() {
+                let fired = lb_telemetry::snapshot()
+                    .delta_since(&before)
+                    .counter("chaos.fired.core.uffd.copy");
+                assert_eq!(
+                    fired, 1,
+                    "{site}:{errno}: the grown-page copy must populate"
+                );
             }
             drop(guard);
         }

@@ -173,11 +173,98 @@ fn uffd_reuse_faults_and_traps_like_fresh_memory() {
     }
     let m = LinearMemory::new(&cfg(BoundsStrategy::Uffd)).unwrap();
     assert!(m.from_pool());
-    // Lazy fault service still works on the recycled registration...
+    // Out-of-bounds detection is intact...
+    let e = lb_core::catch_traps(|| m.load::<u8>((2 * WASM_PAGE) as u32, 0)).unwrap_err();
+    assert_eq!(*e.kind(), lb_core::TrapKind::OutOfBounds);
+    // ...and lazy fault service of grown memory still works on the
+    // recycled registration.
+    m.grow(1).unwrap();
+    let before = lb_core::stats::snapshot();
+    let v = lb_core::catch_traps(|| m.load::<u64>((2 * WASM_PAGE) as u32, 0)).unwrap();
+    assert_eq!(v, 0);
+    assert!(lb_core::stats::snapshot().delta(&before).uffd_zeropage >= 1);
+}
+
+fn uffd_cfg(initial_pages: u32) -> MemoryConfig {
+    MemoryConfig::new(BoundsStrategy::Uffd, initial_pages, 8).with_reserve(16 * WASM_PAGE)
+}
+
+/// A smaller module reusing a uffd arena registers the bytes between its
+/// initial size and the parked floor, so a store at its `committed` still
+/// SIGBUSes into an OOB trap instead of landing in plain memory.
+#[test]
+fn uffd_reuse_by_a_smaller_module_registers_down() {
+    let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !lb_core::uffd::sigbus_mode_available() {
+        eprintln!("skipping: uffd unavailable");
+        return;
+    }
+    let _p = PoolGuard::enable(2, false);
+    drop(LinearMemory::new(&uffd_cfg(4)).unwrap());
+    let before = lb_core::stats::snapshot();
+    let m = LinearMemory::new(&uffd_cfg(1)).unwrap();
+    assert!(m.from_pool());
+    assert_eq!(lb_core::stats::snapshot().delta(&before).uffd_register, 1);
+    let v = lb_core::catch_traps(|| m.load::<u64>(WASM_PAGE as u32 - 8, 0)).unwrap();
+    assert_eq!(v, 0, "below committed reads zero");
+    let e = lb_core::catch_traps(|| m.store::<u8>(WASM_PAGE as u32, 0, 1)).unwrap_err();
+    assert_eq!(*e.kind(), lb_core::TrapKind::OutOfBounds);
+    // The lowered floor serves growth like any registered tail.
+    m.grow(1).unwrap();
     let v = lb_core::catch_traps(|| m.load::<u64>(WASM_PAGE as u32, 0)).unwrap();
     assert_eq!(v, 0);
-    // ...and out-of-bounds detection is intact.
-    let e = lb_core::catch_traps(|| m.load::<u8>((2 * WASM_PAGE) as u32, 0)).unwrap_err();
+    drop(m);
+    // Reuse by the same size again needs no register.
+    let before = lb_core::stats::snapshot();
+    let m = LinearMemory::new(&uffd_cfg(1)).unwrap();
+    assert!(m.from_pool());
+    assert_eq!(lb_core::stats::snapshot().delta(&before).uffd_register, 0);
+}
+
+/// A larger module keeps the parked floor: the bytes between it and the
+/// new initial size stay lazily served by SIGBUS, and `committed` is
+/// still the boundary.
+#[test]
+fn uffd_reuse_by_a_larger_module_keeps_the_floor() {
+    let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !lb_core::uffd::sigbus_mode_available() {
+        eprintln!("skipping: uffd unavailable");
+        return;
+    }
+    let _p = PoolGuard::enable(2, false);
+    drop(LinearMemory::new(&uffd_cfg(1)).unwrap());
+    let before = lb_core::stats::snapshot();
+    let m = LinearMemory::new(&uffd_cfg(4)).unwrap();
+    assert!(m.from_pool());
+    let v = lb_core::catch_traps(|| m.load::<u64>(3 * WASM_PAGE as u32, 0)).unwrap();
+    assert_eq!(v, 0);
+    let d = lb_core::stats::snapshot().delta(&before);
+    assert_eq!(d.uffd_register, 0, "no register for a larger module");
+    assert!(d.uffd_zeropage >= 1, "above the floor, faults are served");
+    let e = lb_core::catch_traps(|| m.store::<u8>(4 * WASM_PAGE as u32, 0, 1)).unwrap_err();
+    assert_eq!(*e.kind(), lb_core::TrapKind::OutOfBounds);
+}
+
+/// A refused register-down tears the entry down and counts a miss, and
+/// the instantiation falls back to fresh uffd memory.
+#[test]
+fn refused_uffd_register_down_is_a_pool_miss() {
+    let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    if !lb_core::uffd::sigbus_mode_available() {
+        eprintln!("skipping: uffd unavailable");
+        return;
+    }
+    let _p = PoolGuard::enable(2, false);
+    drop(LinearMemory::new(&uffd_cfg(4)).unwrap());
+    let _guard = lb_chaos::install("core.uffd.register:1:EPERM").unwrap();
+    let before = lb_core::stats::snapshot();
+    let m = LinearMemory::new(&uffd_cfg(1)).unwrap();
+    let d = lb_core::stats::snapshot().delta(&before);
+    assert!(!m.from_pool(), "the refused entry must not be handed out");
+    assert_eq!(pool::pooled_count(), 0, "and must be torn down");
+    assert_eq!((d.pool_misses, d.mmap), (1, 1), "a miss served fresh");
+    assert_eq!(m.strategy(), BoundsStrategy::Uffd);
+    let e = lb_core::catch_traps(|| m.store::<u8>(WASM_PAGE as u32, 0, 1)).unwrap_err();
     assert_eq!(*e.kind(), lb_core::TrapKind::OutOfBounds);
 }
 

@@ -208,8 +208,10 @@ fn unverifiable_reuse_degrades_to_pool_miss() {
         return;
     }
     let _p = PoolGuard::enable(4, true);
-    // Park one uffd entry.
-    drop(LinearMemory::new(&cfg(BoundsStrategy::Uffd)).expect("seed the pool"));
+    // Park one uffd entry whose registered floor sits at one wasm page, so
+    // that verifying a two-page reuse populates the registered page.
+    let small = MemoryConfig::new(BoundsStrategy::Uffd, 1, 8).with_reserve(16 * WASM_PAGE);
+    drop(LinearMemory::new(&small).expect("seed the pool"));
     assert_eq!(pool::pooled_count(), 1);
     // First zeropage ioctl of the verification pass fails once.
     let _guard = lb_chaos::install("core.uffd.copy:1:EIO").expect("chaos plan");

@@ -20,15 +20,13 @@ struct Slot {
     sum: AtomicU64,
 }
 
-impl Slot {
-    const NEW: Slot = Slot {
+static SLOTS: [Slot; MAX_HISTOGRAMS] = [const {
+    Slot {
         buckets: [const { AtomicU64::new(0) }; BUCKETS],
         count: AtomicU64::new(0),
         sum: AtomicU64::new(0),
-    };
-}
-
-static SLOTS: [Slot; MAX_HISTOGRAMS] = [const { Slot::NEW }; MAX_HISTOGRAMS];
+    }
+}; MAX_HISTOGRAMS];
 static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 
 /// Handle to a registered histogram.

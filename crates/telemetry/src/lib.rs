@@ -109,10 +109,9 @@ fn parse_sink(v: &str) -> Option<Sink> {
         _ => {
             if let Some(path) = v.strip_prefix("jsonl:") {
                 Some(Sink::Jsonl(path.to_string()))
-            } else if let Some(path) = v.strip_prefix("human:") {
-                Some(Sink::Human(Some(path.to_string())))
             } else {
-                None
+                v.strip_prefix("human:")
+                    .map(|path| Sink::Human(Some(path.to_string())))
             }
         }
     }

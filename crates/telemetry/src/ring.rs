@@ -56,13 +56,15 @@ struct RingSlot {
 }
 
 impl RingSlot {
-    const NEW: RingSlot = RingSlot {
-        name_id: AtomicU32::new(0),
-        kind: AtomicU32::new(0),
-        arg: AtomicU64::new(0),
-        start_ns: AtomicU64::new(0),
-        dur_ns: AtomicU64::new(0),
-    };
+    fn new() -> RingSlot {
+        RingSlot {
+            name_id: AtomicU32::new(0),
+            kind: AtomicU32::new(0),
+            arg: AtomicU64::new(0),
+            start_ns: AtomicU64::new(0),
+            dur_ns: AtomicU64::new(0),
+        }
+    }
 }
 
 /// One thread's event ring. Created lazily per thread; see
@@ -78,7 +80,7 @@ pub struct SpanRing {
 
 impl SpanRing {
     fn new(thread: u32) -> SpanRing {
-        let slots: Vec<RingSlot> = (0..RING_CAPACITY).map(|_| RingSlot::NEW).collect();
+        let slots: Vec<RingSlot> = (0..RING_CAPACITY).map(|_| RingSlot::new()).collect();
         SpanRing {
             slots: slots.into_boxed_slice(),
             head: AtomicUsize::new(0),

@@ -6,7 +6,7 @@
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. clippy over every target; errors fail, warnings are reported only,
 #      except in lb-core (the runtime's unsafe memory and signal layer),
-#      where any warning fails
+#      lb-serve, lb-chaos, lb-sys and lb-telemetry, where any warning fails
 #   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   5. translation validation end-to-end (PolyBench and the SPEC proxies)
@@ -39,7 +39,8 @@ run() {
 run cargo build --release --workspace
 run cargo test -q --workspace
 run cargo clippy -q --workspace --all-targets
-run cargo clippy -q -p lb-core --all-targets --no-deps -- -D warnings
+run cargo clippy -q -p lb-core -p lb-serve -p lb-chaos -p lb-sys -p lb-telemetry \
+  --all-targets --no-deps -- -D warnings
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation

@@ -12,9 +12,10 @@
 
 mod common;
 
-use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig};
+use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig, WASM_PAGE};
 use lb_harness::{run_benchmark_checked, EngineSel, RunOutcome, RunSpec};
 use lb_polybench::{by_name, common::Dataset};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 fn spec(strategy: BoundsStrategy) -> RunSpec {
@@ -35,13 +36,40 @@ fn profiler_coexists_with_fault_service_and_chaos() {
     lb_prof::set_sampling(4000);
     let bench = by_name("gemm", Dataset::Small).expect("gemm");
 
-    // Phase 1: uffd strategy (SIGBUS/uffd fault service on every page
-    // touch) with SIGPROF firing at 4 kHz. Must complete correctly.
+    // Phase 1: uffd strategy with SIGPROF firing at 4 kHz. Must complete
+    // correctly. gemm touches only its initial memory, which is plain
+    // memory under uffd too, so a second thread keeps the SIGBUS fault
+    // servicer busy on grown pages for the whole run.
     let before = lb_telemetry::snapshot();
-    let outcome = run_benchmark_checked(&bench, &spec(BoundsStrategy::Uffd));
-    let taken = lb_telemetry::snapshot()
-        .delta_since(&before)
-        .counter("prof.samples.taken");
+    let done = AtomicBool::new(false);
+    let outcome = std::thread::scope(|s| {
+        s.spawn(|| {
+            lb_prof::ensure_thread();
+            let cfg = MemoryConfig::new(BoundsStrategy::Uffd, 1, 64).with_reserve(16 << 20);
+            loop {
+                let m = LinearMemory::new(&cfg).expect("memory");
+                let grown = m.grow(16).expect("grow") * WASM_PAGE as u32;
+                lb_core::catch_traps(|| {
+                    (grown..grown + 16 * WASM_PAGE as u32)
+                        .step_by(4096)
+                        .try_for_each(|a| m.store::<u8>(a, 0, 1))
+                })
+                .expect("grown pages are served");
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+        });
+        let outcome = run_benchmark_checked(&bench, &spec(BoundsStrategy::Uffd));
+        done.store(true, Ordering::Relaxed);
+        outcome
+    });
+    let delta = lb_telemetry::snapshot().delta_since(&before);
+    let taken = delta.counter("prof.samples.taken");
+    assert!(
+        delta.counter("uffd.batch_pages") > 0,
+        "the SIGBUS handler must have served grown pages"
+    );
     let r = match outcome {
         RunOutcome::Completed(r) => r,
         RunOutcome::Failed(f) => panic!("uffd run must survive profiling: {f}"),

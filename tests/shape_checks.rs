@@ -10,7 +10,7 @@
 mod common;
 
 use leaps_and_bounds::core::exec::{Engine, Linker};
-use leaps_and_bounds::core::{stats, BoundsStrategy, MemoryConfig};
+use leaps_and_bounds::core::{catch_traps, stats, BoundsStrategy, MemoryConfig, WASM_PAGE};
 use leaps_and_bounds::harness::stats::{interleave, paired, Arm};
 use leaps_and_bounds::interp::InterpEngine;
 use leaps_and_bounds::jit::{JitEngine, JitProfile};
@@ -163,11 +163,23 @@ fn strategies_issue_the_expected_syscalls() {
     if leaps_and_bounds::core::uffd::sigbus_mode_available() {
         let uf = churn(BoundsStrategy::Uffd);
         assert_eq!(uf.mprotect, 0, "uffd must not call mprotect");
-        assert!(
-            uf.uffd_zeropage >= 10,
-            "uffd resolves faults in the handler"
+        assert_eq!(
+            uf.uffd_zeropage, 0,
+            "init and kernel touch only the unregistered initial memory"
         );
-        assert!(uf.uffd_register >= 10);
+        assert!(uf.uffd_register >= 10, "one register per fresh isolate");
+
+        // Grown memory lies in the registered tail: growing makes no
+        // syscall, and the handler serves the first touch of a grown page.
+        let config = MemoryConfig::new(BoundsStrategy::Uffd, 0, 64).with_reserve(16 << 20);
+        let inst = loaded.instantiate(&config, &Linker::new()).unwrap();
+        let mem = inst.memory().expect("trisolv declares a memory");
+        let before = stats::snapshot();
+        let grown = mem.grow(1).expect("grow") * WASM_PAGE as u32;
+        catch_traps(|| mem.store::<u8>(grown, 0, 1)).expect("grown page is served");
+        let d = stats::snapshot().delta(&before);
+        assert_eq!((d.mprotect, d.uffd_register), (0, 0));
+        assert!(d.uffd_zeropage >= 1, "the handler serves grown pages");
     }
 
     // Every strategy churns one reservation per isolate.
