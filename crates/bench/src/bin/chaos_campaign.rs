@@ -1,7 +1,9 @@
 //! A fault-injection measurement campaign: every (benchmark × strategy)
 //! cell runs through the crash-proof harness while `lb-chaos` perturbs
 //! the runtime's OS boundaries, and every run — completed or failed —
-//! becomes one JSONL row. The point is the paper-adjacent robustness
+//! becomes one `lb_telemetry::export::write_jsonl` block: a `run` line
+//! with the outcome, then the run's counters, histograms and spans (none
+//! for a failed run). The point is the paper-adjacent robustness
 //! claim: a bounds-checking runtime that measures guard-page tricks must
 //! survive those tricks failing, and the campaign must outlive any
 //! single run.
@@ -21,7 +23,8 @@
 
 use lb_bench::Args;
 use lb_core::BoundsStrategy;
-use lb_harness::{report::JsonlReport, run_benchmark_checked, EngineSel, RunOutcome, RunSpec};
+use lb_harness::{run_benchmark_checked, EngineSel, RunOutcome, RunSpec};
+use lb_telemetry::TelemetrySnapshot;
 use std::path::Path;
 
 fn main() {
@@ -38,7 +41,7 @@ fn main() {
     let out = Path::new(&out);
 
     let benches = args.benchmarks();
-    let mut report = JsonlReport::new();
+    let mut report = String::new();
     let (mut completed, mut failed) = (0u32, 0u32);
 
     println!(
@@ -57,7 +60,7 @@ fn main() {
                 ("engine", spec.engine.name().to_string()),
                 ("strategy", strategy.name().to_string()),
             ];
-            match run_benchmark_checked(bench, &spec) {
+            let telemetry = match run_benchmark_checked(bench, &spec) {
                 RunOutcome::Completed(r) => {
                     completed += 1;
                     println!(
@@ -76,6 +79,7 @@ fn main() {
                         "fallbacks",
                         r.telemetry.counter("core.strategy.fallback").to_string(),
                     ));
+                    r.telemetry
                 }
                 RunOutcome::Failed(f) => {
                     failed += 1;
@@ -93,12 +97,13 @@ fn main() {
                     row.push(("stage", f.stage.name().into()));
                     row.push(("error", f.error.clone()));
                     row.push(("attempts", f.attempts.to_string()));
+                    TelemetrySnapshot::default()
                 }
-            }
-            report.row(&row);
-            // Flush after every run: atomic rename keeps the file a
+            };
+            lb_telemetry::export::write_jsonl(&mut report, &row, &telemetry);
+            // Rewrite after every run: atomic rename keeps the file a
             // complete campaign prefix even if the process dies here.
-            if let Err(e) = report.flush(out) {
+            if let Err(e) = lb_harness::atomic_write(out, report.as_bytes()) {
                 eprintln!("warning: could not write {}: {e}", out.display());
             }
         }

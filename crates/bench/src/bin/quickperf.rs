@@ -12,10 +12,10 @@
 //! * `plan`: under trap, the default compile against `lb-analysis` off
 //!   and guard fusion off, with each compile's elided and residual
 //!   checks. `--suite spec` measures the SPEC proxies. `BENCH_plan.json`.
-//! * `pool`: pool on/off × strategy (× uffd window) over fresh isolates,
-//!   each of which also grows and scans 4 wasm pages, gated on
-//!   bit-identical checksums and on the 16-page uffd window cutting the
-//!   grown scan's zeropage ioctls ≥4×. `BENCH_pool.json`.
+//! * `pool`: pool on/off × strategy over fresh isolates, each of which
+//!   also grows and scans 4 wasm pages, gated on bit-identical checksums
+//!   and on the uffd servicer populating exactly the grown pages with at
+//!   most one zeropage ioctl per grown wasm page. `BENCH_pool.json`.
 //! * `memsys`: isolate lifecycle, uffd vs mprotect first touch of initial
 //!   and of grown memory, hazard registry vs mutex, and trap machinery.
 //!   `BENCH_memsys.json`.
@@ -341,123 +341,107 @@ fn pool_matrix(args: &Args) {
 
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
-    // The most zeropage ioctls per iteration of a uffd cell, by window.
-    let mut uffd_zeropage = std::collections::BTreeMap::new();
     for s in BoundsStrategy::ALL {
         if s == BoundsStrategy::Uffd && !uffd_ok {
             eprintln!("note: uffd unavailable, skipping its rows");
             continue;
         }
-        // The window only drives the uffd servicer; window=1 is the
-        // per-page baseline the ≥4× batching claim is measured against.
-        let windows: &[usize] = if s == BoundsStrategy::Uffd {
-            &[1, 16]
-        } else {
-            &[16]
-        };
-        for &window in windows {
-            lb_core::uffd::set_uffd_window_pages(window);
-            for pooled in [false, true] {
-                pool::drain();
-                pool::configure(MemoryPoolConfig {
-                    capacity: if pooled { 8 } else { 0 },
-                    verify_zero: false,
-                });
-                let config = MemoryConfig::new(s, 1, 256).with_reserve(512 << 16);
-                let one_iter = |lat: &mut Vec<f64>| -> f64 {
-                    let t = Instant::now();
-                    let mut inst = loaded.instantiate(&config, &linker).unwrap();
-                    lat.push(t.elapsed().as_secs_f64() * 1e6);
-                    inst.invoke("init", &[]).unwrap();
-                    inst.invoke("kernel", &[]).unwrap();
-                    let checksum = inst
-                        .invoke("checksum", &[])
-                        .unwrap()
-                        .and_then(|v| v.as_f64())
-                        .unwrap_or(f64::NAN);
-                    // The kernel touches only its initial memory, which a
-                    // uffd memory leaves unregistered: scan freshly grown
-                    // pages so the uffd cells measure fault service.
-                    let mem = inst.memory().expect("memory");
-                    let grown = mem.grow(GROWN_PAGES).expect("grow") * 65536;
-                    catch_traps(|| {
-                        (grown..grown + GROWN_PAGES * 65536)
-                            .step_by(4096)
-                            .try_for_each(|a| mem.store::<u8>(a, 0, 1))
-                    })
-                    .expect("grown pages");
-                    checksum
-                };
-                // Warm-up fills the pool so the measured window sees
-                // steady-state hits when pooling is on.
-                let mut scratch = Vec::new();
-                for _ in 0..2 {
-                    one_iter(&mut scratch);
-                }
-                let vm0 = lb_core::stats::snapshot();
-                let tele0 = lb_telemetry::snapshot();
-                let mut lat = Vec::with_capacity(iters as usize);
-                let mut checksum = 0.0f64;
-                for _ in 0..iters {
-                    checksum = one_iter(&mut lat);
-                }
-                let vm = lb_core::stats::snapshot().delta(&vm0);
-                let tele = lb_telemetry::snapshot().delta_since(&tele0);
-                lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let inst_us = lat[lat.len() / 2];
-                let zeropage = vm.uffd_zeropage as f64 / f64::from(iters);
-                if s == BoundsStrategy::Uffd {
-                    let most = uffd_zeropage.entry(window).or_insert(0.0f64);
-                    *most = most.max(zeropage);
-                }
-                checksums.push(checksum.to_bits());
-                let row = Row::new(name)
-                    .text("strategy", s.name())
-                    .field("pool", pooled)
-                    .field("window", window)
-                    .field("iters", iters)
-                    .field("instantiate_us_median", format!("{inst_us:.2}"))
-                    .field("mmap", vm.mmap)
-                    .field("munmap", vm.munmap)
-                    .field("pool_hits", vm.pool_hits)
-                    .field("pool_misses", vm.pool_misses)
-                    .field("zeropage_per_iter", format!("{zeropage:.2}"))
-                    .field("batch_pages", tele.counter("uffd.batch_pages"))
-                    .field("prefetch_streaks", tele.counter("uffd.prefetch_streak"))
-                    .text("checksum_bits", &format!("{:#018x}", checksum.to_bits()));
-                println!("{row}");
-                rows.push(row);
+        for pooled in [false, true] {
+            pool::drain();
+            pool::configure(MemoryPoolConfig {
+                capacity: if pooled { 8 } else { 0 },
+                verify_zero: false,
+            });
+            let config = MemoryConfig::new(s, 1, 256).with_reserve(512 << 16);
+            let one_iter = |lat: &mut Vec<f64>| -> f64 {
+                let t = Instant::now();
+                let mut inst = loaded.instantiate(&config, &linker).unwrap();
+                lat.push(t.elapsed().as_secs_f64() * 1e6);
+                inst.invoke("init", &[]).unwrap();
+                inst.invoke("kernel", &[]).unwrap();
+                let checksum = inst
+                    .invoke("checksum", &[])
+                    .unwrap()
+                    .and_then(|v| v.as_f64())
+                    .unwrap_or(f64::NAN);
+                // The kernel touches only its initial memory, which a
+                // uffd memory leaves unregistered: scan freshly grown
+                // pages so the uffd cells measure fault service.
+                let mem = inst.memory().expect("memory");
+                let grown = mem.grow(GROWN_PAGES).expect("grow") * 65536;
+                catch_traps(|| {
+                    (grown..grown + GROWN_PAGES * 65536)
+                        .step_by(4096)
+                        .try_for_each(|a| mem.store::<u8>(a, 0, 1))
+                })
+                .expect("grown pages");
+                checksum
+            };
+            // Warm-up fills the pool so the measured window sees
+            // steady-state hits when pooling is on.
+            let mut scratch = Vec::new();
+            for _ in 0..2 {
+                one_iter(&mut scratch);
             }
+            let vm0 = lb_core::stats::snapshot();
+            let tele0 = lb_telemetry::snapshot();
+            let mut lat = Vec::with_capacity(iters as usize);
+            let mut checksum = 0.0f64;
+            for _ in 0..iters {
+                checksum = one_iter(&mut lat);
+            }
+            let vm = lb_core::stats::snapshot().delta(&vm0);
+            let tele = lb_telemetry::snapshot().delta_since(&tele0);
+            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let inst_us = lat[lat.len() / 2];
+            let zeropage = vm.uffd_zeropage as f64 / f64::from(iters);
+            let batch_pages = tele.counter("uffd.batch_pages");
+            if s == BoundsStrategy::Uffd {
+                // Batching gate: the fault servicer zero-fills at least a
+                // wasm page per ioctl, and nothing past the grown pages
+                // (16 host pages each).
+                assert!(
+                    zeropage > 0.0 && zeropage <= f64::from(GROWN_PAGES),
+                    "uffd pool={pooled}: {zeropage:.1} zeropage ioctls per iteration \
+                     for {GROWN_PAGES} grown wasm pages"
+                );
+                assert_eq!(
+                    batch_pages,
+                    u64::from(16 * GROWN_PAGES * iters),
+                    "uffd pool={pooled}: host pages populated"
+                );
+            }
+            checksums.push(checksum.to_bits());
+            let row = Row::new(name)
+                .text("strategy", s.name())
+                .field("pool", pooled)
+                .field("iters", iters)
+                .field("instantiate_us_median", format!("{inst_us:.2}"))
+                .field("mmap", vm.mmap)
+                .field("munmap", vm.munmap)
+                .field("pool_hits", vm.pool_hits)
+                .field("pool_misses", vm.pool_misses)
+                .field("zeropage_per_iter", format!("{zeropage:.2}"))
+                .field("batch_pages", batch_pages)
+                .field("prefetch_streaks", tele.counter("uffd.prefetch_streak"))
+                .text("checksum_bits", &format!("{:#018x}", checksum.to_bits()));
+            println!("{row}");
+            rows.push(row);
         }
     }
     pool::configure(MemoryPoolConfig::default());
     pool::drain();
-    lb_core::uffd::set_uffd_window_pages(lb_core::uffd::DEFAULT_UFFD_WINDOW_PAGES);
 
     // Correctness gate: every configuration must produce the same bits.
     assert!(
         checksums.windows(2).all(|w| w[0] == w[1]),
-        "checksum diverged across pool/window configurations"
+        "checksum diverged across strategies and pool on/off"
     );
-    // Batching gate: the 16-page window must service the sequential
-    // kernel with ≥4× fewer UFFDIO_ZEROPAGE ioctls than per-page mode.
-    if uffd_ok {
-        let (base, batched) = (uffd_zeropage[&1], uffd_zeropage[&16]);
-        println!("uffd zeropage ioctls/iter: window1={base:.1} window16={batched:.1}");
-        assert!(
-            base > 0.0,
-            "the grown-page scan must reach the fault servicer"
-        );
-        assert!(
-            batched * 4.0 <= base,
-            "batched fault service must cut ioctls >=4x ({base:.1} -> {batched:.1})"
-        );
-    }
 
     record::write(
         "BENCH_pool.json",
         "pool",
-        "pool on/off x strategy (x uffd window) over fresh-isolate iterations",
+        "pool on/off x strategy over fresh-isolate iterations",
         &rows,
     );
 }

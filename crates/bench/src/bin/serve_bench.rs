@@ -4,48 +4,31 @@
 //! Modes:
 //!
 //! ```text
-//! serve_bench                       # open-loop sweep -> BENCH_serve.json
-//! serve_bench --smoke true          # short closed-loop run for scripts/ci.sh
-//! serve_bench --chaos true          # >=10k-request fault campaign per strategy
+//! serve_bench sweep [--out PATH]     # open-loop sweep -> BENCH_serve.json
+//! serve_bench smoke [--requests N]   # short closed-loop run for scripts/ci.sh
+//! serve_bench chaos [--requests N] [--seed N] [--jsonl PATH]
+//!                                    # >=10k-request fault campaign per strategy
 //! ```
 //!
-//! Common flags: `--shards N` (default `LB_SERVE` or 2), `--out PATH`,
-//! `--requests N` (chaos/smoke request count), `--seed N` (chaos),
-//! `--jsonl PATH` (telemetry JSONL for the chaos campaign).
+//! Every mode takes `--shards N` (default 2).
 //!
 //! The sweep steps offered load per {strategy} × {pool on/off}, reports
 //! p50/p99/p999 completed latency, achieved req/s, and shed/reject
 //! counts per step, then cross-checks the measured scaling knee against
-//! `lb-sim`'s mm-subsystem model. The container pins everything to few
-//! (often one) CPUs, so absolute rates are machine-relative; the *shape*
+//! `lb-sim`'s mm-subsystem model. Absolute rates are machine-relative
+//! (the record's header carries the CPU count and kernel); the *shape*
 //! (pooled vs unpooled ratio, knee location vs prediction) is the
 //! reproducible claim, mirroring how Fig. 6 is cross-validated.
 
+use lb_bench::record::{self, Row};
+use lb_bench::Args;
 use lb_core::pool::{self, MemoryPoolConfig};
 use lb_core::{BoundsStrategy, Engine, Linker, MemoryConfig};
 use lb_jit::{JitEngine, JitProfile};
-use lb_serve::{KernelSpec, Outcome, Overload, ServeConfig, Server, TenantQuota};
+use lb_serve::{KernelSpec, Outcome, Overload, ServeConfig, Server, TenantQuota, Ticket};
 use lb_wasm::module::{Export, ExportKind, Function};
 use lb_wasm::{FuncType, Instr, Limits, MemoryType, Module, ValType};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-fn parse_flags() -> HashMap<String, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < argv.len() {
-        let k = argv[i].trim_start_matches("--").to_string();
-        assert!(
-            argv[i].starts_with("--") && i + 1 < argv.len(),
-            "usage: serve_bench [--smoke true] [--chaos true] [--shards N] \
-             [--requests N] [--seed N] [--out PATH] [--jsonl PATH]"
-        );
-        flags.insert(k, argv[i + 1].clone());
-        i += 2;
-    }
-    flags
-}
 
 /// The serving kernel: touch memory, return a value. Tiny on purpose —
 /// the serving layer's costs (instantiation, admission, strategy memory
@@ -124,17 +107,36 @@ fn set_pool(enabled: bool) {
     });
 }
 
-struct StepStats {
-    offered_rps: f64,
-    achieved_rps: f64,
-    admitted: u64,
+/// What a batch of admitted requests resolved to.
+#[derive(Default)]
+struct Settled {
     completed: u64,
     failed: u64,
     shed: u64,
-    rejected: u64,
-    p50_ns: u64,
-    p99_ns: u64,
-    p999_ns: u64,
+    /// Queue + run time of each completed request, ns.
+    lat: Vec<u64>,
+}
+
+impl Settled {
+    /// Await every ticket. Each must resolve within 30 s: an admitted
+    /// request that never resolves is a lost request, and panics.
+    fn wait(&mut self, tickets: impl IntoIterator<Item = Ticket>) {
+        for t in tickets {
+            match t.wait_timeout(Duration::from_secs(30)) {
+                Some(Outcome::Completed { queue_ns, run_ns }) => {
+                    self.completed += 1;
+                    self.lat.push(queue_ns + run_ns);
+                }
+                Some(Outcome::Failed { .. }) => self.failed += 1,
+                Some(Outcome::Shed { .. }) => self.shed += 1,
+                None => panic!("lost request: ticket unresolved after 30s"),
+            }
+        }
+    }
+
+    fn resolved(&self) -> u64 {
+        self.completed + self.failed + self.shed
+    }
 }
 
 fn percentile(sorted: &[u64], q: f64) -> u64 {
@@ -146,9 +148,9 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 }
 
 /// Closed-loop burst: `n` requests submitted with retry-on-overload,
-/// then all awaited. Returns (achieved req/s, sorted completed
-/// latencies, outcome counts).
-fn closed_loop(server: &Server, n: u64) -> (f64, Vec<u64>, [u64; 3]) {
+/// then all awaited. Returns achieved req/s and the outcomes, latencies
+/// sorted.
+fn closed_loop(server: &Server, n: u64) -> (f64, Settled) {
     let started = Instant::now();
     let mut tickets = Vec::with_capacity(n as usize);
     for i in 0..n {
@@ -165,27 +167,17 @@ fn closed_loop(server: &Server, n: u64) -> (f64, Vec<u64>, [u64; 3]) {
             }
         }
     }
-    let mut lat = Vec::new();
-    let mut counts = [0u64; 3]; // completed, failed, shed
-    for t in tickets {
-        match t.wait_timeout(Duration::from_secs(30)) {
-            Some(Outcome::Completed { queue_ns, run_ns }) => {
-                counts[0] += 1;
-                lat.push(queue_ns + run_ns);
-            }
-            Some(Outcome::Failed { .. }) => counts[1] += 1,
-            Some(Outcome::Shed { .. }) => counts[2] += 1,
-            None => panic!("lost request: ticket unresolved after 30s"),
-        }
-    }
+    let mut settled = Settled::default();
+    settled.wait(tickets);
     let dur = started.elapsed().as_secs_f64();
-    lat.sort_unstable();
-    (counts[0] as f64 / dur.max(1e-9), lat, counts)
+    settled.lat.sort_unstable();
+    (settled.completed as f64 / dur.max(1e-9), settled)
 }
 
 /// One open-loop step: submit at `rate` req/s for `dur`, then await
-/// everything admitted.
-fn open_loop_step(server: &Server, rate: f64, dur: Duration) -> StepStats {
+/// everything admitted. Returns the step's record row and whether the
+/// server kept up (achieved ≥ 0.9 × offered).
+fn open_loop_step(server: &Server, rate: f64, dur: Duration) -> (Row, bool) {
     let interval_ns = (1e9 / rate) as u64;
     let started = Instant::now();
     let mut tickets = Vec::new();
@@ -205,33 +197,27 @@ fn open_loop_step(server: &Server, rate: f64, dur: Duration) -> StepStats {
         }
     }
     let admitted = tickets.len() as u64;
-    let mut lat = Vec::new();
-    let (mut completed, mut failed, mut shed) = (0u64, 0u64, 0u64);
-    for t in tickets {
-        match t.wait_timeout(Duration::from_secs(30)) {
-            Some(Outcome::Completed { queue_ns, run_ns }) => {
-                completed += 1;
-                lat.push(queue_ns + run_ns);
-            }
-            Some(Outcome::Failed { .. }) => failed += 1,
-            Some(Outcome::Shed { .. }) => shed += 1,
-            None => panic!("lost request in open-loop step"),
-        }
-    }
-    lat.sort_unstable();
-    let wall = started.elapsed().as_secs_f64();
-    StepStats {
-        offered_rps: rate,
-        achieved_rps: completed as f64 / wall.max(1e-9),
-        admitted,
-        completed,
-        failed,
-        shed,
-        rejected,
-        p50_ns: percentile(&lat, 0.50),
-        p99_ns: percentile(&lat, 0.99),
-        p999_ns: percentile(&lat, 0.999),
-    }
+    let mut s = Settled::default();
+    s.wait(tickets);
+    s.lat.sort_unstable();
+    let achieved = s.completed as f64 / started.elapsed().as_secs_f64().max(1e-9);
+    println!(
+        "  offered {rate:>7.0} rps -> achieved {achieved:>7.0} rps, p99 {:>9} ns, shed {} rejected {rejected}",
+        percentile(&s.lat, 0.99),
+        s.shed,
+    );
+    let row = Row::new("step")
+        .field("offered_rps", format!("{rate:.0}"))
+        .field("achieved_rps", format!("{achieved:.0}"))
+        .field("admitted", admitted)
+        .field("completed", s.completed)
+        .field("failed", s.failed)
+        .field("shed", s.shed)
+        .field("rejected", rejected)
+        .field("p50_ns", percentile(&s.lat, 0.50))
+        .field("p99_ns", percentile(&s.lat, 0.99))
+        .field("p999_ns", percentile(&s.lat, 0.999));
+    (row, achieved >= 0.9 * rate)
 }
 
 fn sim_strategy(s: BoundsStrategy) -> lb_sim::SimStrategy {
@@ -252,10 +238,10 @@ fn smoke(shards: usize, requests: u64) {
     set_pool(true);
     let before = lb_telemetry::snapshot();
     let server = start_server(BoundsStrategy::Trap, shards, Duration::from_secs(5));
-    let (rps, lat, counts) = closed_loop(&server, requests);
+    let (rps, settled) = closed_loop(&server, requests);
     server.shutdown();
     let delta = lb_telemetry::snapshot().delta_since(&before);
-    let resolved = counts[0] + counts[1] + counts[2];
+    let resolved = settled.resolved();
     assert_eq!(
         resolved, requests,
         "smoke: {requests} admitted but only {resolved} resolved"
@@ -275,12 +261,12 @@ fn smoke(shards: usize, requests: u64) {
         .expect("smoke: latency histogram missing");
     assert!(hist.count > 0, "smoke: latency histogram empty");
     assert!(
-        !lat.is_empty(),
+        !settled.lat.is_empty(),
         "smoke: no completed requests to measure latency on"
     );
     println!(
         "serve_bench smoke: OK — {requests} requests, {rps:.0} req/s, p99 {} ns, zero lost",
-        percentile(&lat, 0.99)
+        percentile(&settled.lat, 0.99)
     );
     set_pool(false);
 }
@@ -302,8 +288,8 @@ fn chaos(shards: usize, requests: u64, seed: u64, jsonl_path: &str) {
         let started = Instant::now();
         let mut admitted = 0u64;
         let mut rejected = 0u64;
-        let mut counts = [0u64; 3];
-        let mut window: Vec<lb_serve::Ticket> = Vec::new();
+        let mut settled = Settled::default();
+        let mut window: Vec<Ticket> = Vec::new();
         for i in 0..requests {
             // Closed-loop client with bounded retry: an overload
             // rejection (a full queue, real or injected) backs off
@@ -327,37 +313,23 @@ fn chaos(shards: usize, requests: u64, seed: u64, jsonl_path: &str) {
                 }
             }
             if window.len() >= 256 {
-                for t in window.drain(..) {
-                    match t.wait_timeout(Duration::from_secs(30)) {
-                        Some(Outcome::Completed { .. }) => counts[0] += 1,
-                        Some(Outcome::Failed { .. }) => counts[1] += 1,
-                        Some(Outcome::Shed { .. }) => counts[2] += 1,
-                        None => panic!("chaos campaign lost a request"),
-                    }
-                }
+                settled.wait(window.drain(..));
             }
         }
-        for t in window.drain(..) {
-            match t.wait_timeout(Duration::from_secs(30)) {
-                Some(Outcome::Completed { .. }) => counts[0] += 1,
-                Some(Outcome::Failed { .. }) => counts[1] += 1,
-                Some(Outcome::Shed { .. }) => counts[2] += 1,
-                None => panic!("chaos campaign lost a request"),
-            }
-        }
+        settled.wait(window);
         server.shutdown();
         let dur = started.elapsed().as_secs_f64();
         let delta = lb_telemetry::snapshot().delta_since(&before);
-        let resolved = counts[0] + counts[1] + counts[2];
+        let resolved = settled.resolved();
         let exactly_once = resolved == admitted && delta.counter("serve.double_complete") == 0;
         all_ok &= exactly_once;
         println!(
             "chaos {}: {admitted} admitted ({rejected} rejected) -> {} completed / {} failed / {} shed in {dur:.1}s; \
              pool relief = {}; exactly-once: {}",
             strategy.name(),
-            counts[0],
-            counts[1],
-            counts[2],
+            settled.completed,
+            settled.failed,
+            settled.shed,
             delta.counter("serve.pool.relief"),
             if exactly_once { "OK" } else { "VIOLATED" }
         );
@@ -378,101 +350,69 @@ fn chaos(shards: usize, requests: u64, seed: u64, jsonl_path: &str) {
     assert!(all_ok, "exactly-once invariant violated under chaos");
 }
 
+/// Median wall time, in µs, of creating and dropping one linear memory:
+/// the memory lifecycle alone, which is what the pool amortizes
+/// (mmap/mprotect/uffd-register/munmap of the 8 GiB reservation), apart
+/// from the serving path's fixed costs.
+fn mem_lifecycle_us(strategy: BoundsStrategy) -> f64 {
+    let cfg = mem_config(strategy);
+    for _ in 0..8 {
+        drop(lb_core::LinearMemory::new(&cfg)); // warm pool / allocator
+    }
+    let mut lat: Vec<u64> = (0..64)
+        .map(|_| {
+            let t = Instant::now();
+            drop(lb_core::LinearMemory::new(&cfg));
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    lat.sort_unstable();
+    lat[lat.len() / 2] as f64 / 1e3
+}
+
+/// Closed-loop calibration of one pool mode: the req/s and p99 that the
+/// pooled-vs-unpooled ratio compares, and the base service rate the
+/// open-loop steps are derived from.
+struct Calibration {
+    rps: f64,
+    p99_ns: u64,
+    mem_lifecycle_us: f64,
+}
+
+fn calibrate(strategy: BoundsStrategy, shards: usize, pool_on: bool) -> Calibration {
+    set_pool(pool_on);
+    let server = start_server(strategy, shards, Duration::from_secs(5));
+    // Warm the pool and the per-strategy JIT cache.
+    let _ = closed_loop(&server, 64);
+    let (rps, settled) = closed_loop(&server, 512);
+    server.shutdown();
+    Calibration {
+        rps,
+        p99_ns: percentile(&settled.lat, 0.99),
+        mem_lifecycle_us: mem_lifecycle_us(strategy),
+    }
+}
+
 fn sweep(shards: usize, out_path: &str) {
-    let mut cells = Vec::new();
-    let mut pooled_ratio = Vec::new();
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut rows = Vec::new();
     for strategy in strategies() {
-        // Closed-loop calibration per pool mode: the pooled-vs-unpooled
-        // req/s ratio at equal (closed-loop) p99, and the base service
-        // rate the open-loop steps are derived from.
-        let mut base = HashMap::new();
-        for pool_on in [true, false] {
+        let pooled = calibrate(strategy, shards, true);
+        let unpooled = calibrate(strategy, shards, false);
+        for (pool_on, base) in [(true, &pooled), (false, &unpooled)] {
             set_pool(pool_on);
-            let server = start_server(strategy, shards, Duration::from_secs(5));
-            // Warm the pool and the per-strategy JIT cache.
-            let _ = closed_loop(&server, 64);
-            let (rps, lat, _) = closed_loop(&server, 512);
-            server.shutdown();
-            base.insert(pool_on, (rps, percentile(&lat, 0.99)));
-        }
-        let (pooled_rps, pooled_p99) = base[&true];
-        let (unpooled_rps, unpooled_p99) = base[&false];
-
-        // Memory-lifecycle-only medians isolate what the pool actually
-        // amortizes (mmap/mprotect/uffd-register/munmap of the 8 GiB
-        // reservation) from the serving path's fixed costs.
-        let mut mem_us = HashMap::new();
-        for pool_on in [true, false] {
-            set_pool(pool_on);
-            let cfg = mem_config(strategy);
-            for _ in 0..8 {
-                drop(lb_core::LinearMemory::new(&cfg)); // warm pool / allocator
-            }
-            let mut lat: Vec<u64> = (0..64)
-                .map(|_| {
-                    let t = Instant::now();
-                    let m = lb_core::LinearMemory::new(&cfg);
-                    drop(m);
-                    t.elapsed().as_nanos() as u64
-                })
-                .collect();
-            lat.sort_unstable();
-            mem_us.insert(pool_on, lat[lat.len() / 2] as f64 / 1e3);
-        }
-        pooled_ratio.push(format!(
-            "    {{\"strategy\": \"{}\", \"pooled_rps\": {:.0}, \"pooled_p99_ns\": {}, \
-             \"unpooled_rps\": {:.0}, \"unpooled_p99_ns\": {}, \"ratio\": {:.2}, \
-             \"mem_lifecycle_pooled_us\": {:.1}, \"mem_lifecycle_unpooled_us\": {:.1}, \
-             \"mem_lifecycle_ratio\": {:.2}}}",
-            strategy.name(),
-            pooled_rps,
-            pooled_p99,
-            unpooled_rps,
-            unpooled_p99,
-            pooled_rps / unpooled_rps.max(1e-9),
-            mem_us[&true],
-            mem_us[&false],
-            mem_us[&false] / mem_us[&true].max(1e-9),
-        ));
-
-        for pool_on in [true, false] {
-            set_pool(pool_on);
+            println!("{} pool={pool_on}", strategy.name());
             let server = start_server(strategy, shards, Duration::from_millis(250));
             let _ = closed_loop(&server, 64); // warm
-            let base_rps = base[&pool_on].0;
             let mut steps = Vec::new();
             let mut knee = 0f64;
             for frac in [0.25, 0.5, 0.75, 0.9, 1.0, 1.25] {
-                let rate = (base_rps * frac).max(10.0);
-                let st = open_loop_step(&server, rate, Duration::from_millis(400));
-                if st.achieved_rps >= 0.9 * st.offered_rps {
-                    knee = knee.max(st.offered_rps);
+                let rate = (base.rps * frac).max(10.0);
+                let (step, kept_up) = open_loop_step(&server, rate, Duration::from_millis(400));
+                if kept_up {
+                    knee = knee.max(rate);
                 }
-                steps.push(format!(
-                    "        {{\"offered_rps\": {:.0}, \"achieved_rps\": {:.0}, \"admitted\": {}, \
-                     \"completed\": {}, \"failed\": {}, \"shed\": {}, \"rejected\": {}, \
-                     \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                    st.offered_rps,
-                    st.achieved_rps,
-                    st.admitted,
-                    st.completed,
-                    st.failed,
-                    st.shed,
-                    st.rejected,
-                    st.p50_ns,
-                    st.p99_ns,
-                    st.p999_ns,
-                ));
-                println!(
-                    "{:<8} pool={:<5} offered {:>7.0} rps -> achieved {:>7.0} rps, p99 {:>9} ns, shed {} rejected {}",
-                    strategy.name(),
-                    pool_on,
-                    st.offered_rps,
-                    st.achieved_rps,
-                    st.p99_ns,
-                    st.shed,
-                    st.rejected,
-                );
+                steps.push(step.to_string());
             }
             server.shutdown();
 
@@ -487,12 +427,9 @@ fn sweep(shards: usize, out_path: &str) {
             // of 3 on the knee — the calibration rate already embeds
             // strategy overhead the sim re-adds (the double-count skews
             // predictions low, worst for uffd whose modeled zeropage cost
-            // is large), and a 1-CPU container adds step noise.
-            let cpus = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
+            // is large), and a small host adds step noise.
             let threads = shards.min(cpus);
-            let service_ns = (1e9 / base_rps).max(1.0) as u64;
+            let service_ns = (1e9 / base.rps).max(1.0) as u64;
             let params = lb_sim::SimParams::new(sim_strategy(strategy), threads, service_ns);
             let predicted = lb_sim::simulate(&params).iters_per_sec() * threads as f64;
             let ratio = if predicted > 0.0 {
@@ -500,80 +437,85 @@ fn sweep(shards: usize, out_path: &str) {
             } else {
                 0.0
             };
-            let within = ratio >= 0.33 && ratio <= 3.0;
-            cells.push(format!(
-                "    {{\"strategy\": \"{}\", \"pool\": {}, \"knee_rps\": {:.0}, \
-                 \"sim_predicted_rps\": {:.0}, \"knee_over_predicted\": {:.3}, \
-                 \"within_tolerance\": {}, \"steps\": [\n{}\n      ]}}",
-                strategy.name(),
-                pool_on,
-                knee,
-                predicted,
-                ratio,
-                within,
-                steps.join(",\n"),
-            ));
+            let lifecycle_ratio = unpooled.mem_lifecycle_us / pooled.mem_lifecycle_us.max(1e-9);
+            rows.push(
+                Row::new(strategy.name())
+                    .field("pool", pool_on)
+                    .field("shards", shards)
+                    .field("pooled_rps", format!("{:.0}", pooled.rps))
+                    .field("pooled_p99_ns", pooled.p99_ns)
+                    .field("unpooled_rps", format!("{:.0}", unpooled.rps))
+                    .field("unpooled_p99_ns", unpooled.p99_ns)
+                    .field(
+                        "ratio",
+                        format!("{:.2}", pooled.rps / unpooled.rps.max(1e-9)),
+                    )
+                    .field(
+                        "mem_lifecycle_pooled_us",
+                        format!("{:.1}", pooled.mem_lifecycle_us),
+                    )
+                    .field(
+                        "mem_lifecycle_unpooled_us",
+                        format!("{:.1}", unpooled.mem_lifecycle_us),
+                    )
+                    .field("mem_lifecycle_ratio", format!("{lifecycle_ratio:.2}"))
+                    .field("knee_rps", format!("{knee:.0}"))
+                    .field("sim_predicted_rps", format!("{predicted:.0}"))
+                    .field("knee_over_predicted", format!("{ratio:.3}"))
+                    .field("within_tolerance", (0.33..=3.0).contains(&ratio))
+                    .field("steps", format!("[{}]", steps.join(","))),
+            );
         }
     }
     set_pool(false);
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let json =
-        format!
-    (
-        "{{\n  \"description\": \"lb-serve open-loop sweep: offered-load steps x strategy x pool. \
-         The knee (highest offered step with achieved >= 0.9x offered) is cross-checked against \
-         lb-sim calibrated from the closed-loop base rate; documented tolerance is a factor of 3 \
-         (the calibration rate already embeds strategy overhead the sim re-adds, skewing \
-         predictions conservative — worst for uffd, whose modeled zeropage cost is largest). \
-         pooled_vs_unpooled reports both end-to-end req/s and the isolated memory-lifecycle \
-         median. NOTE: on a single-CPU container the end-to-end ratio is structurally flattened — \
-         the multi-core costs the pool amortizes (munmap TLB-shootdown IPIs, mmap_lock \
-         contention; paper sec. 6) need concurrency to manifest, so the end-to-end ratio here \
-         bounds below the multi-core gap rather than exhibiting it.\",\n  \
-         \"cpus\": {cpus},\n  \"shards\": {shards},\n  \
-         \"pooled_vs_unpooled\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
-        pooled_ratio.join(",\n"),
-        cells.join(",\n"),
+    record::write(
+        out_path,
+        "serve",
+        "lb-serve open-loop sweep: one row per strategy x pool cell, each with its \
+         offered-load steps. The knee (highest offered step with achieved >= 0.9x offered) is \
+         cross-checked against lb-sim calibrated from the closed-loop base rate; documented \
+         tolerance is a factor of 3 (the calibration rate already embeds strategy overhead the \
+         sim re-adds, skewing predictions conservative — worst for uffd, whose modeled zeropage \
+         cost is largest). Each row also carries its strategy's pooled-vs-unpooled comparison: \
+         closed-loop req/s and p99, and the isolated memory-lifecycle median. No row is an \
+         interleaved A/B measurement, so the header's rounds, seed, resamples and \
+         min_sample_us do not apply.",
+        &rows,
     );
-    std::fs::write(out_path, json).expect("write BENCH_serve.json");
-    println!("sweep -> {out_path}");
 }
 
 fn main() {
-    let flags = parse_flags();
-    let shards = flags
-        .get("shards")
-        .map(|s| s.parse().expect("--shards N"))
-        .unwrap_or_else(|| {
-            std::env::var("LB_SERVE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2)
-        });
-    let requests = flags
-        .get("requests")
-        .map(|s| s.parse().expect("--requests N"))
-        .unwrap_or(10_000u64);
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().expect("--seed N"))
-        .unwrap_or(0xC0FFEE_u64);
-
-    if flags.contains_key("smoke") {
-        smoke(shards, flags.get("requests").map_or(300, |_| requests));
-    } else if flags.contains_key("chaos") {
-        let jsonl = flags
-            .get("jsonl")
+    let mut argv = std::env::args().skip(1);
+    let mode = argv.next().unwrap_or_default();
+    let args = Args::parse_from(argv);
+    let number = |key: &str, default: u64| -> u64 {
+        args.flags.get(key).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{key} takes a number"))
+        })
+    };
+    let path = |key: &str, default: &str| -> String {
+        args.flags
+            .get(key)
             .cloned()
-            .unwrap_or_else(|| "serve_chaos.jsonl".into());
-        chaos(shards, requests, seed, &jsonl);
-    } else {
-        let out = flags
-            .get("out")
-            .cloned()
-            .unwrap_or_else(|| "BENCH_serve.json".into());
-        sweep(shards, &out);
+            .unwrap_or_else(|| default.into())
+    };
+    let shards = number("shards", 2) as usize;
+    match mode.as_str() {
+        "sweep" => sweep(shards, &path("out", "BENCH_serve.json")),
+        "smoke" => smoke(shards, number("requests", 300)),
+        "chaos" => chaos(
+            shards,
+            number("requests", 10_000),
+            number("seed", 0xC0FFEE),
+            &path("jsonl", "serve_chaos.jsonl"),
+        ),
+        _ => {
+            eprintln!(
+                "usage: serve_bench sweep|smoke|chaos [--shards N] [--requests N] \
+                 [--seed N] [--out PATH] [--jsonl PATH]"
+            );
+            std::process::exit(2);
+        }
     }
 }

@@ -119,9 +119,6 @@ pub struct HazardId(usize);
 impl<T> HazardRegistry<T> {
     /// An empty registry (usable in `static`s).
     pub const fn new() -> HazardRegistry<T> {
-        #[allow(clippy::declare_interior_mutable_const)]
-        const NULL_PTR: AtomicPtr<u8> = AtomicPtr::new(std::ptr::null_mut());
-        let _ = NULL_PTR; // silence unused in some cfgs
         HazardRegistry {
             slots: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_SLOTS],
             hazards: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAX_HAZARDS],

@@ -12,7 +12,7 @@
 
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicI32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI32, Ordering};
 
 // ── Linux ABI (stable since 4.3; SIGBUS feature since 4.14) ─────────────
 
@@ -223,51 +223,26 @@ fn zeropage_raw(start: usize, len: usize) -> i32 {
 
 /// Host page size the servicer batches in (Linux/x86-64).
 const HOST_PAGE: usize = 4096;
-/// Default service window: 16 host pages = 64 KiB, one wasm page.
-pub const DEFAULT_UFFD_WINDOW_PAGES: usize = 16;
-/// Hard cap on the (possibly streak-extended) window: 1024 pages = 4 MiB.
-pub const MAX_UFFD_WINDOW_PAGES: usize = 1024;
+/// Service window: 16 host pages = 64 KiB, one wasm page, the unit
+/// growth comes in.
+const WINDOW_PAGES: usize = 16;
 /// Consecutive sequential faults before the window starts extending.
 const STREAK_THRESHOLD: usize = 2;
-/// Maximum doublings a streak can apply on top of the base window (16×).
+/// Maximum doublings a streak can apply on top of the base window (16×),
+/// so a window spans at most 256 host pages.
 const MAX_STREAK_BOOST: usize = 4;
-
-/// Current window in host pages; 0 means "never set" and reads as the
-/// default.
-static WINDOW_PAGES: AtomicU64 = AtomicU64::new(0);
-
-/// Set the fault-service window in host (4 KiB) pages. The value is
-/// rounded up to a power of two and clamped to `[1, 1024]`. A window of 1
-/// is the per-page baseline: no batching, no streak prefetch (used as the
-/// ablation point the batching speedup is measured against).
-pub fn set_uffd_window_pages(pages: usize) {
-    let p = pages
-        .clamp(1, MAX_UFFD_WINDOW_PAGES)
-        .next_power_of_two()
-        .min(MAX_UFFD_WINDOW_PAGES);
-    WINDOW_PAGES.store(p as u64, Ordering::Relaxed);
-}
-
-/// The current fault-service window in host pages.
-pub fn uffd_window_pages() -> usize {
-    match WINDOW_PAGES.load(Ordering::Relaxed) {
-        0 => DEFAULT_UFFD_WINDOW_PAGES,
-        p => p as usize,
-    }
-}
 
 /// Resolve a fault at `desc.base + off` for an arena with `committed`
 /// accessible bytes, from signal context.
 ///
 /// This is the stride-predicting batched servicer: instead of one
-/// `UFFDIO_ZEROPAGE` per faulting page, it zero-fills a power-of-two
-/// window of [`uffd_window_pages`] host pages aligned to the window size
-/// (the paper: the handler may "populate the faulted page, or a larger
-/// range of pages"). Per-arena last-window bookkeeping in [`ArenaDesc`]
+/// `UFFDIO_ZEROPAGE` per faulting page, it zero-fills the one wasm page
+/// ([`WINDOW_PAGES`] host pages, aligned) around the fault (the paper: the
+/// handler may "populate the faulted page, or a larger range of pages").
+/// Per-arena last-window bookkeeping in [`ArenaDesc`]
 /// detects sequential scans — a fault landing exactly where the previous
 /// window ended — and eagerly doubles the window per streak step (up to
-/// 16×, hard-capped at 4 MiB), collapsing N ioctls into ~N/16 or better
-/// on streaming kernels.
+/// 16×), collapsing N ioctls into ~N/16 or better on streaming kernels.
 ///
 /// The window always clamps to `[floor, committed)`, the floor being the
 /// arena's [`ArenaDesc::plain_end`](crate::registry::ArenaDesc::plain_end).
@@ -289,25 +264,22 @@ pub(crate) fn zeropage_around(
     if off >= committed || off < floor {
         return FaultAction::OutOfBounds;
     }
-    let wpages = uffd_window_pages();
-    let window = wpages * HOST_PAGE;
+    let window = WINDOW_PAGES * HOST_PAGE;
     let start = (off & !(window - 1)).max(floor);
     let mut len = window;
-    if wpages > 1 {
-        // Stride prediction. `last_fault_end == 0` means "no history"
-        // (fresh or pool-reset arena), so a scan starting at offset 0
-        // seeds the predictor without counting as a streak.
-        let predicted = desc.last_fault_end.load(Ordering::Relaxed);
-        if predicted != 0 && start == predicted {
-            let streak = desc.fault_streak.fetch_add(1, Ordering::Relaxed) + 1;
-            if streak >= STREAK_THRESHOLD {
-                let boost = (streak - STREAK_THRESHOLD + 1).min(MAX_STREAK_BOOST);
-                len = (window << boost).min(MAX_UFFD_WINDOW_PAGES * HOST_PAGE);
-                crate::stats::count_uffd_prefetch_streak();
-            }
-        } else {
-            desc.fault_streak.store(0, Ordering::Relaxed);
+    // Stride prediction. `last_fault_end == 0` means "no history" (fresh
+    // or pool-reset arena), so a scan starting at offset 0 seeds the
+    // predictor without counting as a streak.
+    let predicted = desc.last_fault_end.load(Ordering::Relaxed);
+    if predicted != 0 && start == predicted {
+        let streak = desc.fault_streak.fetch_add(1, Ordering::Relaxed) + 1;
+        if streak >= STREAK_THRESHOLD {
+            let boost = (streak - STREAK_THRESHOLD + 1).min(MAX_STREAK_BOOST);
+            len = window << boost;
+            crate::stats::count_uffd_prefetch_streak();
         }
+    } else {
+        desc.fault_streak.store(0, Ordering::Relaxed);
     }
     // Clamp to the committed range — never past the boundary.
     len = len.min(committed - start);
@@ -395,24 +367,6 @@ mod tests {
         assert_eq!(e.raw_os_error(), Some(libc::EEXIST));
     }
 
-    /// Serializes tests that reconfigure the process-global fault-service
-    /// window, and restores the default when dropped.
-    struct WindowGuard {
-        _lock: std::sync::MutexGuard<'static, ()>,
-    }
-
-    fn window_lock(pages: usize) -> WindowGuard {
-        let g = crate::test_lock();
-        set_uffd_window_pages(pages);
-        WindowGuard { _lock: g }
-    }
-
-    impl Drop for WindowGuard {
-        fn drop(&mut self) {
-            set_uffd_window_pages(DEFAULT_UFFD_WINDOW_PAGES);
-        }
-    }
-
     /// A registered uffd arena over a fresh reservation, for driving
     /// `zeropage_around` directly (no signal delivery involved).
     fn arena(len: usize, committed: usize) -> Option<(Reservation, crate::registry::ArenaDesc)> {
@@ -430,7 +384,7 @@ mod tests {
 
     #[test]
     fn window_clamps_to_committed_boundary() {
-        let _g = window_lock(16);
+        let _serial = crate::test_lock();
         // 5 committed host pages: the 16-page window around a fault in the
         // last committed page must stop exactly at the boundary.
         let Some((_res, desc)) = arena(1 << 20, 5 * 4096) else {
@@ -451,7 +405,7 @@ mod tests {
 
     #[test]
     fn fault_in_last_page_before_boundary_is_exact() {
-        let _g = window_lock(16);
+        let _serial = crate::test_lock();
         // committed = 17 pages: one full window plus one page. A fault in
         // page 16 window-aligns to start=16 pages and must populate only
         // the single remaining committed page.
@@ -471,7 +425,7 @@ mod tests {
 
     #[test]
     fn fault_at_exact_committed_boundary_is_oob() {
-        let _g = window_lock(16);
+        let _serial = crate::test_lock();
         let Some((_res, desc)) = arena(1 << 20, 8 * 4096) else {
             return;
         };
@@ -489,7 +443,7 @@ mod tests {
 
     #[test]
     fn sequential_faults_batch_and_extend_on_streak() {
-        let _g = window_lock(16);
+        let _serial = crate::test_lock();
         let committed = 1 << 20; // 256 host pages
         let Some((_res, desc)) = arena(1 << 20, committed) else {
             return;
@@ -521,30 +475,48 @@ mod tests {
         assert_eq!(e.raw_os_error(), Some(libc::EEXIST));
     }
 
-    #[test]
-    fn window_of_one_is_per_page_baseline() {
-        let _g = window_lock(1);
-        let Some((_res, desc)) = arena(1 << 20, 32 * 4096) else {
-            return;
-        };
-        let before = crate::stats::snapshot();
-        for p in 0..32usize {
-            assert_eq!(
-                zeropage_around(&desc, 32 * 4096, p * 4096),
-                FaultAction::Populated
-            );
-        }
-        let ioctls = crate::stats::snapshot().uffd_zeropage - before.uffd_zeropage;
-        assert_eq!(ioctls, 32, "window=1 must issue exactly one ioctl per page");
-    }
-
-    /// A window aligned to its own size can start below the registered
-    /// floor; clamped to it, the first touch of grown memory is one
-    /// zeropage of the grown range rather than a refused ioctl (an OOB
-    /// trap on a legal access).
+    /// The window is aligned to one wasm page, but the registered floor
+    /// need not be: clamped to it, a fault just above the floor is one
+    /// zeropage from the floor up rather than a refused ioctl over
+    /// unregistered pages (an OOB trap on a legal access).
     #[test]
     fn window_clamps_to_the_registered_floor() {
-        let _g = window_lock(64);
+        let _serial = crate::test_lock();
+        if !require_uffd() {
+            return;
+        }
+        let (len, floor) = (1 << 20, 5 * 4096);
+        let res = Reservation::new(len, Protection::ReadWrite).unwrap();
+        let base = res.base().as_ptr() as usize;
+        register_missing(base + floor, len - floor).unwrap();
+        let desc = crate::registry::ArenaDesc::new(base, len, len, BoundsStrategy::Uffd);
+        desc.plain_end.store(floor, Ordering::Relaxed);
+        let before = crate::stats::snapshot();
+        assert_eq!(
+            zeropage_around(&desc, len, floor + 4096),
+            FaultAction::Populated
+        );
+        let d = crate::stats::snapshot().delta(&before);
+        assert_eq!(d.uffd_zeropage, 1, "one ioctl for the clamped window");
+        // The window started at the floor and spanned one wasm page.
+        for p in 5..21usize {
+            let e = zeropage(base + p * 4096, 4096).unwrap_err();
+            assert_eq!(e.raw_os_error(), Some(libc::EEXIST), "page {p}");
+        }
+        zeropage(base + 21 * 4096, 4096).unwrap();
+        assert_eq!(
+            zeropage_around(&desc, len, floor - 1),
+            FaultAction::OutOfBounds,
+            "below the floor is not this arena's fault to serve"
+        );
+    }
+
+    /// Grown pages touched last to first: each fault is served with its
+    /// own wasm page, no streak forms, and the first byte past the grown
+    /// memory still traps.
+    #[test]
+    fn reverse_scan_of_grown_pages_serves_one_wasm_page_per_fault() {
+        let _serial = crate::test_lock();
         if !require_uffd() {
             return;
         }
@@ -552,29 +524,27 @@ mod tests {
         let config = crate::strategy::MemoryConfig::new(BoundsStrategy::Uffd, 1, 8)
             .with_reserve(8 * WASM_PAGE);
         let m = LinearMemory::new(&config).unwrap();
-        m.grow(4).unwrap();
+        assert_eq!(m.grow(4), Some(1));
         let before = crate::stats::snapshot();
-        let v = crate::signals::catch_traps(|| m.load::<u64>(WASM_PAGE as u32, 0))
-            .expect("a grown page is populated, not trapped");
-        assert_eq!(v, 0);
+        let tele_before = lb_telemetry::snapshot();
+        for page in (1..5u32).rev() {
+            crate::signals::catch_traps(|| m.store::<u8>(page * WASM_PAGE as u32, 0, 1))
+                .expect("a grown page is populated, not trapped");
+        }
         let d = crate::stats::snapshot().delta(&before);
-        assert_eq!(d.uffd_zeropage, 1, "one ioctl for the whole window");
-    }
-
-    #[test]
-    fn window_setter_rounds_and_clamps() {
-        let _g = window_lock(16);
-        set_uffd_window_pages(3);
-        assert_eq!(uffd_window_pages(), 4, "rounded up to a power of two");
-        set_uffd_window_pages(0);
-        assert_eq!(uffd_window_pages(), 1, "clamped to at least one page");
-        set_uffd_window_pages(1 << 20);
-        assert_eq!(uffd_window_pages(), MAX_UFFD_WINDOW_PAGES);
+        let t = lb_telemetry::snapshot().delta_since(&tele_before);
+        assert_eq!(d.uffd_zeropage, 4, "one ioctl per grown wasm page");
+        assert_eq!(t.counter("uffd.batch_pages"), 64);
+        assert_eq!(t.counter("uffd.prefetch_streak"), 0);
+        assert!(
+            crate::signals::catch_traps(|| m.store::<u8>(5 * WASM_PAGE as u32, 0, 1)).is_err(),
+            "a store at the committed size traps"
+        );
     }
 
     #[test]
     fn eexist_mid_window_falls_back_to_single_page() {
-        let _g = window_lock(16);
+        let _serial = crate::test_lock();
         let Some((_res, desc)) = arena(1 << 20, 16 * 4096) else {
             return;
         };

@@ -14,7 +14,7 @@ pub mod runner;
 pub mod stats;
 
 pub use procstat::{Sampler, SysStats};
-pub use report::{atomic_write, JsonlReport, Table};
+pub use report::{atomic_write, Table};
 pub use runner::{
     available_strategies, run_benchmark, run_benchmark_checked, EngineSel, Isolate, RunFailure,
     RunOutcome, RunResult, RunSpec, RunStage,

@@ -1,4 +1,4 @@
-//! Plain-text tables, CSV and JSONL output for the figure-regeneration
+//! Plain-text tables and CSV output for the figure-regeneration
 //! binaries.
 //!
 //! All file emission here is *atomic*: content is written to a sibling
@@ -116,62 +116,6 @@ impl Table {
     }
 }
 
-/// An accumulating JSONL report: one flat string-keyed object per row,
-/// rewritten atomically on every [`JsonlReport::flush`] so the on-disk
-/// file is always a complete, parseable prefix of the campaign — even if
-/// the process dies between runs.
-#[derive(Debug, Default)]
-pub struct JsonlReport {
-    lines: Vec<String>,
-}
-
-impl JsonlReport {
-    /// An empty report.
-    pub fn new() -> JsonlReport {
-        JsonlReport::default()
-    }
-
-    /// Append one row of key/value pairs (values emitted as JSON strings,
-    /// with the minimal escaping JSONL needs).
-    pub fn row(&mut self, fields: &[(&str, String)]) -> &mut Self {
-        let mut line = String::from("{");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            lb_telemetry::json::write_key(&mut line, k);
-            lb_telemetry::json::write_str(&mut line, v);
-        }
-        line.push('}');
-        self.lines.push(line);
-        self
-    }
-
-    /// Number of rows accumulated.
-    pub fn len(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Whether no rows have been accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Atomically (re)write all rows to `path`.
-    ///
-    /// # Errors
-    /// Propagates I/O failures; a failed flush leaves any previous file
-    /// at `path` intact.
-    pub fn flush(&self, path: &Path) -> std::io::Result<()> {
-        let mut out = String::new();
-        for l in &self.lines {
-            out.push_str(l);
-            out.push('\n');
-        }
-        atomic_write(path, out.as_bytes())
-    }
-}
-
 /// Format a duration in adaptive units.
 pub fn fmt_duration(d: std::time::Duration) -> String {
     let us = d.as_secs_f64() * 1e6;
@@ -230,24 +174,6 @@ mod tests {
             })
             .count();
         assert_eq!(strays, 0);
-        let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn jsonl_report_escapes_and_flushes() {
-        let mut r = JsonlReport::new();
-        r.row(&[
-            ("bench", "gemm".into()),
-            ("error", "he said \"no\"\n".into()),
-        ]);
-        r.row(&[("bench", "atax".into())]);
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
-        let p = std::env::temp_dir().join(format!("lb-jsonl-{}.jsonl", std::process::id()));
-        r.flush(&p).unwrap();
-        let s = std::fs::read_to_string(&p).unwrap();
-        assert_eq!(s.lines().count(), 2);
-        assert!(s.contains("\\\"no\\\"\\n"));
         let _ = std::fs::remove_file(&p);
     }
 

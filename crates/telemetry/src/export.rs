@@ -269,6 +269,20 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_meta_values_are_escaped() {
+        let mut out = String::new();
+        write_jsonl(
+            &mut out,
+            &[("error", "he said \"no\"\n".to_string())],
+            &TelemetrySnapshot::default(),
+        );
+        let run = out.lines().next().unwrap();
+        assert_eq!(run, r#"{"type":"run","error":"he said \"no\"\n"}"#);
+        let v = json::parse(run).unwrap();
+        assert_eq!(v.get("error").unwrap().as_str(), Some("he said \"no\"\n"));
+    }
+
+    #[test]
     fn human_output_mentions_everything() {
         let mut out = String::new();
         write_human(

@@ -6,7 +6,8 @@
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. clippy over every target; errors fail, warnings are reported only,
 #      except in lb-core (the runtime's unsafe memory and signal layer),
-#      lb-serve, lb-chaos, lb-sys and lb-telemetry, where any warning fails
+#      lb-serve, lb-chaos, lb-sys, lb-telemetry and lb-bench, where any
+#      warning fails
 #   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   5. translation validation end-to-end (PolyBench and the SPEC proxies)
@@ -17,7 +18,7 @@
 #      ratio may fall below its recorded floor (scripts/elision_floors.tsv)
 #   7. profiler smoke: one kernel sampled at 997 Hz, the chrome trace
 #      must re-parse and the attribution percentages must sum to ~100
-#   8. serving smoke: a short closed-loop serve_bench run; every admitted
+#   8. serving smoke: a short closed-loop `serve_bench smoke` run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
 #   9. A/B smoke: quickperf's plan mode on one Mini kernel, and its
@@ -40,7 +41,7 @@ run cargo build --release --workspace
 run cargo test -q --workspace
 run cargo clippy -q --workspace --all-targets
 run cargo clippy -q -p lb-core -p lb-serve -p lb-chaos -p lb-sys -p lb-telemetry \
-  --all-targets --no-deps -- -D warnings
+  -p lb-bench --all-targets --no-deps -- -D warnings
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation
@@ -50,7 +51,7 @@ run cargo run --release -p lb-bench --bin analysis_report -- \
   --check scripts/elision_floors.tsv
 run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
   cargo run --release -p lb-bench --bin prof_report -- --smoke
-run cargo run --release -p lb-bench --bin serve_bench -- --smoke true
+run cargo run --release -p lb-bench --bin serve_bench -- smoke
 mkdir -p target/ab-smoke
 (cd target/ab-smoke && run ../release/quickperf plan --dataset mini --bench trisolv)
 (cd target/ab-smoke && run ../release/quickperf engines --dataset mini --bench atax) |
