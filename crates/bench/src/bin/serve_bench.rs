@@ -417,21 +417,24 @@ fn sweep(shards: usize, out_path: &str) {
             server.shutdown();
 
             // Cross-check the knee against the mm-subsystem model.
-            // Calibration: per-request service time is the inverse of the
-            // measured closed-loop base rate (NOT low-load latency, which
-            // includes queue/wakeup time and overpredicts service by 3x);
-            // simulated workers = min(shards, CPUs). The sim then layers
-            // its mmap_lock/TLB-shootdown contention model on top, so the
-            // check asserts the open-loop knee lands where the model says
-            // a machine this size saturates. Documented tolerance: factor
-            // of 3 on the knee — the calibration rate already embeds
-            // strategy overhead the sim re-adds (the double-count skews
-            // predictions low, worst for uffd whose modeled zeropage cost
-            // is large), and a small host adds step noise.
+            // Calibration: simulated workers = min(shards, CPUs), each
+            // with a per-request service time of `threads` over the
+            // measured closed-loop base rate, which is already the rate of
+            // all shards (NOT low-load latency, which includes
+            // queue/wakeup time and overpredicts service by 3x); the
+            // sim's throughput is aggregate over its workers. The sim
+            // layers its mmap_lock/TLB-shootdown contention model on top,
+            // so the check asserts the open-loop knee lands where the
+            // model says a machine this size saturates. Documented
+            // tolerance: factor of 3 on the knee — the calibration rate
+            // already embeds strategy overhead the sim re-adds (the
+            // double-count skews predictions low, worst for uffd whose
+            // modeled zeropage cost is large), and a small host adds step
+            // noise.
             let threads = shards.min(cpus);
-            let service_ns = (1e9 / base.rps).max(1.0) as u64;
+            let service_ns = (threads as f64 * 1e9 / base.rps).max(1.0) as u64;
             let params = lb_sim::SimParams::new(sim_strategy(strategy), threads, service_ns);
-            let predicted = lb_sim::simulate(&params).iters_per_sec() * threads as f64;
+            let predicted = lb_sim::simulate(&params).iters_per_sec();
             let ratio = if predicted > 0.0 {
                 knee / predicted
             } else {

@@ -96,6 +96,23 @@ pub struct LinearMemory {
     from_pool: bool,
 }
 
+/// The plain prefix ([`ArenaDesc::plain_end`]) of a memory created with
+/// `strategy` over `reserve` bytes with `initial_bytes` committed: the
+/// initial size under `mprotect` (made writable) and `uffd` (registered
+/// only above it, so the initial memory takes ordinary minor faults as
+/// under trap), the whole reservation otherwise. It is part of the shape
+/// the pool keys reuse on.
+pub(crate) fn plain_prefix(
+    strategy: BoundsStrategy,
+    reserve: usize,
+    initial_bytes: usize,
+) -> usize {
+    match strategy {
+        BoundsStrategy::Mprotect | BoundsStrategy::Uffd => round_up_to_page(initial_bytes),
+        _ => reserve,
+    }
+}
+
 /// Next strategy to try when `strategy` failed to initialize with `err`.
 ///
 /// This is the degradation chain the failure model documents: `uffd` setup
@@ -184,8 +201,8 @@ impl LinearMemory {
         let reserve = round_up_to_page(reserve);
         let initial_bytes = config.initial_pages as usize * WASM_PAGE;
 
-        // Fast path: reuse parked parts — no mmap, and at most one delta
-        // mprotect or UFFDIO_REGISTER, all done inside `acquire`.
+        // Fast path: reuse a parked arena of this shape — no syscall at
+        // all, since release already put it back into its creation shape.
         if let Some(parts) = pool::acquire(strategy, reserve, initial_bytes) {
             return Ok(LinearMemory {
                 parts: ManuallyDrop::new(parts),
@@ -201,31 +218,28 @@ impl LinearMemory {
             _ => Protection::ReadWrite,
         };
         let reservation = Reservation::new(reserve, initial_prot).map_err(MemoryError::Reserve)?;
-        if strategy == BoundsStrategy::Mprotect && initial_bytes > 0 {
+        let plain_end = plain_prefix(strategy, reserve, initial_bytes);
+        if strategy == BoundsStrategy::Mprotect && plain_end > 0 {
             if let Some(e) = lb_chaos::inject("core.mprotect.init") {
                 return Err(MemoryError::Protect(e));
             }
             reservation
-                .protect(0, round_up_to_page(initial_bytes), Protection::ReadWrite)
+                .protect(0, plain_end, Protection::ReadWrite)
                 .map_err(MemoryError::Protect)?;
         }
-
-        // The plain prefix: mprotect made just the initial size writable,
-        // and uffd registers only the tail above it, so the initial memory
-        // takes ordinary minor faults as under trap. Growth stays inside
-        // the registered tail and needs no uffd call.
-        let plain_end = match strategy {
-            BoundsStrategy::Mprotect | BoundsStrategy::Uffd => round_up_to_page(initial_bytes),
-            _ => reserve,
-        };
         let base = reservation.base().as_ptr() as usize;
         if strategy == BoundsStrategy::Uffd {
             uffd::register_missing(base + plain_end, reserve - plain_end)
                 .map_err(MemoryError::Uffd)?;
         }
 
-        let desc = Box::new(ArenaDesc::new(base, reserve, initial_bytes, strategy));
-        desc.plain_end.store(plain_end, Ordering::Relaxed);
+        let desc = Box::new(ArenaDesc::new(
+            base,
+            reserve,
+            initial_bytes,
+            strategy,
+            plain_end,
+        ));
         let (desc_slot, desc) = ARENAS.register(desc);
 
         Ok(LinearMemory {
@@ -314,30 +328,22 @@ impl LinearMemory {
         }
         let new_bytes = new_pages as usize * WASM_PAGE;
         if self.strategy == BoundsStrategy::Mprotect {
-            // Windows inside the plain prefix are already writable (a
-            // pooled predecessor committed them); only the genuinely new
-            // range needs the syscall.
-            let rw_high = self.desc().plain_end.load(Ordering::Relaxed);
-            if new_bytes > rw_high {
-                // An injected or real failure (e.g. ENOMEM) surfaces as a
-                // clean wasm-level `memory.grow` of −1, never a crash.
-                if lb_chaos::inject("core.mprotect.grow").is_some() {
-                    return None;
-                }
-                let from = old_bytes.max(rw_high);
-                // The syscall whose VMA-lock serialization the paper
-                // measures; spanned so profiles show grow latency next
-                // to the sampled PCs.
-                let _span = lb_telemetry::span!("mem.protect_grow", delta_pages);
-                if self
-                    .parts
-                    .reservation
-                    .protect(from, new_bytes - from, Protection::ReadWrite)
-                    .is_err()
-                {
-                    return None;
-                }
-                self.desc().plain_end.store(new_bytes, Ordering::Relaxed);
+            // An injected or real failure (e.g. ENOMEM) surfaces as a
+            // clean wasm-level `memory.grow` of −1, never a crash.
+            if lb_chaos::inject("core.mprotect.grow").is_some() {
+                return None;
+            }
+            // The syscall whose VMA-lock serialization the paper
+            // measures; spanned so profiles show grow latency next to the
+            // sampled PCs.
+            let _span = lb_telemetry::span!("mem.protect_grow", delta_pages);
+            if self
+                .parts
+                .reservation
+                .protect(old_bytes, new_bytes - old_bytes, Protection::ReadWrite)
+                .is_err()
+            {
+                return None;
             }
         }
         self.desc().committed.store(new_bytes, Ordering::Release);
@@ -497,8 +503,7 @@ impl LinearMemory {
             return Ok(());
         }
         let base = self.base() as usize;
-        let floor = self.desc().plain_end.load(Ordering::Relaxed);
-        let start = (addr & !4095).max(floor);
+        let start = (addr & !4095).max(self.desc().plain_end);
         uffd::populate(base + start, base + round_up_to_page(addr + len))
     }
 }

@@ -27,18 +27,19 @@ pub struct ArenaDesc {
     pub strategy: BoundsStrategy,
     /// End (exclusive, arena-relative, host-page aligned) of the arena's
     /// plain read-write prefix, whose first touch is an ordinary kernel
-    /// minor fault. Past it, a first touch faults to the runtime:
+    /// minor fault. Fixed at creation: together with `strategy` and `len`
+    /// it is the shape the instance pool keys reuse on. Past it, a first
+    /// touch faults to the runtime:
     /// - `mprotect`: `[0, plain_end)` is `PROT_READ|WRITE` and the rest
-    ///   `PROT_NONE`; `grow` raises it, so it never falls below
-    ///   `committed`.
+    ///   `PROT_NONE`; `grow` opens `[plain_end, committed)`, and releasing
+    ///   the memory to the pool re-protects it.
     /// - `uffd`: `[plain_end, len)` is registered with the shared
-    ///   userfaultfd, and while a memory owns the arena it never rises
-    ///   above `committed`, so every address at or beyond `committed`
-    ///   still SIGBUSes. The fault
-    ///   servicer never zero-fills below it: `UFFDIO_ZEROPAGE` refuses
-    ///   unregistered pages.
+    ///   userfaultfd. It equals the initial size, so it never rises above
+    ///   `committed`, and every address at or beyond `committed` still
+    ///   SIGBUSes. The fault servicer never zero-fills below it:
+    ///   `UFFDIO_ZEROPAGE` refuses unregistered pages.
     /// - `none`, `clamp`, `trap`: the whole reservation.
-    pub plain_end: AtomicUsize,
+    pub plain_end: usize,
     /// End offset (exclusive, arena-relative) of the last window the uffd
     /// fault servicer populated; the stride predictor compares the next
     /// fault against it to detect sequential scans.
@@ -48,15 +49,20 @@ pub struct ArenaDesc {
 }
 
 impl ArenaDesc {
-    /// A descriptor with fault-prediction state zeroed and no plain
-    /// prefix (`plain_end == 0`).
-    pub fn new(base: usize, len: usize, committed: usize, strategy: BoundsStrategy) -> ArenaDesc {
+    /// A descriptor with fault-prediction state zeroed.
+    pub fn new(
+        base: usize,
+        len: usize,
+        committed: usize,
+        strategy: BoundsStrategy,
+        plain_end: usize,
+    ) -> ArenaDesc {
         ArenaDesc {
             base,
             len,
             committed: AtomicUsize::new(committed),
             strategy,
-            plain_end: AtomicUsize::new(0),
+            plain_end,
             last_fault_end: AtomicUsize::new(0),
             fault_streak: AtomicUsize::new(0),
         }
@@ -319,7 +325,7 @@ mod tests {
     use std::sync::Arc;
 
     fn desc(base: usize, len: usize) -> Box<ArenaDesc> {
-        Box::new(ArenaDesc::new(base, len, len, BoundsStrategy::None))
+        Box::new(ArenaDesc::new(base, len, len, BoundsStrategy::None, len))
     }
 
     #[test]

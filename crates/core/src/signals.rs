@@ -608,7 +608,13 @@ mod tests {
         // surface as a wasm OOB trap, not a crash.
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
-        let desc = Box::new(ArenaDesc::new(base, res.len(), 0, BoundsStrategy::Mprotect));
+        let desc = Box::new(ArenaDesc::new(
+            base,
+            res.len(),
+            0,
+            BoundsStrategy::Mprotect,
+            0,
+        ));
         let (slot, ptr) = ARENAS.register(desc);
 
         let err = catch_traps(|| -> Result<(), Trap> {
@@ -630,7 +636,13 @@ mod tests {
         let _serial = crate::test_lock();
         let res = Reservation::new(1 << 16, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
-        let desc = Box::new(ArenaDesc::new(base, res.len(), 0, BoundsStrategy::Mprotect));
+        let desc = Box::new(ArenaDesc::new(
+            base,
+            res.len(),
+            0,
+            BoundsStrategy::Mprotect,
+            0,
+        ));
         let (slot, ptr) = ARENAS.register(desc);
 
         let outer = catch_traps(|| -> Result<i32, Trap> {
@@ -653,7 +665,13 @@ mod tests {
         let _serial = crate::test_lock();
         let res = Reservation::new(1 << 20, Protection::None).unwrap();
         let base = res.base().as_ptr() as usize;
-        let desc = Box::new(ArenaDesc::new(base, res.len(), 0, BoundsStrategy::Mprotect));
+        let desc = Box::new(ArenaDesc::new(
+            base,
+            res.len(),
+            0,
+            BoundsStrategy::Mprotect,
+            0,
+        ));
         let (slot, ptr) = ARENAS.register(desc);
 
         std::thread::scope(|s| {

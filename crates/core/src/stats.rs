@@ -102,7 +102,7 @@ pub struct VmSnapshot {
     pub grows: u64,
     /// Wasm traps delivered through the signal path.
     pub signal_traps: u64,
-    /// Pooled-memory acquisitions served from the free-list.
+    /// Pooled-memory acquisitions served from a parked arena.
     pub pool_hits: u64,
     /// Pooled-memory acquisitions that fell through to a fresh `mmap`.
     pub pool_misses: u64,
@@ -219,13 +219,13 @@ pub(crate) fn record_uffd_service(ns: u64) {
     vm().uffd_service.record(ns);
 }
 
-/// Count one pooled-memory acquisition served from the free-list.
+/// Count one pooled-memory acquisition served from a parked arena.
 pub(crate) fn count_pool_hit() {
     vm().pool_hit.inc();
 }
 
 /// Count one pooled-memory acquisition that fell through to a fresh mmap
-/// (empty free-list, size/strategy mismatch, or a failed reset).
+/// (no parked arena of the requested shape).
 pub(crate) fn count_pool_miss() {
     vm().pool_miss.inc();
 }

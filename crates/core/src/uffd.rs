@@ -260,7 +260,7 @@ pub(crate) fn zeropage_around(
     committed: usize,
     off: usize,
 ) -> FaultAction {
-    let floor = desc.plain_end.load(Ordering::Relaxed);
+    let floor = desc.plain_end;
     if off >= committed || off < floor {
         return FaultAction::OutOfBounds;
     }
@@ -376,7 +376,7 @@ mod tests {
         let res = Reservation::new(len, Protection::ReadWrite).unwrap();
         let base = res.base().as_ptr() as usize;
         register_missing(base, len).unwrap();
-        let desc = crate::registry::ArenaDesc::new(base, len, committed, BoundsStrategy::Uffd);
+        let desc = crate::registry::ArenaDesc::new(base, len, committed, BoundsStrategy::Uffd, 0);
         Some((res, desc))
     }
 
@@ -489,8 +489,7 @@ mod tests {
         let res = Reservation::new(len, Protection::ReadWrite).unwrap();
         let base = res.base().as_ptr() as usize;
         register_missing(base + floor, len - floor).unwrap();
-        let desc = crate::registry::ArenaDesc::new(base, len, len, BoundsStrategy::Uffd);
-        desc.plain_end.store(floor, Ordering::Relaxed);
+        let desc = crate::registry::ArenaDesc::new(base, len, len, BoundsStrategy::Uffd, floor);
         let before = crate::stats::snapshot();
         assert_eq!(
             zeropage_around(&desc, len, floor + 4096),

@@ -1,16 +1,15 @@
 //! Cross-thread pool safety: seeded-interleaving (loom-style, in-tree)
-//! stress over the lock-free slot free-list, plus the poisoned-slot
+//! stress over the per-strategy parked lists, plus the poisoned-slot
 //! contract — a release whose reset fails must always tear down, never
 //! recycle.
 //!
-//! The free-list transfers whole boxed [`ArenaParts`] pointers in single
-//! atomic swaps, so the classic ABA shapes are structurally absent; what
-//! *can* go wrong across threads is (a) a recycled entry leaking another
-//! instance's bytes (caught here by `verify_zero` on every reuse), (b) a
-//! double-release manifesting as a double-free (caught by the allocator
-//! under stress), and (c) `drain` racing a concurrent `release` so an
-//! entry survives the sweep — the single-pass bug fixed alongside this
-//! test.
+//! Entries move between a memory and a list whole, under the list's lock,
+//! so what *can* go wrong across threads is (a) a recycled entry leaking
+//! another instance's bytes or handed out at the wrong shape (caught here
+//! by `verify_zero` on every reuse, with initial sizes drawn from three
+//! shapes), (b) a double-release manifesting as a double-free (caught by
+//! the allocator under stress), and (c) `drain` racing a concurrent
+//! `release` so an entry survives a later, quiescent drain.
 //!
 //! Lives in its own integration binary: pool config and chaos plans are
 //! process-global. Tests serialize on `TEST_LOCK`.
@@ -25,7 +24,11 @@ use std::time::{Duration, Instant};
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 fn cfg(strategy: BoundsStrategy) -> MemoryConfig {
-    MemoryConfig::new(strategy, 2, 8).with_reserve(16 * WASM_PAGE)
+    sized(strategy, 2)
+}
+
+fn sized(strategy: BoundsStrategy, initial_pages: u32) -> MemoryConfig {
+    MemoryConfig::new(strategy, initial_pages, 8).with_reserve(16 * WASM_PAGE)
 }
 
 /// Enable pooling for the duration of a test; restore the disabled
@@ -59,9 +62,11 @@ fn stress_strategies() -> Vec<BoundsStrategy> {
 }
 
 /// One thread's schedule: a seeded stream of acquire/dirty/release
-/// cycles interleaved with drains. `verify_zero` is on, so any reuse
-/// that leaks another instance's dirty bytes panics the test; any
-/// double-release would double-free and abort under the allocator.
+/// cycles interleaved with drains, each memory 1, 2 or 4 pages, so the
+/// shape lookup and the oldest-first eviction run under the schedule.
+/// `verify_zero` is on, so any reuse that leaks another instance's dirty
+/// bytes panics the test; any double-release would double-free and abort
+/// under the allocator.
 fn stress_worker(seed: u64, strategies: &[BoundsStrategy], ops: usize) {
     let mut rng = SplitMix64::new(seed);
     let mut held: Vec<LinearMemory> = Vec::new();
@@ -71,7 +76,8 @@ fn stress_worker(seed: u64, strategies: &[BoundsStrategy], ops: usize) {
             // briefly so releases from other threads interleave.
             0..=5 => {
                 let s = strategies[rng.below(strategies.len() as u64) as usize];
-                let m = LinearMemory::new(&cfg(s)).expect("instantiate under stress");
+                let pages = 1 << rng.below(3);
+                let m = LinearMemory::new(&sized(s, pages)).expect("instantiate under stress");
                 let fill = [rng.next_u64() as u8; 64];
                 m.write_bytes((rng.below(1024) as u32) * 8, &fill)
                     .expect("dirty write");
@@ -91,7 +97,7 @@ fn stress_worker(seed: u64, strategies: &[BoundsStrategy], ops: usize) {
                 let parked = pool::pooled_count();
                 assert!(
                     parked <= pool::MAX_POOL_SLOTS * 5,
-                    "free-list overflow: {parked} parked"
+                    "pool overflow: {parked} parked"
                 );
             }
         }
@@ -124,8 +130,7 @@ fn seeded_interleaving_stress_keeps_pool_coherent() {
 }
 
 /// `drain` concurrent with a stream of releases: once the releasing
-/// thread has joined, a single drain call must evict every parked entry
-/// — the multi-pass sweep guarantees no entry slips behind the cursor.
+/// thread has joined, a single drain call must evict every parked entry.
 ///
 /// The drains keep running until the releaser has published at least
 /// [`RACE_RELEASES`] releases, so the race is forced rather than hoped
@@ -145,7 +150,7 @@ fn drain_racing_release_leaves_nothing_behind() {
         std::thread::spawn(move || {
             let mut n = 0u32;
             while !stop.load(Ordering::Acquire) {
-                // Each drop releases into the free-list mid-drain. A
+                // Each drop releases into the pool mid-drain. A
                 // transient OS-level mmap failure under this churn is not
                 // what the test is about — skip the iteration.
                 let Ok(m) = LinearMemory::new(&cfg(BoundsStrategy::Trap)) else {
@@ -176,8 +181,8 @@ fn drain_racing_release_leaves_nothing_behind() {
 }
 
 /// The poisoned-slot contract: a release whose reset fails (injected
-/// `core.pool.reset` fault) must tear the entry down — the free-list
-/// never recycles a slot whose zero-fill reset did not complete.
+/// `core.pool.reset` fault) must tear the entry down — the pool never
+/// recycles a slot whose zero-fill reset did not complete.
 #[test]
 fn poisoned_reset_always_tears_down_never_recycles() {
     let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -196,27 +201,4 @@ fn poisoned_reset_always_tears_down_never_recycles() {
     // The instantiate path keeps working through pool misses.
     let m = LinearMemory::new(&cfg(BoundsStrategy::Trap)).expect("slow path survives");
     m.write_bytes(0, &[2; 8]).expect("usable");
-}
-
-/// A `verify_zero` window that cannot be populated (injected uffd
-/// zeropage fault on acquire) poisons the entry: torn down, counted as a
-/// miss, and instantiation falls back to fresh memory — never a panic.
-#[test]
-fn unverifiable_reuse_degrades_to_pool_miss() {
-    let _t = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    if !lb_core::uffd::sigbus_mode_available() {
-        return;
-    }
-    let _p = PoolGuard::enable(4, true);
-    // Park one uffd entry whose registered floor sits at one wasm page, so
-    // that verifying a two-page reuse populates the registered page.
-    let small = MemoryConfig::new(BoundsStrategy::Uffd, 1, 8).with_reserve(16 * WASM_PAGE);
-    drop(LinearMemory::new(&small).expect("seed the pool"));
-    assert_eq!(pool::pooled_count(), 1);
-    // First zeropage ioctl of the verification pass fails once.
-    let _guard = lb_chaos::install("core.uffd.copy:1:EIO").expect("chaos plan");
-    let m = LinearMemory::new(&cfg(BoundsStrategy::Uffd)).expect("degrades to fresh mmap");
-    assert!(!m.from_pool(), "unverifiable entry must not be handed out");
-    assert_eq!(pool::pooled_count(), 0, "poisoned entry must be torn down");
-    m.write_bytes(0, &[3; 8]).expect("fresh memory usable");
 }

@@ -125,11 +125,15 @@ pub struct SysStats {
     pub wall: Duration,
 }
 
+/// What the sampler thread hands back: used-memory samples, peak RSS,
+/// and the CPU times at the window's start and end.
+type Samples = (Vec<u64>, u64, CpuTimes, CpuTimes);
+
 /// A background sampler; start before the workload, stop after.
 #[derive(Debug)]
 pub struct Sampler {
     stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<(Vec<u64>, u64, CpuTimes, CpuTimes)>>,
+    handle: Option<std::thread::JoinHandle<Samples>>,
     started: Instant,
     ncpu: usize,
 }

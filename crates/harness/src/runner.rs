@@ -226,7 +226,7 @@ impl fmt::Display for RunFailure {
 #[derive(Debug)]
 pub enum RunOutcome {
     /// The run completed (checksum validity is inside the result).
-    Completed(RunResult),
+    Completed(Box<RunResult>),
     /// The run failed even after retries.
     Failed(RunFailure),
 }
@@ -235,7 +235,7 @@ impl RunOutcome {
     /// The completed result, if any.
     pub fn completed(&self) -> Option<&RunResult> {
         match self {
-            RunOutcome::Completed(r) => Some(r),
+            RunOutcome::Completed(r) => Some(r.as_ref()),
             RunOutcome::Failed(_) => None,
         }
     }
@@ -290,7 +290,7 @@ impl RunResult {
 /// Panics if the run fails after retries.
 pub fn run_benchmark(bench: &Benchmark, spec: &RunSpec) -> RunResult {
     match run_benchmark_checked(bench, spec) {
-        RunOutcome::Completed(r) => r,
+        RunOutcome::Completed(r) => *r,
         RunOutcome::Failed(f) => panic!("{} under {}: {f}", bench.name, spec.engine.name()),
     }
 }
@@ -304,7 +304,7 @@ pub fn run_benchmark_checked(bench: &Benchmark, spec: &RunSpec) -> RunOutcome {
     loop {
         attempt += 1;
         match run_once(bench, spec) {
-            Ok(result) => return RunOutcome::Completed(result),
+            Ok(result) => return RunOutcome::Completed(Box::new(result)),
             Err(mut failure) => {
                 failure.attempts = attempt;
                 if attempt > spec.retries {
@@ -576,11 +576,14 @@ fn timeout_failure() -> RunFailure {
     RunFailure::new(RunStage::Worker, &"per-run timeout exceeded")
 }
 
+/// One worker's timed iterations, and whether its checksum matched.
+type WorkerTimes = (Vec<Duration>, bool);
+
 /// Fold joined worker results: a panicking worker becomes a
 /// [`RunStage::Worker`] failure instead of poisoning the campaign.
 fn collect_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<(Vec<Duration>, bool), RunFailure>>>,
-) -> Result<Vec<(Vec<Duration>, bool)>, RunFailure> {
+    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<WorkerTimes, RunFailure>>>,
+) -> Result<Vec<WorkerTimes>, RunFailure> {
     let mut out = Vec::with_capacity(handles.len());
     let mut first_err: Option<RunFailure> = None;
     for h in handles {
@@ -604,12 +607,12 @@ fn collect_workers(
     }
 }
 
+/// A loaded module and the memory config its isolates run under.
+type Loaded = (Arc<dyn LoadedModule>, MemoryConfig);
+
 /// Load the module and resolve the run's memory config; `None` for the
 /// native baseline.
-fn load(
-    bench: &Benchmark,
-    spec: &RunSpec,
-) -> Result<Option<(Arc<dyn LoadedModule>, MemoryConfig)>, RunFailure> {
+fn load(bench: &Benchmark, spec: &RunSpec) -> Result<Option<Loaded>, RunFailure> {
     let Some(engine) = spec.engine.engine() else {
         return Ok(None);
     };

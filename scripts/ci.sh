@@ -6,8 +6,8 @@
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. clippy over every target; errors fail, warnings are reported only,
 #      except in lb-core (the runtime's unsafe memory and signal layer),
-#      lb-serve, lb-chaos, lb-sys, lb-telemetry and lb-bench, where any
-#      warning fails
+#      lb-serve, lb-chaos, lb-sys, lb-telemetry, lb-bench, lb-harness and
+#      lb-sim, where any warning fails
 #   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   5. translation validation end-to-end (PolyBench and the SPEC proxies)
@@ -21,14 +21,17 @@
 #   8. serving smoke: a short closed-loop `serve_bench smoke` run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   9. A/B smoke: quickperf's plan mode on one Mini kernel, and its
-#      engines mode on one Mini kernel. They
+#   9. A/B smoke: quickperf's plan mode on one Mini kernel, its engines
+#      mode on one Mini kernel, and its pool mode at Mini. They
 #      gate only on exact results: every arm's checksum against native,
 #      check counts that repeat across two compiles, a record that
-#      re-parses with every header field, and (engines) all three tables
-#      -- Fig. 1, Fig. 2a, section 4.4 -- printed. They assert no timing.
-#      They run in target/ab-smoke so the committed BENCH_plan.json and
-#      BENCH_engines.json are left alone.
+#      re-parses with every header field, (engines) all three tables
+#      -- Fig. 1, Fig. 2a, section 4.4 -- printed, and (pool) pooled cells
+#      that serve two memory shapes with no mmap and no pool miss, and
+#      uffd fault service of exactly the grown pages. They assert no
+#      timing. They run in target/ab-smoke so the committed
+#      BENCH_plan.json, BENCH_engines.json and BENCH_pool.json are left
+#      alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,7 +44,7 @@ run cargo build --release --workspace
 run cargo test -q --workspace
 run cargo clippy -q --workspace --all-targets
 run cargo clippy -q -p lb-core -p lb-serve -p lb-chaos -p lb-sys -p lb-telemetry \
-  -p lb-bench --all-targets --no-deps -- -D warnings
+  -p lb-bench -p lb-harness -p lb-sim --all-targets --no-deps -- -D warnings
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation
@@ -54,6 +57,7 @@ run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
 run cargo run --release -p lb-bench --bin serve_bench -- smoke
 mkdir -p target/ab-smoke
 (cd target/ab-smoke && run ../release/quickperf plan --dataset mini --bench trisolv)
+(cd target/ab-smoke && run ../release/quickperf pool --dataset mini)
 (cd target/ab-smoke && run ../release/quickperf engines --dataset mini --bench atax) |
   tee target/ab-smoke/engines.txt
 for table in "Figure 1:" "Figure 2a" "Section 4.4"; do
