@@ -69,10 +69,10 @@ pub const SITES: &[&str] = &[
     "core.mprotect.init",   // mprotect enabling the initial committed pages
     "core.mprotect.grow",   // mprotect extending the committed range on grow
     "core.uffd.create",     // the shared userfaultfd(2) + API handshake, once per process
-    "core.uffd.register",   // UFFDIO_REGISTER of a reservation's tail or a pool register-down
+    "core.uffd.register",   // UFFDIO_REGISTER of a reservation's tail
     "core.uffd.copy",       // UFFDIO_ZEROPAGE population (host and in-handler)
     "core.madvise.discard", // madvise(MADV_DONTNEED) when recycling memory
-    "core.pool.reset",      // pooled-memory reset on release to the free-list
+    "core.pool.reset",      // pooled-memory reset on release to the pool
     "serve.dispatch",       // lb-serve shard worker dispatching a request
     "serve.queue_full",     // lb-serve admission: forces the queue-full path
 ];
