@@ -1998,20 +1998,16 @@ fn constraint_regions(op: CmpOp, other: (u64, u64)) -> Option<Intervals<2>> {
         }
         CmpOp::GeU => of(&[(other.0, U32_MAX)]),
         CmpOp::Eq => of(&[(other.0, other.1)]),
-        CmpOp::Ne => {
-            if other.0 == other.1 {
-                let c = other.0;
-                let mut v = of(&[]);
-                if c > 0 {
-                    v.push((0, c - 1));
-                }
-                if c < U32_MAX {
-                    v.push((c + 1, U32_MAX));
-                }
-                v
-            } else {
-                return None;
+        CmpOp::Ne if other.0 == other.1 => {
+            let c = other.0;
+            let mut v = of(&[]);
+            if c > 0 {
+                v.push((0, c - 1));
             }
+            if c < U32_MAX {
+                v.push((c + 1, U32_MAX));
+            }
+            v
         }
         // Signed comparisons against a wholly non-negative other side:
         // `<s`/`<=s` admit the negative (high unsigned) half, `>s`/`>=s`

@@ -1,7 +1,7 @@
 //! **Figure 3** — Performance scaling with increased number of threads
-//! (1/4/16 isolates pinned to cores, as in the paper). Default output is
-//! the mm-contention simulator modeling the paper's 16-hardware-thread
-//! machines; pass `--measured` on a multicore host for real runs.
+//! (1/4/16 isolates pinned to cores, as in the paper), from the
+//! mm-contention simulator modeling the paper's 16-hardware-thread
+//! machines, calibrated by one interleaved single-thread measurement.
 //!
 //! ```text
 //! cargo run --release -p lb-bench --bin fig3 -- --dataset small
@@ -19,7 +19,6 @@ fn main() {
         "threads",
         "iters_per_sec",
         "speedup_vs_1t",
-        "mode",
     ]);
     for p in &points {
         let base = points
@@ -33,7 +32,6 @@ fn main() {
             p.threads.to_string(),
             format!("{:.1}", p.iters_per_sec),
             format!("{:.2}", p.iters_per_sec / base),
-            if p.simulated { "sim" } else { "measured" }.into(),
         ]);
     }
     println!("\nFigure 3: performance scaling with thread count\n");

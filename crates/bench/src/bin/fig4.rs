@@ -12,14 +12,13 @@ use lb_harness::Table;
 fn main() {
     let args = Args::parse();
     let points = scaling_data(&args);
-    let mut table = Table::new(&["engine", "strategy", "threads", "cpu_util_pct", "mode"]);
+    let mut table = Table::new(&["engine", "strategy", "threads", "cpu_util_pct"]);
     for p in &points {
         table.row(vec![
             p.engine.clone(),
             p.strategy.clone(),
             p.threads.to_string(),
             format!("{:.0}", p.utilization_pct),
-            if p.simulated { "sim" } else { "measured" }.into(),
         ]);
     }
     println!("\nFigure 4: average CPU utilisation (100% = one busy core)\n");

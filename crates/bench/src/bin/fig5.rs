@@ -13,14 +13,13 @@ use lb_harness::Table;
 fn main() {
     let args = Args::parse();
     let points = scaling_data(&args);
-    let mut table = Table::new(&["engine", "strategy", "threads", "ctxt_per_sec", "mode"]);
+    let mut table = Table::new(&["engine", "strategy", "threads", "ctxt_per_sec"]);
     for p in &points {
         table.row(vec![
             p.engine.clone(),
             p.strategy.clone(),
             p.threads.to_string(),
             format!("{:.0}", p.ctxt_per_sec),
-            if p.simulated { "sim" } else { "measured" }.into(),
         ]);
     }
     println!("\nFigure 5: context switches per second\n");

@@ -47,8 +47,7 @@ fn main() {
         };
         for &s in engine_strategies {
             let mut spec = RunSpec::new(engine, s);
-            spec.warmup_iters = args.warmup;
-            spec.measured_iters = args.iters;
+            spec.iterations = args.iters;
             spec.sample_system = true;
             spec.reserve_bytes = reserve;
             let r = run_benchmark(&bench, &spec);

@@ -34,11 +34,11 @@ fn strategies() -> Vec<BoundsStrategy> {
     v
 }
 
-fn spec(engine: EngineSel, strategy: BoundsStrategy, iters: u32, warmup: u32) -> RunSpec {
-    let mut s = RunSpec::new(engine, strategy);
-    s.warmup_iters = warmup;
-    s.measured_iters = iters;
-    s
+fn spec(engine: EngineSel, strategy: BoundsStrategy, iterations: u32) -> RunSpec {
+    RunSpec {
+        iterations,
+        ..RunSpec::new(engine, strategy)
+    }
 }
 
 fn pct(report: &ProfReport, n: u64) -> String {
@@ -56,7 +56,7 @@ fn main() {
     }
     let mut args = Args::parse();
     // Sampling needs hundreds of milliseconds of CPU per row; the shared
-    // 5-iteration default is tuned for timing, not profiling.
+    // 5-iteration default is far too short.
     if !args.flags.contains_key("iters") {
         args.iters = 200;
     }
@@ -78,7 +78,6 @@ fn main() {
         "compute%",
         "runtime%",
         "unresolved",
-        "median_us",
     ]);
     for name in KERNELS {
         if args.bench.as_deref().is_some_and(|b| b != name) {
@@ -86,7 +85,7 @@ fn main() {
         }
         let bench = lb_polybench::by_name(name, args.dataset).expect("kernel");
         for strategy in strategies() {
-            let r = run_benchmark(&bench, &spec(engine, strategy, args.iters, args.warmup));
+            let r = run_benchmark(&bench, &spec(engine, strategy, args.iters));
             assert!(r.checksum_ok, "{name} {strategy} checksum");
             let Some(report) = r.prof.as_ref() else {
                 eprintln!("  {name} {strategy}: no profile (session busy?) — skipped");
@@ -103,7 +102,6 @@ fn main() {
                 pct(report, report.compute),
                 pct(report, report.runtime),
                 report.unresolved.to_string(),
-                r.median().as_micros().to_string(),
             ]);
             eprintln!(
                 "  {name} {} ({} samples)",
@@ -129,7 +127,7 @@ fn smoke() {
     let bench = lb_polybench::by_name("gemm", lb_polybench::common::Dataset::Small).unwrap();
     let r = run_benchmark(
         &bench,
-        &spec(EngineSel::Wasmtime, BoundsStrategy::Trap, 300, 5),
+        &spec(EngineSel::Wasmtime, BoundsStrategy::Trap, 300),
     );
     let mut failures: Vec<String> = Vec::new();
     if !r.checksum_ok {

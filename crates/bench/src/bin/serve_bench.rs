@@ -428,9 +428,8 @@ fn sweep(shards: usize, out_path: &str) {
             // model says a machine this size saturates. Documented
             // tolerance: factor of 3 on the knee — the calibration rate
             // already embeds strategy overhead the sim re-adds (the
-            // double-count skews predictions low, worst for uffd whose
-            // modeled zeropage cost is large), and a small host adds step
-            // noise.
+            // double-count skews predictions low), and a small host adds
+            // step noise.
             let threads = shards.min(cpus);
             let service_ns = (threads as f64 * 1e9 / base.rps).max(1.0) as u64;
             let params = lb_sim::SimParams::new(sim_strategy(strategy), threads, service_ns);
@@ -478,9 +477,9 @@ fn sweep(shards: usize, out_path: &str) {
          offered-load steps. The knee (highest offered step with achieved >= 0.9x offered) is \
          cross-checked against lb-sim calibrated from the closed-loop base rate; documented \
          tolerance is a factor of 3 (the calibration rate already embeds strategy overhead the \
-         sim re-adds, skewing predictions conservative — worst for uffd, whose modeled zeropage \
-         cost is largest). Each row also carries its strategy's pooled-vs-unpooled comparison: \
-         closed-loop req/s and p99, and the isolated memory-lifecycle median. No row is an \
+         sim re-adds, skewing predictions conservative). Each row also carries its strategy's \
+         pooled-vs-unpooled comparison: closed-loop req/s and p99, and the isolated \
+         memory-lifecycle median. No row is an \
          interleaved A/B measurement, so the header's rounds, seed, resamples and \
          min_sample_us do not apply.",
         &rows,

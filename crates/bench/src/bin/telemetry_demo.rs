@@ -37,8 +37,7 @@ fn main() {
     //    per-run mmap/mprotect counts. Exported by the harness itself.
     let bench = by_name("atax", Dataset::Mini).unwrap();
     let mut spec = RunSpec::new(EngineSel::Wavm, BoundsStrategy::Mprotect);
-    spec.warmup_iters = 1;
-    spec.measured_iters = 3;
+    spec.iterations = 4;
     let r = run_benchmark(&bench, &spec);
     assert!(r.checksum_ok);
 

@@ -10,12 +10,10 @@
 //! ```text
 //! --dataset mini|small|medium   workload size        (default small)
 //! --suite polybench|spec|all    benchmark suites     (default all)
-//! --iters N --warmup N          measurement lengths
+//! --iters N                     isolate iterations per run
 //! --bench NAME                  restrict to one benchmark
 //! --csv PATH                    also write CSV
-//! --threads a,b,c               thread counts (fig3-5)
-//! --measured                    use real threads instead of the
-//!                               mm-contention simulator (fig3-5)
+//! --threads a,b,c               simulated thread counts (fig3-5)
 //! ```
 
 #![warn(missing_docs)]
@@ -23,11 +21,14 @@
 pub mod matrix;
 pub mod record;
 
+use lb_core::{BoundsStrategy, MemoryConfig};
 use lb_dsl::Benchmark;
-use lb_harness::EngineSel;
+use lb_harness::stats::{interleave, paired};
+use lb_harness::{EngineSel, Isolate};
 use lb_polybench::common::Dataset;
 use lb_spec_proxy::Scale;
 use std::collections::HashMap;
+use std::time::Duration;
 
 /// Parsed common CLI options.
 #[derive(Debug, Clone)]
@@ -38,18 +39,14 @@ pub struct Args {
     pub dataset: Dataset,
     /// Which suites to run.
     pub suite: String,
-    /// Timed iterations per configuration.
+    /// Isolate iterations per configuration.
     pub iters: u32,
-    /// Warm-up iterations.
-    pub warmup: u32,
     /// Optional single-benchmark filter.
     pub bench: Option<String>,
     /// Optional CSV output path.
     pub csv: Option<String>,
     /// Thread counts for scaling figures.
     pub threads: Vec<usize>,
-    /// Real multithreaded measurement instead of the simulator.
-    pub measured: bool,
 }
 
 impl Args {
@@ -69,11 +66,6 @@ impl Args {
         let mut i = 0;
         while i < argv.len() {
             let k = argv[i].trim_start_matches("--").to_string();
-            if argv[i] == "--measured" {
-                flags.insert("measured".into(), "true".into());
-                i += 1;
-                continue;
-            }
             assert!(
                 argv[i].starts_with("--") && i + 1 < argv.len(),
                 "usage: --key value … (offending: {})",
@@ -101,14 +93,9 @@ impl Args {
                 .get("iters")
                 .map(|s| s.parse().expect("iters"))
                 .unwrap_or(5),
-            warmup: flags
-                .get("warmup")
-                .map(|s| s.parse().expect("warmup"))
-                .unwrap_or(1),
             bench: flags.get("bench").cloned(),
             csv: flags.get("csv").cloned(),
             threads,
-            measured: flags.contains_key("measured"),
             flags,
         }
     }
@@ -152,7 +139,8 @@ pub fn emit(table: &lb_harness::Table, csv: &Option<String>) {
 
 // ── shared scaling machinery for figures 3–5 ────────────────────────────
 
-/// One (engine, strategy, thread-count) observation for figures 3–5.
+/// One (engine, strategy, thread-count) point of the mm-contention
+/// simulator, for figures 3–5.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Engine name.
@@ -167,26 +155,11 @@ pub struct ScalePoint {
     pub utilization_pct: f64,
     /// Context switches per second.
     pub ctxt_per_sec: f64,
-    /// Mean used memory, bytes (measured mode only).
-    pub mem_bytes: u64,
-    /// `true` when produced by the mm-contention simulator.
-    pub simulated: bool,
 }
 
 /// The benchmarks figures 3–5 default to: short-running kernels, where the
 /// paper says the mprotect locking effect is most visible.
 pub const SCALING_DEFAULT_BENCH: &str = "jacobi-1d";
-
-/// Produce scaling data, either simulated (default on small hosts — this
-/// models the paper's 16-hardware-thread machines) or measured with real
-/// threads (`--measured`).
-pub fn scaling_data(args: &Args) -> Vec<ScalePoint> {
-    if args.measured {
-        scaling_measured(args)
-    } else {
-        scaling_simulated(args)
-    }
-}
 
 fn scaling_bench(args: &Args) -> Benchmark {
     let name = args
@@ -198,61 +171,31 @@ fn scaling_bench(args: &Args) -> Benchmark {
         .unwrap_or_else(|| panic!("unknown benchmark {name}"))
 }
 
-fn scaling_strategies() -> Vec<lb_core::BoundsStrategy> {
-    use lb_core::BoundsStrategy as B;
-    let mut v = vec![B::Trap, B::Mprotect];
+fn scaling_strategies() -> Vec<BoundsStrategy> {
+    let mut v = vec![BoundsStrategy::Trap, BoundsStrategy::Mprotect];
     if lb_core::uffd::sigbus_mode_available() {
-        v.push(B::Uffd);
+        v.push(BoundsStrategy::Uffd);
     }
     v
 }
 
-fn scaling_measured(args: &Args) -> Vec<ScalePoint> {
-    use lb_harness::{run_benchmark, RunSpec};
-    let bench = scaling_bench(args);
-    let mut out = Vec::new();
-    for engine in [EngineSel::Wavm, EngineSel::V8] {
-        for s in scaling_strategies() {
-            for &t in &args.threads {
-                let mut spec = RunSpec::new(engine, s);
-                spec.threads = t;
-                spec.warmup_iters = args.warmup;
-                spec.measured_iters = args.iters;
-                spec.sample_system = true;
-                let r = run_benchmark(&bench, &spec);
-                assert!(r.checksum_ok);
-                let sys = r.sys.expect("sampled");
-                out.push(ScalePoint {
-                    engine: engine.name().into(),
-                    strategy: s.name().into(),
-                    threads: t,
-                    iters_per_sec: r.iters_per_sec(),
-                    utilization_pct: sys.cpu_util_pct,
-                    ctxt_per_sec: sys.ctxt_per_sec,
-                    mem_bytes: sys.mem_used_bytes,
-                    simulated: false,
-                });
-                eprintln!("  measured {} {} t={}", engine.name(), s.name(), t);
-            }
-        }
-    }
-    out
-}
-
-fn scaling_simulated(args: &Args) -> Vec<ScalePoint> {
-    use lb_harness::{run_benchmark, RunSpec};
+/// Scaling data from the mm-contention simulator, which models the
+/// paper's 16-hardware-thread machines. Its per-iteration compute time is
+/// the benchmark's wavm/trap isolate iteration, timed on this host by
+/// `stats::interleave`.
+pub fn scaling_data(args: &Args) -> Vec<ScalePoint> {
     use lb_sim::{simulate, SimParams, SimStrategy};
     let bench = scaling_bench(args);
-    // Calibrate per-iteration compute time with a quick real run.
-    let mut spec = RunSpec::new(EngineSel::Wavm, lb_core::BoundsStrategy::Trap);
-    spec.warmup_iters = 1;
-    spec.measured_iters = args.iters.max(3);
-    let r = run_benchmark(&bench, &spec);
-    let compute_ns = r.median().as_nanos() as u64;
+    let engine = EngineSel::Wavm.engine().expect("wavm is a wasm engine");
+    let module = engine.load(&bench.module).expect("load");
+    let isolate = Isolate::Wasm(&*module, MemoryConfig::new(BoundsStrategy::Trap, 0, 4096));
+    let samples = interleave(&mut [Box::new(|| {
+        isolate.iteration(false).expect("isolate iteration");
+    })]);
+    let compute = Duration::from_secs_f64(paired(&samples)[0].secs);
     eprintln!(
-        "  calibration: {} compute ≈ {:?} per iteration",
-        bench.name,
-        r.median()
+        "  calibration: {} compute ≈ {compute:?} per iteration",
+        bench.name
     );
     let pages = bench
         .module
@@ -265,7 +208,7 @@ fn scaling_simulated(args: &Args) -> Vec<ScalePoint> {
         for s in scaling_strategies() {
             let sim_strategy = SimStrategy::parse(s.name()).expect("strategy");
             for &t in &args.threads {
-                let mut p = SimParams::new(sim_strategy, t, compute_ns);
+                let mut p = SimParams::new(sim_strategy, t, compute.as_nanos() as u64);
                 // Long enough for several GC periods to elapse.
                 p.iters = (args.iters * 100).max(400);
                 p.pages = pages;
@@ -278,8 +221,6 @@ fn scaling_simulated(args: &Args) -> Vec<ScalePoint> {
                     iters_per_sec: sr.iters_per_sec(),
                     utilization_pct: sr.utilization_pct(),
                     ctxt_per_sec: sr.ctxt_per_sec(),
-                    mem_bytes: 0,
-                    simulated: true,
                 });
             }
         }

@@ -1,10 +1,13 @@
 //! # lb-harness — the measurement harness
 //!
-//! Reproduces the paper's custom benchmarking harness (§3.5): per-thread
-//! pinned isolates executed in timed loops with warm-up and cool-down
-//! phases, `/proc`-based CPU/context-switch/memory sampling (§4.2–4.3),
-//! median/geomean-of-ratios statistics, and plain-text/CSV reporting used
-//! by the figure-regeneration binaries in `lb-bench`.
+//! Reproduces the paper's custom benchmarking harness (§3.5): the
+//! isolate iteration (instantiate, `init`, `kernel`, tear down) as the
+//! unit of work, one interleaved, calibrated loop that times it
+//! ([`stats::interleave`], with an A/A control and bootstrap CIs), an
+//! untimed checked run ([`runner`]) that validates checksums and collects
+//! telemetry, profile and `/proc` deltas (CPU, context switches and memory,
+//! §4.2–4.3), geomean-of-ratios statistics, and the plain-text/CSV
+//! reporting used by the figure-regeneration binaries in `lb-bench`.
 
 #![warn(missing_docs)]
 

@@ -201,22 +201,6 @@ impl Sampler {
     }
 }
 
-/// Pin the calling thread to `cpu` (modulo available CPUs), as the paper
-/// pins worker threads "to reduce the impact of scheduling decisions about
-/// CPU migrations".
-pub fn pin_to_cpu(cpu: usize) {
-    let n = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let target = cpu % n;
-    // SAFETY: standard affinity call with a properly zeroed set.
-    unsafe {
-        let mut set: libc::cpu_set_t = std::mem::zeroed();
-        libc::CPU_SET(target, &mut set);
-        libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,11 +245,5 @@ mod tests {
         assert!(st.wall >= Duration::from_millis(30));
         assert!(st.mem_used_bytes > 0);
         assert!(st.cpu_util_pct >= 0.0);
-    }
-
-    #[test]
-    fn pinning_does_not_crash() {
-        pin_to_cpu(0);
-        pin_to_cpu(999); // wraps modulo cpu count
     }
 }

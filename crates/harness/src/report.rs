@@ -116,18 +116,6 @@ impl Table {
     }
 }
 
-/// Format a duration in adaptive units.
-pub fn fmt_duration(d: std::time::Duration) -> String {
-    let us = d.as_secs_f64() * 1e6;
-    if us < 1000.0 {
-        format!("{us:.1}us")
-    } else if us < 1_000_000.0 {
-        format!("{:.2}ms", us / 1000.0)
-    } else {
-        format!("{:.3}s", us / 1e6)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,13 +163,5 @@ mod tests {
             .count();
         assert_eq!(strays, 0);
         let _ = std::fs::remove_file(&p);
-    }
-
-    #[test]
-    fn duration_formatting() {
-        use std::time::Duration;
-        assert_eq!(fmt_duration(Duration::from_micros(500)), "500.0us");
-        assert_eq!(fmt_duration(Duration::from_millis(12)), "12.00ms");
-        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.000s");
     }
 }

@@ -1,19 +1,19 @@
-//! The benchmark runner, reproducing the paper's harness (§3.5):
+//! The checked run, reproducing the unit of work of the paper's harness
+//! (§3.5): the module is loaded (compiled) once, then run for a fixed
+//! number of *isolate iterations* — one instantiation (fresh linear
+//! memory), `init`, `kernel`, tear-down each, which is exactly the
+//! allocate/run/free churn the paper says "stresses the virtual memory
+//! management subsystem". [`Isolate::iteration`] is that unit, for the
+//! native baseline and every engine alike.
 //!
-//! * the module is loaded (compiled) once per runtime;
-//! * each worker thread, pinned to a CPU, executes *isolate instances* of
-//!   the module in a timed loop — one instantiation (fresh linear memory),
-//!   `init`, `kernel`, tear-down per iteration, which is exactly the
-//!   allocate/run/free churn the paper says "stresses the virtual memory
-//!   management subsystem". [`Isolate::iteration`] is that unit, for the
-//!   native baseline and every engine alike, and the interleaved engine
-//!   matrix (`quickperf engines`) times the same function;
-//! * warm-up iterations precede the timed window, and threads that finish
-//!   keep running cool-down iterations until all threads are done, so the
-//!   machine stays uniformly busy throughout every measurement.
+//! A run times nothing. It checks the checksum of its last iteration and
+//! returns what the run did: its telemetry, memory-subsystem, profile and
+//! `/proc` deltas. Every speed comparison times the same
+//! [`Isolate::iteration`] through [`crate::stats::interleave`], the one
+//! loop that times isolates.
 //!
 //! The runner is crash-proof: a failing run (load error, instantiation
-//! failure, trap, worker panic, timeout) becomes a [`RunOutcome::Failed`]
+//! failure, trap, panic, timeout) becomes a [`RunOutcome::Failed`]
 //! record instead of aborting the whole measurement campaign. One retry
 //! with backoff absorbs transient failures; what remains is reported with
 //! the stage that failed. Strategy degradation in lb-core (uffd → mprotect
@@ -21,7 +21,7 @@
 //! the run uses the same *effective* strategy, which is recorded in the
 //! JSONL export next to the requested one.
 
-use crate::procstat::{pin_to_cpu, Sampler, SysStats};
+use crate::procstat::{Sampler, SysStats};
 use lb_core::exec::{Engine, Linker, LoadedModule};
 use lb_core::stats::{snapshot, VmSnapshot};
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig};
@@ -29,8 +29,9 @@ use lb_dsl::{Benchmark, NativeFactory};
 use lb_interp::InterpEngine;
 use lb_jit::{JitEngine, JitProfile};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which execution environment to measure (the paper's six environments
@@ -104,19 +105,15 @@ pub fn available_strategies() -> Vec<BoundsStrategy> {
         .collect()
 }
 
-/// One measurement configuration.
+/// One run configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec {
     /// Which runtime.
     pub engine: EngineSel,
     /// Bounds-checking strategy (ignored by the native baseline).
     pub strategy: BoundsStrategy,
-    /// Worker-thread (isolate) count: the paper uses 1, 4 and 16.
-    pub threads: usize,
-    /// Untimed warm-up iterations per thread.
-    pub warmup_iters: u32,
-    /// Timed iterations per thread.
-    pub measured_iters: u32,
+    /// Isolate iterations; the last one also reads the checksum.
+    pub iterations: u32,
     /// Virtual reservation per memory (8 GiB default; smaller in tests).
     pub reserve_bytes: usize,
     /// Maximum pages a memory may grow to.
@@ -137,9 +134,7 @@ impl RunSpec {
         RunSpec {
             engine,
             strategy,
-            threads: 1,
-            warmup_iters: 2,
-            measured_iters: 10,
+            iterations: 10,
             reserve_bytes: lb_core::DEFAULT_RESERVE_BYTES,
             max_pages: 4096,
             sample_system: false,
@@ -164,7 +159,7 @@ pub enum RunStage {
     Kernel,
     /// The benchmark's `checksum` export.
     Checksum,
-    /// A worker thread failed outside a specific call (panic, timeout).
+    /// The run failed outside a specific call (panic, timeout).
     Worker,
 }
 
@@ -221,8 +216,8 @@ impl fmt::Display for RunFailure {
     }
 }
 
-/// Outcome of one (benchmark, spec) measurement: a result, or a recorded
-/// failure that lets the campaign continue.
+/// Outcome of one (benchmark, spec) run: a result, or a recorded failure
+/// that lets the campaign continue.
 #[derive(Debug)]
 pub enum RunOutcome {
     /// The run completed (checksum validity is inside the result).
@@ -241,11 +236,9 @@ impl RunOutcome {
     }
 }
 
-/// The outcome of one (benchmark, spec) measurement.
+/// What one completed (benchmark, spec) run did.
 #[derive(Debug)]
 pub struct RunResult {
-    /// Timed iteration durations, per worker thread.
-    pub iter_times: Vec<Vec<Duration>>,
     /// Whether the wasm checksum matched the native twin.
     pub checksum_ok: bool,
     /// Delta of memory-subsystem counters over the run.
@@ -256,8 +249,6 @@ pub struct RunResult {
     pub telemetry: lb_telemetry::TelemetrySnapshot,
     /// System statistics (when `sample_system`).
     pub sys: Option<SysStats>,
-    /// Wall-clock time of the whole measured region.
-    pub wall: Duration,
     /// The strategy the run actually executed with, after any lb-core
     /// fallback (equals the requested strategy when nothing degraded).
     pub effective_strategy: BoundsStrategy,
@@ -267,24 +258,10 @@ pub struct RunResult {
     pub prof: Option<lb_prof::ProfReport>,
 }
 
-impl RunResult {
-    /// Median over all threads' iterations pooled together.
-    pub fn median(&self) -> Duration {
-        let all: Vec<Duration> = self.iter_times.iter().flatten().copied().collect();
-        crate::stats::median(&all)
-    }
-
-    /// Aggregate throughput: total iterations / wall time.
-    pub fn iters_per_sec(&self) -> f64 {
-        let n: usize = self.iter_times.iter().map(|v| v.len()).sum();
-        n as f64 / self.wall.as_secs_f64()
-    }
-}
-
 /// Run one benchmark under one spec, panicking on failure.
 ///
 /// Prefer [`run_benchmark_checked`] in campaign loops; this wrapper exists
-/// for callers measuring known-good suites where a failure is a bug.
+/// for callers running known-good suites where a failure is a bug.
 ///
 /// # Panics
 /// Panics if the run fails after retries.
@@ -296,7 +273,7 @@ pub fn run_benchmark(bench: &Benchmark, spec: &RunSpec) -> RunResult {
 }
 
 /// Run one benchmark under one spec without ever panicking: failures
-/// (including worker panics and timeouts) become [`RunOutcome::Failed`]
+/// (including panics and timeouts) become [`RunOutcome::Failed`]
 /// records — and a JSONL row with `outcome=failed` — after one bounded
 /// retry cycle, so a campaign of hundreds of runs survives any single one.
 pub fn run_benchmark_checked(bench: &Benchmark, spec: &RunSpec) -> RunOutcome {
@@ -327,7 +304,7 @@ fn emit_failure(bench: &Benchmark, spec: &RunSpec, failure: &RunFailure) {
             ("bench", bench.name.to_string()),
             ("engine", spec.engine.name().to_string()),
             ("strategy", spec.strategy.name().to_string()),
-            ("threads", spec.threads.to_string()),
+            ("iterations", spec.iterations.to_string()),
             ("outcome", "failed".to_string()),
             ("stage", failure.stage.name().to_string()),
             ("error", failure.error.clone()),
@@ -369,8 +346,8 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
         .sample_system
         .then(|| Sampler::start(Duration::from_millis(20)));
     // One profiler session covers the whole run (load + instantiate +
-    // kernel loops): ITIMER_PROF is process-wide, so the session is
-    // started here rather than per worker.
+    // kernel loops).
+    lb_prof::ensure_thread();
     let prof_session = lb_prof::start();
     let deadline = spec.timeout.map(|t| Instant::now() + t);
 
@@ -379,7 +356,7 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
             Some((module, config)) => (Isolate::Wasm(&**module, *config), config.strategy),
             None => (Isolate::Native(&bench.native), spec.strategy),
         };
-        run_workers(isolate, effective, spec, expected, deadline)
+        run_iterations(isolate, spec, expected, deadline).map(|ok| (ok, effective))
     });
 
     // Always stop the sampler and profiler and settle telemetry, success
@@ -389,7 +366,7 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
     let vm = snapshot().delta(&vm_before);
     let mut telemetry = lb_telemetry::snapshot_and_drain().delta_since(&tele_before);
     telemetry.retain_nonzero();
-    let raw = raw?;
+    let (checksum_ok, effective_strategy) = raw?;
 
     if let (Some(report), Some(dir)) = (prof.as_ref(), lb_prof::out_dir()) {
         let seq = TRACE_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -397,7 +374,7 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
             "{}-{}-{}-{seq:04}.trace.json",
             bench.name,
             spec.engine.name(),
-            raw.effective.name()
+            effective_strategy.name()
         );
         if let Err(e) = lb_prof::write_chrome_trace(&dir.join(&file), report, &telemetry.spans) {
             eprintln!("lb-harness: trace export to {file} failed: {e}");
@@ -451,8 +428,8 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
         ("bench", bench.name.to_string()),
         ("engine", spec.engine.name().to_string()),
         ("strategy", spec.strategy.name().to_string()),
-        ("strategy_effective", raw.effective.name().to_string()),
-        ("threads", spec.threads.to_string()),
+        ("strategy_effective", effective_strategy.name().to_string()),
+        ("iterations", spec.iterations.to_string()),
         ("outcome", "completed".to_string()),
         // Static bounds-check decisions for this run (compile-time
         // counters from lb-analysis via the JIT), for the paper-style
@@ -507,22 +484,13 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
     row.extend(meta.into_iter().map(|(k, v)| (k as &str, v)));
     lb_telemetry::export::emit_run(&row, &telemetry);
     Ok(RunResult {
-        iter_times: raw.times,
-        checksum_ok: raw.checksum_ok,
+        checksum_ok,
         vm,
         telemetry,
         sys,
-        wall: raw.wall,
-        effective_strategy: raw.effective,
+        effective_strategy,
         prof,
     })
-}
-
-struct RawRun {
-    times: Vec<Vec<Duration>>,
-    checksum_ok: bool,
-    wall: Duration,
-    effective: BoundsStrategy,
 }
 
 /// What an isolate iteration instantiates.
@@ -568,45 +536,6 @@ impl Isolate<'_> {
     }
 }
 
-fn timed_out(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-fn timeout_failure() -> RunFailure {
-    RunFailure::new(RunStage::Worker, &"per-run timeout exceeded")
-}
-
-/// One worker's timed iterations, and whether its checksum matched.
-type WorkerTimes = (Vec<Duration>, bool);
-
-/// Fold joined worker results: a panicking worker becomes a
-/// [`RunStage::Worker`] failure instead of poisoning the campaign.
-fn collect_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<WorkerTimes, RunFailure>>>,
-) -> Result<Vec<WorkerTimes>, RunFailure> {
-    let mut out = Vec::with_capacity(handles.len());
-    let mut first_err: Option<RunFailure> = None;
-    for h in handles {
-        match h.join() {
-            Ok(Ok(r)) => out.push(r),
-            Ok(Err(f)) => first_err = first_err.or(Some(f)),
-            Err(p) => {
-                let msg = p
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_string());
-                let f = RunFailure::new(RunStage::Worker, &format!("worker panicked: {msg}"));
-                first_err = first_err.or(Some(f));
-            }
-        }
-    }
-    match first_err {
-        None => Ok(out),
-        Some(f) => Err(f),
-    }
-}
-
 /// A loaded module and the memory config its isolates run under.
 type Loaded = (Arc<dyn LoadedModule>, MemoryConfig);
 
@@ -626,8 +555,8 @@ fn load(bench: &Benchmark, spec: &RunSpec) -> Result<Option<Loaded>, RunFailure>
     // Resolve the effective strategy once per run with a throwaway probe
     // memory. If lb-core degrades (e.g. uffd setup fails in a container),
     // every isolate of this run then uses the *same* fallen-back strategy
-    // instead of each iteration renegotiating — keeping per-iteration
-    // timings comparable and the JSONL row honest about what actually ran.
+    // instead of each iteration renegotiating — keeping the run's
+    // isolates uniform and the JSONL row honest about what actually ran.
     let probe = LinearMemory::new(&requested).map_err(fail(RunStage::Probe))?;
     let config = MemoryConfig {
         strategy: probe.strategy(),
@@ -636,71 +565,40 @@ fn load(bench: &Benchmark, spec: &RunSpec) -> Result<Option<Loaded>, RunFailure>
     Ok(Some((loaded, config)))
 }
 
-/// Run `spec.threads` pinned workers, each iterating `isolate`: warm-up,
-/// a barrier, the timed iterations (the last also reads the checksum),
-/// then cool-down iterations until every worker is done.
-fn run_workers(
+/// Run `spec.iterations` isolate iterations, the last of which reads the
+/// checksum, and return whether it matched `expected`. A panic becomes a
+/// [`RunStage::Worker`] failure instead of unwinding into the campaign.
+fn run_iterations(
     isolate: Isolate<'_>,
-    effective: BoundsStrategy,
     spec: &RunSpec,
     expected: f64,
     deadline: Option<Instant>,
-) -> Result<RawRun, RunFailure> {
-    let barrier = Barrier::new(spec.threads);
-    let remaining = AtomicUsize::new(spec.threads);
-    let t0 = Instant::now();
-    let joined = std::thread::scope(|s| {
-        let (barrier, remaining) = (&barrier, &remaining);
-        let handles = (0..spec.threads)
-            .map(|tid| {
-                s.spawn(move || {
-                    pin_to_cpu(tid);
-                    lb_prof::ensure_thread();
-                    let warm = (0..spec.warmup_iters).try_for_each(|_| {
-                        if timed_out(deadline) {
-                            return Err(timeout_failure());
-                        }
-                        isolate.iteration(false).map(drop)
-                    });
-                    // Every worker reaches the barrier exactly once, even
-                    // when warm-up failed — otherwise the siblings deadlock.
-                    barrier.wait();
-                    let timed = warm.and_then(|()| {
-                        let mut times = Vec::with_capacity(spec.measured_iters as usize);
-                        let mut ok = true;
-                        for i in 0..spec.measured_iters {
-                            if timed_out(deadline) {
-                                return Err(timeout_failure());
-                            }
-                            let t = Instant::now();
-                            let checksum = isolate.iteration(i + 1 == spec.measured_iters)?;
-                            times.push(t.elapsed());
-                            if let Some(cs) = checksum {
-                                ok = lb_dsl::kernel::checksums_match(cs, expected);
-                            }
-                        }
-                        Ok((times, ok))
-                    });
-                    // Cool-down: keep the CPU busy until everyone is done.
-                    remaining.fetch_sub(1, Ordering::AcqRel);
-                    while timed.is_ok()
-                        && remaining.load(Ordering::Acquire) > 0
-                        && !timed_out(deadline)
-                        && isolate.iteration(false).is_ok()
-                    {}
-                    timed
-                })
-            })
-            .collect();
-        collect_workers(handles)
-    })?;
-    let wall = t0.elapsed();
-    let ok = joined.iter().all(|(_, ok)| *ok);
-    Ok(RawRun {
-        times: joined.into_iter().map(|(t, _)| t).collect(),
-        checksum_ok: ok,
-        wall,
-        effective,
+) -> Result<bool, RunFailure> {
+    let iterations = || {
+        let mut ok = true;
+        for i in 1..=spec.iterations {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(RunFailure::new(
+                    RunStage::Worker,
+                    &"per-run timeout exceeded",
+                ));
+            }
+            if let Some(cs) = isolate.iteration(i == spec.iterations)? {
+                ok = lb_dsl::kernel::checksums_match(cs, expected);
+            }
+        }
+        Ok(ok)
+    };
+    std::panic::catch_unwind(AssertUnwindSafe(iterations)).unwrap_or_else(|p| {
+        let msg = p
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "no message".to_string());
+        Err(RunFailure::new(
+            RunStage::Worker,
+            &format!("run panicked: {msg}"),
+        ))
     })
 }
 
@@ -721,9 +619,7 @@ mod tests {
         RunSpec {
             engine,
             strategy: BoundsStrategy::Mprotect,
-            threads: 1,
-            warmup_iters: 1,
-            measured_iters: 3,
+            iterations: 3,
             reserve_bytes: 64 << 20,
             max_pages: 512,
             sample_system: false,
@@ -733,38 +629,28 @@ mod tests {
     }
 
     #[test]
-    fn native_run_produces_times() {
+    fn native_run_validates() {
         let _serial = engine_lock();
         let b = by_name("gemm", Dataset::Mini).unwrap();
         let r = run_benchmark(&b, &quick_spec(EngineSel::Native));
         assert!(r.checksum_ok);
-        assert_eq!(r.iter_times.len(), 1);
-        assert_eq!(r.iter_times[0].len(), 3);
     }
 
     #[test]
-    fn wasm_run_produces_times_and_validates() {
+    fn wasm_run_instantiates_each_iteration_and_validates() {
         let _serial = engine_lock();
         let b = by_name("atax", Dataset::Mini).unwrap();
-        for e in [EngineSel::Interp, EngineSel::Wavm] {
+        for (e, histogram) in [
+            (EngineSel::Interp, "interp.instantiate_ns"),
+            (EngineSel::Wavm, "jit.instantiate_ns"),
+        ] {
             let r = run_benchmark(&b, &quick_spec(e));
             assert!(r.checksum_ok, "{}", e.name());
-            assert!(r.median() > Duration::ZERO);
+            let instantiated = r.telemetry.histogram(histogram).map_or(0, |h| h.count);
+            assert_eq!(instantiated, 3, "{}: one isolate per iteration", e.name());
             assert!(r.vm.mmap >= 3, "one reservation per isolate iteration");
             assert_eq!(r.effective_strategy, BoundsStrategy::Mprotect);
         }
-    }
-
-    #[test]
-    fn multithreaded_run_works() {
-        let _serial = engine_lock();
-        let b = by_name("trisolv", Dataset::Mini).unwrap();
-        let mut spec = quick_spec(EngineSel::Wasmtime);
-        spec.threads = 4;
-        let r = run_benchmark(&b, &spec);
-        assert!(r.checksum_ok);
-        assert_eq!(r.iter_times.len(), 4);
-        assert!(r.iters_per_sec() > 0.0);
     }
 
     #[test]
@@ -782,6 +668,34 @@ mod tests {
             r1.vm.mprotect,
             r2.vm.mprotect
         );
+    }
+
+    #[test]
+    fn panic_becomes_a_worker_failure() {
+        let _serial = engine_lock();
+        let gemm = by_name("gemm", Dataset::Mini).unwrap();
+        // Call 1 computes the expected checksum, calls 2 and 3 are the
+        // two iterations: the second iteration panics.
+        let calls = AtomicU32::new(0);
+        let native = gemm.native;
+        let b = Benchmark::new(
+            "panics",
+            "polybench",
+            gemm.module,
+            Box::new(move || {
+                assert!(calls.fetch_add(1, Ordering::Relaxed) < 2, "injected panic");
+                native()
+            }),
+        );
+        let mut spec = quick_spec(EngineSel::Native);
+        spec.retries = 0;
+        match run_benchmark_checked(&b, &spec) {
+            RunOutcome::Failed(f) => {
+                assert_eq!(f.stage, RunStage::Worker);
+                assert!(f.error.contains("injected panic"), "{}", f.error);
+            }
+            RunOutcome::Completed(_) => panic!("a panicking iteration must fail the run"),
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Statistics used by the paper's evaluation: per-benchmark medians, the
-//! Fleming–Wallace geometric mean of ratios (the paper cites [4], "How
-//! Not To Lie With Statistics", for exactly this aggregation), and the
-//! one A/B measurement every speed comparison goes through.
+//! Statistics used by the paper's evaluation: the Fleming–Wallace
+//! geometric mean of ratios (the paper cites [4], "How Not To Lie With
+//! Statistics", for exactly this aggregation), and the one A/B
+//! measurement every speed comparison goes through: [`interleave`] is
+//! the one loop that times isolate iterations.
 //!
 //! [`interleave`] runs [`ROUNDS`] rounds, each calling every arm once,
 //! back to back, in an order shuffled per round, so no arm always runs
@@ -155,19 +156,6 @@ fn median_of(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Median of a sample (averaging the middle pair for even sizes).
-pub fn median(samples: &[Duration]) -> Duration {
-    assert!(!samples.is_empty(), "median of empty sample");
-    let mut v: Vec<Duration> = samples.to_vec();
-    v.sort_unstable();
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2
-    }
-}
-
 /// Geometric mean of ratios (Fleming–Wallace): the correct way to average
 /// normalized execution times across benchmarks.
 pub fn geomean_ratios(ratios: &[f64]) -> f64 {
@@ -179,10 +167,6 @@ pub fn geomean_ratios(ratios: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ms(v: u64) -> Duration {
-        Duration::from_millis(v)
-    }
 
     #[test]
     fn every_arm_follows_more_than_one_neighbour() {
@@ -212,12 +196,6 @@ mod tests {
                 assert_eq!(order, (0..n).collect::<Vec<_>>());
             }
         }
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median(&[ms(3), ms(1), ms(2)]), ms(2));
-        assert_eq!(median(&[ms(1), ms(2), ms(3), ms(4)]), ms(2) + ms(1) / 2);
     }
 
     #[test]

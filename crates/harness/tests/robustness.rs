@@ -16,9 +16,7 @@ fn quick_spec(engine: EngineSel, strategy: BoundsStrategy) -> RunSpec {
     RunSpec {
         engine,
         strategy,
-        threads: 1,
-        warmup_iters: 1,
-        measured_iters: 2,
+        iterations: 3,
         reserve_bytes: 64 << 20,
         max_pages: 512,
         sample_system: false,
@@ -70,14 +68,12 @@ fn one_shot_injection_is_absorbed_by_retry() {
 }
 
 #[test]
-fn worker_stage_failure_does_not_deadlock_multithreaded_run() {
-    // The probe consumes check #1; check #2 fires in one worker's warm-up
-    // instantiation. The failed worker must still reach the barrier and
-    // decrement the cool-down count, or this test hangs.
-    let _guard = lb_chaos::install("core.mmap.reserve:2:ENOMEM").unwrap();
+fn instantiate_fault_surfaces_as_instantiate_stage() {
+    // The probe consumes check #1 and the first isolate check #2; check
+    // #3 fires in the second iteration's instantiation.
+    let _guard = lb_chaos::install("core.mmap.reserve:3:ENOMEM").unwrap();
     let b = by_name("trisolv", Dataset::Mini).unwrap();
-    let mut spec = quick_spec(EngineSel::Wavm, BoundsStrategy::Trap);
-    spec.threads = 2;
+    let spec = quick_spec(EngineSel::Wavm, BoundsStrategy::Trap);
     match run_benchmark_checked(&b, &spec) {
         RunOutcome::Failed(f) => assert_eq!(f.stage, RunStage::Instantiate, "{f}"),
         RunOutcome::Completed(_) => panic!("injected instantiate fault must surface"),

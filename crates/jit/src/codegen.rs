@@ -604,8 +604,8 @@ impl<'a> Gen<'a> {
     fn prologue(&mut self) {
         self.a.push(Reg::RBP);
         self.a.mov_rr(W::W64, Reg::RBP, Reg::RSP);
-        for k in 0..self.n_pinned {
-            self.a.push(PIN_REGS[k]);
+        for &r in &PIN_REGS[..self.n_pinned] {
+            self.a.push(r);
         }
         self.a.sub_ri(W::W64, Reg::RSP, self.frame_size());
         // Stack-overflow check (one of wasm's safety mechanisms the paper

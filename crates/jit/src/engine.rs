@@ -280,7 +280,7 @@ impl Engine for JitEngine {
 /// Pad `blob` with `INT3` to the next 16-byte boundary, so every entry
 /// starts aligned (for decoding niceness).
 fn align16(blob: &mut Vec<u8>) {
-    while blob.len() % 16 != 0 {
+    while !blob.len().is_multiple_of(16) {
         blob.push(asm::INT3);
     }
 }

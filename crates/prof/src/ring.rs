@@ -41,12 +41,14 @@ struct Slot {
 }
 
 impl Slot {
-    const NEW: Slot = Slot {
-        pc: AtomicU64::new(0),
-        t_ns: AtomicU64::new(0),
-        thread: AtomicU32::new(0),
-        gen: AtomicU32::new(0),
-    };
+    fn new() -> Slot {
+        Slot {
+            pc: AtomicU64::new(0),
+            t_ns: AtomicU64::new(0),
+            thread: AtomicU32::new(0),
+            gen: AtomicU32::new(0),
+        }
+    }
 }
 
 static SLOTS: OnceLock<Box<[Slot]>> = OnceLock::new();
@@ -59,7 +61,7 @@ static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 /// Allocate the slot array. Normal context only (allocates once).
 pub(crate) fn init() {
-    SLOTS.get_or_init(|| (0..CAPACITY).map(|_| Slot::NEW).collect());
+    SLOTS.get_or_init(|| (0..CAPACITY).map(|_| Slot::new()).collect());
 }
 
 /// Begin a new session: forget all prior samples, return the new

@@ -13,7 +13,9 @@
 //! `setup (lock) → compute → teardown (lock)`. The mmap lock is FIFO and
 //! exclusive; holding it for an mprotect-style operation costs a base
 //! latency plus an IPI per other active thread. The uffd strategy replaces
-//! lock-held page enabling with per-page faults served without the lock.
+//! lock-held page enabling with one `UFFDIO_REGISTER` of the range above
+//! the initial memory; its initial pages take minor faults, as under
+//! every other strategy.
 //! The V8 engine profile adds periodic stop-the-world pauses, each parking
 //! and unparking every worker (visible as context switches, as in the
 //! paper's figure 5b).
@@ -36,7 +38,8 @@ pub enum SimStrategy {
     Plain,
     /// `PROT_NONE` reservation + `mprotect` to enable pages (+ shootdowns).
     Mprotect,
-    /// Lazy RW reservation + userfaultfd: per-page faults, no exclusive lock.
+    /// Lazy RW reservation whose range above the initial memory is
+    /// registered with userfaultfd; no `mprotect`, no shootdowns.
     Uffd,
 }
 
@@ -64,7 +67,7 @@ pub struct SimParams {
     pub iters: u32,
     /// Pure compute time per iteration, ns.
     pub compute_ns: u64,
-    /// Committed wasm pages per isolate (drives fault/mprotect volume).
+    /// Committed initial pages per isolate, each taking one minor fault.
     pub pages: u64,
     /// Strategy under test.
     pub strategy: SimStrategy,
@@ -78,11 +81,9 @@ pub struct SimParams {
     pub mprotect_ns: u64,
     /// Per-recipient TLB-shootdown IPI cost, ns (paid while holding).
     pub ipi_ns: u64,
-    /// userfaultfd register/unregister ioctl hold time, ns.
+    /// userfaultfd register ioctl hold time, ns.
     pub uffd_register_ns: u64,
-    /// Per-page fault service time (SIGBUS + UFFDIO_ZEROPAGE), ns.
-    pub uffd_fault_ns: u64,
-    /// Minor-fault cost per first-touch page for non-uffd strategies, ns.
+    /// Minor-fault cost per first-touched initial page, ns.
     pub minor_fault_ns: u64,
     /// GC pause period, ns (V8 profile).
     pub gc_period_ns: u64,
@@ -107,7 +108,6 @@ impl SimParams {
             mprotect_ns: 2_000,
             ipi_ns: 200,
             uffd_register_ns: 1_500,
-            uffd_fault_ns: 1_800,
             minor_fault_ns: 350,
             gc_period_ns: 10_000_000,
             gc_pause_ns: 300_000,
@@ -226,11 +226,7 @@ impl Sim<'_> {
     }
 
     fn compute_time(&self) -> u64 {
-        let extra = match self.p.strategy {
-            SimStrategy::Uffd => self.p.pages * self.p.uffd_fault_ns,
-            _ => self.p.pages * self.p.minor_fault_ns,
-        };
-        self.p.compute_ns + extra
+        self.p.compute_ns + self.p.pages * self.p.minor_fault_ns
     }
 
     fn push(&mut self, t: u64, e: Ev) {
@@ -399,6 +395,22 @@ mod tests {
         assert_eq!(r.ctx_switches, 0);
         assert_eq!(r.lock_wait_ns, 0);
         assert_eq!(r.iter_ns[0].len(), 40);
+    }
+
+    #[test]
+    fn uffd_differs_from_plain_only_by_its_register() {
+        // Initial pages take minor faults under every strategy; uffd adds
+        // only the register ioctl to each set-up.
+        let mut plain = SimParams::new(SimStrategy::Plain, 1, 50_000);
+        plain.pages = 64;
+        let uffd = SimParams {
+            strategy: SimStrategy::Uffd,
+            ..plain
+        };
+        let (p, u) = (simulate(&plain), simulate(&uffd));
+        for (pt, ut) in p.iter_ns[0].iter().zip(&u.iter_ns[0]) {
+            assert_eq!(ut - pt, uffd.uffd_register_ns);
+        }
     }
 
     #[test]

@@ -47,19 +47,13 @@ pub fn lbm(s: Scale) -> Benchmark {
         let y = fi.local_i32();
         fi.for_i32(y, ci(0), ci(ny), |f| {
             f.for_i32(x, ci(0), ci(nx), |f| {
-                for d in 0..9usize {
+                for (d, &w) in WGT.iter().enumerate() {
                     // weight * (1 + small spatial perturbation)
                     let pert = (x.get() * ci(7) + y.get() * ci(13) + ci(d as i32))
                         .rem_s(ci(37))
                         .to_f64()
                         * cf(0.001);
-                    f0.set(
-                        f,
-                        ci(d as i32),
-                        y.get(),
-                        x.get(),
-                        cf(WGT[d]) * (cf(1.0) + pert),
-                    );
+                    f0.set(f, ci(d as i32), y.get(), x.get(), cf(w) * (cf(1.0) + pert));
                     f1.set(f, ci(d as i32), y.get(), x.get(), cf(0.0));
                 }
             });
@@ -156,10 +150,10 @@ pub fn lbm(s: Scale) -> Benchmark {
                 let (nx, ny) = (s.nx, s.ny);
                 for y in 0..ny {
                     for x in 0..nx {
-                        for d in 0..9 {
+                        for (d, &w) in WGT.iter().enumerate() {
                             let pert =
                                 ((x as i32 * 7 + y as i32 * 13 + d as i32) % 37) as f64 * 0.001;
-                            s.f0[(d * ny + y) * nx + x] = WGT[d] * (1.0 + pert);
+                            s.f0[(d * ny + y) * nx + x] = w * (1.0 + pert);
                             s.f1[(d * ny + y) * nx + x] = 0.0;
                         }
                     }

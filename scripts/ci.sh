@@ -6,8 +6,9 @@
 #   2. the full test suite (unit, integration, differential, fuzz)
 #   3. clippy over every target; errors fail, warnings are reported only,
 #      except in lb-core (the runtime's unsafe memory and signal layer),
-#      lb-serve, lb-chaos, lb-sys, lb-telemetry, lb-bench, lb-harness and
-#      lb-sim, where any warning fails
+#      lb-serve, lb-chaos, lb-sys, lb-telemetry, lb-bench, lb-harness,
+#      lb-sim, lb-analysis, lb-prof, lb-jit and lb-spec-proxy, where any
+#      warning fails
 #   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   5. translation validation end-to-end (PolyBench and the SPEC proxies)
@@ -21,7 +22,10 @@
 #   8. serving smoke: a short closed-loop `serve_bench smoke` run; every admitted
 #      request must resolve exactly once and the latency histogram must
 #      be populated
-#   9. A/B smoke: quickperf's plan mode on one Mini kernel, its engines
+#   9. scaling smoke: `fig3 --dataset mini`, which calibrates the
+#      mm-contention simulator with one interleaved isolate measurement;
+#      gated on its exit status only
+#  10. A/B smoke: quickperf's plan mode on one Mini kernel, its engines
 #      mode on one Mini kernel, and its pool mode at Mini. They
 #      gate only on exact results: every arm's checksum against native,
 #      check counts that repeat across two compiles, a record that
@@ -44,7 +48,8 @@ run cargo build --release --workspace
 run cargo test -q --workspace
 run cargo clippy -q --workspace --all-targets
 run cargo clippy -q -p lb-core -p lb-serve -p lb-chaos -p lb-sys -p lb-telemetry \
-  -p lb-bench -p lb-harness -p lb-sim --all-targets --no-deps -- -D warnings
+  -p lb-bench -p lb-harness -p lb-sim -p lb-analysis -p lb-prof -p lb-jit \
+  -p lb-spec-proxy --all-targets --no-deps -- -D warnings
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation
@@ -55,6 +60,7 @@ run cargo run --release -p lb-bench --bin analysis_report -- \
 run env LB_PROF=sample:997 LB_PROF_OUT=target/prof-smoke \
   cargo run --release -p lb-bench --bin prof_report -- --smoke
 run cargo run --release -p lb-bench --bin serve_bench -- smoke
+run cargo run --release -p lb-bench --bin fig3 -- --dataset mini
 mkdir -p target/ab-smoke
 (cd target/ab-smoke && run ../release/quickperf plan --dataset mini --bench trisolv)
 (cd target/ab-smoke && run ../release/quickperf pool --dataset mini)

@@ -1,6 +1,12 @@
 //! Cross-crate integration tests: the full pipeline from DSL-authored
 //! kernels through both engines, the harness, the cost model and the
 //! simulator, exercised together as a downstream user would.
+//!
+//! Every test that instantiates holds `common::process_lock()`: a run's
+//! telemetry is a process-wide delta, which a sibling test's isolates
+//! would inflate.
+
+mod common;
 
 use leaps_and_bounds::core::exec::{Engine, Linker};
 use leaps_and_bounds::core::{BoundsStrategy, MemoryConfig};
@@ -11,6 +17,7 @@ use leaps_and_bounds::{isa_model, polybench, sim, spec_proxy};
 
 #[test]
 fn harness_agrees_across_engines_on_checksums() {
+    let _serial = common::process_lock();
     let bench = polybench::by_name("bicg", polybench::Dataset::Mini).unwrap();
     for engine in [
         EngineSel::Native,
@@ -20,21 +27,27 @@ fn harness_agrees_across_engines_on_checksums() {
         EngineSel::V8,
     ] {
         let mut spec = RunSpec::new(engine, BoundsStrategy::Mprotect);
-        spec.measured_iters = 2;
-        spec.warmup_iters = 1;
+        spec.iterations = 3;
         spec.reserve_bytes = 64 << 20;
         let r = run_benchmark(&bench, &spec);
         assert!(r.checksum_ok, "{}", engine.name());
-        assert_eq!(r.iter_times[0].len(), 2);
+        // One instantiation per iteration (the native twin records none).
+        let instantiated: u64 = ["jit.instantiate_ns", "interp.instantiate_ns"]
+            .iter()
+            .filter_map(|h| r.telemetry.histogram(h))
+            .map(|h| h.count)
+            .sum();
+        let expected = if engine == EngineSel::Native { 0 } else { 3 };
+        assert_eq!(instantiated, expected, "{}", engine.name());
     }
 }
 
 #[test]
 fn spec_proxies_run_through_harness() {
+    let _serial = common::process_lock();
     let bench = spec_proxy::by_name("xz", spec_proxy::Scale::Mini).unwrap();
     let mut spec = RunSpec::new(EngineSel::Wasmtime, BoundsStrategy::Trap);
-    spec.measured_iters = 2;
-    spec.warmup_iters = 0;
+    spec.iterations = 2;
     spec.reserve_bytes = 64 << 20;
     let r = run_benchmark(&bench, &spec);
     assert!(r.checksum_ok);
@@ -56,9 +69,10 @@ fn simulator_and_harness_tell_the_same_story() {
     // Real single-core measurement shows mprotect costs more syscalls;
     // the simulator shows the multicore consequence. Both must point the
     // same direction: uffd lighter on the mm subsystem.
+    let _serial = common::process_lock();
     let bench = polybench::by_name("trisolv", polybench::Dataset::Mini).unwrap();
     let mut spec = RunSpec::new(EngineSel::Wavm, BoundsStrategy::Mprotect);
-    spec.measured_iters = 5;
+    spec.iterations = 5;
     spec.reserve_bytes = 64 << 20;
     let mp = run_benchmark(&bench, &spec);
     assert!(mp.vm.mprotect >= 5, "one mprotect per isolate at minimum");
@@ -73,6 +87,7 @@ fn simulator_and_harness_tell_the_same_story() {
 #[test]
 fn wasm_binary_is_portable_between_engines() {
     // Encode with one engine's module, decode, run on the other.
+    let _serial = common::process_lock();
     let bench = polybench::by_name("mvt", polybench::Dataset::Mini).unwrap();
     let bytes = leaps_and_bounds::wasm::binary::encode(&bench.module);
     let module = leaps_and_bounds::wasm::binary::decode(&bytes).unwrap();
@@ -103,6 +118,7 @@ fn wasm_binary_is_portable_between_engines() {
 fn many_isolates_coexist_and_clean_up() {
     // Stress the arena registry: dozens of live memories across strategies,
     // interleaved creation/teardown, then verify full cleanup.
+    let _serial = common::process_lock();
     let bench = polybench::by_name("jacobi-1d", polybench::Dataset::Mini).unwrap();
     let engine = JitEngine::new(JitProfile::wasmtime());
     let loaded = engine.load(&bench.module).unwrap();

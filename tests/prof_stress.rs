@@ -13,16 +13,18 @@
 mod common;
 
 use lb_core::{BoundsStrategy, LinearMemory, MemoryConfig, WASM_PAGE};
-use lb_harness::{run_benchmark_checked, EngineSel, RunOutcome, RunSpec};
+use lb_harness::{run_benchmark_checked, EngineSel, Isolate, RunOutcome, RunSpec};
 use lb_polybench::{by_name, common::Dataset};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+/// JIT workers that run isolates beside the checked run, so four threads
+/// execute JIT code under SIGPROF at once.
+const SIDE_WORKERS: usize = 3;
+
 fn spec(strategy: BoundsStrategy) -> RunSpec {
     let mut s = RunSpec::new(EngineSel::Wavm, strategy);
-    s.threads = 4;
-    s.warmup_iters = 1;
-    s.measured_iters = 40;
+    s.iterations = 41;
     s.reserve_bytes = 64 << 20;
     s.max_pages = 512;
     s.timeout = Some(Duration::from_secs(120));
@@ -37,12 +39,28 @@ fn profiler_coexists_with_fault_service_and_chaos() {
     let bench = by_name("gemm", Dataset::Small).expect("gemm");
 
     // Phase 1: uffd strategy with SIGPROF firing at 4 kHz. Must complete
-    // correctly. gemm touches only its initial memory, which is plain
-    // memory under uffd too, so a second thread keeps the SIGBUS fault
-    // servicer busy on grown pages for the whole run.
+    // correctly. Side workers run gemm isolates beside the checked run.
+    // gemm touches only its initial memory, which is plain memory under
+    // uffd too, so one more thread keeps the SIGBUS fault servicer busy
+    // on grown pages for the whole run.
+    let spec = spec(BoundsStrategy::Uffd);
+    let engine = spec.engine.engine().expect("wavm is a wasm engine");
+    let module = engine.load(&bench.module).expect("load");
+    let isolate = Isolate::Wasm(
+        &*module,
+        MemoryConfig::new(spec.strategy, 0, spec.max_pages).with_reserve(spec.reserve_bytes),
+    );
     let before = lb_telemetry::snapshot();
     let done = AtomicBool::new(false);
     let outcome = std::thread::scope(|s| {
+        for _ in 0..SIDE_WORKERS {
+            s.spawn(|| {
+                lb_prof::ensure_thread();
+                while !done.load(Ordering::Relaxed) {
+                    isolate.iteration(false).expect("side isolate iteration");
+                }
+            });
+        }
         s.spawn(|| {
             lb_prof::ensure_thread();
             let cfg = MemoryConfig::new(BoundsStrategy::Uffd, 1, 64).with_reserve(16 << 20);
@@ -60,7 +78,7 @@ fn profiler_coexists_with_fault_service_and_chaos() {
                 }
             }
         });
-        let outcome = run_benchmark_checked(&bench, &spec(BoundsStrategy::Uffd));
+        let outcome = run_benchmark_checked(&bench, &spec);
         done.store(true, Ordering::Relaxed);
         outcome
     });

@@ -18,8 +18,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 fn quick_spec(engine: EngineSel) -> RunSpec {
     let mut spec = RunSpec::new(engine, BoundsStrategy::Mprotect);
-    spec.warmup_iters = 1;
-    spec.measured_iters = 2;
+    spec.iterations = 3;
     spec.reserve_bytes = 64 << 20;
     spec.max_pages = 512;
     spec.sample_system = false;
