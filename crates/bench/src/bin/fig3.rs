@@ -1,7 +1,10 @@
-//! **Figure 3** — Performance scaling with increased number of threads
-//! (1/4/16 isolates pinned to cores, as in the paper), from the
-//! mm-contention simulator modeling the paper's 16-hardware-thread
-//! machines, calibrated by one interleaved single-thread measurement.
+//! **Figures 3–5** — thread scaling (1/4/16 isolates, as in the paper):
+//! throughput and speed-up (Fig. 3), CPU utilisation with 100% = one busy
+//! core (Fig. 4) and context switches per second (Fig. 5). All three are
+//! views of one run of the mm-contention simulator, which models the
+//! paper's 16-hardware-thread machines and is calibrated by one
+//! interleaved single-thread measurement. No measured multi-thread run
+//! validates the model yet.
 //!
 //! ```text
 //! cargo run --release -p lb-bench --bin fig3 -- --dataset small
@@ -19,6 +22,8 @@ fn main() {
         "threads",
         "iters_per_sec",
         "speedup_vs_1t",
+        "cpu_util_pct",
+        "ctxt_per_sec",
     ]);
     for p in &points {
         let base = points
@@ -32,8 +37,11 @@ fn main() {
             p.threads.to_string(),
             format!("{:.1}", p.iters_per_sec),
             format!("{:.2}", p.iters_per_sec / base),
+            format!("{:.0}", p.utilization_pct),
+            format!("{:.0}", p.ctxt_per_sec),
         ]);
     }
-    println!("\nFigure 3: performance scaling with thread count\n");
+    println!("\nFigures 3-5: thread scaling, CPU utilisation and context switches");
+    println!("(model (lb-sim), unvalidated)\n");
     emit(&table, &args.csv);
 }

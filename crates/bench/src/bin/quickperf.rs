@@ -251,31 +251,40 @@ fn memsys() {
     // memory. uffd registers only the tail above the initial size, so
     // its initial memory takes the same minor faults as mprotect's; grown
     // pages cost SIGBUS + UFFDIO_ZEROPAGE service against mprotect's
-    // grow-time `mprotect` and minor faults. Each call also reserves and
-    // tears down its memory, the same work in both arms.
+    // grow-time `mprotect` and minor faults. The `first_touch` rows store
+    // one byte per wasm page; `every_host_page` stores one byte per 4 KiB
+    // page, so each page uffd mapped to the zero page is then written.
+    // Each call also reserves and tears down its memory, the same work
+    // in both arms.
     if uffd {
-        let touch = |s: BoundsStrategy, initial: u32| -> Arm<'static> {
+        let touch = |s: BoundsStrategy, initial: u32, stride: u32| -> Arm<'static> {
             let config = MemoryConfig::new(s, initial, 64).with_reserve(8 << 20);
             Box::new(move || {
                 let m = LinearMemory::new(&config).expect("memory");
-                let first = if initial == 0 {
-                    m.grow(16).expect("grow")
+                let base = if initial == 0 {
+                    m.grow(16).expect("grow") * 65536
                 } else {
                     0
                 };
                 catch_traps(|| {
-                    (first..first + 16).try_for_each(|p| m.store::<u8>(p * 65536, 0, 1))
+                    (0..16 * 65536 / stride)
+                        .try_for_each(|i| m.store::<u8>(base + i * stride, 0, 1))
                 })
                 .expect("store");
             })
         };
         let (mp, uf) = (BoundsStrategy::Mprotect, BoundsStrategy::Uffd);
         let names = ["mprotect", "uffd"];
-        for (row, initial) in [
-            ("first_touch_initial_16_pages", 64),
-            ("first_touch_grown_16_pages", 0),
+        for (row, initial, stride) in [
+            ("first_touch_initial_16_pages", 64, 65536),
+            ("first_touch_grown_16_pages", 0, 65536),
+            ("first_write_grown_16_pages_every_host_page", 0, 4096),
         ] {
-            let mut arms = [touch(mp, initial), touch(uf, initial), touch(mp, initial)];
+            let mut arms = [
+                touch(mp, initial, stride),
+                touch(uf, initial, stride),
+                touch(mp, initial, stride),
+            ];
             rows.push(measure(Row::new(row), &names, &mut arms));
         }
     }

@@ -137,10 +137,10 @@ pub fn emit(table: &lb_harness::Table, csv: &Option<String>) {
     }
 }
 
-// ── shared scaling machinery for figures 3–5 ────────────────────────────
+// ── scaling machinery for figures 3–5 ───────────────────────────────────
 
 /// One (engine, strategy, thread-count) point of the mm-contention
-/// simulator, for figures 3–5.
+/// simulator: one row of the figures 3–5 table.
 #[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// Engine name.
@@ -157,7 +157,7 @@ pub struct ScalePoint {
     pub ctxt_per_sec: f64,
 }
 
-/// The benchmarks figures 3–5 default to: short-running kernels, where the
+/// The benchmark figures 3–5 default to: a short-running kernel, where the
 /// paper says the mprotect locking effect is most visible.
 pub const SCALING_DEFAULT_BENCH: &str = "jacobi-1d";
 

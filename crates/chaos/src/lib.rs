@@ -31,8 +31,7 @@
 //!     consultation sequence).
 //! * `errno` — a symbolic errno name (`EPERM`, `ENOMEM`, `EAGAIN`, …).
 //!
-//! A `seed=N` directive sets the SplitMix64 seed (default 0); the
-//! `LB_FAULTS_SEED` environment variable does the same.
+//! A `seed=N` directive sets the SplitMix64 seed (default 0).
 //!
 //! Examples:
 //!
@@ -291,15 +290,6 @@ impl Plan {
         Ok(Plan { directives, seed })
     }
 
-    /// Override the seed (re-seeds all `rate` streams; `nth` counters are
-    /// untouched).
-    pub fn reseed(&mut self, seed: u64) {
-        self.seed = seed;
-        for (i, d) in self.directives.iter_mut().enumerate() {
-            *d.rng.get_mut() = splitmix64_mix(seed ^ (i as u64).wrapping_mul(0x9E37));
-        }
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -356,7 +346,7 @@ fn fire_counters() -> &'static FireCounters {
     })
 }
 
-/// Parse `LB_FAULTS` / `LB_FAULTS_SEED` once and install the resulting
+/// Parse `LB_FAULTS` once and install the resulting
 /// plan. Called lazily by [`inject_raw`]'s slow path and eagerly by
 /// `lb-core`'s handler installation; idempotent. A malformed spec is
 /// reported to stderr once and ignored (an injection layer must never be
@@ -370,12 +360,7 @@ pub fn init_from_env() {
             return;
         }
         match Plan::parse(&spec) {
-            Ok(mut plan) => {
-                if let Ok(seed) = std::env::var("LB_FAULTS_SEED") {
-                    if let Ok(seed) = seed.parse() {
-                        plan.reseed(seed);
-                    }
-                }
+            Ok(plan) => {
                 let _guard = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
                 install_plan(plan);
             }
@@ -510,8 +495,7 @@ mod tests {
     #[test]
     fn rate_stream_is_seed_deterministic() {
         let fire_pattern = |seed: u64| -> Vec<bool> {
-            let mut p = Plan::parse("core.uffd.copy:rate=0.5:EAGAIN").unwrap();
-            p.reseed(seed);
+            let p = Plan::parse(&format!("core.uffd.copy:rate=0.5:EAGAIN;seed={seed}")).unwrap();
             (0..256)
                 .map(|_| p.check("core.uffd.copy").is_some())
                 .collect()

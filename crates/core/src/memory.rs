@@ -113,7 +113,8 @@ pub(crate) fn plain_prefix(
     }
 }
 
-/// Next strategy to try when `strategy` failed to initialize with `err`.
+/// Next strategy to try when `strategy` failed to initialize with `err`,
+/// with the telemetry counter that names the transition.
 ///
 /// This is the degradation chain the failure model documents: `uffd` setup
 /// failures (no kernel support, container seccomp/EPERM, fd exhaustion)
@@ -121,23 +122,20 @@ pub(crate) fn plain_prefix(
 /// `trap` (software checks need no syscalls beyond the reservation).
 /// Reservation failures and bad configs never fall back: every strategy
 /// needs the same mmap, so retrying cannot help.
-fn fallback_next(strategy: BoundsStrategy, err: &MemoryError) -> Option<BoundsStrategy> {
+fn fallback_next(
+    strategy: BoundsStrategy,
+    err: &MemoryError,
+) -> Option<(BoundsStrategy, &'static str)> {
     match (strategy, err) {
-        (BoundsStrategy::Uffd, MemoryError::Uffd(_)) => Some(BoundsStrategy::Mprotect),
-        (BoundsStrategy::Mprotect, MemoryError::Protect(_)) => Some(BoundsStrategy::Trap),
+        (BoundsStrategy::Uffd, MemoryError::Uffd(_)) => Some((
+            BoundsStrategy::Mprotect,
+            "core.strategy.fallback.uffd_to_mprotect",
+        )),
+        (BoundsStrategy::Mprotect, MemoryError::Protect(_)) => Some((
+            BoundsStrategy::Trap,
+            "core.strategy.fallback.mprotect_to_trap",
+        )),
         _ => None,
-    }
-}
-
-fn fallback_edge_counter(from: BoundsStrategy, to: BoundsStrategy) -> &'static str {
-    match (from, to) {
-        (BoundsStrategy::Uffd, BoundsStrategy::Mprotect) => {
-            "core.strategy.fallback.uffd_to_mprotect"
-        }
-        (BoundsStrategy::Mprotect, BoundsStrategy::Trap) => {
-            "core.strategy.fallback.mprotect_to_trap"
-        }
-        _ => "core.strategy.fallback.other",
     }
 }
 
@@ -175,9 +173,9 @@ impl LinearMemory {
             match Self::try_new(config, strategy) {
                 Ok(m) => return Ok(m),
                 Err(e) => match fallback_next(strategy, &e) {
-                    Some(next) => {
+                    Some((next, edge)) => {
                         lb_telemetry::counter("core.strategy.fallback").inc();
-                        lb_telemetry::counter(fallback_edge_counter(strategy, next)).inc();
+                        lb_telemetry::counter(edge).inc();
                         strategy = next;
                     }
                     None => return Err(e),

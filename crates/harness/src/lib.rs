@@ -5,8 +5,8 @@
 //! unit of work, one interleaved, calibrated loop that times it
 //! ([`stats::interleave`], with an A/A control and bootstrap CIs), an
 //! untimed checked run ([`runner`]) that validates checksums and collects
-//! telemetry, profile and `/proc` deltas (CPU, context switches and memory,
-//! §4.2–4.3), geomean-of-ratios statistics, and the plain-text/CSV
+//! telemetry, profile and `/proc` memory readings (§4.3),
+//! geomean-of-ratios statistics, and the plain-text/CSV
 //! reporting used by the figure-regeneration binaries in `lb-bench`.
 
 #![warn(missing_docs)]

@@ -318,22 +318,6 @@ fn emit_failure(bench: &Benchmark, spec: &RunSpec, failure: &RunFailure) {
 /// runs in one process never clobber each other's export.
 static TRACE_SEQ: AtomicU32 = AtomicU32::new(0);
 
-/// Append `<name>.p50` / `<name>.p99` columns for a histogram present in
-/// the run's telemetry delta (absent histograms add no columns, keeping
-/// interp rows free of jit noise and vice versa).
-fn push_percentiles(
-    meta: &mut Vec<(&'static str, String)>,
-    telemetry: &lb_telemetry::TelemetrySnapshot,
-    name: &str,
-    p50_key: &'static str,
-    p99_key: &'static str,
-) {
-    if let Some(h) = telemetry.histogram(name) {
-        meta.push((p50_key, h.quantile(0.5).to_string()));
-        meta.push((p99_key, h.quantile(0.99).to_string()));
-    }
-}
-
 fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> {
     let expected = bench.native_checksum();
     // Drain spans left over from earlier runs so this run's snapshot only
@@ -381,14 +365,22 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
         }
     }
 
-    let mut meta: Vec<(&'static str, String)> = Vec::new();
+    // The row names the run; its counters and histograms follow it in
+    // the export under their registered names.
+    let mut row: Vec<(&str, String)> = vec![
+        ("bench", bench.name.to_string()),
+        ("engine", spec.engine.name().to_string()),
+        ("strategy", spec.strategy.name().to_string()),
+        ("strategy_effective", effective_strategy.name().to_string()),
+        ("iterations", spec.iterations.to_string()),
+        ("outcome", "completed".to_string()),
+    ];
     if let Some(report) = prof.as_ref() {
-        meta.push(("prof.samples", report.total.to_string()));
-        meta.push(("prof.unresolved", report.unresolved.to_string()));
-        meta.push(("prof.dropped", report.dropped.to_string()));
+        row.push(("prof.samples", report.total.to_string()));
+        row.push(("prof.unresolved", report.unresolved.to_string()));
+        row.push(("prof.dropped", report.dropped.to_string()));
         for (label, n) in report.class_counts() {
-            // Keys are 'static by construction: one per fixed class label.
-            let key: &'static str = match label {
+            let key = match label {
                 "guard" => "prof.guard_pct",
                 "clamp" => "prof.clamp_pct",
                 "trap_path" => "prof.trap_pct",
@@ -397,91 +389,9 @@ fn run_once(bench: &Benchmark, spec: &RunSpec) -> Result<RunResult, RunFailure> 
                 "runtime" => "prof.runtime_pct",
                 _ => "prof.unresolved_pct",
             };
-            meta.push((key, format!("{:.2}", report.pct(n))));
+            row.push((key, format!("{:.2}", report.pct(n))));
         }
     }
-    // Satellite percentile columns: instantiation latency per engine tier
-    // and the profiler's own handler service time.
-    push_percentiles(
-        &mut meta,
-        &telemetry,
-        "jit.instantiate_ns",
-        "jit.instantiate_ns.p50",
-        "jit.instantiate_ns.p99",
-    );
-    push_percentiles(
-        &mut meta,
-        &telemetry,
-        "interp.instantiate_ns",
-        "interp.instantiate_ns.p50",
-        "interp.instantiate_ns.p99",
-    );
-    push_percentiles(
-        &mut meta,
-        &telemetry,
-        "prof.sample_service_ns",
-        "prof.sample_service_ns.p50",
-        "prof.sample_service_ns.p99",
-    );
-
-    let mut row: Vec<(&str, String)> = vec![
-        ("bench", bench.name.to_string()),
-        ("engine", spec.engine.name().to_string()),
-        ("strategy", spec.strategy.name().to_string()),
-        ("strategy_effective", effective_strategy.name().to_string()),
-        ("iterations", spec.iterations.to_string()),
-        ("outcome", "completed".to_string()),
-        // Static bounds-check decisions for this run (compile-time
-        // counters from lb-analysis via the JIT), for the paper-style
-        // "checks eliminated" column.
-        (
-            "checks_static_elided",
-            telemetry.counter("jit.checks.static_elided").to_string(),
-        ),
-        (
-            "checks_emitted",
-            telemetry.counter("jit.checks.emitted").to_string(),
-        ),
-        // Sites whose trap check was fused into a single
-        // compare-against-limit (`Full` tier).
-        (
-            "checks_fused",
-            telemetry.counter("jit.checks.fused").to_string(),
-        ),
-        // Translation validation (only nonzero when LB_VERIFY is set):
-        // sites the validator proved and anything it could not.
-        (
-            "verify_sites",
-            telemetry.counter("verify.sites_checked").to_string(),
-        ),
-        (
-            "verify_findings",
-            telemetry.counter("verify.findings").to_string(),
-        ),
-        // Memory-lifecycle fast path: pool effectiveness and batched
-        // uffd fault service over the run (pool.reset_us is the mean
-        // reset latency in microseconds; 0 when nothing was recycled).
-        ("pool.hit", telemetry.counter("pool.hit").to_string()),
-        ("pool.miss", telemetry.counter("pool.miss").to_string()),
-        (
-            "pool.reset_us",
-            format!(
-                "{:.1}",
-                telemetry
-                    .histogram("pool.reset_us")
-                    .map_or(0.0, |h| h.mean())
-            ),
-        ),
-        (
-            "uffd.batch_pages",
-            telemetry.counter("uffd.batch_pages").to_string(),
-        ),
-        (
-            "uffd.prefetch_streak",
-            telemetry.counter("uffd.prefetch_streak").to_string(),
-        ),
-    ];
-    row.extend(meta.into_iter().map(|(k, v)| (k as &str, v)));
     lb_telemetry::export::emit_run(&row, &telemetry);
     Ok(RunResult {
         checksum_ok,

@@ -7,55 +7,7 @@ use lb_core::exec::{
 use lb_core::{catch_traps, LinearMemory, MemoryConfig, Trap, TrapKind};
 use lb_wasm::validate::{validate, ModuleMeta};
 use lb_wasm::{Module, Value};
-use std::sync::{Arc, OnceLock};
-
-/// One telemetry counter per [`CostClass`](lb_wasm::instr::CostClass)
-/// (`interp.dispatch.<class>`), registered once on first use. The hot
-/// loop only ever bumps a plain local `OpCounts`; these counters absorb
-/// the totals in one flush per invoke, so enabling dispatch telemetry
-/// adds no per-instruction atomics.
-fn dispatch_counters() -> &'static [lb_telemetry::Counter; lb_wasm::instr::COST_CLASS_COUNT] {
-    use lb_wasm::instr::CostClass;
-    static COUNTERS: OnceLock<[lb_telemetry::Counter; lb_wasm::instr::COST_CLASS_COUNT]> =
-        OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        CostClass::ALL.map(|c| {
-            lb_telemetry::counter(match c {
-                CostClass::Control => "interp.dispatch.control",
-                CostClass::Branch => "interp.dispatch.branch",
-                CostClass::Call => "interp.dispatch.call",
-                CostClass::LocalVar => "interp.dispatch.local_var",
-                CostClass::Global => "interp.dispatch.global",
-                CostClass::Const => "interp.dispatch.const",
-                CostClass::MemLoad => "interp.dispatch.mem_load",
-                CostClass::MemStore => "interp.dispatch.mem_store",
-                CostClass::MemMgmt => "interp.dispatch.mem_mgmt",
-                CostClass::IntAlu => "interp.dispatch.int_alu",
-                CostClass::IntMul => "interp.dispatch.int_mul",
-                CostClass::IntDiv => "interp.dispatch.int_div",
-                CostClass::IntCmp => "interp.dispatch.int_cmp",
-                CostClass::FpAdd => "interp.dispatch.fp_add",
-                CostClass::FpMul => "interp.dispatch.fp_mul",
-                CostClass::FpDiv => "interp.dispatch.fp_div",
-                CostClass::FpSqrt => "interp.dispatch.fp_sqrt",
-                CostClass::FpCmp => "interp.dispatch.fp_cmp",
-                CostClass::Convert => "interp.dispatch.convert",
-                CostClass::Parametric => "interp.dispatch.parametric",
-            })
-        })
-    })
-}
-
-/// Flush one invocation's per-class counts into the global counters.
-fn flush_dispatch_counts(counts: &lb_wasm::instr::OpCounts) {
-    let counters = dispatch_counters();
-    for (i, c) in counters.iter().enumerate() {
-        let n = counts.0[i];
-        if n != 0 {
-            c.add(n);
-        }
-    }
-}
+use std::sync::Arc;
 
 /// The in-place interpreter runtime (the reproduction's Wasm3 analog —
 /// the paper's interpreter uses an equivalent of the `trap` strategy; ours
@@ -224,18 +176,6 @@ impl InterpInstance {
             self.stack.push(a.to_bits());
         }
 
-        // When the caller didn't ask for counts but dispatch telemetry is
-        // on, count into a local `OpCounts` and flush once afterwards.
-        let mut tele_counts = None;
-        let counts = match counts {
-            Some(c) => Some(c),
-            None if lb_telemetry::dispatch_counters_enabled() => {
-                tele_counts = Some(lb_wasm::instr::OpCounts::default());
-                tele_counts.as_mut()
-            }
-            None => None,
-        };
-
         let module = &self.module;
         let metas = &self.meta.funcs;
         let mem = self.mem.as_ref();
@@ -244,7 +184,7 @@ impl InterpInstance {
         let host = &self.host;
         let stack = &mut self.stack;
 
-        let r = catch_traps(move || {
+        catch_traps(move || {
             let mut ex = Exec {
                 module,
                 metas,
@@ -256,12 +196,7 @@ impl InterpInstance {
                 counts,
             };
             ex.call_function(func_idx)
-        });
-        if let Some(c) = tele_counts.as_ref() {
-            // Trapped invocations still flush what they executed.
-            flush_dispatch_counts(c);
-        }
-        r?;
+        })?;
 
         Ok(ty
             .result()

@@ -226,19 +226,15 @@ impl Exec<'_> {
             macro_rules! load {
                 ($m:expr, $t:ty, $push:ident, $conv:expr) => {{
                     let addr = self.pop_u32();
-                    match self.mem().load::<$t>(addr, $m.offset) {
-                        Ok(v) => self.$push($conv(v)),
-                        Err(t) => return Err(t),
-                    }
+                    let v = self.mem().load::<$t>(addr, $m.offset)?;
+                    self.$push($conv(v))
                 }};
             }
             macro_rules! store {
                 ($m:expr, $t:ty, $pop:ident, $conv:expr) => {{
                     let v = self.$pop();
                     let addr = self.pop_u32();
-                    if let Err(t) = self.mem().store::<$t>(addr, $m.offset, $conv(v)) {
-                        return Err(t);
-                    }
+                    self.mem().store::<$t>(addr, $m.offset, $conv(v))?;
                 }};
             }
             macro_rules! branch_to {
@@ -282,9 +278,7 @@ impl Exec<'_> {
                     let fi = $fi;
                     let ni = module.num_imported_funcs();
                     if fi < ni {
-                        if let Err(t) = self.call_host(fi) {
-                            return Err(t);
-                        }
+                        self.call_host(fi)?;
                     } else {
                         if frames.len() >= MAX_CALL_DEPTH {
                             return Err(Trap::new(TrapKind::StackOverflow));

@@ -289,15 +289,14 @@ fn align16(blob: &mut Vec<u8>) {
 /// compile loop of both the initial tier and the background tier-up.
 /// Returns the blob, each function's offset in it and the profiler's
 /// function ranges. Times each compile into `jit.compile_ns`, counts
-/// `jit.compile.count` and the tier's code bytes, and runs the
-/// `LB_VERIFY` hook on each function.
+/// the tier's code bytes, and runs the `LB_VERIFY` hook on each
+/// function.
 fn compile_funcs(params: CompileParams<'_>) -> (Vec<u8>, Vec<usize>, Vec<lb_prof::FuncRange>) {
     let n = params.module.functions.len();
     let mut blob = Vec::new();
     let mut offsets = Vec::with_capacity(n);
     let mut ranges = Vec::with_capacity(n);
     let compile_ns = lb_telemetry::histogram("jit.compile_ns");
-    let compile_count = lb_telemetry::counter("jit.compile.count");
     let code_bytes = lb_telemetry::counter(code_bytes_counter(params.opt));
     for di in 0..n {
         let _span = lb_telemetry::span!("jit.compile", di);
@@ -307,7 +306,6 @@ fn compile_funcs(params: CompileParams<'_>) -> (Vec<u8>, Vec<usize>, Vec<lb_prof
         if crate::verifier::mode() != crate::verifier::VerifyMode::Off {
             crate::verifier::verify_emitted(&params, di, &code);
         }
-        compile_count.inc();
         code_bytes.add(code.len() as u64);
         ranges.push(lb_prof::FuncRange {
             func_index: di as u32,

@@ -211,7 +211,6 @@ impl Pauser {
 
     fn run(&self) {
         let pause_ns = lb_telemetry::histogram("jit.gc_pause_ns");
-        let pause_count = lb_telemetry::counter("jit.gc_pause.count");
         while self.stop.load(Ordering::Relaxed) == 0 {
             std::thread::sleep(self.period);
             if self.stop.load(Ordering::Relaxed) != 0 {
@@ -233,7 +232,6 @@ impl Pauser {
                 self.cv.notify_all();
             }
             pause_ns.record(lb_telemetry::clock::now_ns().saturating_sub(t0));
-            pause_count.inc();
         }
     }
 

@@ -5,7 +5,7 @@
 //! looks like:
 //!
 //! ```json
-//! {"type":"run","bench":"gemm","engine":"wavm","strategy":"mprotect","threads":1}
+//! {"type":"run","bench":"gemm","engine":"wavm","strategy":"mprotect","outcome":"completed"}
 //! {"type":"counter","name":"mem.mmap","value":12}
 //! {"type":"histogram","name":"trap.latency_ns","count":3,"sum":5200,"mean":1733.3,"p50":2048,"p99":4096,"buckets":[[2048,2],[4096,1]]}
 //! {"type":"span","name":"jit.compile","arg":3,"start_ns":123456,"dur_ns":8900,"thread":0}

@@ -33,9 +33,7 @@
 //! * `human` or `human:<path>` — human-readable summary to stderr or a
 //!   file.
 //!
-//! Setting a sink also enables span recording. Interpreter dispatch
-//! counters are hotter, so they stay off unless `LB_TELEMETRY_DISPATCH=1`
-//! (or [`set_dispatch_counters_enabled`]) turns them on.
+//! Setting a sink also enables span recording.
 //!
 //! # Async-signal-safety
 //!
@@ -69,7 +67,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 static SPANS_ENABLED: AtomicBool = AtomicBool::new(false);
-static DISPATCH_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Where [`export::emit_run`] sends each run's telemetry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,8 +79,8 @@ pub enum Sink {
 
 static SINK: OnceLock<Option<Sink>> = OnceLock::new();
 
-/// Parse `LB_TELEMETRY` / `LB_TELEMETRY_DISPATCH` once and configure the
-/// sink and enable flags accordingly. Idempotent; cheap after the first
+/// Parse `LB_TELEMETRY` once and configure the sink and the span flag
+/// accordingly. Idempotent; cheap after the first
 /// call. Called automatically by [`ensure_thread_ring`], which `lb-core`
 /// invokes on every thread before running wasm.
 pub fn init_from_env() {
@@ -94,9 +91,6 @@ pub fn init_from_env() {
         };
         if sink.is_some() {
             SPANS_ENABLED.store(true, Ordering::Relaxed);
-        }
-        if matches!(std::env::var("LB_TELEMETRY_DISPATCH").as_deref(), Ok("1")) {
-            DISPATCH_ENABLED.store(true, Ordering::Relaxed);
         }
         sink
     });
@@ -134,17 +128,6 @@ pub fn spans_enabled() -> bool {
 /// this automatically when a sink is configured).
 pub fn set_spans_enabled(on: bool) {
     SPANS_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether interpreter opcode-class dispatch counters are on.
-#[inline]
-pub fn dispatch_counters_enabled() -> bool {
-    DISPATCH_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turn interpreter dispatch counters on or off.
-pub fn set_dispatch_counters_enabled(on: bool) {
-    DISPATCH_ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// A per-call-site [`span!`] body: enters a span guard when spans are
@@ -195,8 +178,5 @@ mod tests {
         assert!(spans_enabled());
         set_spans_enabled(false);
         assert!(!spans_enabled());
-        set_dispatch_counters_enabled(true);
-        assert!(dispatch_counters_enabled());
-        set_dispatch_counters_enabled(false);
     }
 }
