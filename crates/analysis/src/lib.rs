@@ -15,8 +15,9 @@
 //!   keeps it — unlike the JIT's old per-basic-block peephole, which
 //!   dropped every fact at every label), and are carried across loop
 //!   iterations via a widening/narrowing fixpoint at each loop header
-//!   (inner loops warm-start from their previous header, so the cost
-//!   stays polynomial in nest depth rather than multiplying per level),
+//!   (every visit of a loop, probe or recording, reuses or warm-starts
+//!   from its previous header, so each header is computed once per
+//!   enclosing probe and the cost grows about as depth³ in a counted nest),
 //! * analyzes each function **on its own**: parameters enter at ⊤ and a
 //!   call's i32 result is ⊤, whatever the callee,
 //! * emits a per-instruction [`CheckKind`] plan (`Emit`, `ElideInBounds`,
@@ -1073,8 +1074,8 @@ struct Analyzer<'m> {
     /// each instruction; loop fixpoint probes run with this off.
     recording: bool,
     clamp_ok: Vec<u32>,
-    /// Per-loop `(entry, stabilized header)` of the last probe-mode
-    /// fixpoint, keyed by `loop_pc`: warm starts for inner loops.
+    /// Per-loop `(entry, stabilized header)` of the last visit, probe or
+    /// recording, keyed by `loop_pc`: warm starts for inner loops.
     loop_cache: BTreeMap<u32, (State, State)>,
     /// Retired states whose buffers [`Analyzer::copy_of`] reuses, so
     /// branches, `if` arms and loop probes copy without allocating.
@@ -1312,21 +1313,18 @@ impl<'m> Analyzer<'m> {
         let saved_rec = self.recording;
 
         // Probes sandbox forward exits, so a loop's header depends only on
-        // its entry: a probe-mode visit reuses the last header outright
-        // when the entry repeats, and warm-starts the ascent from it when
-        // the entry has only grown (Bourdoncle's recursive strategy — an
-        // inner head keeps its value across outer iterations). Recording
-        // passes start cold: a recorded header's ascent starts at its
-        // entry, as without the cache. Either way `fixpoint`'s exit test
-        // accepts only a verified post-fixpoint containing `entry`, so
-        // where the ascent starts never affects soundness. The cached pair
-        // is taken out while this loop runs (its inner loops have their
-        // own slots) and put back with its buffers reused.
-        let cached = if saved_rec {
-            None
-        } else {
-            self.loop_cache.get_mut(&loop_pc).map(std::mem::take)
-        };
+        // its entry: every visit, probe or recording, reuses the last
+        // header outright when the entry repeats, and warm-starts the
+        // ascent from it when the entry has only grown (Bourdoncle's
+        // recursive strategy — an inner head keeps its value across outer
+        // iterations). A recording pass runs from the header its enclosing
+        // fixpoint's last probe ran from, so an inner loop's recording
+        // visit finds its own entry cached. `fixpoint`'s exit test accepts
+        // only a verified post-fixpoint containing `entry`, so where the
+        // ascent starts never affects soundness. The cached pair is taken
+        // out while this loop runs (its inner loops have their own slots)
+        // and put back with its buffers reused.
+        let cached = self.loop_cache.get_mut(&loop_pc).map(std::mem::take);
         let header = match &cached {
             Some((ce, ch)) if *ce == entry => self.copy_of(ch),
             Some((ce, ch)) if state_contains(&entry, ce) => {
@@ -1339,19 +1337,15 @@ impl<'m> Analyzer<'m> {
                 self.fixpoint(inner, &entry, start, eh, frames)
             }
         };
-        if saved_rec {
-            self.retire(entry);
-        } else {
-            let mut ch = match cached {
-                Some((ce, ch)) => {
-                    self.retire(ce);
-                    ch
-                }
-                None => self.spare.pop().unwrap_or_default(),
-            };
-            ch.clone_from(&header);
-            self.loop_cache.insert(loop_pc, (entry, ch));
-        }
+        let mut ch = match cached {
+            Some((ce, ch)) => {
+                self.retire(ce);
+                ch
+            }
+            None => self.spare.pop().unwrap_or_default(),
+        };
+        ch.clone_from(&header);
+        self.loop_cache.insert(loop_pc, (entry, ch));
         self.recording = saved_rec;
 
         // The single recording pass, from the stabilized header, with

@@ -79,7 +79,9 @@ fn main() {
                     row.push(("checksum_ok", r.checksum_ok.to_string()));
                     row.push((
                         "fallbacks",
-                        r.telemetry.counter("core.strategy.fallback").to_string(),
+                        r.telemetry
+                            .counter_sum("core.strategy.fallback.")
+                            .to_string(),
                     ));
                     r.telemetry
                 }

@@ -71,7 +71,7 @@ fn main() {
 
     eprintln!(
         "telemetry demo done: grows={} traps={}",
-        delta.counter("mem.grow"),
+        delta.counter_sum("mem.grow."),
         delta.counter("trap.signal")
     );
 }

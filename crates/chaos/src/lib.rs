@@ -50,9 +50,8 @@
 //! site compare, one `fetch_add` — no allocation, no locks. That makes it
 //! **async-signal-safe**, which matters because `core.uffd.copy` is also
 //! consulted from the SIGBUS handler's zeropage path. Fires are recorded
-//! through pre-registered `lb-telemetry` counters (`chaos.fired` plus
-//! `chaos.fired.<site>`), registered at plan-install time in normal
-//! context.
+//! through pre-registered `lb-telemetry` counters (`chaos.fired.<site>`),
+//! registered at plan-install time in normal context.
 
 #![warn(missing_docs)]
 
@@ -327,22 +326,16 @@ static PLAN: AtomicPtr<Plan> = AtomicPtr::new(std::ptr::null_mut());
 static INSTALL_LOCK: Mutex<()> = Mutex::new(());
 static ENV_INIT: OnceLock<()> = OnceLock::new();
 
-struct FireCounters {
-    total: lb_telemetry::Counter,
-    per_site: Vec<(&'static str, lb_telemetry::Counter)>,
-}
-
 /// Pre-registered fire counters (registration takes a lock, so it happens
 /// at install time in normal context; increments are signal-safe).
-fn fire_counters() -> &'static FireCounters {
-    static C: OnceLock<FireCounters> = OnceLock::new();
-    C.get_or_init(|| FireCounters {
-        total: lb_telemetry::counter("chaos.fired"),
-        per_site: SITES
+fn fire_counters() -> &'static [(&'static str, lb_telemetry::Counter)] {
+    static C: OnceLock<Vec<(&'static str, lb_telemetry::Counter)>> = OnceLock::new();
+    C.get_or_init(|| {
+        SITES
             .iter()
             .zip(SITE_COUNTERS)
             .map(|(&s, &c)| (s, lb_telemetry::counter(c)))
-            .collect(),
+            .collect()
     })
 }
 
@@ -430,9 +423,7 @@ pub fn inject_raw(site: &str) -> Option<i32> {
     }
     // SAFETY: installed plans are leaked, so the pointer is valid forever.
     let errno = unsafe { (*plan).check(site) }?;
-    let c = fire_counters();
-    c.total.inc();
-    if let Some((_, ctr)) = c.per_site.iter().find(|(s, _)| *s == site) {
+    if let Some((_, ctr)) = fire_counters().iter().find(|(s, _)| *s == site) {
         ctr.inc();
     }
     Some(errno)
@@ -545,7 +536,6 @@ mod tests {
         }
         let d = lb_telemetry::snapshot().delta_since(&before);
         assert_eq!(d.counter("chaos.fired.core.mprotect.grow"), 2);
-        assert!(d.counter("chaos.fired") >= 2);
     }
 
     #[test]

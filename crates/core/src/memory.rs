@@ -151,8 +151,8 @@ impl LinearMemory {
     ///
     /// The effective strategy is reported by [`LinearMemory::strategy`];
     /// the originally requested one by [`LinearMemory::requested_strategy`].
-    /// Each degradation increments the `core.strategy.fallback` telemetry
-    /// counter (plus a per-edge counter naming the transition).
+    /// Each degradation increments the per-edge telemetry counter naming
+    /// the transition (`core.strategy.fallback.<edge>`).
     ///
     /// # Errors
     /// See [`MemoryError`]. Errors are returned only when the end of the
@@ -174,7 +174,6 @@ impl LinearMemory {
                 Ok(m) => return Ok(m),
                 Err(e) => match fallback_next(strategy, &e) {
                     Some((next, edge)) => {
-                        lb_telemetry::counter("core.strategy.fallback").inc();
                         lb_telemetry::counter(edge).inc();
                         strategy = next;
                     }
@@ -347,7 +346,7 @@ impl LinearMemory {
         self.desc().committed.store(new_bytes, Ordering::Release);
         // Counted only after the grow can no longer fail (the old code
         // counted before the mprotect above, so a failed protect still
-        // inflated `mem.grow`), and exactly once per logical grow even
+        // inflated the grow count), and exactly once per logical grow even
         // though strategies differ in mechanism.
         stats::count_grow(self.strategy);
         Some(old_pages)

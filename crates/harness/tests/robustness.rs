@@ -96,7 +96,7 @@ fn uffd_setup_failure_falls_back_to_mprotect_end_to_end() {
             assert_eq!(r.effective_strategy, BoundsStrategy::Mprotect);
             assert!(r.checksum_ok, "fallback run must still validate");
             assert_eq!(
-                r.telemetry.counter("core.strategy.fallback"),
+                r.telemetry.counter_sum("core.strategy.fallback."),
                 1,
                 "exactly one degradation: the run-level probe"
             );

@@ -49,6 +49,17 @@ impl TelemetrySnapshot {
             .map_or(0, |c| c.value)
     }
 
+    /// Sum of the counters whose names start with `prefix`: the total of
+    /// a labelled family such as `mem.grow.` (no separate total counter
+    /// is kept).
+    pub fn counter_sum(&self, prefix: &str) -> u64 {
+        self.counters
+            .iter()
+            .filter(|c| c.name.starts_with(prefix))
+            .map(|c| c.value)
+            .sum()
+    }
+
     /// The histogram named `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
@@ -125,6 +136,19 @@ mod tests {
         assert_eq!(dh.count, 1);
         assert_eq!(dh.sum, 16);
         assert_eq!(d.counter("test.snap.missing"), 0);
+    }
+
+    #[test]
+    fn counter_sum_adds_a_labelled_family() {
+        let s = TelemetrySnapshot {
+            counters: [("a.x", 1), ("a.y", 2), ("ab", 4), ("b.x", 8)]
+                .into_iter()
+                .map(|(name, value)| CounterValue { name, value })
+                .collect(),
+            ..TelemetrySnapshot::default()
+        };
+        assert_eq!(s.counter_sum("a."), 3);
+        assert_eq!(s.counter_sum("c."), 0);
     }
 
     #[test]

@@ -272,7 +272,7 @@ fn decode_limits(s: &mut Reader<'_>) -> Result<Limits, DecodeError> {
             let max = s.u32()?;
             Ok(Limits::new(min, Some(max)))
         }
-        b => return Err(DecodeError::BadType(b)),
+        b => Err(DecodeError::BadType(b)),
     }
 }
 

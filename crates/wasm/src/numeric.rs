@@ -118,7 +118,7 @@ pub fn trunc_f_to_i32_s(v: f64) -> Result<i32, NumError> {
         return Err(NumError::InvalidConversion);
     }
     let t = v.trunc();
-    if t < -2_147_483_648.0 || t > 2_147_483_647.0 {
+    if !(-2_147_483_648.0..=2_147_483_647.0).contains(&t) {
         return Err(NumError::InvalidConversion);
     }
     Ok(t as i32)
@@ -133,7 +133,7 @@ pub fn trunc_f_to_i32_u(v: f64) -> Result<u32, NumError> {
         return Err(NumError::InvalidConversion);
     }
     let t = v.trunc();
-    if t < 0.0 || t > 4_294_967_295.0 {
+    if !(0.0..=4_294_967_295.0).contains(&t) {
         return Err(NumError::InvalidConversion);
     }
     Ok(t as u32)
@@ -150,7 +150,7 @@ pub fn trunc_f_to_i64_s(v: f64) -> Result<i64, NumError> {
     let t = v.trunc();
     // 2^63 is exactly representable; i64::MAX is not. Valid range is
     // [-2^63, 2^63): the comparison below is exact in f64.
-    if t < -9_223_372_036_854_775_808.0 || t >= 9_223_372_036_854_775_808.0 {
+    if !(-9_223_372_036_854_775_808.0..9_223_372_036_854_775_808.0).contains(&t) {
         return Err(NumError::InvalidConversion);
     }
     Ok(t as i64)
@@ -165,7 +165,7 @@ pub fn trunc_f_to_i64_u(v: f64) -> Result<u64, NumError> {
         return Err(NumError::InvalidConversion);
     }
     let t = v.trunc();
-    if t < 0.0 || t >= 18_446_744_073_709_551_616.0 {
+    if !(0.0..18_446_744_073_709_551_616.0).contains(&t) {
         return Err(NumError::InvalidConversion);
     }
     Ok(t as u64)
@@ -311,7 +311,7 @@ mod tests {
         assert_eq!(trunc_f_to_i64_s(-9.223372036854776e18), Ok(i64::MIN));
         assert!(trunc_f_to_i64_s(9.223372036854776e18).is_err());
         assert_eq!(
-            trunc_f_to_i64_u(1.8446744073709550e19).map(|v| v > 0),
+            trunc_f_to_i64_u(1.844_674_407_370_955e19).map(|v| v > 0),
             Ok(true)
         );
         assert!(trunc_f_to_i64_u(1.8446744073709552e19).is_err());

@@ -133,7 +133,7 @@ impl Limits {
 
     /// Whether `n` is within these limits.
     pub fn contains(&self, n: u32) -> bool {
-        n >= self.min && self.max.map_or(true, |m| n <= m)
+        n >= self.min && self.max.is_none_or(|m| n <= m)
     }
 }
 

@@ -170,11 +170,11 @@ struct Checker<'m> {
     else_of: HashMap<u32, u32>,
 }
 
+/// Per opener pc: its `end` pc, and (for an `if` with one) its `else` pc.
+type ControlMaps = (HashMap<u32, u32>, HashMap<u32, u32>);
+
 /// First pass: match every `block`/`loop`/`if` with its `else`/`end`.
-fn scan_control(
-    body: &[Instr],
-    func: u32,
-) -> Result<(HashMap<u32, u32>, HashMap<u32, u32>), ValidateError> {
+fn scan_control(body: &[Instr], func: u32) -> Result<ControlMaps, ValidateError> {
     let mut end_of = HashMap::new();
     let mut else_of = HashMap::new();
     let mut stack: Vec<u32> = Vec::new(); // opener pcs; sentinel for function level

@@ -7,8 +7,8 @@
 #   3. clippy over every target; errors fail, warnings are reported only,
 #      except in lb-core (the runtime's unsafe memory and signal layer),
 #      lb-serve, lb-chaos, lb-sys, lb-telemetry, lb-bench, lb-harness,
-#      lb-sim, lb-analysis, lb-prof, lb-jit, lb-spec-proxy, lb-interp and
-#      lb-isa-model, where any warning fails
+#      lb-sim, lb-analysis, lb-prof, lb-jit, lb-spec-proxy, lb-interp,
+#      lb-isa-model and lb-wasm, where any warning fails
 #   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   5. translation validation end-to-end (PolyBench and the SPEC proxies)
@@ -49,7 +49,8 @@ run cargo test -q --workspace
 run cargo clippy -q --workspace --all-targets
 run cargo clippy -q -p lb-core -p lb-serve -p lb-chaos -p lb-sys -p lb-telemetry \
   -p lb-bench -p lb-harness -p lb-sim -p lb-analysis -p lb-prof -p lb-jit \
-  -p lb-spec-proxy -p lb-interp -p lb-isa-model --all-targets --no-deps -- -D warnings
+  -p lb-spec-proxy -p lb-interp -p lb-isa-model -p lb-wasm --all-targets --no-deps \
+  -- -D warnings
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e
 run cargo test -q --test verify_mutation

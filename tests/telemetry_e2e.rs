@@ -118,15 +118,6 @@ fn grow_counters_are_strategy_labelled() {
     let d = lb_telemetry::snapshot().delta_since(&before);
     assert!(d.counter("mem.grow.mprotect") >= 2);
     assert!(d.counter("mem.grow.trap") >= 2);
-    assert_eq!(
-        d.counter("mem.grow"),
-        d.counter("mem.grow.none")
-            + d.counter("mem.grow.clamp")
-            + d.counter("mem.grow.trap")
-            + d.counter("mem.grow.mprotect")
-            + d.counter("mem.grow.uffd"),
-        "per-strategy labels must partition the total"
-    );
 }
 
 #[test]
