@@ -74,7 +74,7 @@ const UNSAFE_ALLOWLIST: &[&str] = &[
     "crates/sys/src/lib.rs",
     "crates/telemetry/src/clock.rs",
     "crates/telemetry/tests/signal_safety.rs",
-    "tests/analysis_alloc_budget.rs",
+    "tests/alloc_count/mod.rs",
     "tests/prof_stress.rs",
 ];
 

@@ -62,28 +62,8 @@ impl Expr {
         }
     }
 
-    // ── arithmetic (all four types) ────────────────────────────────
-
-    /// Addition.
-    pub fn add(self, rhs: Expr) -> Expr {
-        let op = self.pick4(Instr::I32Add, Instr::I64Add, Instr::F32Add, Instr::F64Add);
-        let ty = self.ty;
-        self.bin(rhs, op, ty)
-    }
-
-    /// Subtraction.
-    pub fn sub(self, rhs: Expr) -> Expr {
-        let op = self.pick4(Instr::I32Sub, Instr::I64Sub, Instr::F32Sub, Instr::F64Sub);
-        let ty = self.ty;
-        self.bin(rhs, op, ty)
-    }
-
-    /// Multiplication.
-    pub fn mul(self, rhs: Expr) -> Expr {
-        let op = self.pick4(Instr::I32Mul, Instr::I64Mul, Instr::F32Mul, Instr::F64Mul);
-        let ty = self.ty;
-        self.bin(rhs, op, ty)
-    }
+    // ── arithmetic (`+`, `-`, `*`, `/`, unary `-` and `<<` are the
+    // `std::ops` impls below) ─────────────────────────────────────────
 
     /// Float division (f32/f64 only).
     pub fn fdiv(self, rhs: Expr) -> Expr {
@@ -162,17 +142,6 @@ impl Expr {
         self.bin(rhs, op, ty)
     }
 
-    /// Shift left (integers).
-    pub fn shl(self, rhs: Expr) -> Expr {
-        let op = match self.ty {
-            ValType::I32 => Instr::I32Shl,
-            ValType::I64 => Instr::I64Shl,
-            t => panic!("shl on non-integer type {t}"),
-        };
-        let ty = self.ty;
-        self.bin(rhs, op, ty)
-    }
-
     /// Logical shift right (integers).
     pub fn shr_u(self, rhs: Expr) -> Expr {
         let op = match self.ty {
@@ -212,17 +181,6 @@ impl Expr {
             ValType::F32 => Instr::F32Abs,
             ValType::F64 => Instr::F64Abs,
             t => panic!("abs on non-float type {t}"),
-        };
-        let ty = self.ty;
-        self.un(op, ty)
-    }
-
-    /// Negation (floats).
-    pub fn neg(self) -> Expr {
-        let op = match self.ty {
-            ValType::F32 => Instr::F32Neg,
-            ValType::F64 => Instr::F64Neg,
-            t => panic!("neg on non-float type {t}"),
         };
         let ty = self.ty;
         self.un(op, ty)
@@ -402,21 +360,27 @@ pub fn f64(v: f64) -> Expr {
 impl std::ops::Add for Expr {
     type Output = Expr;
     fn add(self, rhs: Expr) -> Expr {
-        Expr::add(self, rhs)
+        let op = self.pick4(Instr::I32Add, Instr::I64Add, Instr::F32Add, Instr::F64Add);
+        let ty = self.ty;
+        self.bin(rhs, op, ty)
     }
 }
 
 impl std::ops::Sub for Expr {
     type Output = Expr;
     fn sub(self, rhs: Expr) -> Expr {
-        Expr::sub(self, rhs)
+        let op = self.pick4(Instr::I32Sub, Instr::I64Sub, Instr::F32Sub, Instr::F64Sub);
+        let ty = self.ty;
+        self.bin(rhs, op, ty)
     }
 }
 
 impl std::ops::Mul for Expr {
     type Output = Expr;
     fn mul(self, rhs: Expr) -> Expr {
-        Expr::mul(self, rhs)
+        let op = self.pick4(Instr::I32Mul, Instr::I64Mul, Instr::F32Mul, Instr::F64Mul);
+        let ty = self.ty;
+        self.bin(rhs, op, ty)
     }
 }
 
@@ -430,13 +394,29 @@ impl std::ops::Div for Expr {
     }
 }
 
+/// Shift left (integers).
+impl std::ops::Shl for Expr {
+    type Output = Expr;
+    fn shl(self, rhs: Expr) -> Expr {
+        let op = match self.ty {
+            ValType::I32 => Instr::I32Shl,
+            ValType::I64 => Instr::I64Shl,
+            t => panic!("shl on non-integer type {t}"),
+        };
+        let ty = self.ty;
+        self.bin(rhs, op, ty)
+    }
+}
+
+/// Negation: `f*.neg` for floats, `0 - x` for integers.
 impl std::ops::Neg for Expr {
     type Output = Expr;
     fn neg(self) -> Expr {
         match self.ty {
-            ValType::F32 | ValType::F64 => Expr::neg(self),
-            ValType::I32 => i32(0).sub(self),
-            ValType::I64 => i64(0).sub(self),
+            ValType::F32 => self.un(Instr::F32Neg, ValType::F32),
+            ValType::F64 => self.un(Instr::F64Neg, ValType::F64),
+            ValType::I32 => i32(0) - self,
+            ValType::I64 => i64(0) - self,
         }
     }
 }

@@ -130,7 +130,7 @@ pub fn checksum_fn(arrays: &[crate::Arr]) -> crate::DslFunc {
             "checksum over f64 arrays only"
         );
         f.for_i32(i, ci(0), ci(a.len() as i32), |f| {
-            let w = i.get().rem_s(ci(13)).add(ci(1)).to_f64();
+            let w = (i.get().rem_s(ci(13)) + ci(1)).to_f64();
             f.assign(acc, acc.get() + a.at(i.get()) * w);
         });
     }
@@ -151,7 +151,7 @@ pub fn checksum_fn_i32(arrays: &[crate::Arr]) -> crate::DslFunc {
             "i32 checksum over i32 arrays only"
         );
         f.for_i32(i, ci(0), ci(a.len() as i32), |f| {
-            let w = i.get().rem_s(ci(13)).add(ci(1)).to_f64();
+            let w = (i.get().rem_s(ci(13)) + ci(1)).to_f64();
             f.assign(acc, acc.get() + a.at(i.get()).to_f64() * w);
         });
     }

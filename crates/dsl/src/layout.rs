@@ -108,7 +108,7 @@ fn scale(idx: Expr, esize: u32) -> Expr {
     if shift == 0 {
         idx
     } else {
-        idx.shl(ci32(shift))
+        idx << ci32(shift)
     }
 }
 
@@ -182,7 +182,7 @@ impl Arr2 {
 
     /// Flatten an `(i, j)` pair into a linear element index.
     fn index(&self, i: Expr, j: Expr) -> Expr {
-        i.mul(ci32(self.cols as i32)).add(j)
+        i * ci32(self.cols as i32) + j
     }
 
     /// Load `self[i][j]`.
@@ -216,9 +216,7 @@ impl Arr3 {
     }
 
     fn index(&self, i: Expr, j: Expr, k: Expr) -> Expr {
-        i.mul(ci32((self.d1 * self.d2) as i32))
-            .add(j.mul(ci32(self.d2 as i32)))
-            .add(k)
+        i * ci32((self.d1 * self.d2) as i32) + j * ci32(self.d2 as i32) + k
     }
 
     /// Load `self[i][j][k]`.

@@ -7,7 +7,7 @@ use lb_core::exec::{
 use lb_core::{catch_traps, LinearMemory, MemoryConfig, Trap, TrapKind};
 use lb_wasm::validate::{validate, ModuleMeta};
 use lb_wasm::{Module, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The in-place interpreter runtime (the reproduction's Wasm3 analog —
 /// the paper's interpreter uses an equivalent of the `trap` strategy; ours
@@ -23,11 +23,12 @@ impl InterpEngine {
     }
 }
 
-/// A validated module ready for interpretation.
+/// A validated module ready for interpretation. Its instances share the
+/// module and its metadata through `Arc`s.
 #[derive(Debug)]
 pub struct InterpModule {
-    module: Module,
-    meta: ModuleMeta,
+    module: Arc<Module>,
+    meta: Arc<ModuleMeta>,
 }
 
 impl Engine for InterpEngine {
@@ -36,11 +37,7 @@ impl Engine for InterpEngine {
     }
 
     fn load(&self, module: &Module) -> Result<Arc<dyn LoadedModule>, LoadError> {
-        let meta = validate(module)?;
-        Ok(Arc::new(InterpModule {
-            module: module.clone(),
-            meta,
-        }))
+        Ok(Arc::new(InterpModule::load(module)?))
     }
 }
 
@@ -53,8 +50,8 @@ impl InterpModule {
     pub fn load(module: &Module) -> Result<InterpModule, LoadError> {
         let meta = validate(module)?;
         Ok(InterpModule {
-            module: module.clone(),
-            meta,
+            module: Arc::new(module.clone()),
+            meta: Arc::new(meta),
         })
     }
 
@@ -70,8 +67,8 @@ impl InterpModule {
     ) -> Result<InterpInstance, LoadError> {
         let parts = build_instance_parts(&self.module, config, linker)?;
         let mut inst = InterpInstance {
-            module: self.module.clone(),
-            meta: self.meta.clone(),
+            module: Arc::clone(&self.module),
+            meta: Arc::clone(&self.meta),
             mem: parts.memory,
             globals: parts.globals,
             table: parts.table,
@@ -94,28 +91,19 @@ impl LoadedModule for InterpModule {
         // Mirrors `jit.instantiate_ns`: the pool's effect on per-isolate
         // setup cost, measured at the same boundary in both engines.
         let t0 = std::time::Instant::now();
-        let parts = build_instance_parts(&self.module, config, linker)?;
-        let mut inst = InterpInstance {
-            module: self.module.clone(),
-            meta: self.meta.clone(),
-            mem: parts.memory,
-            globals: parts.globals,
-            table: parts.table,
-            host: parts.host,
-            stack: Vec::with_capacity(4096),
-        };
-        if let Some(start) = inst.module.start {
-            inst.call_raw(start, &[]).map_err(LoadError::Start)?;
-        }
-        lb_telemetry::histogram("interp.instantiate_ns").record(t0.elapsed().as_nanos() as u64);
+        let inst = self.instantiate_interp(config, linker)?;
+        static INSTANTIATE_NS: OnceLock<lb_telemetry::Histogram> = OnceLock::new();
+        INSTANTIATE_NS
+            .get_or_init(|| lb_telemetry::histogram("interp.instantiate_ns"))
+            .record(t0.elapsed().as_nanos() as u64);
         Ok(Box::new(inst))
     }
 }
 
 /// A live interpreted instance.
 pub struct InterpInstance {
-    module: Module,
-    meta: ModuleMeta,
+    module: Arc<Module>,
+    meta: Arc<ModuleMeta>,
     mem: Option<LinearMemory>,
     globals: Vec<u64>,
     table: Vec<Option<u32>>,
@@ -164,11 +152,10 @@ impl InterpInstance {
         args: &[Value],
         counts: Option<&mut lb_wasm::instr::OpCounts>,
     ) -> Result<Option<Value>, Trap> {
-        let ty = self
-            .module
+        let module = &*self.module;
+        let ty = module
             .func_type(func_idx)
-            .map_err(|e| Trap::new(TrapKind::Host(e.to_string())))?
-            .clone();
+            .map_err(|e| Trap::new(TrapKind::Host(e.to_string())))?;
         check_args(&ty.params, args)?;
 
         self.stack.clear();
@@ -176,7 +163,6 @@ impl InterpInstance {
             self.stack.push(a.to_bits());
         }
 
-        let module = &self.module;
         let metas = &self.meta.funcs;
         let mem = self.mem.as_ref();
         let globals = &mut self.globals;

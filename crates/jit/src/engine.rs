@@ -210,10 +210,12 @@ struct StrategyCode {
 }
 
 /// A compiled module (per engine); per-strategy code is built lazily at
-/// instantiation since the memory config carries the strategy.
+/// instantiation since the memory config carries the strategy. Everything
+/// here is built once and shared: instances and the tier-up thread hold
+/// `Arc` clones, never copies.
 pub struct JitModule {
-    module: Module,
-    meta: ModuleMeta,
+    module: Arc<Module>,
+    meta: Arc<ModuleMeta>,
     profile: JitProfile,
     pauser: Option<Arc<Pauser>>,
     /// Canonical type id per type index (types may repeat after decode).
@@ -223,7 +225,7 @@ pub struct JitModule {
     plan: Option<Arc<lb_analysis::ModulePlan>>,
     /// Fused-guard extent table ([`crate::dataflow::module_extents`]),
     /// programmed into every instance's `VmCtx::limit_extents`.
-    extents: Vec<u64>,
+    extents: Arc<[u64]>,
     code: Mutex<HashMap<BoundsStrategy, Arc<StrategyCode>>>,
 }
 
@@ -259,14 +261,16 @@ impl Engine for JitEngine {
             let _span = lb_telemetry::span!("analysis.module", module.functions.len());
             let t0 = lb_telemetry::clock::now_ns();
             let plan = lb_analysis::analyze_module(module, &meta);
-            lb_telemetry::histogram("analysis.module_ns")
+            static MODULE_NS: OnceLock<lb_telemetry::Histogram> = OnceLock::new();
+            MODULE_NS
+                .get_or_init(|| lb_telemetry::histogram("analysis.module_ns"))
                 .record(lb_telemetry::clock::now_ns().saturating_sub(t0));
             Arc::new(plan)
         });
-        let extents = crate::dataflow::module_extents(module);
+        let extents = crate::dataflow::module_extents(module).into();
         Ok(Arc::new(JitModule {
-            module: module.clone(),
-            meta,
+            module: Arc::new(module.clone()),
+            meta: Arc::new(meta),
             profile: self.profile,
             pauser: self.pauser(),
             canon_types,
@@ -296,7 +300,8 @@ fn compile_funcs(params: CompileParams<'_>) -> (Vec<u8>, Vec<usize>, Vec<lb_prof
     let mut blob = Vec::new();
     let mut offsets = Vec::with_capacity(n);
     let mut ranges = Vec::with_capacity(n);
-    let compile_ns = lb_telemetry::histogram("jit.compile_ns");
+    static COMPILE_NS: OnceLock<lb_telemetry::Histogram> = OnceLock::new();
+    let compile_ns = *COMPILE_NS.get_or_init(|| lb_telemetry::histogram("jit.compile_ns"));
     let code_bytes = lb_telemetry::counter(code_bytes_counter(params.opt));
     for di in 0..n {
         let _span = lb_telemetry::span!("jit.compile", di);
@@ -409,13 +414,13 @@ impl JitModule {
         if !self.profile.tiered || sc.tiered_up.swap(1, Ordering::AcqRel) != 0 {
             return;
         }
-        let module = self.module.clone();
-        let metas = self.meta.clone();
+        let module = Arc::clone(&self.module);
+        let metas = Arc::clone(&self.meta);
         let safepoints = self.profile.safepoints;
         let target = OptLevel::Full;
         let plan = self.plan.clone();
         let guardopt = self.profile.guardopt;
-        let extents = self.extents.clone();
+        let extents = Arc::clone(&self.extents);
         std::thread::Builder::new()
             .name("lb-tierup".into())
             .spawn(move || {
@@ -470,13 +475,6 @@ impl LoadedModule for JitModule {
         let sc = self.strategy_code(effective);
         self.spawn_tier_up(effective, Arc::clone(&sc));
 
-        let host_sigs: Vec<FuncType> = self
-            .module
-            .imports
-            .iter()
-            .map(|imp| self.module.types[imp.type_idx as usize].clone())
-            .collect();
-
         let table: Box<[TableEntry]> = parts
             .table
             .iter()
@@ -496,9 +494,9 @@ impl LoadedModule for JitModule {
         let globals: Box<[u64]> = parts.globals.into_boxed_slice();
 
         let mut inner = Box::new(InstanceInner {
+            module: Arc::clone(&self.module),
             memory: parts.memory,
             host: parts.host,
-            host_sigs,
             pauser: self.pauser.clone(),
         });
 
@@ -529,34 +527,32 @@ impl LoadedModule for JitModule {
         ctx.refresh_limits();
 
         let mut inst = JitInstance {
-            module_name_cache: HashMap::new(),
-            module: self.module.clone(),
             sc,
             inner,
             ctx,
             globals,
             table,
-            canon: self.canon_types.clone(),
         };
 
         if let Some(start) = self.module.start {
             inst.invoke_idx(start, &[]).map_err(LoadError::Start)?;
         }
-        lb_telemetry::histogram("jit.instantiate_ns").record(t0.elapsed().as_nanos() as u64);
+        static INSTANTIATE_NS: OnceLock<lb_telemetry::Histogram> = OnceLock::new();
+        INSTANTIATE_NS
+            .get_or_init(|| lb_telemetry::histogram("jit.instantiate_ns"))
+            .record(t0.elapsed().as_nanos() as u64);
         Ok(Box::new(inst))
     }
 }
 
-/// A live JIT instance.
+/// A live JIT instance: its memory, globals, table and context. The
+/// module and its code are shared with the [`JitModule`] it came from.
 pub struct JitInstance {
-    module: Module,
-    module_name_cache: HashMap<String, u32>,
     sc: Arc<StrategyCode>,
     inner: Box<InstanceInner>,
     ctx: Box<VmCtx>,
     globals: Box<[u64]>,
     table: Box<[TableEntry]>,
-    canon: Vec<usize>,
 }
 
 // SAFETY: all raw pointers in ctx point into boxes owned by this struct;
@@ -574,18 +570,16 @@ impl std::fmt::Debug for JitInstance {
 
 impl JitInstance {
     fn invoke_idx(&mut self, fi: u32, args: &[Value]) -> Result<Option<Value>, Trap> {
-        let _ = &self.canon;
-        let ni = self.module.num_imported_funcs();
+        let module = &*self.inner.module;
+        let ni = module.num_imported_funcs();
         if fi < ni {
             return Err(Trap::new(TrapKind::Host(
                 "cannot invoke an imported function directly".into(),
             )));
         }
-        let ty = self
-            .module
+        let ty = module
             .func_type(fi)
-            .map_err(|e| Trap::new(TrapKind::Host(e.to_string())))?
-            .clone();
+            .map_err(|e| Trap::new(TrapKind::Host(e.to_string())))?;
         if ty.params.len() != args.len() {
             return Err(Trap::new(TrapKind::Host(format!(
                 "expected {} arguments, got {}",
@@ -601,6 +595,7 @@ impl JitInstance {
                 ))));
             }
         }
+        let result = ty.result();
         let mut bits = [0u64; 16];
         for (i, a) in args.iter().enumerate() {
             bits[i] = a.to_bits();
@@ -629,21 +624,16 @@ impl JitInstance {
             Ok(())
         })?;
 
-        Ok(ty.result().map(|t| Value::from_bits(t, ret)))
+        Ok(result.map(|t| Value::from_bits(t, ret)))
     }
 }
 
 impl Instance for JitInstance {
     fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, Trap> {
-        let fi = if let Some(&fi) = self.module_name_cache.get(name) {
-            fi
-        } else {
-            let fi = self.module.exported_func(name).ok_or_else(|| {
+        let fi =
+            self.inner.module.exported_func(name).ok_or_else(|| {
                 Trap::new(TrapKind::Host(format!("no exported function {name:?}")))
             })?;
-            self.module_name_cache.insert(name.to_string(), fi);
-            fi
-        };
         self.invoke_idx(fi, args)
     }
 

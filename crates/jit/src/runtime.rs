@@ -8,7 +8,7 @@ use lb_core::exec::{HostCtx, HostFn};
 use lb_core::signals::raise_trap;
 use lb_core::{LinearMemory, TrapKind};
 use lb_wasm::numeric::{self, NumError};
-use lb_wasm::{FuncType, Value};
+use lb_wasm::{Module, Value};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -104,12 +104,13 @@ pub struct TableEntry {
 
 /// The state helpers need, reachable from the ctx.
 pub struct InstanceInner {
+    /// The module, shared with every other instance of it (its import
+    /// types marshal host calls).
+    pub module: Arc<Module>,
     /// The instance's memory (present if the module declares one).
     pub memory: Option<LinearMemory>,
     /// Resolved host imports.
     pub host: Vec<HostFn>,
-    /// Host import signatures (for marshalling).
-    pub host_sigs: Vec<FuncType>,
     /// The engine's pauser, kept alive while instances exist.
     pub pauser: Option<Arc<Pauser>>,
 }
@@ -304,7 +305,8 @@ pub unsafe extern "C" fn lb_jit_host(
     // at least `params.len()` slots.
     unsafe {
         let inner = &*(*ctx).instance;
-        let sig = &inner.host_sigs[import_idx as usize];
+        let module = &*inner.module;
+        let sig = &module.types[module.imports[import_idx as usize].type_idx as usize];
         let mut vals = [Value::I32(0); 16];
         let n = sig.params.len();
         assert!(n <= 16, "host imports limited to 16 parameters");

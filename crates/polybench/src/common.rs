@@ -66,11 +66,7 @@ pub fn init_val(i: i64, a: i64, j: i64, b: i64, m: i64) -> f64 {
 
 /// DSL twin of [`init_val`]; `i`/`j` are i32 expressions.
 pub fn init_val_expr(i: Expr, a: i64, j: Expr, b: i64, m: i64) -> Expr {
-    let e = i
-        .to_i64()
-        .mul(lb_dsl::expr::i64(a))
-        .add(j.to_i64())
-        .add(lb_dsl::expr::i64(b))
+    let e = (i.to_i64() * lb_dsl::expr::i64(a) + j.to_i64() + lb_dsl::expr::i64(b))
         .rem_s(lb_dsl::expr::i64(m));
     e.to_f64().fdiv(cf(m as f64))
 }

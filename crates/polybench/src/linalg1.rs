@@ -930,8 +930,8 @@ pub fn gesummv(d: Dataset) -> Benchmark {
                     s.tmp[i] = 0.0;
                     s.y[i] = 0.0;
                     for j in 0..s.n {
-                        s.tmp[i] = s.a[i * s.n + j] * s.x[j] + s.tmp[i];
-                        s.y[i] = s.b[i * s.n + j] * s.x[j] + s.y[i];
+                        s.tmp[i] += s.a[i * s.n + j] * s.x[j];
+                        s.y[i] += s.b[i * s.n + j] * s.x[j];
                     }
                     s.y[i] = ALPHA * s.tmp[i] + BETA * s.y[i];
                 }
@@ -1116,7 +1116,7 @@ pub fn doitgen(d: Dataset) -> Benchmark {
                         r.get(),
                         q.get(),
                         p.get(),
-                        init_val_expr(r.get().mul(ci(nq)).add(q.get()), 3, p.get(), 1, 100),
+                        init_val_expr(r.get() * ci(nq) + q.get(), 3, p.get(), 1, 100),
                     );
                 });
             });

@@ -281,7 +281,7 @@ pub fn floyd_warshall(d: Dataset) -> Benchmark {
         fi.for_i32(i, ci(0), ci(n), |f| {
             f.for_i32(j, ci(0), ci(n), |f| {
                 // path[i][j] = i*j % 7 + 1; disconnected-ish if (i+j)%13 == 0.
-                let base = i.get().mul(j.get()).rem_s(ci(7)) + ci(1);
+                let base = (i.get() * j.get()).rem_s(ci(7)) + ci(1);
                 let cond = (i.get() + j.get())
                     .rem_s(ci(13))
                     .eqz()
@@ -392,10 +392,10 @@ pub fn nussinov(d: Dataset) -> Benchmark {
                 table.set(f, i.get(), j.get(), b.select(a, cond));
                 // pairing term: i+1 <= j-1 guard
                 f.if_else(
-                    i.get().add(ci(1)).le(j.get() - ci(1)),
+                    (i.get() + ci(1)).le(j.get() - ci(1)),
                     |f| {
                         // the comparison itself yields 0/1 as i32
-                        let matched = seq.at(i.get()).add(seq.at(j.get())).eq(ci(3));
+                        let matched = (seq.at(i.get()) + seq.at(j.get())).eq(ci(3));
                         let a = table.at(i.get(), j.get());
                         let b = table.at(i.get() + ci(1), j.get() - ci(1)) + matched;
                         let cond = a.clone().lt(b.clone());
@@ -447,7 +447,7 @@ pub fn nussinov(d: Dataset) -> Benchmark {
                         let b = s.table[(i + 1) * n + j];
                         t = if t < b { b } else { t };
                         s.table[i * n + j] = t;
-                        if i + 1 <= j - 1 {
+                        if i + 1 < j {
                             let matched = i32::from(s.seq[i] + s.seq[j] == 3);
                             let b = s.table[(i + 1) * n + j - 1] + matched;
                             let t0 = s.table[i * n + j];

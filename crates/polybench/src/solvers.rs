@@ -13,7 +13,7 @@ use lb_dsl::{Benchmark, DslFunc, Layout, Var};
 
 /// Symmetric small off-diagonal value (depends on i+j and i·j only).
 fn sym_off_expr(i: Expr, j: Expr) -> Expr {
-    init_val_expr(i.clone() + j.clone(), 3, i.mul(j), 1, 97) * cf(0.1)
+    init_val_expr(i.clone() + j.clone(), 3, i * j, 1, 97) * cf(0.1)
 }
 
 fn sym_off(i: i64, j: i64) -> f64 {
@@ -198,7 +198,7 @@ pub fn durbin(d: Dataset) -> Benchmark {
                 let mut beta = 1.0f64;
                 s.y[0] = -s.r[0];
                 for k in 1..n {
-                    beta = (1.0 - alpha * alpha) * beta;
+                    beta *= 1.0 - alpha * alpha;
                     let mut sum = 0.0f64;
                     for i in 0..k {
                         sum += s.r[k - i - 1] * s.y[i];

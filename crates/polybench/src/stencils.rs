@@ -390,7 +390,7 @@ pub fn heat_3d(d: Dataset) -> Benchmark {
         fi.for_i32(i, ci(0), ci(n), |f| {
             f.for_i32(j, ci(0), ci(n), |f| {
                 f.for_i32(k, ci(0), ci(n), |f| {
-                    let v = init_val_expr(i.get().mul(ci(n)).add(j.get()), 3, k.get(), 1, 100);
+                    let v = init_val_expr(i.get() * ci(n) + j.get(), 3, k.get(), 1, 100);
                     a.set(f, i.get(), j.get(), k.get(), v.clone());
                     b.set(f, i.get(), j.get(), k.get(), v);
                 });

@@ -81,7 +81,7 @@ pub fn lcg_next(x: u32) -> u32 {
 
 /// DSL statement: `v = v * 1664525 + 1013904223` for an i32 local.
 pub fn lcg_step(f: &mut DslFunc, v: Var) {
-    f.assign(v, v.get().mul(ci(1664525i32)).add(ci(1013904223i32)));
+    f.assign(v, v.get() * ci(1664525i32) + ci(1013904223i32));
 }
 
 /// DSL expression: positive pseudo-random in `[0, m)` from LCG state `v`

@@ -150,14 +150,14 @@ pub fn deepsjeng(s: Scale) -> Benchmark {
         let p_alpha = f.param(2);
         f.assign(alpha, p_alpha.get());
         // h = node * 2654435761
-        f.assign(h, node.get().mul(ci(-1640531535i32))); // 2654435761 as i32
-                                                         // Leaf: eval = (h >>> 16) % 2001 - 1000
+        f.assign(h, node.get() * ci(-1640531535i32)); // 2654435761 as i32
+                                                      // Leaf: eval = (h >>> 16) % 2001 - 1000
         f.if_then(depth.get().eqz(), |f| {
             f.ret(h.get().shr_u(ci(16)).rem_u(ci(2001)) - ci(1000));
         });
         f.for_i32(i, ci(0), ci(branch), |f| {
             // child = h ^ (i * 2246822519)
-            f.assign(child, h.get().xor(i.get().mul(ci(-2048144777i32))));
+            f.assign(child, h.get().xor(i.get() * ci(-2048144777i32)));
             // score = -negamax(child, depth-1, -beta, -alpha)
             f.assign(
                 score,

@@ -264,8 +264,8 @@ pub fn x264(s: Scale) -> Benchmark {
         let y = fi.local_i32();
         fi.for_i32(y, ci(3), ci(h), |f| {
             f.for_i32(x, ci(2), ci(w), |f| {
-                let src = (y.get() - ci(3)).mul(ci(w)) + (x.get() - ci(2));
-                let dst = y.get().mul(ci(w)) + x.get();
+                let src = (y.get() - ci(3)) * ci(w) + (x.get() - ci(2));
+                let dst = y.get() * ci(w) + x.get();
                 store8(f, frame1.base(), dst, load8(frame0.base(), src));
             });
         });
@@ -284,7 +284,7 @@ pub fn x264(s: Scale) -> Benchmark {
         let bidx = fk.local_i32();
         fk.for_i32(by, ci(0), ci(nby), |f| {
             f.for_i32(bx, ci(0), ci(nbx), |f| {
-                f.assign(bidx, by.get().mul(ci(nbx)) + bx.get());
+                f.assign(bidx, by.get() * ci(nbx) + bx.get());
                 best_sad.set(f, bidx.get(), ci(1 << 30));
                 best_mv.set(f, bidx.get(), ci(0));
                 f.for_i32(dy, ci(0), ci(2 * search + 1), |f| {
@@ -293,10 +293,10 @@ pub fn x264(s: Scale) -> Benchmark {
                         f.assign(sad, ci(0));
                         f.for_i32(yy, ci(0), ci(B), |f| {
                             f.for_i32(xx, ci(0), ci(B), |f| {
-                                let cy = by.get().mul(ci(B)) + yy.get();
-                                let cx = bx.get().mul(ci(B)) + xx.get();
+                                let cy = by.get() * ci(B) + yy.get();
+                                let cx = bx.get() * ci(B) + xx.get();
                                 // Reference pixel in frame1.
-                                let rp = load8(frame1.base(), cy.clone().mul(ci(w)) + cx.clone());
+                                let rp = load8(frame1.base(), cy.clone() * ci(w) + cx.clone());
                                 // Candidate pixel in frame0, offset by
                                 // (dx-search, dy-search), clamped via max 0
                                 // and min w-1/h-1 expressed with selects.
@@ -306,7 +306,7 @@ pub fn x264(s: Scale) -> Benchmark {
                                 let oxc = ci(w - 1).select(oxc.clone(), oxc.ge(ci(w)));
                                 let oyc = ci(0).select(oy.clone(), oy.clone().lt(ci(0)));
                                 let oyc = ci(h - 1).select(oyc.clone(), oyc.ge(ci(h)));
-                                let cp = load8(frame0.base(), oyc.mul(ci(w)) + oxc);
+                                let cp = load8(frame0.base(), oyc * ci(w) + oxc);
                                 f.assign(diff, rp - cp);
                                 // |diff| via select
                                 let neg = -diff.get();
@@ -316,7 +316,7 @@ pub fn x264(s: Scale) -> Benchmark {
                         });
                         f.if_then(sad.get().lt(best_sad.at(bidx.get())), |f| {
                             best_sad.set(f, bidx.get(), sad.get());
-                            best_mv.set(f, bidx.get(), dy.get().mul(ci(64)) + dx.get());
+                            best_mv.set(f, bidx.get(), dy.get() * ci(64) + dx.get());
                         });
                     });
                 });

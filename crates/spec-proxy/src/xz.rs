@@ -88,8 +88,8 @@ pub fn xz(s: Scale) -> Benchmark {
                 f.assign(
                     hash,
                     (load8(pos.get())
-                        .xor(load8(pos.get() + ci(1)).shl(ci(4)))
-                        .xor(load8(pos.get() + ci(2)).shl(ci(8))))
+                        .xor(load8(pos.get() + ci(1)) << ci(4))
+                        .xor(load8(pos.get() + ci(2)) << ci(8)))
                     .and(ci(HASH_SIZE - 1)),
                 );
                 f.assign(best, ci(0));

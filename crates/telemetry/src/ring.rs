@@ -5,6 +5,14 @@
 //! allocates: when the ring is full (or a push is interrupted by a
 //! signal that itself pushes), the event is dropped and counted.
 //!
+//! A ring outlives its thread: when the thread exits, the ring, with any
+//! events not yet drained, passes to the next thread that needs one. A
+//! process that keeps starting short-lived threads (every
+//! `lb_serve::Server` starts its shard workers) therefore holds one ring
+//! per concurrently live thread, not one per thread it ever started.
+//! Events keep the thread id of the ring they were pushed to, so
+//! threads that share a ring, one after another, share an id.
+//!
 //! # Concurrency protocol
 //!
 //! `head` is written only by the owning thread, `tail` only by a drainer
@@ -164,12 +172,28 @@ impl SpanRing {
 static REGISTRY: Mutex<Vec<Arc<SpanRing>>> = Mutex::new(Vec::new());
 static NEXT_THREAD: AtomicU32 = AtomicU32::new(0);
 
-thread_local! {
-    static RING: OnceCell<Arc<SpanRing>> = const { OnceCell::new() };
+/// Rings whose threads have exited, for the next new thread.
+static RETIRED: Mutex<Vec<Arc<SpanRing>>> = Mutex::new(Vec::new());
+
+/// A thread's hold on its ring: returns the ring to [`RETIRED`] when the
+/// thread's locals are torn down.
+struct ThreadRing(Arc<SpanRing>);
+
+impl Drop for ThreadRing {
+    fn drop(&mut self) {
+        // A poisoned list only costs the ring's reuse.
+        if let Ok(mut retired) = RETIRED.lock() {
+            retired.push(Arc::clone(&self.0));
+        }
+    }
 }
 
-/// Create and register this thread's ring if it does not exist yet, and
-/// run [`crate::init_from_env`]. Call from normal context before any
+thread_local! {
+    static RING: OnceCell<ThreadRing> = const { OnceCell::new() };
+}
+
+/// Give this thread a ring if it has none yet (a retired one if any,
+/// else a new registered one), and run [`crate::init_from_env`]. Call from normal context before any
 /// code that may record spans from a signal handler on this thread —
 /// TLS first-touch and registration are not async-signal-safe.
 pub fn ensure_thread_ring() {
@@ -177,9 +201,12 @@ pub fn ensure_thread_ring() {
     let _ = DROPPED_COUNTER.get_or_init(|| crate::counter("telemetry.ring.dropped"));
     RING.with(|cell| {
         cell.get_or_init(|| {
+            if let Some(ring) = RETIRED.lock().unwrap().pop() {
+                return ThreadRing(ring);
+            }
             let ring = Arc::new(SpanRing::new(NEXT_THREAD.fetch_add(1, Ordering::Relaxed)));
             REGISTRY.lock().unwrap().push(ring.clone());
-            ring
+            ThreadRing(ring)
         });
     });
 }
@@ -190,7 +217,7 @@ pub(crate) fn with_ring<F: FnOnce(&SpanRing)>(f: F) {
     ensure_thread_ring();
     RING.with(|cell| {
         if let Some(ring) = cell.get() {
-            f(ring);
+            f(&ring.0);
         }
     });
 }
@@ -201,7 +228,7 @@ pub(crate) fn with_ring<F: FnOnce(&SpanRing)>(f: F) {
 pub(crate) fn with_ring_signal_safe<F: FnOnce(&SpanRing)>(f: F) {
     let _ = RING.try_with(|cell| {
         if let Some(ring) = cell.get() {
-            f(ring);
+            f(&ring.0);
         }
     });
 }

@@ -368,24 +368,14 @@ impl Absint {
         leaders.insert(0);
         for i in 0..self.insts.len() {
             match self.insts[i].1 {
-                Inst::Jcc { rel, .. } => {
+                Inst::Jcc { rel, .. } | Inst::Jmp { rel } => {
                     leaders.insert(self.branch_target(i, rel)?);
-                    if self.inst_end(i) < self.code_len {
-                        leaders.insert(self.inst_end(i));
-                    }
                 }
-                Inst::Jmp { rel } => {
-                    leaders.insert(self.branch_target(i, rel)?);
-                    if self.inst_end(i) < self.code_len {
-                        leaders.insert(self.inst_end(i));
-                    }
-                }
-                Inst::Ret | Inst::Ud2Trap { .. } => {
-                    if self.inst_end(i) < self.code_len {
-                        leaders.insert(self.inst_end(i));
-                    }
-                }
-                _ => {}
+                Inst::Ret | Inst::Ud2Trap { .. } => {}
+                _ => continue,
+            }
+            if self.inst_end(i) < self.code_len {
+                leaders.insert(self.inst_end(i));
             }
         }
         self.leaders = leaders.into_iter().collect();
@@ -528,7 +518,7 @@ impl Absint {
                         off,
                         op,
                         disp: m.disp,
-                        scale_ok: m.index.map_or(true, |(_, s)| s == 1),
+                        scale_ok: m.index.is_none_or(|(_, s)| s == 1),
                         reachable: false,
                         idx: None,
                     },
@@ -550,7 +540,7 @@ impl Absint {
                     off,
                     op,
                     disp: m.disp,
-                    scale_ok: m.index.map_or(true, |(_, s)| s == 1),
+                    scale_ok: m.index.is_none_or(|(_, s)| s == 1),
                     reachable: false,
                     idx: None,
                 });
@@ -620,10 +610,10 @@ impl Absint {
         // Facts for join symbols, derived from the joined values below.
         let mut join_facts: Vec<(u64, Option<Fact>)> = Vec::new();
         let mut regs = [AbsVal::Const(0); 16];
-        for r in 0..16 {
+        for (r, reg) in regs.iter_mut().enumerate() {
             let (av, bv) = (a.regs[r], b.regs[r]);
-            regs[r] = self.join_val(block, JoinLoc::Reg(r as u8), av, bv);
-            join_facts.extend(join_fact(a, av, b, bv, regs[r]));
+            *reg = self.join_val(block, JoinLoc::Reg(r as u8), av, bv);
+            join_facts.extend(join_fact(a, av, b, bv, *reg));
         }
         let mut slots = BTreeMap::new();
         for (&d, &av) in &a.slots {
@@ -772,7 +762,7 @@ impl Absint {
                     off,
                     op,
                     disp: m.disp,
-                    scale_ok: m.index.map_or(true, |(_, s)| s == 1),
+                    scale_ok: m.index.is_none_or(|(_, s)| s == 1),
                     reachable: true,
                     idx: Some(idx),
                 },

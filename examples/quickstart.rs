@@ -21,8 +21,8 @@ fn main() {
     let n = f.param(0);
     let i = f.local_i32();
     let acc = f.local_i64();
-    f.for_i32(i, expr::i32(1), n.get().add(expr::i32(1)), |f| {
-        f.assign(acc, acc.get().add(i.get().to_i64().mul(i.get().to_i64())));
+    f.for_i32(i, expr::i32(1), n.get() + expr::i32(1), |f| {
+        f.assign(acc, acc.get() + i.get().to_i64() * i.get().to_i64());
     });
     f.ret(acc.get());
 

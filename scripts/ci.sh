@@ -4,11 +4,11 @@
 #
 #   1. release build of the whole workspace
 #   2. the full test suite (unit, integration, differential, fuzz)
-#   3. clippy over every target; errors fail, warnings are reported only,
-#      except in lb-core (the runtime's unsafe memory and signal layer),
-#      lb-serve, lb-chaos, lb-sys, lb-telemetry, lb-bench, lb-harness,
-#      lb-sim, lb-analysis, lb-prof, lb-jit, lb-spec-proxy, lb-interp,
-#      lb-isa-model and lb-wasm, where any warning fails
+#   3. clippy over every target of every crate -- lb-core (the runtime's
+#      unsafe memory and signal layer), lb-serve, lb-chaos, lb-sys,
+#      lb-telemetry, lb-bench, lb-harness, lb-sim, lb-analysis, lb-prof,
+#      lb-jit, lb-spec-proxy, lb-interp, lb-isa-model, lb-wasm, lb-dsl,
+#      lb-polybench, lb-verify and the root package; any warning fails
 #   4. the in-tree repo lint (unsafe/mmap/opcode containment, signal
 #      safety, unwrap policy)
 #   5. translation validation end-to-end (PolyBench and the SPEC proxies)
@@ -46,10 +46,10 @@ run() {
 
 run cargo build --release --workspace
 run cargo test -q --workspace
-run cargo clippy -q --workspace --all-targets
 run cargo clippy -q -p lb-core -p lb-serve -p lb-chaos -p lb-sys -p lb-telemetry \
   -p lb-bench -p lb-harness -p lb-sim -p lb-analysis -p lb-prof -p lb-jit \
-  -p lb-spec-proxy -p lb-interp -p lb-isa-model -p lb-wasm --all-targets --no-deps \
+  -p lb-spec-proxy -p lb-interp -p lb-isa-model -p lb-wasm -p lb-dsl \
+  -p lb-polybench -p lb-verify -p leaps-and-bounds --all-targets --no-deps \
   -- -D warnings
 run cargo test -q -p lb-analysis --test repo_lint
 run cargo test -q --test verify_e2e

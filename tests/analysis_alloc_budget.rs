@@ -5,59 +5,19 @@
 //! and loop probe. Those copies reuse retired states' buffers and the
 //! joins run in place, so allocation happens per function (plan vectors,
 //! the structured tree, the first few states), not per step. A counting
-//! global allocator measures that here. Both numbers are deterministic
+//! global allocator (`alloc_count`) measures that here. Both numbers are deterministic
 //! work counts, so the test cannot flip on timing noise.
 //!
 //! Budgets are a third of what the analysis made when every join built a
 //! new state and every branch cloned one (0.17 per step on SPEC Mini,
 //! 0.55 on PolyBench Small).
 
+mod alloc_count;
+
 use lb_polybench::common::Dataset;
 use lb_spec_proxy::Scale;
 use lb_wasm::validate::validate;
 use lb_wasm::Module;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-/// Counts this thread's allocations (fresh and resized), then delegates
-/// to the system allocator.
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // `try_with`: the slot is gone while the thread's locals are torn down.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter is a const-initialized thread local, so touching
-// it never allocates or re-enters the allocator.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
 
 /// `(allocations, steps)` of analyzing every module, counting only the
 /// analysis itself (modules are built and validated beforehand).
@@ -67,13 +27,14 @@ fn allocs_and_steps(modules: &[Module]) -> (u64, u64) {
         .map(|m| validate(m).expect("workload validates"))
         .collect();
     let mut steps = 0;
-    let before = ALLOCS.with(Cell::get);
-    for (m, meta) in modules.iter().zip(&metas) {
-        let plan = lb_analysis::analyze_module(m, meta);
-        steps += plan.steps();
-        drop(plan);
-    }
-    (ALLOCS.with(Cell::get) - before, steps)
+    let (allocs, _) = alloc_count::counted(|| {
+        for (m, meta) in modules.iter().zip(&metas) {
+            let plan = lb_analysis::analyze_module(m, meta);
+            steps += plan.steps();
+            drop(plan);
+        }
+    });
+    (allocs, steps)
 }
 
 #[test]

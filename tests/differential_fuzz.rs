@@ -91,13 +91,13 @@ impl Gen {
         let a = self.expr_i32(depth - 1);
         let b = self.expr_i32(depth - 1);
         match self.rng.gen_range(0..16) {
-            0 => a.add(b),
-            1 => a.sub(b),
-            2 => a.mul(b),
+            0 => a + b,
+            1 => a - b,
+            2 => a * b,
             3 => a.and(b),
             4 => a.or(b),
             5 => a.xor(b),
-            6 => a.shl(b.and(expr::i32(31))),
+            6 => a << b.and(expr::i32(31)),
             7 => a.shr_s(b.and(expr::i32(31))),
             8 => a.shr_u(b.and(expr::i32(31))),
             9 => a.eq(b),
@@ -127,12 +127,12 @@ impl Gen {
         let a = self.expr_i64(depth - 1);
         let b = self.expr_i64(depth - 1);
         match self.rng.gen_range(0..8) {
-            0 => a.add(b),
-            1 => a.sub(b),
-            2 => a.mul(b),
+            0 => a + b,
+            1 => a - b,
+            2 => a * b,
             3 => a.xor(b),
             4 => a.and(b),
-            5 => a.shl(b.and(expr::i64(63))),
+            5 => a << b.and(expr::i64(63)),
             6 => a.or(b),
             _ => a.div_s(b), // may trap
         }
@@ -151,13 +151,13 @@ impl Gen {
         }
         let a = self.expr_f64(depth - 1);
         match self.rng.gen_range(0..10) {
-            0 => a.add(self.expr_f64(depth - 1)),
-            1 => a.sub(self.expr_f64(depth - 1)),
-            2 => a.mul(self.expr_f64(depth - 1)),
+            0 => a + self.expr_f64(depth - 1),
+            1 => a - self.expr_f64(depth - 1),
+            2 => a * self.expr_f64(depth - 1),
             3 => a.fdiv(self.expr_f64(depth - 1)),
             4 => a.sqrt(),
             5 => a.abs(),
-            6 => a.neg(),
+            6 => -a,
             7 => a.min(self.expr_f64(depth - 1)),
             8 => a.max(self.expr_f64(depth - 1)),
             _ => a.to_f32().to_f64(), // demote/promote round-trip
@@ -213,7 +213,7 @@ impl Gen {
                 let acc = self.i64s[self.rng.gen_range(0..self.i64s.len())];
                 let e = self.expr_i64(2);
                 f.for_i32(v, expr::i32(0), expr::i32(n), |f| {
-                    f.assign(acc, acc.get().add(e).add(v.get().to_i64()));
+                    f.assign(acc, acc.get() + e + v.get().to_i64());
                 });
             }
         }
@@ -255,7 +255,7 @@ fn random_module(seed: u64) -> Module {
         digest = digest.xor(v.get());
     }
     for v in &g.i32s {
-        digest = digest.add(v.get().to_i64());
+        digest = digest + v.get().to_i64();
     }
     for v in &g.f64s {
         let bits = Expr::from_raw(
@@ -336,7 +336,7 @@ fn engines_agree_on_random_programs() {
 /// Generated modules survive a binary round-trip and still agree.
 #[test]
 fn binary_roundtrip_preserves_behavior() {
-    for seed in case_seeds(0xB14A_47) {
+    for seed in case_seeds(0x00B1_4A47) {
         let module = random_module(seed);
         let bytes = lb_wasm::binary::encode(&module);
         let decoded = lb_wasm::binary::decode(&bytes).expect("decode");
